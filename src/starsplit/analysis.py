@@ -9,8 +9,14 @@ are:
     f          the real scalar  (omega ^ i del delbar omega_{n-2}) / omega_n,
                equal to (n-1) * Lambda(rho)
 
-Both redundant routes are computed and their agreement recorded; on an
-invariant model f is automatically constant, and is checked to be real.
+All of them come from one private core, ``_star_split(M, omega, gamma)``,
+which builds ``src = i del delbar omega_{n-2}`` once and derives f, rho,
+the closed star rho and both cross-check residuals from it.  The two
+cross-checks are the redundant routes above: f by trace against
+(n-1) Lambda(rho) from the division, and the closed star rho against the
+direct star of rho.  Reports record both residuals; ``star_rho`` and the
+search objective raise when the star routes disagree.  On an invariant
+model f is automatically constant, and is checked to be real.
 
 A metric is classified by the vanishing of: d omega (kahler),
 del delbar omega (SKT), del delbar omega_{n-2} (astheno),
@@ -127,42 +133,67 @@ def _require_n3(M: InvariantComplexManifold) -> None:
         raise InputError(f"invariants need complex dimension >= 3, got {M.dim}")
 
 
-def rho(M: InvariantComplexManifold, g: HermitianMetric, *, tol: float = DEFAULT_TOL) -> Form:
-    """The (1,1)-form with i del delbar omega_{n-2} = omega_{n-2} ^ rho."""
+@dataclass(frozen=True)
+class _StarSplit:
+    """Everything built from one ``src = i del delbar omega_{n-2}``."""
+
+    src: Form
+    f: float
+    rho: Form
+    f_cross: float
+    star_rho: Form
+    route_residual: float
+
+    def checked(self, tol: float) -> "_StarSplit":
+        """Raise unless the direct star of rho agrees with the closed form."""
+        if self.route_residual > tol * (1.0 + self.star_rho.max_abs()):
+            raise AlgebraError(
+                f"star-rho routes disagree (residual {self.route_residual:.3e})")
+        return self
+
+
+def _star_split(M: InvariantComplexManifold, omega_m: HermitianMetric,
+                gamma_m: HermitianMetric, tol: float) -> _StarSplit:
+    """Divide i del delbar omega_{n-2} by gamma_{n-2}; trace and star with gamma."""
     _require_n3(M)
     n = M.dim
-    src = _laplacian_source(M, omega_power(g, n - 2))
-    return divide_by_power(g, n - 2, src, tol=tol)
+    src = _laplacian_source(M, omega_power(omega_m, n - 2))
+    num = M.integrate(omega_form(gamma_m).wedge(src))
+    den = M.integrate(omega_power(gamma_m, n))
+    f = _real_scalar(num / den, tol, "the trace scalar f")
+    rho_form = divide_by_power(gamma_m, n - 2, src, tol=tol)
+    f_lambda = (n - 1) * lefschetz_lambda(gamma_m, rho_form).coefficient((), ())
+    closed = (f / (n - 1)) * omega_power(gamma_m, n - 1) - src
+    resid = (closed - hodge_star(gamma_m, rho_form)).max_abs()
+    return _StarSplit(src, f, rho_form, abs(f - f_lambda), closed, resid)
+
+
+def _star_split_flags(M: InvariantComplexManifold, gamma_m: HermitianMetric,
+                      sr: Form, tol: float) -> Tuple[FlagResult, FlagResult]:
+    """(pluriclosed, closed) flags of star rho, both scaled by its norm."""
+    d_sr = M.d(sr)
+    scale = form_norm(gamma_m, sr)
+    n = M.dim
+    # delbar sr is the (n-1,n)-part of d sr
+    pluri = form_norm(gamma_m, 1j * M.del_(d_sr.bidegree_component(n - 1, n)))
+    return _flag(pluri, scale, tol), _flag(form_norm(gamma_m, d_sr), scale, tol)
+
+
+def rho(M: InvariantComplexManifold, g: HermitianMetric, *, tol: float = DEFAULT_TOL) -> Form:
+    """The (1,1)-form with i del delbar omega_{n-2} = omega_{n-2} ^ rho."""
+    return _star_split(M, g, g, tol).rho
 
 
 def f_scalar(M: InvariantComplexManifold, g: HermitianMetric, *, tol: float = DEFAULT_TOL) -> float:
     """(omega ^ i del delbar omega_{n-2}) / omega_n as a real constant."""
-    _require_n3(M)
-    n = M.dim
-    src = _laplacian_source(M, omega_power(g, n - 2))
-    num = M.integrate(omega_form(g).wedge(src))
-    den = M.integrate(omega_power(g, n))
-    return _real_scalar(num / den, tol, "the trace scalar f")
+    return _star_split(M, g, g, tol).f
 
 
 def star_rho(M: InvariantComplexManifold, g: HermitianMetric, *,
              tol: float = DEFAULT_TOL) -> Form:
     """Hodge dual of rho, via the closed form cross-checked against the
     direct star (agreement enforced at ``tol``)."""
-    closed, direct, resid = _star_rho_routes(M, g, tol)
-    if resid > tol * (1.0 + closed.max_abs()):
-        raise AlgebraError(f"star-rho routes disagree (residual {resid:.3e})")
-    return closed
-
-
-def _star_rho_routes(M: InvariantComplexManifold, g: HermitianMetric, tol: float
-                     ) -> Tuple[Form, Form, float]:
-    n = M.dim
-    src = _laplacian_source(M, omega_power(g, n - 2))
-    f = f_scalar(M, g, tol=tol)
-    closed = (f / (n - 1)) * omega_power(g, n - 1) - src
-    direct = hodge_star(g, rho(M, g, tol=tol))
-    return closed, direct, (closed - direct).max_abs()
+    return _star_split(M, g, g, tol).checked(tol).star_rho
 
 
 def eigenvalues_rel_omega(g: HermitianMetric, gamma_form: Form, *,
@@ -208,57 +239,50 @@ def matrix_of_11(alpha: Form) -> np.ndarray:
 # ----------------------------------------------------------------------
 def classify(M: InvariantComplexManifold, g: HermitianMetric, *,
              tol: float = DEFAULT_TOL, notes: Optional[List[str]] = None) -> MetricReport:
-    _require_n3(M)
+    core = _star_split(M, g, g, tol)
     n = M.dim
     w = omega_form(g)
     w_nm2 = omega_power(g, n - 2)
     w_nm1 = omega_power(g, n - 1)
-    src = _laplacian_source(M, w_nm2)
-
-    f = f_scalar(M, g, tol=tol)
-    rho_form = rho(M, g, tol=tol)
-    f_lambda = (n - 1) * lefschetz_lambda(g, rho_form).coefficient((), ())
-    f_cross = abs(f - f_lambda)
-
-    sr_closed, sr_direct, sr_resid = _star_rho_routes(M, g, tol)
-
-    pss_defect_primary = form_norm(g, _laplacian_source(M, sr_closed))
-    pss_defect_cross = form_norm(g, _laplacian_source(M, f * w_nm1))
+    # del and delbar of w and w_{n-1} are the bidegree parts of one d each
+    d_w = M.d(w)
+    d_w_nm1 = M.d(w_nm1)
+    scale_w, scale_nm1 = form_norm(g, w), form_norm(g, w_nm1)
 
     defects = {
-        "kahler": (form_norm(g, M.d(w)), form_norm(g, w)),
-        "balanced": (form_norm(g, M.d(w_nm1)), form_norm(g, w_nm1)),
-        "gauduchon": (form_norm(g, _laplacian_source(M, w_nm1)), form_norm(g, w_nm1)),
-        "SKT": (form_norm(g, _laplacian_source(M, w)), form_norm(g, w)),
-        "astheno_kahler": (form_norm(g, src), form_norm(g, w_nm2)),
-        "n2_gauduchon": (form_norm(g, w.wedge(src)), form_norm(g, w_nm1)),
-        "pluriclosed_star_split": (pss_defect_primary, form_norm(g, sr_closed)),
-        "closed_star_split": (form_norm(g, M.d(sr_closed)), form_norm(g, sr_closed)),
+        "kahler": (form_norm(g, d_w), scale_w),
+        "balanced": (form_norm(g, d_w_nm1), scale_nm1),
+        "gauduchon": (form_norm(g, 1j * M.del_(d_w_nm1.bidegree_component(n - 1, n))),
+                      scale_nm1),
+        "SKT": (form_norm(g, 1j * M.del_(d_w.bidegree_component(1, 2))), scale_w),
+        "astheno_kahler": (form_norm(g, core.src), form_norm(g, w_nm2)),
+        "n2_gauduchon": (form_norm(g, w.wedge(core.src)), scale_nm1),
     }
     flags = {key: _flag(defect, scale, tol) for key, (defect, scale) in defects.items()}
+    flags["pluriclosed_star_split"], flags["closed_star_split"] = _star_split_flags(
+        M, g, core.star_rho, tol)
 
     vol = total_volume(M, g)
-    del_w = M.del_(w)
+    del_w = d_w.bidegree_component(2, 1)
     del_norm_sq = float((inner_product(g, del_w, del_w) * vol).real) if not del_w.is_zero() else 0.0
 
-    report = MetricReport(
+    return MetricReport(
         manifold=M.name,
         dim=n,
         metric=g.describe(),
-        f=f,
-        rho=rho_form,
-        star_rho=sr_closed,
-        eigenvalues=eigenvalues_of_11(g, rho_form, tol=tol),
+        f=core.f,
+        rho=core.rho,
+        star_rho=core.star_rho,
+        eigenvalues=eigenvalues_of_11(g, core.rho, tol=tol),
         flags=flags,
         del_omega_norm_sq=del_norm_sq,
-        integral_f=f * vol,
-        f_cross_residual=f_cross,
-        star_rho_cross_residual=sr_resid,
-        pss_cross_defect=pss_defect_cross,
+        integral_f=core.f * vol,
+        f_cross_residual=core.f_cross,
+        star_rho_cross_residual=core.route_residual,
+        pss_cross_defect=form_norm(g, _laplacian_source(M, core.f * w_nm1)),
         tolerance=tol,
         notes=list(notes or []),
     )
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -298,35 +322,15 @@ class PairReport:
 def pair_analysis(M: InvariantComplexManifold, omega_m: HermitianMetric,
                   gamma_m: HermitianMetric, *, tol: float = DEFAULT_TOL) -> PairReport:
     """Divide i del delbar omega_{n-2} by gamma_{n-2} and classify the result."""
-    _require_n3(M)
-    n = M.dim
-    src = _laplacian_source(M, omega_power(omega_m, n - 2))
-    rho_pair = divide_by_power(gamma_m, n - 2, src, tol=tol)
-
-    gamma = omega_form(gamma_m)
-    num = M.integrate(gamma.wedge(src))
-    den = M.integrate(omega_power(gamma_m, n))
-    f_pair = _real_scalar(num / den, tol, "the pair trace scalar")
-
-    f_lambda = ((n - 1) * lefschetz_lambda(gamma_m, rho_pair).coefficient((), ())
-                if not rho_pair.is_zero() else 0j)
-    f_cross = abs(f_pair - f_lambda)
-
-    sr_closed = (f_pair / (n - 1)) * omega_power(gamma_m, n - 1) - src
-    sr_direct = hodge_star(gamma_m, rho_pair) if not rho_pair.is_zero() else Form.zero(n)
-    sr_resid = (sr_closed - sr_direct).max_abs()
-
-    scale = form_norm(gamma_m, sr_closed)
-    pluri = _flag(form_norm(gamma_m, _laplacian_source(M, sr_closed)), scale, tol)
-    closed = _flag(form_norm(gamma_m, M.d(sr_closed)), scale, tol)
-
+    core = _star_split(M, omega_m, gamma_m, tol)
+    pluri, closed = _star_split_flags(M, gamma_m, core.star_rho, tol)
     return PairReport(
-        manifold=M.name, dim=n,
+        manifold=M.name, dim=M.dim,
         omega=omega_m.describe(), gamma=gamma_m.describe(),
-        f=f_pair, rho=rho_pair, star_rho=sr_closed,
+        f=core.f, rho=core.rho, star_rho=core.star_rho,
         pluriclosed=pluri, closed=closed,
-        integral_f=f_pair * total_volume(M, gamma_m),
-        f_cross_residual=f_cross, star_rho_cross_residual=sr_resid,
+        integral_f=core.f * total_volume(M, gamma_m),
+        f_cross_residual=core.f_cross, star_rho_cross_residual=core.route_residual,
         tolerance=tol,
     )
 

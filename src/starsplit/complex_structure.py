@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +35,8 @@ import numpy as np
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices
-from .metric import HermitianMetric, hodge_star, inner_product, omega_power
+from .metric import (HermitianMetric, compound, form_to_vec, hodge_star,
+                     inner_product, omega_power, vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -143,21 +143,21 @@ class InvariantComplexManifold:
                 out = out + piece
         return out
 
-    def del_(self, u: Form) -> Form:
-        """(1,0)-part of d."""
+    def _d_part(self, u: Form, dp: int, dq: int) -> Form:
+        """The bidegree-(dp,dq) part of d, applied per bidegree component."""
         out = Form.zero(self.dim)
         for p, q in u.bidegrees():
-            if p + 1 <= self.dim:
-                out = out + self.d(u.bidegree_component(p, q)).bidegree_component(p + 1, q)
+            if p + dp <= self.dim and q + dq <= self.dim:
+                out = out + self.d(u.bidegree_component(p, q)).bidegree_component(p + dp, q + dq)
         return out
+
+    def del_(self, u: Form) -> Form:
+        """(1,0)-part of d."""
+        return self._d_part(u, 1, 0)
 
     def delbar(self, u: Form) -> Form:
         """(0,1)-part of d."""
-        out = Form.zero(self.dim)
-        for p, q in u.bidegrees():
-            if q + 1 <= self.dim:
-                out = out + self.d(u.bidegree_component(p, q)).bidegree_component(p, q + 1)
-        return out
+        return self._d_part(u, 0, 1)
 
     # ------------------------------------------------------------------
     # sanity residuals
@@ -368,36 +368,18 @@ class PullbackMap:
         return {"matrix": [[z.real, z.imag] for z in self.matrix.reshape(-1)]}
 
 
-def _minor(mat: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> complex:
-    if not rows:
-        return 1.0 + 0j
-    return complex(np.linalg.det(mat[np.ix_(rows, cols)]))
-
-
 def pullback(M: InvariantComplexManifold, phi: PullbackMap, u: Form) -> Form:
-    """Algebra homomorphism determined by the coframe substitution."""
+    """Algebra homomorphism determined by the coframe substitution, applied
+    per bidegree through compound matrices (convention in ``metric``)."""
     n = M.dim
     if phi.dim != n or u.dim != n:
         raise DimensionMismatchError("pullback dimension mismatch")
     A = phi.matrix
-    out: Dict = {}
-    index_sets = {p: [c for c in combinations(range(n), p)] for p in range(n + 1)}
-    for (imask, jmask), c in u._terms.items():
-        rows_i = [k - 1 for k in mask_to_indices(imask)]
-        rows_j = [k - 1 for k in mask_to_indices(jmask)]
-        for cols_i in index_sets[len(rows_i)]:
-            di = _minor(A, rows_i, cols_i)
-            if abs(di) < 1e-16:
-                continue
-            ikey = sum(1 << k for k in cols_i)
-            for cols_j in index_sets[len(rows_j)]:
-                dj = _minor(A, rows_j, cols_j)
-                if abs(dj) < 1e-16:
-                    continue
-                jkey = sum(1 << k for k in cols_j)
-                key = (ikey, jkey)
-                out[key] = out.get(key, 0j) + c * di * dj.conjugate()
-    return Form(n, out)
+    out = Form.zero(n)
+    for p, q in u.bidegrees():
+        mat = np.kron(compound(A, p), compound(A, q).conj())
+        out = out + vec_to_form(n, p, q, mat @ form_to_vec(u, p, q))
+    return out
 
 
 def structure_compatibility(M: InvariantComplexManifold, phi: PullbackMap) -> float:

@@ -14,6 +14,14 @@ omega_{n-1}``, ``[Lambda, L] = (n-k) Id`` on k-forms, and the primitive-form
 star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
 frame where they do not depend on the metric.
+
+Substituting ``phi_k -> sum_j mat[k,j] phi_j`` acts on coefficients
+through compound matrices: ``compound(mat, r)`` holds all r x r minors,
+``out[t, s] = det(mat[rows(s), cols(t)])`` with rows and cols running over
+the r-subsets in basis order, and the (p,q)-slot transforms by
+``kron(compound(mat, p), compound(mat, q).conj())``.  Conversion to the
+frame ``e`` is this substitution with ``mat = C^{-1}``, conversion back
+with ``C``, and ``complex_structure.pullback`` with its own matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import AlgebraError, DimensionMismatchError, InputError
-from .forms import Form, MaskKey, basis_masks, mask_to_indices, space_dim
+from .forms import Form, MaskKey, basis_masks, space_dim
 
 DEFAULT_TOL = 1e-10
 
@@ -96,10 +104,6 @@ def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     return out
 
 
-def _l_mat(n: int, p: int, q: int) -> np.ndarray:
-    return _wedge_power_mat(n, 1, p, q)
-
-
 @lru_cache(maxsize=None)
 def _star_mat(n: int, p: int, q: int) -> np.ndarray:
     """Matrix of the Hodge star from the (p,q)-slot to the (n-q,n-p)-slot
@@ -126,6 +130,12 @@ def _star_mat(n: int, p: int, q: int) -> np.ndarray:
     return mat
 
 
+def compound(mat: np.ndarray, r: int) -> np.ndarray:
+    """All r x r minors of ``mat``, indexed by r-subsets in basis order."""
+    idx = np.array(list(combinations(range(mat.shape[0]), r)), dtype=int)
+    return np.linalg.det(mat[idx[None, :, :, None], idx[:, None, None, :]])
+
+
 # ----------------------------------------------------------------------
 # the metric itself
 # ----------------------------------------------------------------------
@@ -136,8 +146,7 @@ class HermitianMetric:
     per-bidegree conversion matrices are cached on the instance.
     """
 
-    __slots__ = ("dim", "H", "chol", "_inv_chol", "_minors_B", "_minors_G",
-                 "_to_e", "_from_e", "_powers")
+    __slots__ = ("dim", "H", "chol", "_inv_chol", "_to_e", "_from_e", "_powers")
 
     def __init__(self, H, *, tol: float = DEFAULT_TOL):
         H = np.array(H, dtype=complex)
@@ -159,8 +168,6 @@ class HermitianMetric:
         self._inv_chol = np.linalg.inv(self.chol)
         self.H.setflags(write=False)
         self.chol.setflags(write=False)
-        self._minors_B: Dict[int, np.ndarray] = {}
-        self._minors_G: Dict[int, np.ndarray] = {}
         self._to_e: Dict[Tuple[int, int], np.ndarray] = {}
         self._from_e: Dict[Tuple[int, int], np.ndarray] = {}
         self._powers: Dict[int, Form] = {}
@@ -217,41 +224,20 @@ class HermitianMetric:
         return f"hermitian(n={self.dim})"
 
     # -- frame conversions ----------------------------------------------
-    def _minor_matrix(self, mat: np.ndarray, r: int) -> np.ndarray:
-        """All r x r minors of ``mat``: out[t, s] = det(mat[rows(s), cols(t)])."""
-        n = self.dim
-        masks = [sum(1 << (k - 1) for k in cmb) for cmb in combinations(range(1, n + 1), r)]
-        rows = [np.array([k - 1 for k in mask_to_indices(m)], dtype=int) for m in masks]
-        out = np.zeros((len(masks), len(masks)), dtype=complex)
-        for s, rs in enumerate(rows):
-            for t, ct in enumerate(rows):
-                if r == 0:
-                    out[t, s] = 1.0
-                else:
-                    out[t, s] = np.linalg.det(mat[np.ix_(rs, ct)])
-        return out
-
-    def _minors(self, which: str, r: int) -> np.ndarray:
-        cache = self._minors_B if which == "B" else self._minors_G
-        if r not in cache:
-            mat = self._inv_chol if which == "B" else self.chol
-            cache[r] = self._minor_matrix(mat, r)
-        return cache[r]
+    @staticmethod
+    def _frame_matrix(cache: dict, mat: np.ndarray, p: int, q: int) -> np.ndarray:
+        if (p, q) not in cache:
+            out = np.kron(compound(mat, p), compound(mat, q).conj())
+            out.setflags(write=False)
+            cache[(p, q)] = out
+        return cache[(p, q)]
 
     def to_e_matrix(self, p: int, q: int) -> np.ndarray:
         """Coefficients in the orthonormal frame from coefficients in phi."""
-        if (p, q) not in self._to_e:
-            mat = np.kron(self._minors("B", p), self._minors("B", q).conj())
-            mat.setflags(write=False)
-            self._to_e[(p, q)] = mat
-        return self._to_e[(p, q)]
+        return self._frame_matrix(self._to_e, self._inv_chol, p, q)
 
     def from_e_matrix(self, p: int, q: int) -> np.ndarray:
-        if (p, q) not in self._from_e:
-            mat = np.kron(self._minors("G", p), self._minors("G", q).conj())
-            mat.setflags(write=False)
-            self._from_e[(p, q)] = mat
-        return self._from_e[(p, q)]
+        return self._frame_matrix(self._from_e, self.chol, p, q)
 
     def to_e_vec(self, u: Form, p: int, q: int) -> np.ndarray:
         return self.to_e_matrix(p, q) @ form_to_vec(u, p, q)
@@ -339,7 +325,7 @@ def lefschetz_lambda(g: HermitianMetric, u: Form) -> Form:
     p, q = _require_bidegree(u)
     if p == 0 or q == 0:
         return Form.zero(n)
-    lam = _l_mat(n, p - 1, q - 1).conj().T
+    lam = _wedge_power_mat(n, 1, p - 1, q - 1).conj().T
     return g.from_e_vec(lam @ g.to_e_vec(u, p, q), p - 1, q - 1)
 
 
@@ -391,7 +377,7 @@ def lefschetz_decompose(g: HermitianMetric, u: Form, *, tol: float = DEFAULT_TOL
     for r in range(rmax + 1):
         pr, qr = p - r, q - r
         if pr >= 1 and qr >= 1:
-            lam = _l_mat(n, pr - 1, qr - 1).conj().T
+            lam = _wedge_power_mat(n, 1, pr - 1, qr - 1).conj().T
             block = np.zeros((lam.shape[0], total), dtype=complex)
             block[:, offset:offset + dims[r]] = lam
             constraint_rows.append(block)

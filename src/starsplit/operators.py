@@ -34,7 +34,7 @@ from .complex_structure import (InvariantComplexManifold, adjoint_del,
                                 adjoint_delbar, l2_pairing, laplacian_delbar)
 from .errors import InputError
 from .forms import Form, basis_masks, space_dim
-from .metric import (HermitianMetric, _l_mat, _star_mat, _wedge_power_mat,
+from .metric import (HermitianMetric, _star_mat, _wedge_power_mat,
                      divide_by_power, form_norm, form_to_vec, hodge_star,
                      lefschetz_lambda, omega_form, omega_power)
 
@@ -116,24 +116,23 @@ def Q(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form, *,
     return out
 
 
-def torsion_tau(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
-    """[Lam, del omega ^ .], applied per bidegree component."""
-    dw = M.del_(omega_form(g))
+def _torsion(g: HermitianMetric, dw: Form, u: Form) -> Form:
+    """[Lam, dw ^ .], applied per bidegree component."""
     out = Form.zero(g.dim)
     for p, q in u.bidegrees():
         c = u.bidegree_component(p, q)
         out = out + lefschetz_lambda(g, dw.wedge(c)) - dw.wedge(lefschetz_lambda(g, c))
     return out
+
+
+def torsion_tau(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
+    """[Lam, del omega ^ .]."""
+    return _torsion(g, M.del_(omega_form(g)), u)
 
 
 def torsion_tau_bar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
     """[Lam, delbar omega ^ .]."""
-    dw = M.delbar(omega_form(g))
-    out = Form.zero(g.dim)
-    for p, q in u.bidegrees():
-        c = u.bidegree_component(p, q)
-        out = out + lefschetz_lambda(g, dw.wedge(c)) - dw.wedge(lefschetz_lambda(g, c))
-    return out
+    return _torsion(g, M.delbar(omega_form(g)), u)
 
 
 def random_form(rng: np.random.Generator, n: int, p: int, q: int, *,
@@ -278,7 +277,7 @@ class OperatorTable:
         elif name == "L":
             mat = _wedge_power_mat(n, 1, p, q)
         elif name == "Lam":
-            mat = _l_mat(n, p - 1, q - 1).conj().T
+            mat = _wedge_power_mat(n, 1, p - 1, q - 1).conj().T
         elif name == "star":
             mat = _star_mat(n, p, q)
         elif name == "wdel":
@@ -319,11 +318,6 @@ class OperatorTable:
         n = self.n
         return [(p, q) for p in range(n + 1) for q in range(n + 1)
                 if space_dim(n, p, q)]
-
-    def basis_form(self, p: int, q: int, k: int) -> Form:
-        vec = np.zeros(space_dim(self.n, p, q), dtype=complex)
-        vec[k] = 1.0
-        return self.g.from_e_vec(vec, p, q)
 
 
 def _resid(a: np.ndarray, b: np.ndarray) -> float:

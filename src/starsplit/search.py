@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.optimize
@@ -87,13 +87,19 @@ def family_by_name(kind: str, n: int) -> MetricFamily:
 # ----------------------------------------------------------------------
 # the objective
 # ----------------------------------------------------------------------
+def _defect_and_f(M: InvariantComplexManifold, g: HermitianMetric, tol: float
+                  ) -> Tuple[float, float]:
+    """The star-split defect and the trace scalar f from one core evaluation."""
+    core = analysis._star_split(M, g, g, tol).checked(tol)
+    defect_form = analysis._laplacian_source(M, core.star_rho)
+    return form_norm(HermitianMetric.identity(M.dim), defect_form), core.f
+
+
 def pss_defect(M: InvariantComplexManifold, g: HermitianMetric, *,
                tol: float = DEFAULT_TOL) -> float:
     """|| del delbar (star rho) || in the identity reference metric; zero
     exactly on pluriclosed star split metrics."""
-    sr = analysis.star_rho(M, g, tol=tol)
-    defect_form = 1j * M.del_(M.delbar(sr))
-    return form_norm(HermitianMetric.identity(M.dim), defect_form)
+    return _defect_and_f(M, g, tol)[0]
 
 
 @dataclass
@@ -143,8 +149,7 @@ def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
             g = family.build(x)
         except InputError:
             return float("inf")
-        value = pss_defect(M, g, tol=tol)
-        f = analysis.f_scalar(M, g, tol=tol)
+        value, f = _defect_and_f(M, g, tol)
         signs_seen.add(0 if abs(f) < 1e-12 else (1 if f > 0 else -1))
         return value
 

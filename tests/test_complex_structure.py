@@ -10,8 +10,8 @@ from starsplit.complex_structure import (InvariantComplexManifold, IntegrationWa
                                          is_structure_compatible)
 from starsplit.errors import InputError, UnboundParameterError
 from starsplit.forms import Form, approx_equal, basis_masks
-from starsplit.metric import (HermitianMetric, hodge_star, lefschetz_lambda,
-                              omega_form, omega_power)
+from starsplit.metric import (HermitianMetric, form_to_vec, hodge_star,
+                              lefschetz_lambda, omega_form, omega_power)
 from starsplit.operators import random_form
 
 
@@ -216,12 +216,36 @@ def test_pullback_identity(rng):
 
 
 def test_pullback_is_algebra_homomorphism(rng):
+    # a complex, non-unitary A: phibar_k goes to sum_j conj(A[k,j]) phibar_j
+    for name in ("iwasawa3", "torus_4"):
+        M, _, _ = catalog.get(name)
+        n = M.dim
+        A = np.eye(n) + 0.6 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        phi = PullbackMap(A)
+        for k in range(1, n + 1):
+            image = Form(n, {(1 << j, 0): A[k - 1, j] for j in range(n)})
+            assert approx_equal(pullback(M, phi, Form.monomial(n, (k,))), image, 1e-14)
+            assert approx_equal(pullback(M, phi, Form.monomial(n, (), (k,))),
+                                image.conjugate(), 1e-14)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                a = random_form(rng, n, p, q)
+                b = random_form(rng, n, int(p < n), int(q < n))
+                assert approx_equal(pullback(M, phi, a.wedge(b)),
+                                    pullback(M, phi, a).wedge(pullback(M, phi, b)), 1e-11)
+                assert approx_equal(pullback(M, phi, a.conjugate()),
+                                    pullback(M, phi, a).conjugate(), 1e-12)
+
+
+def test_pullback_by_inverse_factor_is_frame_change(rng):
     M, _, _ = catalog.get("iwasawa3")
-    A = PullbackMap(np.array([[1, 2j, 0], [0.5, 1, 0], [0, 1j, 2]]))
-    a = random_form(rng, 3, 1, 0)
-    b = random_form(rng, 3, 1, 1)
-    assert approx_equal(pullback(M, A, a.wedge(b)),
-                        pullback(M, A, a).wedge(pullback(M, A, b)), 1e-11)
+    g = random_pd_metric(3, rng)
+    phi = PullbackMap(g._inv_chol)
+    for p in range(4):
+        for q in range(4):
+            u = random_form(rng, 3, p, q)
+            assert np.abs(form_to_vec(pullback(M, phi, u), p, q)
+                          - g.to_e_vec(u, p, q)).max() < 1e-13
 
 
 def test_iwasawa_isometry_commutes_with_d(rng):

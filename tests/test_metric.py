@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import random_pd_metric
 from starsplit.errors import InputError
 from starsplit.forms import Form, approx_equal, basis_masks
-from starsplit.metric import (HermitianMetric, divide_by_power, form_norm,
+from starsplit.metric import (HermitianMetric, compound, divide_by_power, form_norm,
                               hodge_star, inner_product, lefschetz_L,
                               lefschetz_decompose, lefschetz_lambda, omega_form,
                               omega_power)
@@ -34,6 +36,17 @@ def test_rejects_non_hermitian_and_non_pd():
         HermitianMetric(np.array([[1.0, 0], [0, -2.0]]))
     with pytest.raises(InputError):
         HermitianMetric.diagonal([1.0, 0.0, 2.0])
+
+
+def test_compound_matches_minor_loop(rng):
+    # out[t, s] = det(mat[rows(s), cols(t)]) over r-subsets in combinations order
+    for n in (3, 5):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for r in range(n + 1):
+            subsets = [list(c) for c in combinations(range(n), r)]
+            ref = np.array([[np.linalg.det(A[np.ix_(rows, cols)]) if r else 1.0
+                             for rows in subsets] for cols in subsets])
+            assert np.abs(compound(A, r) - ref).max() < 1e-12
 
 
 def test_json_round_trip(rng):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_pd_metric
 from starsplit import catalog
-from starsplit.analysis import classify
+from starsplit.analysis import classify, pair_analysis
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import InputError
 from starsplit.metric import HermitianMetric
@@ -154,3 +155,30 @@ def test_scan_csv_shape():
     assert lines[0].startswith("param,f,")
     fs = [float(line.split(",")[1]) for line in lines[1:]]
     assert fs == pytest.approx([0.0, 0.8, -1.6], abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# i del delbar omega_{n-2} is built once per report and per evaluation
+# ----------------------------------------------------------------------
+def test_differential_calls_per_construction(monkeypatch):
+    calls = [0]
+    d = InvariantComplexManifold.d
+
+    def counted(self, u):
+        calls[0] += 1
+        return d(self, u)
+
+    monkeypatch.setattr(InvariantComplexManifold, "d", counted)
+    rng = np.random.default_rng(5)
+    M, _, _ = catalog.get("iwasawa5")
+    g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
+
+    def count(fn):
+        calls[0] = 0
+        result = fn()
+        return calls[0], result
+
+    assert count(lambda: classify(M, g))[0] <= 11
+    assert count(lambda: pair_analysis(M, g, gamma))[0] <= 4
+    total, result = count(lambda: search_pss(M, hermitian_family(5), budget=20, seed=0))
+    assert total <= 4 * result.evaluations + 15
