@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -307,6 +308,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", DEFAULT_TOL)
+        if not 0 < tol < math.inf:
+            raise InputError(f"--tol must be a positive finite number, got {tol}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

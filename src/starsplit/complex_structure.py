@@ -10,13 +10,18 @@ structure, and the storage format cannot express one).  ``d`` extends by
 C-linearity, the graded Leibniz rule and ``d phibar_k = conj(d phi_k)``;
 ``del`` and ``delbar`` are its bidegree components.
 
+Every form is constant-coefficient, so on each (p,q)-slot ``del`` and
+``delbar`` are fixed phi-basis matrices.  ``d_matrices`` builds them from
+the Leibniz rule when a slot is first used and caches them read-only;
+``d``, ``del_`` and ``delbar`` only apply them.
+
 Coefficients may be expressions over named complex parameters (see
 ``exprs``); binding parameters produces a new, immutable instance whose
-generator differentials are evaluated once and cached.
+generator differentials and slot matrices are built afresh.
 
 Validity of a model is quantified, not assumed: ``check_integrability``
-measures ``d(d phi_k)`` and ``check_stokes`` measures the top-degree part
-of ``d`` on all (2n-1)-monomials.  When both vanish, integration of
+measures ``d(d phi_k)`` and ``check_stokes`` reads the top-degree rows of
+the slot matrices on the (2n-1)-forms.  When both vanish, integration of
 invariant top forms against the canonical orientation form
 ``i phi_1 phibar_1 ^ ... ^ i phi_n phibar_n`` (total volume normalised
 to 1) satisfies ``integral(d beta) = 0``, which is what makes the formal
@@ -34,9 +39,10 @@ import numpy as np
 
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
-from .forms import Form, basis_masks, mask_to_indices
-from .metric import (HermitianMetric, compound, form_to_vec, hodge_star,
-                     inner_product, omega_power, vec_to_form)
+from .forms import Form, mask_to_indices
+from .metric import (HermitianMetric, _tabulate, _volume_coeff, compound,
+                     form_to_vec, hodge_star, inner_product, omega_power,
+                     vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -53,12 +59,15 @@ class InvariantComplexManifold:
     """Coframe model with parameterised constant structure coefficients."""
 
     __slots__ = ("name", "dim", "structure", "params", "_d_gen", "_d_gen_bar",
-                 "_vol_coeff", "_op_mats")
+                 "_d_mats")
 
     def __init__(self, name: str, dim: int, structure: StructureTable,
                  params: Optional[Mapping[str, complex]] = None):
         if dim < 1:
             raise InputError("dimension must be positive")
+        for k in structure:
+            if not 1 <= k <= dim:
+                raise InputError(f"structure key phi{k} outside phi1..phi{dim}")
         self.name = name
         self.dim = dim
         self.structure = {k: {"(2,0)": list(structure.get(k, {}).get("(2,0)", ())),
@@ -74,8 +83,7 @@ class InvariantComplexManifold:
         self.params: Dict[str, complex] = dict(params or {})
         self._d_gen: Optional[List[Form]] = None
         self._d_gen_bar: Optional[List[Form]] = None
-        self._vol_coeff: Optional[complex] = None
-        self._op_mats: Dict = {}
+        self._d_mats: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def parameter_names(self) -> set:
@@ -118,11 +126,10 @@ class InvariantComplexManifold:
     # ------------------------------------------------------------------
     # the differential and its bidegree parts
     # ------------------------------------------------------------------
-    def d(self, u: Form) -> Form:
-        """Exterior differential, extended from the generators by the
-        graded Leibniz rule."""
-        if u.dim != self.dim:
-            raise DimensionMismatchError("form/manifold dimension mismatch")
+    def _leibniz_d(self, u: Form) -> Form:
+        """d extended from the generators by the graded Leibniz rule; the
+        builder of the slot matrices and the reference they are tested
+        against."""
         dgen, dgen_bar = self._generators()
         n = self.dim
         out = Form.zero(n)
@@ -143,21 +150,37 @@ class InvariantComplexManifold:
                 out = out + piece
         return out
 
-    def _d_part(self, u: Form, dp: int, dq: int) -> Form:
-        """The bidegree-(dp,dq) part of d, applied per bidegree component."""
+    def d_matrices(self, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+        """phi-basis matrices of del and delbar on the (p,q)-slot, built
+        from the Leibniz rule on first use and cached read-only."""
+        if (p, q) not in self._d_mats:
+            self._d_mats[(p, q)] = _tabulate(self._leibniz_d, self.dim, p, q,
+                                             (p + 1, q), (p, q + 1))
+        return self._d_mats[(p, q)]
+
+    def _differential(self, u: Form, parts: Tuple[int, ...]) -> Form:
+        """Sum over the bidegrees of ``u`` of the chosen slot matrices
+        (0: del, 1: delbar) applied to its coefficient vectors."""
+        if u.dim != self.dim:
+            raise DimensionMismatchError("form/manifold dimension mismatch")
         out = Form.zero(self.dim)
         for p, q in u.bidegrees():
-            if p + dp <= self.dim and q + dq <= self.dim:
-                out = out + self.d(u.bidegree_component(p, q)).bidegree_component(p + dp, q + dq)
+            vec, mats = form_to_vec(u, p, q), self.d_matrices(p, q)
+            for part in parts:
+                out = out + vec_to_form(self.dim, p + 1 - part, q + part, mats[part] @ vec)
         return out
+
+    def d(self, u: Form) -> Form:
+        """Exterior differential, through the slot matrices."""
+        return self._differential(u, (0, 1))
 
     def del_(self, u: Form) -> Form:
         """(1,0)-part of d."""
-        return self._d_part(u, 1, 0)
+        return self._differential(u, (0,))
 
     def delbar(self, u: Form) -> Form:
         """(0,1)-part of d."""
-        return self._d_part(u, 0, 1)
+        return self._differential(u, (1,))
 
     # ------------------------------------------------------------------
     # sanity residuals
@@ -165,21 +188,14 @@ class InvariantComplexManifold:
     def check_integrability(self) -> float:
         """max over generators of the coefficients of d(d phi_k)."""
         dgen, dgen_bar = self._generators()
-        res = 0.0
-        for k in range(1, self.dim + 1):
-            res = max(res, self.d(dgen[k]).max_abs(), self.d(dgen_bar[k]).max_abs())
-        return res
+        return max(self.d(f).max_abs() for f in dgen[1:] + dgen_bar[1:])
 
     def check_stokes(self) -> float:
-        """max over (2n-1)-monomials of the top-degree coefficient of d."""
+        """max over (2n-1)-monomials of the top-degree coefficient of d:
+        the (n,n) rows of the slot matrices below it."""
         n = self.dim
-        res = 0.0
-        for (p, q) in ((n, n - 1), (n - 1, n)):
-            for key in basis_masks(n, p, q):
-                du = self.d(Form(n, {key: 1.0}))
-                top = du.bidegree_component(n, n)
-                res = max(res, top.max_abs())
-        return res
+        tops = (self.d_matrices(n - 1, n)[0], self.d_matrices(n, n - 1)[1])
+        return max(float(np.abs(m).max(initial=0.0)) for m in tops)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         r = self.check_integrability()
@@ -195,16 +211,6 @@ class InvariantComplexManifold:
     # ------------------------------------------------------------------
     # integration
     # ------------------------------------------------------------------
-    def _volume_coefficient(self) -> complex:
-        if self._vol_coeff is None:
-            n = self.dim
-            vol = Form.scalar(n, 1.0)
-            for k in range(1, n + 1):
-                vol = vol.wedge(Form.monomial(n, (k,), (k,), 1j))
-            full = (1 << n) - 1
-            self._vol_coeff = vol._terms[(full, full)]
-        return self._vol_coeff
-
     def integrate(self, u: Form) -> complex:
         """Integral of the (n,n)-part of ``u`` against the canonical
         orientation form ``prod_k (i phi_k ^ phibar_k)``, total volume 1."""
@@ -213,7 +219,7 @@ class InvariantComplexManifold:
             warnings.warn("integrand has components below top degree; ignored",
                           IntegrationWarning, stacklevel=2)
         full = (1 << n) - 1
-        return u._terms.get((full, full), 0j) / self._volume_coefficient()
+        return u._terms.get((full, full), 0j) / _volume_coeff(n)
 
     # ------------------------------------------------------------------
     # serialization

@@ -16,6 +16,8 @@ like ``(conj(t)+1)/(1-abs2(t))*i``.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from typing import List, Mapping, Tuple, Union
 
@@ -47,10 +49,10 @@ def _tokenize(text: str) -> List[Tuple[str, Union[str, complex]]]:
         pos = m.end()
         if m.group("num"):
             lit = m.group("num")
-            if lit.endswith("i"):
-                tokens.append(("num", complex(0.0, float(lit[:-1] or "1"))))
-            else:
-                tokens.append(("num", complex(float(lit), 0.0)))
+            value = float(lit.rstrip("i"))
+            if math.isinf(value):
+                raise ExpressionError(f"literal {lit!r} overflows in {text!r}")
+            tokens.append(("num", complex(0.0, value) if lit[-1] == "i" else complex(value, 0.0)))
         elif m.group("name"):
             name = m.group("name")
             if name == "i":
@@ -161,7 +163,13 @@ def evaluate(node_or_text: Union[Node, str], params: Mapping[str, complex] | Non
             return a / b
         raise ExpressionError(f"bad node {nd!r}")
 
-    return walk(node)
+    try:
+        value = walk(node)
+    except ArithmeticError as exc:
+        raise ExpressionError(f"cannot evaluate {node_or_text!r}: {exc}") from exc
+    if not cmath.isfinite(value):
+        raise ExpressionError(f"{node_or_text!r} evaluates to {value}")
+    return value
 
 
 def parameter_names(node_or_text: Union[Node, str]) -> set:

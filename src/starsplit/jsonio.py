@@ -1,15 +1,18 @@
 """Deterministic JSON output.
 
 Serialisation is canonical: keys sorted, floats in 17-significant-digit
-shortest form, no whitespace variation.  Parsing a document produced here
-and re-serialising it reproduces the bytes (floats round-trip exactly
-through 17 significant digits).
+shortest form, no whitespace variation.  Non-finite floats are refused.
+Parsing a document produced here and re-serialising it reproduces the
+bytes (floats round-trip exactly through 17 significant digits).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import List
+
+from .errors import StarsplitError
 
 
 def _write(obj, out: List[str]) -> None:
@@ -24,6 +27,8 @@ def _write(obj, out: List[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise StarsplitError(f"cannot write non-finite number {obj} as JSON")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, (list, tuple)):
         out.append("[")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -88,20 +88,24 @@ def _volume_coeff(n: int) -> complex:
     return vol._terms[(_FULL(n), _FULL(n))]
 
 
+def _tabulate(fn: Callable[[Form], Form], n: int, p: int, q: int,
+              *targets: Tuple[int, int]) -> Tuple[np.ndarray, ...]:
+    """Read-only matrices of a linear map on (p,q)-forms, one per target
+    slot: column s holds that slot's part of ``fn`` on the s-th basis
+    monomial."""
+    images = [fn(Form(n, {key: 1.0})) for key in _basis(n, p, q)]
+    mats = tuple(np.array([form_to_vec(im, tp, tq) for im in images], dtype=complex)
+                 .reshape(len(images), space_dim(n, tp, tq)).T for tp, tq in targets)
+    for mat in mats:
+        mat.setflags(write=False)
+    return mats
+
+
 @lru_cache(maxsize=None)
 def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     """Matrix of ``omega_r ^ .`` from the (p,q)-slot to the (p+r,q+r)-slot,
     standard frame."""
-    src = _basis(n, p, q)
-    tgt_idx = _index(n, p + r, q + r)
-    wr = _std_omega_power(n, r)
-    out = np.zeros((len(tgt_idx), len(src)), dtype=complex)
-    for s, key in enumerate(src):
-        prod = wr.wedge(Form(n, {key: 1.0}))
-        for tkey, c in prod._terms.items():
-            out[tgt_idx[tkey], s] = c
-    out.setflags(write=False)
-    return out
+    return _tabulate(_std_omega_power(n, r).wedge, n, p, q, (p + r, q + r))[0]
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,10 @@ additionally spot-check a sample of random dense forms through the public
 form-level operations.  Every suite run lists all identities; identities
 whose hypotheses fail (balanced-only, n >= 4 only, Stokes-dependent) are
 reported as skipped with a reason, never dropped.
+
+``OperatorTable`` holds those matrices.  It builds no differential of its
+own: ``del`` and ``dbar`` are the manifold's per-slot ``d_matrices`` (the
+Leibniz rule tabulated once per slot) moved into the orthonormal frame.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .complex_structure import (InvariantComplexManifold, adjoint_del,
                                 adjoint_delbar, l2_pairing, laplacian_delbar)
 from .errors import InputError
 from .forms import Form, basis_masks, space_dim
-from .metric import (HermitianMetric, _star_mat, _wedge_power_mat,
-                     divide_by_power, form_norm, form_to_vec, hodge_star,
+from .metric import (HermitianMetric, _star_mat, _tabulate, _wedge_power_mat,
+                     divide_by_power, form_norm, hodge_star,
                      lefschetz_lambda, omega_form, omega_power)
 
 DEFAULT_TOL = 1e-10
@@ -231,34 +235,6 @@ class OperatorTable:
         dp, dq = shifts[name]
         return (p + dp, q + dq)
 
-    def _phi_d_mats(self, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-        key = ("d", p, q)
-        if key not in self.M._op_mats:
-            n = self.n
-            src = basis_masks(n, p, q)
-            d_del = np.zeros((space_dim(n, p + 1, q), len(src)), dtype=complex)
-            d_dbar = np.zeros((space_dim(n, p, q + 1), len(src)), dtype=complex)
-            for s, mask in enumerate(src):
-                du = self.M.d(Form(n, {mask: 1.0}))
-                if d_del.shape[0]:
-                    d_del[:, s] = form_to_vec(du, p + 1, q)
-                if d_dbar.shape[0]:
-                    d_dbar[:, s] = form_to_vec(du, p, q + 1)
-            self.M._op_mats[key] = (d_del, d_dbar)
-        return self.M._op_mats[key]
-
-    def _wedge_mat_phi(self, mult: Form, a: int, b: int, p: int, q: int) -> np.ndarray:
-        """phi-basis matrix of ``mult ^ .`` for a fixed (a,b)-form mult."""
-        n = self.n
-        src = basis_masks(n, p, q)
-        out = np.zeros((space_dim(n, p + a, q + b), len(src)), dtype=complex)
-        if out.shape[0] == 0:
-            return out
-        for s, mask in enumerate(src):
-            prod = mult.wedge(Form(n, {mask: 1.0}))
-            out[:, s] = form_to_vec(prod, p + a, q + b)
-        return out
-
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         n = self.n
         tp, tq = self.target(name, p, q)
@@ -271,8 +247,7 @@ class OperatorTable:
             return self._mats[key]
         g = self.g
         if name in ("del", "dbar"):
-            d_del, d_dbar = self._phi_d_mats(p, q)
-            phi_mat = d_del if name == "del" else d_dbar
+            phi_mat = self.M.d_matrices(p, q)[("del", "dbar").index(name)]
             mat = g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
         elif name == "L":
             mat = _wedge_power_mat(n, 1, p, q)
@@ -280,13 +255,10 @@ class OperatorTable:
             mat = _wedge_power_mat(n, 1, p - 1, q - 1).conj().T
         elif name == "star":
             mat = _star_mat(n, p, q)
-        elif name == "wdel":
+        elif name in ("wdel", "wdbar"):
+            mult = self._dw if name == "wdel" else self._dbw
             mat = (g.to_e_matrix(tp, tq)
-                   @ self._wedge_mat_phi(self._dw, 2, 1, p, q)
-                   @ g.from_e_matrix(p, q))
-        elif name == "wdbar":
-            mat = (g.to_e_matrix(tp, tq)
-                   @ self._wedge_mat_phi(self._dbw, 1, 2, p, q)
+                   @ _tabulate(mult.wedge, n, p, q, (tp, tq))[0]
                    @ g.from_e_matrix(p, q))
         elif name == "tau":
             mat = (self.mat("Lam", p + 2, q + 1) @ self.mat("wdel", p, q)

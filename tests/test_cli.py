@@ -6,6 +6,7 @@ import pytest
 from starsplit import catalog, jsonio
 from starsplit.cli import main
 from starsplit.complex_structure import InvariantComplexManifold
+from starsplit.errors import StarsplitError
 
 
 @pytest.fixture
@@ -221,3 +222,42 @@ def test_bad_param_syntax(capsys):
     code, _, err = run(capsys, "classify", "--manifold", "iwasawa3",
                        "--param", "=3")
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# bad input ends in exit 2 and one stderr line, never a traceback
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tolerance_rejected(capsys, tol):
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3",
+                         "--tol", tol, "--json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--tol" in err
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "1e400", "abs2(1e200)"])
+def test_bad_coefficient_expression_rejected(capsys, tmp_path, coeff):
+    data = {"name": "bad", "dim": 3,
+            "structure": {"phi3": {"(2,0)": [{"i": 1, "j": 2, "coeff": coeff}]}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "classify", "--manifold", str(path))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_structure_key_out_of_range_rejected(capsys, tmp_path):
+    data = {"name": "bad", "dim": 3,
+            "structure": {"phi9": {"(2,0)": [{"i": 1, "j": 2, "coeff": "1"}]}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "classify", "--manifold", str(path))
+    assert code == 2
+    assert "phi9" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_refuses_non_finite(value):
+    with pytest.raises(StarsplitError):
+        jsonio.dumps({"f": [1.0, value]})

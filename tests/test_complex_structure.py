@@ -331,6 +331,13 @@ def test_structure_format_rejects_bad_entries():
         InvariantComplexManifold("bad", 3, {3: {"(2,0)": [(1, 9, "1")], "(1,1)": []}})
 
 
+def test_structure_key_outside_dimension_rejected():
+    for key in ("phi0", "phi4", "phi9"):
+        data = {"dim": 3, "structure": {key: {"(2,0)": [{"i": 1, "j": 2, "coeff": "1"}]}}}
+        with pytest.raises(InputError, match=key):
+            InvariantComplexManifold.from_json_dict(data)
+
+
 def test_pullback_metric_matches_pulled_back_form(rng):
     # omega of the pulled-back metric equals the pullback of omega
     M, g, _ = catalog.get("iwasawa3")
@@ -338,3 +345,70 @@ def test_pullback_metric_matches_pulled_back_form(rng):
     lhs = omega_form(pullback_metric(M, phi, g))
     rhs = pullback(M, phi, omega_form(g))
     assert approx_equal(lhs, rhs, 1e-12)
+
+
+# ----------------------------------------------------------------------
+# the slot matrices of d against the Leibniz rule they are built from
+# ----------------------------------------------------------------------
+SLOT_CASES = [
+    ("torus_3", None), ("iwasawa3", None), ("nakamura", None), ("iwasawa5", None),
+    ("calabi_eckmann", {"t": 0.3 - 0.2j}),
+    ("iwasawa_def", {"sigma12": -0.5, "sigma11b": 0.1 + 0.2j, "sigma12b": 0.3,
+                     "sigma21b": -0.2j, "sigma22b": 0.25j}),
+]
+
+
+def slot_models():
+    return [catalog.get(name, params)[0] for name, params in SLOT_CASES]
+
+
+def leibniz_stokes(M):
+    n = M.dim
+    res = 0.0
+    for p, q in ((n, n - 1), (n - 1, n)):
+        for key in basis_masks(n, p, q):
+            top = M._leibniz_d(Form(n, {key: 1.0})).bidegree_component(n, n)
+            res = max(res, top.max_abs())
+    return res
+
+
+def test_matrix_d_matches_leibniz_rule(rng):
+    for M in slot_models():
+        n = M.dim
+        for p in range(n + 1):
+            for q in range(n + 1):
+                u = random_form(rng, n, p, q)
+                ref = M._leibniz_d(u)
+                assert approx_equal(M.d(u), ref, 1e-13), (M.name, p, q)
+                assert approx_equal(M.del_(u) + M.delbar(u), ref, 1e-13)
+                assert M.del_(u).bidegrees() in ([], [(p + 1, q)])
+                assert M.delbar(u).bidegrees() in ([], [(p, q + 1)])
+
+
+def test_consecutive_slot_matrices_compose_to_zero():
+    for M in slot_models():
+        n = M.dim
+        for p in range(n + 1):
+            for q in range(n + 1):
+                de, db = M.d_matrices(p, q)
+                blocks = (M.d_matrices(p + 1, q)[0] @ de,
+                          M.d_matrices(p + 1, q)[1] @ de + M.d_matrices(p, q + 1)[0] @ db,
+                          M.d_matrices(p, q + 1)[1] @ db)
+                for block in blocks:
+                    assert np.abs(block).max(initial=0.0) < 1e-12, (M.name, p, q)
+
+
+def test_check_stokes_matches_leibniz_rule():
+    for M in slot_models() + [stokes_violating_manifold()]:
+        assert M.check_stokes() == leibniz_stokes(M)
+    assert leibniz_stokes(stokes_violating_manifold()) > 0.5
+
+
+def test_slot_matrices_cached_read_only_per_instance():
+    M, _, _ = catalog.get("calabi_eckmann", {"t": 0.2j})
+    de, db = M.d_matrices(1, 0)
+    assert M.d_matrices(1, 0)[0] is de
+    assert not de.flags.writeable and not db.flags.writeable
+    other = M.bind(t=0.1)
+    assert np.abs(other.d_matrices(1, 0)[1] - db).max() > 0.1
+    assert M.d_matrices(1, 0)[1] is db

@@ -58,3 +58,10 @@ def test_syntax_errors(bad):
 def test_format_complex_round_trip():
     for z in [0j, 1 + 0j, -2.5 + 0j, 0.25j, -0.2j, 1 + 1j, 0.1 - 0.3j]:
         assert parse_complex(format_complex(z)) == z
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1/(i-i)", "1e400", "-1e400i",
+                                 "abs2(1e200)", "1e300*1e300"])
+def test_arithmetic_failures_are_expression_errors(bad):
+    with pytest.raises(ExpressionError):
+        parse_complex(bad)

@@ -161,14 +161,15 @@ def test_scan_csv_shape():
 # i del delbar omega_{n-2} is built once per report and per evaluation
 # ----------------------------------------------------------------------
 def test_differential_calls_per_construction(monkeypatch):
+    # d, del_ and delbar all apply the slot matrices through _differential
     calls = [0]
-    d = InvariantComplexManifold.d
+    apply = InvariantComplexManifold._differential
 
-    def counted(self, u):
+    def counted(self, u, parts):
         calls[0] += 1
-        return d(self, u)
+        return apply(self, u, parts)
 
-    monkeypatch.setattr(InvariantComplexManifold, "d", counted)
+    monkeypatch.setattr(InvariantComplexManifold, "_differential", counted)
     rng = np.random.default_rng(5)
     M, _, _ = catalog.get("iwasawa5")
     g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
