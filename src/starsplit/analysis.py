@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .complex_structure import (InvariantComplexManifold, PullbackMap, pullback,
                                 pullback_metric, structure_compatibility,
@@ -212,13 +211,15 @@ def eigenvalues_rel_omega(g: HermitianMetric, gamma_form: Form, *,
 
 def eigenvalues_of_11(g: HermitianMetric, alpha: Form, *, tol: float = DEFAULT_TOL
                       ) -> List[float]:
-    """Generalized eigenvalues of a real (1,1)-form against the metric."""
+    """Generalized eigenvalues of a real (1,1)-form against the metric: the
+    spectrum of ``T R T^H``, R whitened by ``T = to_e_matrix(1, 0)``."""
     R = matrix_of_11(alpha)
     scale = max(1.0, float(np.abs(R).max()))
     if np.abs(R - R.conj().T).max() > tol * scale:
         raise InputError("eigenvalue report expects a real form")
-    R = 0.5 * (R + R.conj().T)
-    return [float(v) for v in scipy.linalg.eigh(R, g.H, eigvals_only=True)]
+    T = g.to_e_matrix(1, 0)
+    W = T @ R @ T.conj().T
+    return [float(v) for v in np.linalg.eigvalsh(0.5 * (W + W.conj().T))]
 
 
 def matrix_of_11(alpha: Form) -> np.ndarray:

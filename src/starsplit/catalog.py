@@ -223,7 +223,7 @@ _register(CatalogEntry(
     build=_iwasawa_def_build,
     default_metric=_standard_metric,
     expectations=_iwasawa_def_expectations,
-    param_defaults={"t": 0j, "sigma12": -1 + 0j, "sigma11b": 0j,
+    param_defaults={"sigma12": -1 + 0j, "sigma11b": 0j,
                     "sigma12b": 0j, "sigma21b": 0j, "sigma22b": 0j},
 ))
 _register(CatalogEntry(

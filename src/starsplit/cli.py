@@ -226,6 +226,7 @@ def cmd_scan(args) -> int:
         metric = HermitianMetric.identity(M.dim)
     else:
         M, metric, _ = catalog.get(source, bindings, tol=args.tol)
+    metric = _resolve_metric(args.metric, metric, M.dim)
 
     rows = search.scan(M, target, values, metric=metric, tol=args.tol)
     fmt = args.format or ("json" if args.json else "text")

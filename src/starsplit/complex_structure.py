@@ -19,6 +19,12 @@ Coefficients may be expressions over named complex parameters (see
 ``exprs``); binding parameters produces a new, immutable instance whose
 generator differentials and slot matrices are built afresh.
 
+``OperatorTable`` (re-exported by ``operators``) holds every metric-dependent
+operator as orthonormal-frame slot matrices: del/dbar moved into the frame,
+L, Lambda, star, ``del* = -star delbar star``, ``delbar* = -star del star``
+and the torsion ``tau = [Lambda, del omega ^ .]`` and its conjugate.  The
+adjoints below and ``operators.torsion_tau(_bar)`` only apply its matrices.
+
 Validity of a model is quantified, not assumed: ``check_integrability``
 measures ``d(d phi_k)`` and ``check_stokes`` reads the top-degree rows of
 the slot matrices on the (2n-1)-forms.  When both vanish, integration of
@@ -39,10 +45,10 @@ import numpy as np
 
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
-from .forms import Form, mask_to_indices
-from .metric import (HermitianMetric, _tabulate, _volume_coeff, compound,
-                     form_to_vec, hodge_star, inner_product, omega_power,
-                     vec_to_form)
+from .forms import Form, mask_to_indices, space_dim
+from .metric import (HermitianMetric, _slot_mat, _tabulate, _volume_coeff,
+                     compound, form_to_vec, inner_product, omega_form,
+                     omega_power, vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -302,18 +308,86 @@ def l2_pairing(M: InvariantComplexManifold, g: HermitianMetric, u: Form, v: Form
     return out * vol
 
 
+class OperatorTable:
+    """First-order and pointwise operators of a (manifold, metric) pair as
+    matrices over the orthonormal monomial bases, built per slot on first
+    use and kept for the life of the table."""
+
+    _SHIFTS = {"del": (1, 0), "dbar": (0, 1), "L": (1, 1), "Lam": (-1, -1),
+               "tau": (1, 0), "taubar": (0, 1), "delstar": (-1, 0), "dbarstar": (0, -1),
+               "wdel": (2, 1), "wdbar": (1, 2)}
+
+    def __init__(self, M: InvariantComplexManifold, g: HermitianMetric):
+        if M.dim != g.dim:
+            raise InputError("manifold/metric dimension mismatch")
+        self.M = M
+        self.g = g
+        self.n = M.dim
+        self._mats: Dict[Tuple[str, int, int], np.ndarray] = {}
+
+    def target(self, name: str, p: int, q: int) -> Tuple[int, int]:
+        if name == "star":
+            return (self.n - q, self.n - p)
+        dp, dq = self._SHIFTS[name]
+        return (p + dp, q + dq)
+
+    def mat(self, name: str, p: int, q: int) -> np.ndarray:
+        key = (name, p, q)
+        if key in self._mats:
+            return self._mats[key]
+        n, g = self.n, self.g
+        tp, tq = self.target(name, p, q)
+        shape = (space_dim(n, tp, tq), space_dim(n, p, q))
+        if not all(shape):
+            return np.zeros(shape, dtype=complex)
+        if name in ("del", "dbar"):
+            phi_mat = self.M.d_matrices(p, q)[("del", "dbar").index(name)]
+            mat = g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
+        elif name in ("L", "Lam", "star"):
+            mat = _slot_mat(n, name, p, q)[0]
+        elif name in ("wdel", "wdbar"):
+            w = omega_form(g)
+            mult = self.M.del_(w) if name == "wdel" else self.M.delbar(w)
+            mat = (g.to_e_matrix(tp, tq)
+                   @ _tabulate(mult.wedge, n, p, q, (tp, tq))[0]
+                   @ g.from_e_matrix(p, q))
+        elif name in ("tau", "taubar"):
+            wd = "wdel" if name == "tau" else "wdbar"
+            mat = self.chain(["Lam", wd], p, q) - self.chain([wd, "Lam"], p, q)
+        elif name in ("delstar", "dbarstar"):
+            mat = -self.chain(["star", "dbar" if name == "delstar" else "del", "star"], p, q)
+        else:
+            raise InputError(f"unknown operator {name!r}")
+        self._mats[key] = mat
+        return mat
+
+    def chain(self, names: Sequence[str], p: int, q: int) -> np.ndarray:
+        """Composition, rightmost name applied first."""
+        mat, cur = None, (p, q)
+        for name in reversed(names):
+            step = self.mat(name, *cur)
+            mat = step if mat is None else step @ mat
+            cur = self.target(name, *cur)
+        return mat
+
+    def apply(self, name: str, u: Form) -> Form:
+        """The operator ``name`` on every bidegree of ``u``."""
+        return self.g.apply(u, lambda p, q: (self.mat(name, p, q), *self.target(name, p, q)))
+
+    def bidegrees(self):
+        n = self.n
+        return [(p, q) for p in range(n + 1) for q in range(n + 1)
+                if space_dim(n, p, q)]
+
+
 def adjoint_del(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
     """del* = -star delbar star; the L2 adjoint of del when Stokes holds."""
-    if u.is_zero():
-        return Form.zero(g.dim)
-    return -hodge_star(g, M.delbar(hodge_star(g, u)))
+    return OperatorTable(M, g).apply("delstar", u)
 
 
 def adjoint_delbar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
     """delbar* = -star del star."""
-    if u.is_zero():
-        return Form.zero(g.dim)
-    return -hodge_star(g, M.del_(hodge_star(g, u)))
+    return OperatorTable(M, g).apply("dbarstar", u)
 
 
 def laplacian_delbar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:

@@ -20,6 +20,7 @@ exactly sparse up to rounding.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InputError
@@ -277,7 +278,6 @@ def basis_masks(n: int, p: int, q: int) -> List[MaskKey]:
 
 
 def space_dim(n: int, p: int, q: int) -> int:
-    from math import comb
     if p < 0 or q < 0 or p > n or q > n:
         return 0
     return comb(n, p) * comb(n, q)

@@ -13,7 +13,11 @@ anchors hold simultaneously: ``star 1 = omega_n``, ``star omega =
 omega_{n-1}``, ``[Lambda, L] = (n-k) Id`` on k-forms, and the primitive-form
 star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
-frame where they do not depend on the metric.
+frame where they do not depend on the metric: ``omega_k`` is the standard
+``_std_omega_power(n, k)``, which ``omega_power`` moves to phi, and L,
+Lambda and star are ``_slot_mat``.  ``HermitianMetric.apply`` is the one
+routine that applies frame slot matrices to a ``Form``; ``hodge_star``,
+``lefschetz_L``, ``lefschetz_lambda`` and ``OperatorTable.apply`` use it.
 
 Substituting ``phi_k -> sum_j mat[k,j] phi_j`` acts on coefficients
 through compound matrices: ``compound(mat, r)`` holds all r x r minors,
@@ -26,7 +30,8 @@ with ``C``, and ``complex_structure.pullback`` with its own matrix.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -64,8 +69,7 @@ def form_to_vec(u: Form, p: int, q: int) -> np.ndarray:
 
 
 def vec_to_form(n: int, p: int, q: int, vec: np.ndarray) -> Form:
-    basis = _basis(n, p, q)
-    return Form(n, {basis[k]: vec[k] for k in range(len(basis))})
+    return Form(n, dict(zip(_basis(n, p, q), vec.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +110,20 @@ def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     """Matrix of ``omega_r ^ .`` from the (p,q)-slot to the (p+r,q+r)-slot,
     standard frame."""
     return _tabulate(_std_omega_power(n, r).wedge, n, p, q, (p + r, q + r))[0]
+
+
+def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
+    """Orthonormal-frame matrix of a pointwise operator on the (p,q)-slot
+    and its target slot: "L" is ``omega ^ .``, "Lam" its adjoint, "star"
+    the Hodge star."""
+    if name == "star":
+        return _star_mat(n, p, q), n - q, n - p
+    tp, tq = (p + 1, q + 1) if name == "L" else (p - 1, q - 1)
+    if not (space_dim(n, p, q) and space_dim(n, tp, tq)):
+        return np.zeros((space_dim(n, tp, tq), space_dim(n, p, q)), dtype=complex), tp, tq
+    if name == "L":
+        return _wedge_power_mat(n, 1, p, q), tp, tq
+    return _wedge_power_mat(n, 1, tp, tq).conj().T, tp, tq
 
 
 @lru_cache(maxsize=None)
@@ -150,12 +168,14 @@ class HermitianMetric:
     per-bidegree conversion matrices are cached on the instance.
     """
 
-    __slots__ = ("dim", "H", "chol", "_inv_chol", "_to_e", "_from_e", "_powers")
+    __slots__ = ("dim", "H", "chol", "_inv_chol", "_to_e", "_from_e")
 
     def __init__(self, H, *, tol: float = DEFAULT_TOL):
         H = np.array(H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise InputError(f"metric matrix must be square, got shape {H.shape}")
+        if not np.isfinite(H).all():
+            raise InputError("metric matrix has non-finite entries")
         n = H.shape[0]
         scale = max(1.0, float(np.abs(H).max()))
         if np.abs(H - H.conj().T).max() > tol * scale:
@@ -174,7 +194,6 @@ class HermitianMetric:
         self.chol.setflags(write=False)
         self._to_e: Dict[Tuple[int, int], np.ndarray] = {}
         self._from_e: Dict[Tuple[int, int], np.ndarray] = {}
-        self._powers: Dict[int, Form] = {}
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -189,8 +208,8 @@ class HermitianMetric:
         return cls(np.diag(arr.astype(complex)))
 
     def scaled(self, s: float) -> "HermitianMetric":
-        if s <= 0:
-            raise InputError("metric scale must be positive")
+        if not 0 < s < math.inf:
+            raise InputError(f"metric scale must be a positive finite number, got {s}")
         return HermitianMetric(self.H * s)
 
     @classmethod
@@ -208,12 +227,10 @@ class HermitianMetric:
                 g = cls(np.array(flat, dtype=complex).reshape(n, n))
             else:
                 raise InputError(f"unknown metric type {kind!r}")
+            scale = data.get("scale")
+            return g if scale is None else g.scaled(float(scale))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed metric description: {exc}") from exc
-        scale = data.get("scale")
-        if scale is not None:
-            g = g.scaled(float(scale))
-        return g
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,7 +248,9 @@ class HermitianMetric:
     @staticmethod
     def _frame_matrix(cache: dict, mat: np.ndarray, p: int, q: int) -> np.ndarray:
         if (p, q) not in cache:
-            out = np.kron(compound(mat, p), compound(mat, q).conj())
+            a, b = compound(mat, p), compound(mat, q).conj()
+            # np.kron(a, b), without its generic-shape overhead
+            out = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
             out.setflags(write=False)
             cache[(p, q)] = out
         return cache[(p, q)]
@@ -248,6 +267,20 @@ class HermitianMetric:
 
     def from_e_vec(self, vec: np.ndarray, p: int, q: int) -> Form:
         return vec_to_form(self.dim, p, q, self.from_e_matrix(p, q) @ vec)
+
+    def apply(self, u: Form, slot: Callable[[int, int], Tuple[np.ndarray, int, int]]) -> Form:
+        """Per bidegree of ``u``: to the frame, through the matrix that
+        ``slot(p, q)`` returns with its target slot, back to phi; summed."""
+        if u.dim != self.dim:
+            raise DimensionMismatchError("form/metric dimension mismatch")
+        terms: Dict[MaskKey, complex] = {}
+        for p, q in u.bidegrees():
+            mat, tp, tq = slot(p, q)
+            if mat.shape[0]:
+                vec = self.from_e_matrix(tp, tq) @ (mat @ self.to_e_vec(u, p, q))
+                for key, c in zip(_basis(self.dim, tp, tq), vec.tolist()):
+                    terms[key] = terms.get(key, 0j) + c
+        return Form(self.dim, terms)
 
     def __repr__(self) -> str:
         return f"HermitianMetric({self.describe()})"
@@ -271,18 +304,7 @@ def omega_power(g: HermitianMetric, p: int) -> Form:
     """``omega^p / p!``; p = 0 gives the scalar 1, p = n the volume form."""
     if not 0 <= p <= g.dim:
         raise InputError(f"power {p} outside 0..{g.dim}")
-    if p not in g._powers:
-        if p == 0:
-            g._powers[0] = Form.scalar(g.dim, 1.0)
-        else:
-            g._powers[p] = omega_power(g, p - 1).wedge(omega_form(g)) / p
-    return g._powers[p]
-
-
-def _require_bidegree(u: Form) -> Tuple[int, int]:
-    if not u.is_homogeneous():
-        raise InputError(f"operation needs a homogeneous form, got bidegrees {u.bidegrees()}")
-    return u.bidegree()
+    return g.from_e_vec(form_to_vec(_std_omega_power(g.dim, p), p, p), p, p)
 
 
 def inner_product(g: HermitianMetric, u: Form, v: Form) -> complex:
@@ -291,8 +313,8 @@ def inner_product(g: HermitianMetric, u: Form, v: Form) -> complex:
         raise DimensionMismatchError("form/metric dimension mismatch")
     if u.is_zero() or v.is_zero():
         return 0j
-    pu, qu = _require_bidegree(u)
-    pv, qv = _require_bidegree(v)
+    pu, qu = u.bidegree()
+    pv, qv = v.bidegree()
     if (pu, qu) != (pv, qv):
         raise InputError(f"inner product of mixed bidegrees ({pu},{qu}) vs ({pv},{qv})")
     return complex(np.vdot(g.to_e_vec(v, pv, qv), g.to_e_vec(u, pu, qu)))
@@ -307,30 +329,25 @@ def form_norm(g: HermitianMetric, u: Form) -> float:
     return total ** 0.5
 
 
+def _pointwise(g: HermitianMetric, name: str, u: Form) -> Form:
+    if not u.is_homogeneous():
+        raise InputError(f"operation needs a homogeneous form, got bidegrees {u.bidegrees()}")
+    return g.apply(u, partial(_slot_mat, g.dim, name))
+
+
 def hodge_star(g: HermitianMetric, u: Form) -> Form:
     """The unique (n-q,n-p)-form with ``w ^ star(conj u) = <w,u> omega_n``."""
-    n = g.dim
-    if u.is_zero():
-        return Form.zero(n)
-    p, q = _require_bidegree(u)
-    vec = _star_mat(n, p, q) @ g.to_e_vec(u, p, q)
-    return g.from_e_vec(vec, n - q, n - p)
+    return _pointwise(g, "star", u)
 
 
 def lefschetz_L(g: HermitianMetric, u: Form) -> Form:
-    return omega_form(g).wedge(u)
+    """``omega ^ .``, per bidegree."""
+    return g.apply(u, partial(_slot_mat, g.dim, "L"))
 
 
 def lefschetz_lambda(g: HermitianMetric, u: Form) -> Form:
     """Pointwise adjoint of ``omega ^ .`` (contraction with omega)."""
-    n = g.dim
-    if u.is_zero():
-        return Form.zero(n)
-    p, q = _require_bidegree(u)
-    if p == 0 or q == 0:
-        return Form.zero(n)
-    lam = _wedge_power_mat(n, 1, p - 1, q - 1).conj().T
-    return g.from_e_vec(lam @ g.to_e_vec(u, p, q), p - 1, q - 1)
+    return _pointwise(g, "Lam", u)
 
 
 def divide_by_power(g: HermitianMetric, k: int, y: Form, *, tol: float = DEFAULT_TOL) -> Form:
@@ -345,7 +362,7 @@ def divide_by_power(g: HermitianMetric, k: int, y: Form, *, tol: float = DEFAULT
         raise InputError(f"power {k} outside 0..{n - 2}")
     if y.is_zero():
         return Form.zero(n)
-    p, q = _require_bidegree(y)
+    p, q = y.bidegree()
     if (p, q) != (k + 1, k + 1):
         raise InputError(f"divide_by_power({k}) expects bidegree ({k + 1},{k + 1}), got ({p},{q})")
     W = _wedge_power_mat(n, k, 1, 1)
@@ -366,7 +383,7 @@ def lefschetz_decompose(g: HermitianMetric, u: Form, *, tol: float = DEFAULT_TOL
     n = g.dim
     if u.is_zero():
         return []
-    p, q = _require_bidegree(u)
+    p, q = u.bidegree()
     k = p + q
     if k > n:
         raise InputError(f"decomposition not supported above middle degree (k={k} > n={n})")
@@ -379,12 +396,10 @@ def lefschetz_decompose(g: HermitianMetric, u: Form, *, tol: float = DEFAULT_TOL
     offset = 0
     total = sum(dims)
     for r in range(rmax + 1):
-        pr, qr = p - r, q - r
-        if pr >= 1 and qr >= 1:
-            lam = _wedge_power_mat(n, 1, pr - 1, qr - 1).conj().T
-            block = np.zeros((lam.shape[0], total), dtype=complex)
-            block[:, offset:offset + dims[r]] = lam
-            constraint_rows.append(block)
+        lam = _slot_mat(n, "Lam", p - r, q - r)[0]
+        block = np.zeros((lam.shape[0], total), dtype=complex)
+        block[:, offset:offset + dims[r]] = lam
+        constraint_rows.append(block)
         offset += dims[r]
     system = np.vstack([top] + constraint_rows)
     rhs = np.concatenate([ue, np.zeros(system.shape[0] - len(ue), dtype=complex)])

@@ -21,25 +21,28 @@ form-level operations.  Every suite run lists all identities; identities
 whose hypotheses fail (balanced-only, n >= 4 only, Stokes-dependent) are
 reported as skipped with a reason, never dropped.
 
-``OperatorTable`` holds those matrices.  It builds no differential of its
-own: ``del`` and ``dbar`` are the manifold's per-slot ``d_matrices`` (the
-Leibniz rule tabulated once per slot) moved into the orthonormal frame.
+``OperatorTable`` holds those matrices.  It lives in ``complex_structure``
+next to the adjoints that apply it and is re-exported here; ``torsion_tau``
+and ``torsion_tau_bar`` apply its ``tau``/``taubar`` slot matrices.  It
+builds no differential of its own: ``del`` and ``dbar`` are the manifold's
+per-slot ``d_matrices`` (the Leibniz rule tabulated once per slot) moved
+into the orthonormal frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .analysis import eigenvalues_of_11, matrix_of_11
-from .complex_structure import (InvariantComplexManifold, adjoint_del,
-                                adjoint_delbar, l2_pairing, laplacian_delbar)
+from .complex_structure import (InvariantComplexManifold, OperatorTable,
+                                adjoint_del, adjoint_delbar, l2_pairing,
+                                laplacian_delbar)
 from .errors import InputError
 from .forms import Form, basis_masks, space_dim
-from .metric import (HermitianMetric, _star_mat, _tabulate, _wedge_power_mat,
-                     divide_by_power, form_norm, hodge_star,
+from .metric import (HermitianMetric, divide_by_power, form_norm, hodge_star,
                      lefschetz_lambda, omega_form, omega_power)
 
 DEFAULT_TOL = 1e-10
@@ -120,23 +123,14 @@ def Q(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form, *,
     return out
 
 
-def _torsion(g: HermitianMetric, dw: Form, u: Form) -> Form:
-    """[Lam, dw ^ .], applied per bidegree component."""
-    out = Form.zero(g.dim)
-    for p, q in u.bidegrees():
-        c = u.bidegree_component(p, q)
-        out = out + lefschetz_lambda(g, dw.wedge(c)) - dw.wedge(lefschetz_lambda(g, c))
-    return out
-
-
 def torsion_tau(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
     """[Lam, del omega ^ .]."""
-    return _torsion(g, M.del_(omega_form(g)), u)
+    return OperatorTable(M, g).apply("tau", u)
 
 
 def torsion_tau_bar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
     """[Lam, delbar omega ^ .]."""
-    return _torsion(g, M.delbar(omega_form(g)), u)
+    return OperatorTable(M, g).apply("taubar", u)
 
 
 def random_form(rng: np.random.Generator, n: int, p: int, q: int, *,
@@ -204,92 +198,6 @@ class IdentityReport:
 
     def to_json_list(self) -> list:
         return [e.to_json_dict() for e in self.entries]
-
-
-# ----------------------------------------------------------------------
-# per-bidegree operator matrices over the orthonormal frame
-# ----------------------------------------------------------------------
-class OperatorTable:
-    """All first-order and pointwise operators of a (manifold, metric) pair
-    as matrices over the orthonormal monomial bases."""
-
-    def __init__(self, M: InvariantComplexManifold, g: HermitianMetric):
-        if M.dim != g.dim:
-            raise InputError("manifold/metric dimension mismatch")
-        self.M = M
-        self.g = g
-        self.n = M.dim
-        self._mats: Dict[Tuple[str, int, int], np.ndarray] = {}
-        self._dw = M.del_(omega_form(g))
-        self._dbw = M.delbar(omega_form(g))
-
-    # -- bookkeeping ----------------------------------------------------
-    def target(self, name: str, p: int, q: int) -> Tuple[int, int]:
-        n = self.n
-        shifts = {"del": (1, 0), "dbar": (0, 1), "L": (1, 1), "Lam": (-1, -1),
-                  "tau": (1, 0), "taubar": (0, 1),
-                  "delstar": (-1, 0), "dbarstar": (0, -1),
-                  "wdel": (2, 1), "wdbar": (1, 2)}
-        if name == "star":
-            return (n - q, n - p)
-        dp, dq = shifts[name]
-        return (p + dp, q + dq)
-
-    def mat(self, name: str, p: int, q: int) -> np.ndarray:
-        n = self.n
-        tp, tq = self.target(name, p, q)
-        dsrc = space_dim(n, p, q)
-        dtgt = space_dim(n, tp, tq)
-        if dsrc == 0 or dtgt == 0:
-            return np.zeros((dtgt, dsrc), dtype=complex)
-        key = (name, p, q)
-        if key in self._mats:
-            return self._mats[key]
-        g = self.g
-        if name in ("del", "dbar"):
-            phi_mat = self.M.d_matrices(p, q)[("del", "dbar").index(name)]
-            mat = g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
-        elif name == "L":
-            mat = _wedge_power_mat(n, 1, p, q)
-        elif name == "Lam":
-            mat = _wedge_power_mat(n, 1, p - 1, q - 1).conj().T
-        elif name == "star":
-            mat = _star_mat(n, p, q)
-        elif name in ("wdel", "wdbar"):
-            mult = self._dw if name == "wdel" else self._dbw
-            mat = (g.to_e_matrix(tp, tq)
-                   @ _tabulate(mult.wedge, n, p, q, (tp, tq))[0]
-                   @ g.from_e_matrix(p, q))
-        elif name == "tau":
-            mat = (self.mat("Lam", p + 2, q + 1) @ self.mat("wdel", p, q)
-                   - self.mat("wdel", p - 1, q - 1) @ self.mat("Lam", p, q))
-        elif name == "taubar":
-            mat = (self.mat("Lam", p + 1, q + 2) @ self.mat("wdbar", p, q)
-                   - self.mat("wdbar", p - 1, q - 1) @ self.mat("Lam", p, q))
-        elif name == "delstar":
-            mat = -(self.mat("star", n - q, n - p + 1)
-                    @ self.mat("dbar", n - q, n - p) @ self.mat("star", p, q))
-        elif name == "dbarstar":
-            mat = -(self.mat("star", n - q + 1, n - p)
-                    @ self.mat("del", n - q, n - p) @ self.mat("star", p, q))
-        else:
-            raise InputError(f"unknown operator {name!r}")
-        self._mats[key] = mat
-        return mat
-
-    def chain(self, names: Sequence[str], p: int, q: int) -> np.ndarray:
-        """Composition, rightmost name applied first."""
-        mat = np.eye(space_dim(self.n, p, q), dtype=complex)
-        cur = (p, q)
-        for name in reversed(names):
-            mat = self.mat(name, *cur) @ mat
-            cur = self.target(name, *cur)
-        return mat
-
-    def bidegrees(self):
-        n = self.n
-        return [(p, q) for p in range(n + 1) for q in range(n + 1)
-                if space_dim(n, p, q)]
 
 
 def _resid(a: np.ndarray, b: np.ndarray) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.optimize
 
 from . import analysis
 from .complex_structure import InvariantComplexManifold
@@ -166,6 +165,7 @@ def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
     best_x: Optional[np.ndarray] = None
     best_val = float("inf")
     maxfev = max(family.n_params + 2, budget // max(1, len(starts)))
+    import scipy.optimize  # imported here: a cold start without search skips scipy
     for x0 in starts:
         res = scipy.optimize.minimize(
             objective, x0, method="Nelder-Mead",

@@ -211,6 +211,18 @@ def test_eigenvalues_rel_omega_oracle():
     assert np.allclose(vals, expected, atol=1e-12)
 
 
+def test_eigenvalues_of_11_match_scipy_pencil_dense_metric(rng):
+    import scipy.linalg
+    for n in (3, 5):
+        g = random_pd_metric(n, rng)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        R = A + A.conj().T
+        alpha = Form(n, {((1 << j), (1 << k)): 1j * R[j, k]
+                         for j in range(n) for k in range(n)})
+        expected = scipy.linalg.eigh(R, g.H, eigvals_only=True)
+        assert np.allclose(eigenvalues_of_11(g, alpha), expected, atol=1e-12)
+
+
 def test_eigenvalues_reject_non_real():
     M, g, _ = catalog.get("iwasawa3")
     with pytest.raises(InputError):

@@ -96,7 +96,7 @@ def test_round_trip_through_json():
 
 def test_deformation_constant_formula():
     params = {"sigma12": -0.5, "sigma11b": 0.1 + 0.2j, "sigma12b": 0.3,
-              "sigma21b": -0.2j, "sigma22b": 0.25j, "t": 0.05}
+              "sigma21b": -0.2j, "sigma22b": 0.25j}
     expected = (0.25 + 0.04 + 0.09
                 - 2 * ((0.1 + 0.2j) * (0.25j).conjugate()).real)
     M, g, exp = catalog.get("iwasawa_def", params)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -261,3 +264,62 @@ def test_structure_key_out_of_range_rejected(capsys, tmp_path):
 def test_dumps_refuses_non_finite(value):
     with pytest.raises(StarsplitError):
         jsonio.dumps({"f": [1.0, value]})
+
+
+@pytest.mark.parametrize("metric", [
+    {"type": "diagonal", "coeffs": [1, 1, 1], "scale": float("inf")},
+    {"type": "diagonal", "coeffs": [1, 1, 1], "scale": float("nan")},
+    {"type": "diagonal", "coeffs": [1, float("nan"), 1]},
+    {"type": "hermitian", "matrix": [[1, 0], [0, 0], [0, 0], [0, 0], [float("inf"), 0],
+                                     [0, 0], [0, 0], [0, 0], [1, 0]]},
+])
+def test_non_finite_metric_rejected(capsys, tmp_path, metric):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(metric))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3",
+                         "--metric", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
+def test_non_numeric_metric_scale_rejected(capsys, tmp_path):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"type": "diagonal", "coeffs": [1, 1, 1], "scale": "abc"}))
+    code, _, err = run(capsys, "classify", "--manifold", "iwasawa3", "--metric", str(path))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_scan_honours_metric(capsys, tmp_path):
+    path = tmp_path / "d123.json"
+    path.write_text(json.dumps({"type": "diagonal", "coeffs": [1, 2, 3]}))
+    argv = ["scan", "--manifold", "calabi_eckmann", "--param", "t", "--values", "0.3i",
+            "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    f_default = json.loads(out)["rows"][0]["f"]
+    code, out, _ = run(capsys, *argv, "--metric", str(path))
+    assert code == 0
+    f_metric = json.loads(out)["rows"][0]["f"]
+    assert f_default == pytest.approx(2.4, abs=1e-10)
+    assert abs(f_metric - f_default) > 0.1
+    code, out, err = run(capsys, *argv, "--metric", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_iwasawa_def_has_no_parameter_t(capsys):
+    code, _, err = run(capsys, "classify", "--manifold", "iwasawa_def", "--param", "t=0.3")
+    assert code == 2
+    assert "'t'" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, starsplit.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -190,6 +190,24 @@ def test_global_adjointness(rng):
             assert abs(lhs - rhs) < 1e-10
 
 
+def test_adjoints_match_star_formula(rng):
+    # reference: del* = -star delbar star and delbar* = -star del star, built
+    # from Form-level star and d, on every slot with a dense metric
+    for name, params in [("iwasawa3", None), ("nakamura", None), ("iwasawa5", None),
+                         ("calabi_eckmann", {"t": 0.15 + 0.1j})]:
+        M, _, _ = catalog.get(name, params)
+        n = M.dim
+        g = random_pd_metric(n, rng)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                u = random_form(rng, n, p, q)
+                ref = -hodge_star(g, M.delbar(hodge_star(g, u)))
+                assert (adjoint_del(M, g, u) - ref).max_abs() < 1e-10
+                ref = -hodge_star(g, M.del_(hodge_star(g, u)))
+                assert (adjoint_delbar(M, g, u) - ref).max_abs() < 1e-10
+        assert adjoint_del(M, g, Form.zero(n)).is_zero()
+
+
 def test_laplacian_kernel_characterisation(rng):
     # Lap''(u) = 0 iff dbar u = 0 and dbar* u = 0 on invariant forms
     M, g, _ = catalog.get("iwasawa3")

@@ -69,6 +69,19 @@ def test_omega_power_edges():
         omega_power(g, 4)
 
 
+def test_omega_power_matches_wedge_recursion(rng):
+    # reference: omega_k = omega ^ ... ^ omega / k!, built from phi-basis wedges
+    for n in (3, 4, 5, 6):
+        for g in (HermitianMetric.identity(n), random_pd_metric(n, rng)):
+            w = omega_form(g)
+            ref = Form.scalar(n, 1.0)
+            for k in range(n + 1):
+                if k:
+                    ref = ref.wedge(w) / k
+                got = omega_power(g, k)
+                assert (got - ref).max_abs() < 1e-12 * max(1.0, ref.max_abs())
+
+
 def test_omega2_three_term_display():
     g = HermitianMetric.identity(3)
     expected = (ii(3, 1).wedge(ii(3, 2)) + ii(3, 1).wedge(ii(3, 3))
@@ -174,6 +187,22 @@ def test_lambda_l_commutator(rng):
                 diff = (lefschetz_lambda(g, lefschetz_L(g, u))
                         - lefschetz_L(g, lefschetz_lambda(g, u)) - (n - p - q) * u)
                 assert diff.max_abs() < 1e-10
+
+
+def test_lefschetz_l_matches_wedge_with_omega(rng):
+    # reference: L is the phi-basis wedge with omega, on every slot and on a
+    # form spread over several bidegrees
+    for n in (3, 4):
+        g = random_pd_metric(n, rng)
+        w = omega_form(g)
+        mixed = Form.zero(n)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                u = random_form(rng, n, p, q)
+                mixed = mixed + u
+                assert (lefschetz_L(g, u) - w.wedge(u)).max_abs() < 1e-12
+        assert (lefschetz_L(g, mixed) - w.wedge(mixed)).max_abs() < 1e-11
+    assert lefschetz_L(g, Form.zero(n)).is_zero()
 
 
 def test_lambda_of_omega_is_n():
