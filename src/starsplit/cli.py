@@ -42,6 +42,14 @@ def _split_params(items: Optional[List[str]]) -> Tuple[Dict[str, complex], List[
     return bindings, bare
 
 
+def _bindings(args) -> Dict[str, complex]:
+    """--param entries of a command that takes no scan target."""
+    bindings, bare = _split_params(args.param)
+    if bare:
+        raise InputError(f"--param needs name=value here, got {bare[0]!r}")
+    return bindings
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,10 +99,7 @@ def _print_report(rep: analysis.MetricReport) -> None:
 
 
 def cmd_classify(args) -> int:
-    bindings, bare = _split_params(args.param)
-    if bare:
-        raise InputError(f"--param needs name=value here, got {bare[0]!r}")
-    M, default_metric, expectations = _resolve_manifold(args.manifold, bindings, args.tol)
+    M, default_metric, expectations = _resolve_manifold(args.manifold, _bindings(args), args.tol)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     notes = list(expectations.get("notes", []))
 
@@ -133,10 +138,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    bindings, bare = _split_params(args.param)
-    if bare:
-        raise InputError(f"--param needs name=value here, got {bare[0]!r}")
-    M, default_metric, expectations = _resolve_manifold(args.manifold, bindings, args.tol)
+    M, default_metric, expectations = _resolve_manifold(args.manifold, _bindings(args), args.tol)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     rep = analysis.classify(M, g, tol=args.tol, notes=list(expectations.get("notes", [])))
     payload = {
@@ -161,10 +163,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bindings, bare = _split_params(args.param)
-    if bare:
-        raise InputError(f"--param needs name=value here, got {bare[0]!r}")
-    M, default_metric, _ = _resolve_manifold(args.manifold, bindings, args.tol)
+    M, default_metric, _ = _resolve_manifold(args.manifold, _bindings(args), args.tol)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     gamma = _resolve_metric(args.gamma, g, M.dim)
 
@@ -193,10 +192,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    bindings, bare = _split_params(args.param)
-    if bare:
-        raise InputError(f"--param needs name=value here, got {bare[0]!r}")
-    M, _, _ = _resolve_manifold(args.manifold, bindings, args.tol)
+    M, _, _ = _resolve_manifold(args.manifold, _bindings(args), args.tol)
     family = search.family_by_name(args.family, M.dim)
     result = search.search_pss(M, family, budget=args.budget, seed=args.seed, tol=args.tol)
     if args.json:
@@ -312,6 +308,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         tol = getattr(args, "tol", DEFAULT_TOL)
         if not 0 < tol < math.inf:
             raise InputError(f"--tol must be a positive finite number, got {tol}")
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

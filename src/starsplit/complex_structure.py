@@ -21,9 +21,12 @@ generator differentials and slot matrices are built afresh.
 
 ``OperatorTable`` (re-exported by ``operators``) holds every metric-dependent
 operator as orthonormal-frame slot matrices: del/dbar moved into the frame,
-L, Lambda, star, ``del* = -star delbar star``, ``delbar* = -star del star``
-and the torsion ``tau = [Lambda, del omega ^ .]`` and its conjugate.  The
-adjoints below and ``operators.torsion_tau(_bar)`` only apply its matrices.
+the per-dimension L, Lambda, star, T and S, and sums of chains of these:
+``del omega ^ . = [del, L]``, ``del* = -star delbar star``,
+``delbar* = -star del star``, the torsion ``tau = [Lambda, del omega ^ .]``
+and its conjugate, the delbar-Laplacian and the (1,1)-operators P, R and Q
+of ``operators``.  The adjoints and the Laplacian below, and the operators
+of ``operators``, only apply its matrices.
 
 Validity of a model is quantified, not assumed: ``check_integrability``
 measures ``d(d phi_k)`` and ``check_stokes`` reads the top-degree rows of
@@ -37,6 +40,7 @@ adjoints below genuine L2 adjoints on invariant forms.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -47,8 +51,8 @@ from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, mask_to_indices, space_dim
 from .metric import (HermitianMetric, _slot_mat, _tabulate, _volume_coeff,
-                     compound, form_to_vec, inner_product, omega_form,
-                     omega_power, vec_to_form)
+                     compound, form_to_vec, inner_product, omega_power,
+                     vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -311,11 +315,17 @@ def l2_pairing(M: InvariantComplexManifold, g: HermitianMetric, u: Form, v: Form
 class OperatorTable:
     """First-order and pointwise operators of a (manifold, metric) pair as
     matrices over the orthonormal monomial bases, built per slot on first
-    use and kept for the life of the table."""
+    use and kept for the life of the table.
+
+    "del"/"dbar" are the manifold's slot matrices moved into the frame;
+    "L", "Lam", "star", "T" and "S" the per-dimension matrices of
+    ``metric._slot_mat``; every other name is a sum of scaled chains of
+    these (``_terms``).  "P", "R" and "Q" act on the (1,1)-slot only."""
 
     _SHIFTS = {"del": (1, 0), "dbar": (0, 1), "L": (1, 1), "Lam": (-1, -1),
                "tau": (1, 0), "taubar": (0, 1), "delstar": (-1, 0), "dbarstar": (0, -1),
-               "wdel": (2, 1), "wdbar": (1, 2)}
+               "wdel": (2, 1), "wdbar": (1, 2), "T": (0, 0), "S": (0, 0),
+               "P": (0, 0), "R": (0, 0), "Q": (0, 0), "dbarlap": (0, 0)}
 
     def __init__(self, M: InvariantComplexManifold, g: HermitianMetric):
         if M.dim != g.dim:
@@ -331,10 +341,40 @@ class OperatorTable:
         dp, dq = self._SHIFTS[name]
         return (p + dp, q + dq)
 
+    def _terms(self, name: str) -> List[Tuple[complex, List[str]]]:
+        """(coefficient, chain) pairs summing to a composite operator."""
+        n = self.n
+        if name in ("wdel", "wdbar"):
+            # Leibniz: del(omega ^ u) = del omega ^ u + omega ^ del u
+            d = name[1:]
+            return [(1, [d, "L"]), (-1, ["L", d])]
+        if name in ("tau", "taubar"):
+            wd = "wdel" if name == "tau" else "wdbar"
+            return [(1, ["Lam", wd]), (-1, [wd, "Lam"])]
+        if name in ("delstar", "dbarstar"):
+            return [(-1, ["star", "dbar" if name == "delstar" else "del", "star"])]
+        if name == "dbarlap":
+            return [(1, ["dbar", "dbarstar"]), (1, ["dbarstar", "dbar"])]
+        if name == "R":
+            return [(1j, ["L", "delstar", "dbarstar"])]
+        if name in ("P", "Q") and n < 3:
+            raise InputError(f"{name} needs dimension >= 3")
+        if name == "P":
+            # (omega_{n-2} ^ .)^{-1} = T star on the (n-1,n-1)-slot
+            return [(1j / math.factorial(n - 3),
+                     ["T", "star"] + ["L"] * (n - 3) + ["del", "dbar"])]
+        if name == "Q":
+            return [(1, ["P"]), (1, ["R"]), (-1j, ["del", "Lam", "dbar"]),
+                    (-1j, ["delstar", "L", "dbarstar"]),
+                    (-1 / (n - 1), ["L", "dbarstar", "Lam", "dbar"])]
+        raise InputError(f"unknown operator {name!r}")
+
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         key = (name, p, q)
         if key in self._mats:
             return self._mats[key]
+        if name in ("P", "R", "Q") and (p, q) != (1, 1):
+            raise InputError(f"{name} expects a (1,1)-form, got bidegree ({p},{q})")
         n, g = self.n, self.g
         tp, tq = self.target(name, p, q)
         shape = (space_dim(n, tp, tq), space_dim(n, p, q))
@@ -343,21 +383,10 @@ class OperatorTable:
         if name in ("del", "dbar"):
             phi_mat = self.M.d_matrices(p, q)[("del", "dbar").index(name)]
             mat = g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
-        elif name in ("L", "Lam", "star"):
+        elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
-        elif name in ("wdel", "wdbar"):
-            w = omega_form(g)
-            mult = self.M.del_(w) if name == "wdel" else self.M.delbar(w)
-            mat = (g.to_e_matrix(tp, tq)
-                   @ _tabulate(mult.wedge, n, p, q, (tp, tq))[0]
-                   @ g.from_e_matrix(p, q))
-        elif name in ("tau", "taubar"):
-            wd = "wdel" if name == "tau" else "wdbar"
-            mat = self.chain(["Lam", wd], p, q) - self.chain([wd, "Lam"], p, q)
-        elif name in ("delstar", "dbarstar"):
-            mat = -self.chain(["star", "dbar" if name == "delstar" else "del", "star"], p, q)
         else:
-            raise InputError(f"unknown operator {name!r}")
+            mat = sum(c * self.chain(names, p, q) for c, names in self._terms(name))
         self._mats[key] = mat
         return mat
 
@@ -392,7 +421,7 @@ def adjoint_delbar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> 
 
 def laplacian_delbar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
     """delbar-Laplacian: delbar delbar* + delbar* delbar."""
-    return M.delbar(adjoint_delbar(M, g, u)) + adjoint_delbar(M, g, M.delbar(u))
+    return OperatorTable(M, g).apply("dbarlap", u)
 
 
 # ----------------------------------------------------------------------

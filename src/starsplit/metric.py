@@ -15,9 +15,11 @@ star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
 frame where they do not depend on the metric: ``omega_k`` is the standard
 ``_std_omega_power(n, k)``, which ``omega_power`` moves to phi, and L,
-Lambda and star are ``_slot_mat``.  ``HermitianMetric.apply`` is the one
-routine that applies frame slot matrices to a ``Form``; ``hodge_star``,
-``lefschetz_L``, ``lefschetz_lambda`` and ``OperatorTable.apply`` use it.
+Lambda, star and the divisions T and S of ``operators`` are ``_slot_mat``.
+``HermitianMetric.apply`` is the one routine that applies frame slot
+matrices to a ``Form``; ``hodge_star``, ``lefschetz_L``,
+``lefschetz_lambda``, ``operators.T``/``S`` and ``OperatorTable.apply``
+use it.
 
 Substituting ``phi_k -> sum_j mat[k,j] phi_j`` acts on coefficients
 through compound matrices: ``compound(mat, r)`` holds all r x r minors,
@@ -31,6 +33,7 @@ with ``C``, and ``complex_structure.pullback`` with its own matrix.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -41,6 +44,7 @@ from .errors import AlgebraError, DimensionMismatchError, InputError
 from .forms import Form, MaskKey, basis_masks, space_dim
 
 DEFAULT_TOL = 1e-10
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 _FULL = lambda n: (1 << n) - 1
 
@@ -115,9 +119,14 @@ def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
 def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
     """Orthonormal-frame matrix of a pointwise operator on the (p,q)-slot
     and its target slot: "L" is ``omega ^ .``, "Lam" its adjoint, "star"
-    the Hodge star."""
+    the Hodge star, "T" and "S" the divisions of ``_division_mat``."""
     if name == "star":
         return _star_mat(n, p, q), n - q, n - p
+    if name in ("T", "S"):
+        k = 1 if name == "T" else n - 1
+        if (p, q) != (k, k):
+            raise InputError(f"{name} expects a ({k},{k})-form, got bidegree ({p},{q})")
+        return _division_mat(n, name), p, q
     tp, tq = (p + 1, q + 1) if name == "L" else (p - 1, q - 1)
     if not (space_dim(n, p, q) and space_dim(n, tp, tq)):
         return np.zeros((space_dim(n, tp, tq), space_dim(n, p, q)), dtype=complex), tp, tq
@@ -127,27 +136,45 @@ def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
 
 
 @lru_cache(maxsize=None)
+def _division_mat(n: int, name: str) -> np.ndarray:
+    """T = ``(omega_{n-2} ^ .)^{-1} star = -Id + L Lam / (n-1)`` on the
+    (1,1)-slot, or its star partner S = ``star T star`` on the
+    (n-1,n-1)-slot."""
+    if n < 2:
+        raise InputError("T and S need dimension >= 2")
+    L = _wedge_power_mat(n, 1, 0, 0)
+    mat = -np.eye(n * n) + L @ L.conj().T / (n - 1)
+    if name == "S":
+        mat = _star_mat(n, 1, 1) @ mat @ _star_mat(n, n - 1, n - 1)
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=None)
+def _top_pairing(n: int, p: int, q: int) -> np.ndarray:
+    """Top coefficient of ``a ^ b`` for the monomials a of the (p,q)-slot
+    (rows) and b of the (n-p,n-q)-slot (columns); the same in every
+    coframe, so ``integral(u ^ v) = u @ _top_pairing @ v / _volume_coeff(n)``
+    on phi-basis coefficient vectors."""
+    rows = [_tabulate(Form(n, {key: 1.0}).wedge, n, n - p, n - q, (n, n))[0][0]
+            for key in _basis(n, p, q)]
+    mat = np.array(rows, dtype=complex).reshape(len(rows), space_dim(n, n - p, n - q))
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=None)
 def _star_mat(n: int, p: int, q: int) -> np.ndarray:
     """Matrix of the Hodge star from the (p,q)-slot to the (n-q,n-p)-slot
     in the orthonormal frame, obtained by solving the defining pairing
     ``u ^ star(w) = <u, conj(w)> dV`` over the monomial bases."""
     src = _basis(n, p, q)
-    tgt = _basis(n, n - q, n - p)
-    pair = _basis(n, q, p)
-    full = (_FULL(n), _FULL(n))
-    c_vol = _volume_coeff(n)
-    P = np.zeros((len(pair), len(tgt)), dtype=complex)
-    for a, akey in enumerate(pair):
-        ua = Form(n, {akey: 1.0})
-        for t, tkey in enumerate(tgt):
-            prod = ua.wedge(Form(n, {tkey: 1.0}))
-            P[a, t] = prod._terms.get(full, 0j)
-    rhs = np.zeros((len(pair), len(src)), dtype=complex)
+    rhs = np.zeros((space_dim(n, q, p), len(src)), dtype=complex)
     pair_index = _index(n, q, p)
     sign = -1.0 if (p * q) & 1 else 1.0
     for b, (imask, jmask) in enumerate(src):
-        rhs[pair_index[(jmask, imask)], b] = sign * c_vol
-    mat = np.linalg.solve(P, rhs)
+        rhs[pair_index[(jmask, imask)], b] = sign * _volume_coeff(n)
+    mat = np.linalg.solve(_top_pairing(n, q, p), rhs)
     mat.setflags(write=False)
     return mat
 
@@ -185,6 +212,10 @@ class HermitianMetric:
         if eigs.min() <= 1e-14 * max(1.0, eigs.max()):
             raise InputError(
                 f"metric matrix is not positive definite (eigenvalues {eigs})")
+        log_det = float(np.log(eigs).sum())
+        if log_det >= _LOG_MAX_DOUBLE:
+            raise InputError(f"metric volume density det H = exp({log_det:.6g}) "
+                             f"is not a finite double")
         L = np.linalg.cholesky(H)
         self.dim = n
         self.H = H
@@ -229,6 +260,8 @@ class HermitianMetric:
                 raise InputError(f"unknown metric type {kind!r}")
             scale = data.get("scale")
             return g if scale is None else g.scaled(float(scale))
+        except InputError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed metric description: {exc}") from exc
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,45 @@ def test_non_pd_metric_rejected(capsys, tmp_path):
                        "--metric", str(metric))
     assert code == 2
     assert "positive" in err
+
+
+def test_non_pd_metric_file_blames_the_matrix(capsys, tmp_path):
+    # a well-formed file: the message names the matrix, not the file format
+    metric = tmp_path / "indefinite.json"
+    H = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    metric.write_text(json.dumps(
+        {"type": "hermitian", "matrix": [[z.real, z.imag] for z in H.reshape(-1)]}))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3",
+                         "--metric", str(metric), "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "positive definite" in err and "malformed" not in err
+
+
+@pytest.mark.parametrize("manifold,metric", [
+    ("iwasawa3", {"type": "diagonal", "coeffs": [1e150, 1e150, 1e150]}),
+    ("iwasawa5", {"type": "diagonal", "coeffs": [1, 1, 1, 1, 1], "scale": 1e80}),
+])
+def test_metric_with_overflowing_volume_rejected(capsys, tmp_path, manifold, metric):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(metric))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "classify", "--manifold", manifold,
+                             "--metric", str(path), "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "det H" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--manifold", "iwasawa3", "--seed", "-1"),
+    ("search", "--manifold", "iwasawa3", "--budget", "5", "--seed", "-1"),
+])
+def test_negative_seed_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--seed" in err
 
 
 def test_calabi_eckmann_guard(capsys):
