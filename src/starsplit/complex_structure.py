@@ -49,10 +49,9 @@ import numpy as np
 
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
-from .forms import Form, mask_to_indices, space_dim
-from .metric import (HermitianMetric, _slot_mat, _tabulate, _volume_coeff,
-                     compound, form_to_vec, inner_product, omega_power,
-                     vec_to_form)
+from .forms import Form, basis_masks, mask_to_indices, space_dim
+from .metric import (HermitianMetric, _slot_mat, _volume_coeff, form_to_vec,
+                     inner_product, omega_power, substitution_matrix, vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -164,8 +163,14 @@ class InvariantComplexManifold:
         """phi-basis matrices of del and delbar on the (p,q)-slot, built
         from the Leibniz rule on first use and cached read-only."""
         if (p, q) not in self._d_mats:
-            self._d_mats[(p, q)] = _tabulate(self._leibniz_d, self.dim, p, q,
-                                             (p + 1, q), (p, q + 1))
+            n = self.dim
+            images = [self._leibniz_d(Form(n, {key: 1.0})) for key in basis_masks(n, p, q)]
+            mats = tuple(np.array([form_to_vec(im, tp, tq) for im in images], dtype=complex)
+                         .reshape(len(images), space_dim(n, tp, tq)).T
+                         for tp, tq in ((p + 1, q), (p, q + 1)))
+            for mat in mats:
+                mat.setflags(write=False)
+            self._d_mats[(p, q)] = mats
         return self._d_mats[(p, q)]
 
     def _differential(self, u: Form, parts: Tuple[int, ...]) -> Form:
@@ -483,10 +488,9 @@ def pullback(M: InvariantComplexManifold, phi: PullbackMap, u: Form) -> Form:
     n = M.dim
     if phi.dim != n or u.dim != n:
         raise DimensionMismatchError("pullback dimension mismatch")
-    A = phi.matrix
     out = Form.zero(n)
     for p, q in u.bidegrees():
-        mat = np.kron(compound(A, p), compound(A, q).conj())
+        mat = substitution_matrix(phi.matrix, p, q)
         out = out + vec_to_form(n, p, q, mat @ form_to_vec(u, p, q))
     return out
 

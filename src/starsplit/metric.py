@@ -13,13 +13,16 @@ anchors hold simultaneously: ``star 1 = omega_n``, ``star omega =
 omega_{n-1}``, ``[Lambda, L] = (n-k) Id`` on k-forms, and the primitive-form
 star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
-frame where they do not depend on the metric: ``omega_k`` is the standard
-``_std_omega_power(n, k)``, which ``omega_power`` moves to phi, and L,
-Lambda, star and the divisions T and S of ``operators`` are ``_slot_mat``.
-``HermitianMetric.apply`` is the one routine that applies frame slot
-matrices to a ``Form``; ``hodge_star``, ``lefschetz_L``,
-``lefschetz_lambda``, ``operators.T``/``S`` and ``OperatorTable.apply``
-use it.
+frame where they do not depend on the metric, and built from the monomial
+bitmasks alone: ``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column
+is the standard ``omega_r`` that ``omega_power`` moves to phi), the top
+pairing and the star (both signed permutations).  From these come L,
+Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``),
+the pseudo-inverse behind ``divide_by_power`` and the sl(2) closed form
+behind ``lefschetz_decompose``.  ``HermitianMetric.apply`` is the one
+routine that applies frame slot matrices to a ``Form``; ``hodge_star``,
+``lefschetz_L``, ``lefschetz_lambda``, ``operators.T``/``S`` and
+``OperatorTable.apply`` use it.
 
 Substituting ``phi_k -> sum_j mat[k,j] phi_j`` acts on coefficients
 through compound matrices: ``compound(mat, r)`` holds all r x r minors,
@@ -41,7 +44,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import AlgebraError, DimensionMismatchError, InputError
-from .forms import Form, MaskKey, basis_masks, space_dim
+from .forms import Form, MaskKey, _merge_sign, basis_masks, space_dim
 
 DEFAULT_TOL = 1e-10
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
@@ -76,44 +79,28 @@ def vec_to_form(n: int, p: int, q: int, vec: np.ndarray) -> Form:
     return Form(n, dict(zip(_basis(n, p, q), vec.tolist())))
 
 
-@lru_cache(maxsize=None)
-def _std_omega(n: int) -> Form:
-    terms = {((1 << k), (1 << k)): 1j for k in range(n)}
-    return Form(n, terms)
-
-
-@lru_cache(maxsize=None)
-def _std_omega_power(n: int, r: int) -> Form:
-    if r == 0:
-        return Form.scalar(n, 1.0)
-    prev = _std_omega_power(n, r - 1)
-    return prev.wedge(_std_omega(n)) / r
-
-
-@lru_cache(maxsize=None)
 def _volume_coeff(n: int) -> complex:
-    vol = _std_omega_power(n, n)
-    return vol._terms[(_FULL(n), _FULL(n))]
-
-
-def _tabulate(fn: Callable[[Form], Form], n: int, p: int, q: int,
-              *targets: Tuple[int, int]) -> Tuple[np.ndarray, ...]:
-    """Read-only matrices of a linear map on (p,q)-forms, one per target
-    slot: column s holds that slot's part of ``fn`` on the s-th basis
-    monomial."""
-    images = [fn(Form(n, {key: 1.0})) for key in _basis(n, p, q)]
-    mats = tuple(np.array([form_to_vec(im, tp, tq) for im in images], dtype=complex)
-                 .reshape(len(images), space_dim(n, tp, tq)).T for tp, tq in targets)
-    for mat in mats:
-        mat.setflags(write=False)
-    return mats
+    """Top coefficient of ``omega_n`` in the standard frame."""
+    return 1j ** n * (-1) ** (n * (n - 1) // 2)
 
 
 @lru_cache(maxsize=None)
 def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     """Matrix of ``omega_r ^ .`` from the (p,q)-slot to the (p+r,q+r)-slot,
-    standard frame."""
-    return _tabulate(_std_omega_power(n, r).wedge, n, p, q, (p + r, q + r))[0]
+    standard frame.  ``omega_r = i^r (-1)^(r(r-1)/2) sum_K e_K ^ ebar_K``
+    over r-subsets K, so ``e_I ^ ebar_J`` goes to the sum over K disjoint
+    from I and J of ``e_(K+I) ^ ebar_(K+J)``, signed by merging K into I
+    and into J and by (-1)^(pr) for moving ``ebar_K`` past ``e_I``."""
+    rows = _index(n, p + r, q + r)
+    mat = np.zeros((len(rows), space_dim(n, p, q)), dtype=complex)
+    coeff = 1j ** r * (-1) ** (r * (r - 1) // 2 + p * r)
+    subsets = [k for k, _ in _basis(n, r, 0)]
+    for col, (i, j) in enumerate(_basis(n, p, q)):
+        for k in subsets:
+            if not k & (i | j):
+                mat[rows[(k | i, k | j)], col] = coeff * _merge_sign(k, i) * _merge_sign(k, j)
+    mat.setflags(write=False)
+    return mat
 
 
 def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
@@ -155,10 +142,16 @@ def _top_pairing(n: int, p: int, q: int) -> np.ndarray:
     """Top coefficient of ``a ^ b`` for the monomials a of the (p,q)-slot
     (rows) and b of the (n-p,n-q)-slot (columns); the same in every
     coframe, so ``integral(u ^ v) = u @ _top_pairing @ v / _volume_coeff(n)``
-    on phi-basis coefficient vectors."""
-    rows = [_tabulate(Form(n, {key: 1.0}).wedge, n, n - p, n - q, (n, n))[0][0]
-            for key in _basis(n, p, q)]
-    mat = np.array(rows, dtype=complex).reshape(len(rows), space_dim(n, n - p, n - q))
+    on phi-basis coefficient vectors.  ``e_I ^ ebar_J`` pairs only with its
+    complement, signed by the two merges and by (-1)^((n-p)q) for moving
+    the complement's holomorphic part past ``ebar_J``."""
+    full = _FULL(n)
+    cols = _index(n, n - p, n - q)
+    mat = np.zeros((space_dim(n, p, q), len(cols)), dtype=complex)
+    sign = (-1) ** ((n - p) * q)
+    for row, (i, j) in enumerate(_basis(n, p, q)):
+        mat[row, cols[(full ^ i, full ^ j)]] = (
+            sign * _merge_sign(i, full ^ i) * _merge_sign(j, full ^ j))
     mat.setflags(write=False)
     return mat
 
@@ -166,15 +159,13 @@ def _top_pairing(n: int, p: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _star_mat(n: int, p: int, q: int) -> np.ndarray:
     """Matrix of the Hodge star from the (p,q)-slot to the (n-q,n-p)-slot
-    in the orthonormal frame, obtained by solving the defining pairing
-    ``u ^ star(w) = <u, conj(w)> dV`` over the monomial bases."""
-    src = _basis(n, p, q)
-    rhs = np.zeros((space_dim(n, q, p), len(src)), dtype=complex)
-    pair_index = _index(n, q, p)
-    sign = -1.0 if (p * q) & 1 else 1.0
-    for b, (imask, jmask) in enumerate(src):
-        rhs[pair_index[(jmask, imask)], b] = sign * _volume_coeff(n)
-    mat = np.linalg.solve(_top_pairing(n, q, p), rhs)
+    in the orthonormal frame.  The defining pairing ``u ^ star(w) = <u,
+    conj(w)> dV`` over monomials makes it the transposed (signed
+    permutation) pairing of the (q,p)-slot, read at the conjugate monomial
+    ``e_J ^ ebar_I`` of each ``e_I ^ ebar_J`` and scaled by
+    ``(-1)^(pq) _volume_coeff(n)``."""
+    conj = [_index(n, q, p)[(j, i)] for i, j in _basis(n, p, q)]
+    mat = (-1) ** (p * q) * _volume_coeff(n) * _top_pairing(n, q, p).T[:, conj]
     mat.setflags(write=False)
     return mat
 
@@ -183,6 +174,14 @@ def compound(mat: np.ndarray, r: int) -> np.ndarray:
     """All r x r minors of ``mat``, indexed by r-subsets in basis order."""
     idx = np.array(list(combinations(range(mat.shape[0]), r)), dtype=int)
     return np.linalg.det(mat[idx[None, :, :, None], idx[:, None, None, :]])
+
+
+def substitution_matrix(mat: np.ndarray, p: int, q: int) -> np.ndarray:
+    """(p,q)-slot matrix of ``phi_k -> sum_j mat[k,j] phi_j``:
+    ``kron(compound(mat, p), compound(mat, q).conj())``."""
+    a, b = compound(mat, p), compound(mat, q).conj()
+    # np.kron(a, b), without its generic-shape overhead
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +208,14 @@ class HermitianMetric:
             raise InputError("metric matrix is not Hermitian to tolerance")
         H = 0.5 * (H + H.conj().T)
         eigs = np.linalg.eigvalsh(H)
-        if eigs.min() <= 1e-14 * max(1.0, eigs.max()):
+        lo, hi = eigs.min(), eigs.max()
+        if lo <= 0:
             raise InputError(
                 f"metric matrix is not positive definite (eigenvalues {eigs})")
+        if lo <= 1e-14 * max(1.0, hi):
+            raise InputError(f"metric matrix is too ill-conditioned (condition number "
+                             f"{hi / lo:.3g}; smallest eigenvalue {lo:.3g} is not above "
+                             f"1e-14 max(1, largest))")
         log_det = float(np.log(eigs).sum())
         if log_det >= _LOG_MAX_DOUBLE:
             raise InputError(f"metric volume density det H = exp({log_det:.6g}) "
@@ -281,9 +285,7 @@ class HermitianMetric:
     @staticmethod
     def _frame_matrix(cache: dict, mat: np.ndarray, p: int, q: int) -> np.ndarray:
         if (p, q) not in cache:
-            a, b = compound(mat, p), compound(mat, q).conj()
-            # np.kron(a, b), without its generic-shape overhead
-            out = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+            out = substitution_matrix(mat, p, q)
             out.setflags(write=False)
             cache[(p, q)] = out
         return cache[(p, q)]
@@ -337,7 +339,7 @@ def omega_power(g: HermitianMetric, p: int) -> Form:
     """``omega^p / p!``; p = 0 gives the scalar 1, p = n the volume form."""
     if not 0 <= p <= g.dim:
         raise InputError(f"power {p} outside 0..{g.dim}")
-    return g.from_e_vec(form_to_vec(_std_omega_power(g.dim, p), p, p), p, p)
+    return g.from_e_vec(_wedge_power_mat(g.dim, p, 0, 0)[:, 0], p, p)
 
 
 def inner_product(g: HermitianMetric, u: Form, v: Form) -> complex:
@@ -383,6 +385,15 @@ def lefschetz_lambda(g: HermitianMetric, u: Form) -> Form:
     return _pointwise(g, "Lam", u)
 
 
+@lru_cache(maxsize=None)
+def _division_solve(n: int, k: int) -> np.ndarray:
+    """Pseudo-inverse of ``omega_k ^ .`` on the (1,1)-slot, which is
+    injective for k <= n-2."""
+    mat = np.linalg.pinv(_wedge_power_mat(n, k, 1, 1))
+    mat.setflags(write=False)
+    return mat
+
+
 def divide_by_power(g: HermitianMetric, k: int, y: Form, *, tol: float = DEFAULT_TOL) -> Form:
     """Solve ``omega_k ^ x = y`` for a (1,1)-form ``x``.
 
@@ -398,15 +409,34 @@ def divide_by_power(g: HermitianMetric, k: int, y: Form, *, tol: float = DEFAULT
     p, q = y.bidegree()
     if (p, q) != (k + 1, k + 1):
         raise InputError(f"divide_by_power({k}) expects bidegree ({k + 1},{k + 1}), got ({p},{q})")
-    W = _wedge_power_mat(n, k, 1, 1)
     ye = g.to_e_vec(y, p, q)
-    xe, *_ = np.linalg.lstsq(W, ye, rcond=None)
-    resid = float(np.abs(W @ xe - ye).max())
+    xe = _division_solve(n, k) @ ye
+    resid = float(np.abs(_wedge_power_mat(n, k, 1, 1) @ xe - ye).max())
     if resid > tol * (1.0 + float(np.abs(ye).max())):
         raise InputError(
             f"form is not in the image of multiplication by omega_{k} "
             f"(residual {resid:.3e})")
     return g.from_e_vec(xe, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def _primitive_part(n: int, p: int, q: int, r: int) -> np.ndarray:
+    """Matrix taking a (p,q)-form u of degree p+q <= n to the primitive
+    (s,t) = (p-r,q-r)-form ``u_r`` of ``u = sum_r omega_r ^ u_r``, by the
+    sl(2) closed form ``u_r = (n-j-r)!/(n-j)! pi(Lam^r u)`` with j = s+t.
+    On j-forms the primitive projector is ``pi = sum_i (-1)^i (n-j+1)! /
+    (i! (n-j+i+1)!) L^i Lam^i``, where ``L^i = i! omega_i ^ .`` and
+    ``Lam^i`` is its adjoint.  ``r = 0`` gives ``pi`` on the (p,q)-slot."""
+    f = math.factorial
+    s, t = p - r, q - r
+    j = s + t
+    proj = np.zeros((space_dim(n, s, t),) * 2, dtype=complex)
+    for i in range(min(s, t) + 1):
+        W = _wedge_power_mat(n, i, s - i, t - i)
+        proj += (-1) ** i * f(i) * f(n - j + 1) / f(n - j + i + 1) * (W @ W.conj().T)
+    mat = f(r) * f(n - j - r) / f(n - j) * (proj @ _wedge_power_mat(n, r, s, t).conj().T)
+    mat.setflags(write=False)
+    return mat
 
 
 def lefschetz_decompose(g: HermitianMetric, u: Form, *, tol: float = DEFAULT_TOL
@@ -420,31 +450,10 @@ def lefschetz_decompose(g: HermitianMetric, u: Form, *, tol: float = DEFAULT_TOL
     k = p + q
     if k > n:
         raise InputError(f"decomposition not supported above middle degree (k={k} > n={n})")
-    rmax = min(p, q)
     ue = g.to_e_vec(u, p, q)
-    dims = [space_dim(n, p - r, q - r) for r in range(rmax + 1)]
-    wedge_blocks = [_wedge_power_mat(n, r, p - r, q - r) for r in range(rmax + 1)]
-    top = np.hstack(wedge_blocks)
-    constraint_rows = []
-    offset = 0
-    total = sum(dims)
-    for r in range(rmax + 1):
-        lam = _slot_mat(n, "Lam", p - r, q - r)[0]
-        block = np.zeros((lam.shape[0], total), dtype=complex)
-        block[:, offset:offset + dims[r]] = lam
-        constraint_rows.append(block)
-        offset += dims[r]
-    system = np.vstack([top] + constraint_rows)
-    rhs = np.concatenate([ue, np.zeros(system.shape[0] - len(ue), dtype=complex)])
-    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    recon = top @ sol[:total]
+    parts = [_primitive_part(n, p, q, r) @ ue for r in range(min(p, q) + 1)]
+    recon = sum(_wedge_power_mat(n, r, p - r, q - r) @ x for r, x in enumerate(parts))
     resid = float(np.abs(recon - ue).max())
     if resid > tol * (1.0 + float(np.abs(ue).max())):
         raise AlgebraError(f"primitive decomposition failed (residual {resid:.3e})")
-    out = []
-    offset = 0
-    for r in range(rmax + 1):
-        vec = sol[offset:offset + dims[r]]
-        out.append((r, g.from_e_vec(vec, p - r, q - r)))
-        offset += dims[r]
-    return out
+    return [(r, g.from_e_vec(x, p - r, q - r)) for r, x in enumerate(parts)]

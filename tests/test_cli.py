@@ -163,6 +163,45 @@ def test_non_pd_metric_file_blames_the_matrix(capsys, tmp_path):
     assert "positive definite" in err and "malformed" not in err
 
 
+_INDEFINITE = [[1, 0], [0, 0], [0, 0], [0, 0], [-1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("metric,words", [
+    ({"type": "diagonal", "coeffs": [1e200, 1, 1]}, ("ill-conditioned", "1e+200")),
+    ({"type": "diagonal", "coeffs": [1e15, 1, 1]}, ("ill-conditioned", "1e+15")),
+    ({"type": "hermitian", "matrix": _INDEFINITE}, ("not positive definite",)),
+])
+def test_metric_refusal_names_conditioning_or_definiteness(capsys, tmp_path, metric, words):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(metric))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3",
+                         "--metric", str(path), "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert all(word in err for word in words), err
+    assert ("not positive definite" in err) == (words[0] == "not positive definite")
+
+
+_N6_MODELS = {
+    "torus_6": {},
+    "iwasawa3_x_iwasawa3": {"phi3": {"(2,0)": [{"i": 1, "j": 2, "coeff": "-1"}]},
+                            "phi6": {"(2,0)": [{"i": 4, "j": 5, "coeff": "-1"}]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_N6_MODELS))
+def test_verify_all_in_dimension_6(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "dim": 6, "structure": _N6_MODELS[name]}))
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--json", "--manifold", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"] is True
+    ids = {e["id"] for suite in payload["suites"] for e in suite}
+    assert {i[:3] for i in ids} == ({f"a{k:02d}" for k in range(1, 16)}
+                                    | {f"b{k:02d}" for k in range(1, 27)})
+
+
 @pytest.mark.parametrize("manifold,metric", [
     ("iwasawa3", {"type": "diagonal", "coeffs": [1e150, 1e150, 1e150]}),
     ("iwasawa5", {"type": "diagonal", "coeffs": [1, 1, 1, 1, 1], "scale": 1e80}),

@@ -1,15 +1,18 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import random_pd_metric
-from starsplit.errors import InputError
-from starsplit.forms import Form, approx_equal, basis_masks
-from starsplit.metric import (HermitianMetric, compound, divide_by_power, form_norm,
-                              hodge_star, inner_product, lefschetz_L,
-                              lefschetz_decompose, lefschetz_lambda, omega_form,
-                              omega_power)
+from starsplit import metric
+from starsplit.errors import AlgebraError, InputError
+from starsplit.forms import Form, approx_equal, basis_masks, space_dim
+from starsplit.metric import (HermitianMetric, _slot_mat, _star_mat, _top_pairing,
+                              _volume_coeff, _wedge_power_mat, compound,
+                              divide_by_power, form_norm, form_to_vec, hodge_star,
+                              inner_product, lefschetz_L, lefschetz_decompose,
+                              lefschetz_lambda, omega_form, omega_power)
 from starsplit.operators import random_form
 
 
@@ -335,3 +338,170 @@ def test_decompose_rejects_above_middle_degree(rng):
     g = HermitianMetric.identity(3)
     with pytest.raises(InputError):
         lefschetz_decompose(g, random_form(rng, 3, 2, 2))
+
+
+# ----------------------------------------------------------------------
+# references for the mask-built frame tables and the cached solve
+# matrices: Form-wedge builders, the solve of the star pairing, and the
+# least-squares bodies of the division and the primitive decomposition
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def ref_std_omega_power(n, r):
+    """omega_r of the standard frame by the recursion omega_(r-1) ^ omega / r."""
+    if r == 0:
+        return Form.scalar(n, 1.0)
+    omega = Form(n, {(1 << k, 1 << k): 1j for k in range(n)})
+    return ref_std_omega_power(n, r - 1).wedge(omega) / r
+
+
+def ref_volume_coeff(n):
+    full = (1 << n) - 1
+    return ref_std_omega_power(n, n)._terms[(full, full)]
+
+
+def ref_wedge_power_mat(n, r, p, q):
+    """Column s: the (p+r,q+r)-part of omega_r ^ (s-th basis monomial)."""
+    cols = [form_to_vec(ref_std_omega_power(n, r).wedge(Form(n, {key: 1.0})), p + r, q + r)
+            for key in basis_masks(n, p, q)]
+    return np.array(cols, dtype=complex).reshape(len(cols), space_dim(n, p + r, q + r)).T
+
+
+@lru_cache(maxsize=None)
+def ref_top_pairing(n, p, q):
+    """Top coefficient of a ^ b, one Form wedge per pair of monomials."""
+    full = (1 << n) - 1
+    cols = [Form(n, {key: 1.0}) for key in basis_masks(n, n - p, n - q)]
+    rows = [[Form(n, {key: 1.0}).wedge(b)._terms.get((full, full), 0j) for b in cols]
+            for key in basis_masks(n, p, q)]
+    return np.array(rows, dtype=complex).reshape(len(rows), len(cols))
+
+
+def ref_star_mat(n, p, q):
+    """Solve the defining pairing u ^ star(w) = <u, conj(w)> dV over the
+    monomial bases."""
+    src = basis_masks(n, p, q)
+    pair_index = {key: k for k, key in enumerate(basis_masks(n, q, p))}
+    rhs = np.zeros((space_dim(n, q, p), len(src)), dtype=complex)
+    sign = -1.0 if (p * q) & 1 else 1.0
+    for b, (imask, jmask) in enumerate(src):
+        rhs[pair_index[(jmask, imask)], b] = sign * ref_volume_coeff(n)
+    return np.linalg.solve(ref_top_pairing(n, q, p), rhs)
+
+
+def ref_divide_by_power(g, k, y, tol=1e-10):
+    n = g.dim
+    W = _wedge_power_mat(n, k, 1, 1)
+    ye = g.to_e_vec(y, k + 1, k + 1)
+    xe, *_ = np.linalg.lstsq(W, ye, rcond=None)
+    resid = float(np.abs(W @ xe - ye).max())
+    if resid > tol * (1.0 + float(np.abs(ye).max())):
+        raise InputError(f"form is not in the image of multiplication by omega_{k} "
+                         f"(residual {resid:.3e})")
+    return g.from_e_vec(xe, 1, 1)
+
+
+def ref_lefschetz_decompose(g, u, tol=1e-10):
+    n = g.dim
+    p, q = u.bidegree()
+    if p + q > n:
+        raise InputError(f"decomposition not supported above middle degree (k={p + q} > n={n})")
+    rmax = min(p, q)
+    ue = g.to_e_vec(u, p, q)
+    dims = [space_dim(n, p - r, q - r) for r in range(rmax + 1)]
+    top = np.hstack([_wedge_power_mat(n, r, p - r, q - r) for r in range(rmax + 1)])
+    constraint_rows = []
+    offset = 0
+    total = sum(dims)
+    for r in range(rmax + 1):
+        lam = _slot_mat(n, "Lam", p - r, q - r)[0]
+        block = np.zeros((lam.shape[0], total), dtype=complex)
+        block[:, offset:offset + dims[r]] = lam
+        constraint_rows.append(block)
+        offset += dims[r]
+    system = np.vstack([top] + constraint_rows)
+    rhs = np.concatenate([ue, np.zeros(system.shape[0] - len(ue), dtype=complex)])
+    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    resid = float(np.abs(top @ sol[:total] - ue).max())
+    if resid > tol * (1.0 + float(np.abs(ue).max())):
+        raise AlgebraError(f"primitive decomposition failed (residual {resid:.3e})")
+    offsets = np.cumsum([0] + dims)
+    return [(r, g.from_e_vec(sol[offsets[r]:offsets[r + 1]], p - r, q - r))
+            for r in range(rmax + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_frame_tables_match_form_references(n):
+    # the mask-built tables hold exactly the signed units of the Form-wedge
+    # builders, and the solve of the signed-permutation pairing is exact
+    assert _volume_coeff(n) == ref_volume_coeff(n)
+    g = HermitianMetric.identity(n)
+    for r in range(n + 1):
+        assert omega_power(g, r)._terms == ref_std_omega_power(n, r)._terms
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert np.array_equal(_top_pairing(n, p, q), ref_top_pairing(n, p, q))
+            assert np.array_equal(_star_mat(n, p, q), ref_star_mat(n, p, q))
+            for r in range(n + 1 - max(p, q)):
+                assert np.array_equal(_wedge_power_mat(n, r, p, q),
+                                      ref_wedge_power_mat(n, r, p, q))
+
+
+def _assert_same_forms(got, ref, tol=1e-13):
+    assert (got - ref).max_abs() <= tol * max(1.0, ref.max_abs())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_solve_matrices_match_least_squares_references(n, rng):
+    g = random_pd_metric(n, rng)
+    for k in range(n - 1):
+        y = omega_power(g, k).wedge(random_form(rng, n, 1, 1))
+        _assert_same_forms(divide_by_power(g, k, y), ref_divide_by_power(g, k, y))
+        if space_dim(n, k + 1, k + 1) > space_dim(n, 1, 1):
+            bad = random_form(rng, n, k + 1, k + 1)
+            for route in (divide_by_power, ref_divide_by_power):
+                with pytest.raises(InputError, match="not in the image"):
+                    route(g, k, bad)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            u = random_form(rng, n, p, q)
+            if p + q > n:
+                for route in (lefschetz_decompose, ref_lefschetz_decompose):
+                    with pytest.raises(InputError, match="above middle degree"):
+                        route(g, u)
+                continue
+            parts, ref = lefschetz_decompose(g, u), ref_lefschetz_decompose(g, u)
+            assert [r for r, _ in parts] == [r for r, _ in ref]
+            for (_, got), (_, want) in zip(parts, ref):
+                _assert_same_forms(got, want)
+
+
+def test_frame_tables_build_no_form(monkeypatch):
+    caches = (metric._basis, metric._index, metric._wedge_power_mat, metric._top_pairing,
+              metric._star_mat, metric._division_mat, metric._division_solve,
+              metric._primitive_part)
+    for cache in caches:
+        cache.cache_clear()
+    built = []
+    init = Form.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Form, "__init__", counting_init)
+    n = 6
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for name in ("L", "Lam", "star"):
+                _slot_mat(n, name, p, q)
+            _top_pairing(n, p, q)
+            for r in range(n + 1 - max(p, q)):
+                _wedge_power_mat(n, r, p, q)
+            if p + q <= n:
+                for r in range(min(p, q) + 1):
+                    metric._primitive_part(n, p, q, r)
+    _slot_mat(n, "T", 1, 1)
+    _slot_mat(n, "S", n - 1, n - 1)
+    for k in range(n - 1):
+        metric._division_solve(n, k)
+    assert not built
