@@ -18,13 +18,20 @@ direct star of rho.  Reports record both residuals; ``star_rho`` and the
 search objective raise when the star routes disagree.  On an invariant
 model f is automatically constant, and is checked to be real.
 
+The core and the classification work on one coefficient vector per
+bidegree slot, through the manifold's ``d_matrices``, the metric's frame
+matrices and the per-dimension frame tables of ``metric``; no coefficient
+is dropped, so small metrics keep their volume det H.  ``Form`` is the I/O
+type: rho and star rho become Forms at the end.
+
 A metric is classified by the vanishing of: d omega (kahler),
 del delbar omega (SKT), del delbar omega_{n-2} (astheno),
 omega ^ del delbar omega_{n-2} (n2_gauduchon), d omega_{n-1} (balanced),
 del delbar omega_{n-1} (gauduchon), del delbar star_rho
 (pluriclosed_star_split) and d star_rho (closed_star_split).  Each flag
-carries its defect residual; a flag holds when the defect is below
-tol * (1 + scale of the differentiated form).
+carries its defect residual, the pointwise norm of the differentiated form
+(the Euclidean norm of its frame vectors); a flag holds when the defect is
+below tol * (1 + scale of the differentiated form).
 
 Pairs (omega, gamma) divide i del delbar omega_{n-2} by gamma_{n-2} instead
 and star with gamma; triples (phi, omega, gamma) run the pair pipeline on
@@ -33,6 +40,7 @@ the pulled-back metric phi* omega.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,8 +51,9 @@ from .complex_structure import (InvariantComplexManifold, PullbackMap, pullback,
                                 total_volume)
 from .errors import AlgebraError, InputError
 from .forms import Form
-from .metric import (HermitianMetric, divide_by_power, form_norm, hodge_star,
-                     inner_product, lefschetz_lambda, omega_form, omega_power)
+from .metric import (HermitianMetric, _divide_e, _frame_norm, _omega_power_vec,
+                     _omega_vec, _star_mat, _top_pairing, _volume_coeff,
+                     _wedge_power_mat, hodge_star, omega_power, vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -116,9 +125,9 @@ class MetricReport:
 # ----------------------------------------------------------------------
 # core invariants
 # ----------------------------------------------------------------------
-def _laplacian_source(M: InvariantComplexManifold, u: Form) -> Form:
-    """i del delbar u."""
-    return 1j * M.del_(M.delbar(u))
+def _laplacian_source(M: InvariantComplexManifold, v: np.ndarray, k: int) -> np.ndarray:
+    """i del delbar on phi-basis coefficients of the (k,k)-slot."""
+    return 1j * (M.d_matrices(k, k + 1)[0] @ (M.d_matrices(k, k)[1] @ v))
 
 
 def _real_scalar(value: complex, tol: float, what: str) -> float:
@@ -134,18 +143,21 @@ def _require_n3(M: InvariantComplexManifold) -> None:
 
 @dataclass(frozen=True)
 class _StarSplit:
-    """Everything built from one ``src = i del delbar omega_{n-2}``."""
+    """Everything built from one ``src = i del delbar omega_{n-2}``, as
+    coefficient vectors: ``src`` and ``star_rho`` on the phi basis of the
+    (n-1,n-1)-slot, ``rho_e`` on gamma's orthonormal frame of the
+    (1,1)-slot."""
 
-    src: Form
+    src: np.ndarray
     f: float
-    rho: Form
+    rho_e: np.ndarray
     f_cross: float
-    star_rho: Form
+    star_rho: np.ndarray
     route_residual: float
 
     def checked(self, tol: float) -> "_StarSplit":
         """Raise unless the direct star of rho agrees with the closed form."""
-        if self.route_residual > tol * (1.0 + self.star_rho.max_abs()):
+        if self.route_residual > tol * (1.0 + float(np.abs(self.star_rho).max())):
             raise AlgebraError(
                 f"star-rho routes disagree (residual {self.route_residual:.3e})")
         return self
@@ -156,31 +168,43 @@ def _star_split(M: InvariantComplexManifold, omega_m: HermitianMetric,
     """Divide i del delbar omega_{n-2} by gamma_{n-2}; trace and star with gamma."""
     _require_n3(M)
     n = M.dim
-    src = _laplacian_source(M, omega_power(omega_m, n - 2))
-    num = M.integrate(omega_form(gamma_m).wedge(src))
-    den = M.integrate(omega_power(gamma_m, n))
-    f = _real_scalar(num / den, tol, "the trace scalar f")
-    rho_form = divide_by_power(gamma_m, n - 2, src, tol=tol)
-    f_lambda = (n - 1) * lefschetz_lambda(gamma_m, rho_form).coefficient((), ())
-    closed = (f / (n - 1)) * omega_power(gamma_m, n - 1) - src
-    resid = (closed - hodge_star(gamma_m, rho_form)).max_abs()
-    return _StarSplit(src, f, rho_form, abs(f - f_lambda), closed, resid)
+    src = _laplacian_source(M, _omega_power_vec(omega_m, n - 2), n - 2)
+    # f = int(omega ^ src) / int(omega_n): an integral is the top
+    # coefficient over that of the standard omega_n, and int(omega_n) is
+    # the total volume
+    top = _omega_vec(gamma_m) @ _top_pairing(n, 1, 1) @ src
+    f = _real_scalar(top / (_volume_coeff(n) * total_volume(M, gamma_m)), tol,
+                     "the trace scalar f")
+    rho_e = _divide_e(n, n - 2, gamma_m.to_e_matrix(n - 1, n - 1) @ src, tol)
+    # f = (n-1) Lambda(rho); Lambda on the (1,1)-slot is the adjoint of omega ^ .
+    f_lambda = (n - 1) * (_wedge_power_mat(n, 1, 0, 0)[:, 0].conj() @ rho_e)
+    to_phi = gamma_m.from_e_matrix(n - 1, n - 1)
+    closed = to_phi @ (f / (n - 1) * _wedge_power_mat(n, n - 1, 0, 0)[:, 0]) - src
+    resid = float(np.abs(closed - to_phi @ (_star_mat(n, 1, 1) @ rho_e)).max())
+    return _StarSplit(src, f, rho_e, abs(f - f_lambda), closed, resid)
 
 
 def _star_split_flags(M: InvariantComplexManifold, gamma_m: HermitianMetric,
-                      sr: Form, tol: float) -> Tuple[FlagResult, FlagResult]:
-    """(pluriclosed, closed) flags of star rho, both scaled by its norm."""
-    d_sr = M.d(sr)
-    scale = form_norm(gamma_m, sr)
+                      sr: np.ndarray, tol: float) -> Tuple[FlagResult, FlagResult]:
+    """(pluriclosed, closed) flags of star rho, given on the phi basis, both
+    scaled by its norm."""
     n = M.dim
-    # delbar sr is the (n-1,n)-part of d sr
-    pluri = form_norm(gamma_m, 1j * M.del_(d_sr.bidegree_component(n - 1, n)))
-    return _flag(pluri, scale, tol), _flag(form_norm(gamma_m, d_sr), scale, tol)
+    del_, dbar = M.d_matrices(n - 1, n - 1)
+    scale = _frame_norm(gamma_m, (sr, n - 1, n - 1))
+    pluri = _frame_norm(gamma_m, (_laplacian_source(M, sr, n - 1), n, n))
+    closed = _frame_norm(gamma_m, (del_ @ sr, n, n - 1), (dbar @ sr, n - 1, n))
+    return _flag(pluri, scale, tol), _flag(closed, scale, tol)
+
+
+def _forms(gamma_m: HermitianMetric, core: _StarSplit) -> Tuple[Form, Form]:
+    """rho and star rho of the core as Forms."""
+    n = gamma_m.dim
+    return gamma_m.from_e_vec(core.rho_e, 1, 1), vec_to_form(n, n - 1, n - 1, core.star_rho)
 
 
 def rho(M: InvariantComplexManifold, g: HermitianMetric, *, tol: float = DEFAULT_TOL) -> Form:
     """The (1,1)-form with i del delbar omega_{n-2} = omega_{n-2} ^ rho."""
-    return _star_split(M, g, g, tol).rho
+    return _forms(g, _star_split(M, g, g, tol))[0]
 
 
 def f_scalar(M: InvariantComplexManifold, g: HermitianMetric, *, tol: float = DEFAULT_TOL) -> float:
@@ -192,7 +216,7 @@ def star_rho(M: InvariantComplexManifold, g: HermitianMetric, *,
              tol: float = DEFAULT_TOL) -> Form:
     """Hodge dual of rho, via the closed form cross-checked against the
     direct star (agreement enforced at ``tol``)."""
-    return _star_split(M, g, g, tol).checked(tol).star_rho
+    return _forms(g, _star_split(M, g, g, tol).checked(tol))[1]
 
 
 def eigenvalues_rel_omega(g: HermitianMetric, gamma_form: Form, *,
@@ -242,45 +266,43 @@ def classify(M: InvariantComplexManifold, g: HermitianMetric, *,
              tol: float = DEFAULT_TOL, notes: Optional[List[str]] = None) -> MetricReport:
     core = _star_split(M, g, g, tol)
     n = M.dim
-    w = omega_form(g)
-    w_nm2 = omega_power(g, n - 2)
-    w_nm1 = omega_power(g, n - 1)
-    # del and delbar of w and w_{n-1} are the bidegree parts of one d each
-    d_w = M.d(w)
-    d_w_nm1 = M.d(w_nm1)
-    scale_w, scale_nm1 = form_norm(g, w), form_norm(g, w_nm1)
+    w, w_nm1 = _omega_vec(g), _omega_power_vec(g, n - 1)
+    del_w, dbar_w = (mat @ w for mat in M.d_matrices(1, 1))
+    del_w_nm1, dbar_w_nm1 = (mat @ w_nm1 for mat in M.d_matrices(n - 1, n - 1))
+    # the frame coefficients of omega_k are unimodular: |omega_k| = sqrt(C(n,k))
+    scale_w, scale_nm2, scale_nm1 = (math.comb(n, k) ** 0.5 for k in (1, n - 2, n - 1))
+    gauduchon = _frame_norm(g, (_laplacian_source(M, w_nm1, n - 1), n, n))
 
     defects = {
-        "kahler": (form_norm(g, d_w), scale_w),
-        "balanced": (form_norm(g, d_w_nm1), scale_nm1),
-        "gauduchon": (form_norm(g, 1j * M.del_(d_w_nm1.bidegree_component(n - 1, n))),
-                      scale_nm1),
-        "SKT": (form_norm(g, 1j * M.del_(d_w.bidegree_component(1, 2))), scale_w),
-        "astheno_kahler": (form_norm(g, core.src), form_norm(g, w_nm2)),
-        "n2_gauduchon": (form_norm(g, w.wedge(core.src)), scale_nm1),
+        "kahler": (_frame_norm(g, (del_w, 2, 1), (dbar_w, 1, 2)), scale_w),
+        "balanced": (_frame_norm(g, (del_w_nm1, n, n - 1), (dbar_w_nm1, n - 1, n)), scale_nm1),
+        "gauduchon": (gauduchon, scale_nm1),
+        "SKT": (_frame_norm(g, (_laplacian_source(M, w, 1), 2, 2)), scale_w),
+        "astheno_kahler": (_frame_norm(g, (core.src, n - 1, n - 1)), scale_nm2),
+        # omega ^ src = f omega_n, and |omega_n| = 1
+        "n2_gauduchon": (abs(core.f), scale_nm1),
     }
     flags = {key: _flag(defect, scale, tol) for key, (defect, scale) in defects.items()}
     flags["pluriclosed_star_split"], flags["closed_star_split"] = _star_split_flags(
         M, g, core.star_rho, tol)
 
     vol = total_volume(M, g)
-    del_w = d_w.bidegree_component(2, 1)
-    del_norm_sq = float((inner_product(g, del_w, del_w) * vol).real) if not del_w.is_zero() else 0.0
-
+    rho_form, star_rho_form = _forms(g, core)
     return MetricReport(
         manifold=M.name,
         dim=n,
         metric=g.describe(),
         f=core.f,
-        rho=core.rho,
-        star_rho=core.star_rho,
-        eigenvalues=eigenvalues_of_11(g, core.rho, tol=tol),
+        rho=rho_form,
+        star_rho=star_rho_form,
+        eigenvalues=eigenvalues_of_11(g, rho_form, tol=tol),
         flags=flags,
-        del_omega_norm_sq=del_norm_sq,
+        del_omega_norm_sq=_frame_norm(g, (del_w, 2, 1)) ** 2 * vol,
         integral_f=core.f * vol,
         f_cross_residual=core.f_cross,
         star_rho_cross_residual=core.route_residual,
-        pss_cross_defect=form_norm(g, _laplacian_source(M, core.f * w_nm1)),
+        # i del delbar (f omega_{n-1}) with f constant
+        pss_cross_defect=abs(core.f) * gauduchon,
         tolerance=tol,
         notes=list(notes or []),
     )
@@ -325,10 +347,11 @@ def pair_analysis(M: InvariantComplexManifold, omega_m: HermitianMetric,
     """Divide i del delbar omega_{n-2} by gamma_{n-2} and classify the result."""
     core = _star_split(M, omega_m, gamma_m, tol)
     pluri, closed = _star_split_flags(M, gamma_m, core.star_rho, tol)
+    rho_form, star_rho_form = _forms(gamma_m, core)
     return PairReport(
         manifold=M.name, dim=M.dim,
         omega=omega_m.describe(), gamma=gamma_m.describe(),
-        f=core.f, rho=core.rho, star_rho=core.star_rho,
+        f=core.f, rho=rho_form, star_rho=star_rho_form,
         pluriclosed=pluri, closed=closed,
         integral_f=core.f * total_volume(M, gamma_m),
         f_cross_residual=core.f_cross, star_rho_cross_residual=core.route_residual,

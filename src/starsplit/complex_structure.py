@@ -50,8 +50,8 @@ import numpy as np
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
-from .metric import (HermitianMetric, _slot_mat, _volume_coeff, form_to_vec,
-                     inner_product, omega_power, substitution_matrix, vec_to_form)
+from .metric import (HermitianMetric, _slot_mat, _volume_coeff, compound,
+                     form_to_vec, inner_product, substitution_matrix, vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -298,8 +298,9 @@ class InvariantComplexManifold:
 # metric-dependent operators
 # ----------------------------------------------------------------------
 def total_volume(M: InvariantComplexManifold, g: HermitianMetric) -> float:
-    vol = M.integrate(omega_power(g, g.dim))
-    return float(vol.real)
+    """Integral of ``omega_n``: the (n,n) entry det H of the conversion out
+    of the frame, where its top coefficient is the standard one."""
+    return float(g.from_e_matrix(g.dim, g.dim)[0, 0].real)
 
 
 def l2_pairing(M: InvariantComplexManifold, g: HermitianMetric, u: Form, v: Form) -> complex:
@@ -490,7 +491,7 @@ def pullback(M: InvariantComplexManifold, phi: PullbackMap, u: Form) -> Form:
         raise DimensionMismatchError("pullback dimension mismatch")
     out = Form.zero(n)
     for p, q in u.bidegrees():
-        mat = substitution_matrix(phi.matrix, p, q)
+        mat = substitution_matrix(compound(phi.matrix, p), compound(phi.matrix, q))
         out = out + vec_to_form(n, p, q, mat @ form_to_vec(u, p, q))
     return out
 

@@ -30,7 +30,12 @@ through compound matrices: ``compound(mat, r)`` holds all r x r minors,
 the r-subsets in basis order, and the (p,q)-slot transforms by
 ``kron(compound(mat, p), compound(mat, q).conj())``.  Conversion to the
 frame ``e`` is this substitution with ``mat = C^{-1}``, conversion back
-with ``C``, and ``complex_structure.pullback`` with its own matrix.
+with ``C``, and ``complex_structure.pullback`` with its own matrix.  A
+metric caches ``compound(C^{-1}, r)`` and ``compound(C, r)`` once per rank
+r and builds each slot's frame matrix from them: at most 2(n+1) batched
+determinants per metric.  ``Form`` is what the public functions take and
+return; ``analysis`` uses the vector-level helpers (``_omega_vec``,
+``_omega_power_vec``, ``_frame_norm``, ``_divide_e``) directly.
 """
 
 from __future__ import annotations
@@ -170,17 +175,24 @@ def _star_mat(n: int, p: int, q: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _subsets(n: int, r: int) -> np.ndarray:
+    idx = np.array(list(combinations(range(n), r)), dtype=int)
+    idx.setflags(write=False)
+    return idx
+
+
 def compound(mat: np.ndarray, r: int) -> np.ndarray:
     """All r x r minors of ``mat``, indexed by r-subsets in basis order."""
-    idx = np.array(list(combinations(range(mat.shape[0]), r)), dtype=int)
+    idx = _subsets(mat.shape[0], r)
     return np.linalg.det(mat[idx[None, :, :, None], idx[:, None, None, :]])
 
 
-def substitution_matrix(mat: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(p,q)-slot matrix of ``phi_k -> sum_j mat[k,j] phi_j``:
-    ``kron(compound(mat, p), compound(mat, q).conj())``."""
-    a, b = compound(mat, p), compound(mat, q).conj()
-    # np.kron(a, b), without its generic-shape overhead
+def substitution_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(p,q)-slot matrix of ``phi_k -> sum_j mat[k,j] phi_j`` from
+    ``a = compound(mat, p)`` and ``b = compound(mat, q)``:
+    ``np.kron(a, b.conj())``, without its generic-shape overhead."""
+    b = b.conj()
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
@@ -190,11 +202,12 @@ def substitution_matrix(mat: np.ndarray, p: int, q: int) -> np.ndarray:
 class HermitianMetric:
     """Positive definite Hermitian coefficient matrix in the coframe.
 
-    Immutable after construction; the orthonormal-frame factor and all
-    per-bidegree conversion matrices are cached on the instance.
+    Immutable after construction; the orthonormal-frame factor, the
+    compounds of it and its inverse per rank, and the per-bidegree
+    conversion matrices are cached on the instance.
     """
 
-    __slots__ = ("dim", "H", "chol", "_inv_chol", "_to_e", "_from_e")
+    __slots__ = ("dim", "H", "chol", "_inv_chol", "_compounds", "_frames")
 
     def __init__(self, H, *, tol: float = DEFAULT_TOL):
         H = np.array(H, dtype=complex)
@@ -227,8 +240,9 @@ class HermitianMetric:
         self._inv_chol = np.linalg.inv(self.chol)
         self.H.setflags(write=False)
         self.chol.setflags(write=False)
-        self._to_e: Dict[Tuple[int, int], np.ndarray] = {}
-        self._from_e: Dict[Tuple[int, int], np.ndarray] = {}
+        # keyed by (inverse, r) and (inverse, p, q); inverse: phi -> e
+        self._compounds: Dict[Tuple[bool, int], np.ndarray] = {}
+        self._frames: Dict[Tuple[bool, int, int], np.ndarray] = {}
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -282,20 +296,25 @@ class HermitianMetric:
         return f"hermitian(n={self.dim})"
 
     # -- frame conversions ----------------------------------------------
-    @staticmethod
-    def _frame_matrix(cache: dict, mat: np.ndarray, p: int, q: int) -> np.ndarray:
-        if (p, q) not in cache:
-            out = substitution_matrix(mat, p, q)
+    def _compound(self, inverse: bool, r: int) -> np.ndarray:
+        if (inverse, r) not in self._compounds:
+            self._compounds[(inverse, r)] = compound(
+                self._inv_chol if inverse else self.chol, r)
+        return self._compounds[(inverse, r)]
+
+    def _frame_matrix(self, inverse: bool, p: int, q: int) -> np.ndarray:
+        if (inverse, p, q) not in self._frames:
+            out = substitution_matrix(self._compound(inverse, p), self._compound(inverse, q))
             out.setflags(write=False)
-            cache[(p, q)] = out
-        return cache[(p, q)]
+            self._frames[(inverse, p, q)] = out
+        return self._frames[(inverse, p, q)]
 
     def to_e_matrix(self, p: int, q: int) -> np.ndarray:
         """Coefficients in the orthonormal frame from coefficients in phi."""
-        return self._frame_matrix(self._to_e, self._inv_chol, p, q)
+        return self._frame_matrix(True, p, q)
 
     def from_e_matrix(self, p: int, q: int) -> np.ndarray:
-        return self._frame_matrix(self._from_e, self.chol, p, q)
+        return self._frame_matrix(False, p, q)
 
     def to_e_vec(self, u: Form, p: int, q: int) -> np.ndarray:
         return self.to_e_matrix(p, q) @ form_to_vec(u, p, q)
@@ -325,21 +344,25 @@ class HermitianMetric:
 # operations
 # ----------------------------------------------------------------------
 def omega_form(g: HermitianMetric) -> Form:
-    n = g.dim
-    terms = {}
-    for j in range(n):
-        for k in range(n):
-            c = 1j * g.H[j, k]
-            if c != 0:
-                terms[((1 << j), (1 << k))] = c
-    return Form(n, terms)
+    return vec_to_form(g.dim, 1, 1, _omega_vec(g))
+
+
+def _omega_vec(g: HermitianMetric) -> np.ndarray:
+    """phi-basis coefficients of omega on the (1,1)-slot."""
+    return 1j * g.H.reshape(-1)
+
+
+def _omega_power_vec(g: HermitianMetric, p: int) -> np.ndarray:
+    """phi-basis coefficients of ``omega_p`` on the (p,p)-slot: the standard
+    ``omega_p`` moved out of the orthonormal frame."""
+    return g.from_e_matrix(p, p) @ _wedge_power_mat(g.dim, p, 0, 0)[:, 0]
 
 
 def omega_power(g: HermitianMetric, p: int) -> Form:
     """``omega^p / p!``; p = 0 gives the scalar 1, p = n the volume form."""
     if not 0 <= p <= g.dim:
         raise InputError(f"power {p} outside 0..{g.dim}")
-    return g.from_e_vec(_wedge_power_mat(g.dim, p, 0, 0)[:, 0], p, p)
+    return vec_to_form(g.dim, p, p, _omega_power_vec(g, p))
 
 
 def inner_product(g: HermitianMetric, u: Form, v: Form) -> complex:
@@ -355,13 +378,19 @@ def inner_product(g: HermitianMetric, u: Form, v: Form) -> complex:
     return complex(np.vdot(g.to_e_vec(v, pv, qv), g.to_e_vec(u, pu, qu)))
 
 
+def _frame_norm(g: HermitianMetric, *parts: Tuple[np.ndarray, int, int]) -> float:
+    """Pointwise norm of the form whose (p,q)-components have the phi-basis
+    coefficients of ``parts``: the Euclidean norm of its frame vectors."""
+    total = 0.0
+    for v, p, q in parts:
+        e = g.to_e_matrix(p, q) @ v
+        total += float(np.vdot(e, e).real)
+    return total ** 0.5
+
+
 def form_norm(g: HermitianMetric, u: Form) -> float:
     """Pointwise norm; inhomogeneous forms are summed over components."""
-    total = 0.0
-    for p, q in u.bidegrees():
-        vec = g.to_e_vec(u, p, q)
-        total += float(np.vdot(vec, vec).real)
-    return total ** 0.5
+    return _frame_norm(g, *((form_to_vec(u, p, q), p, q) for p, q in u.bidegrees()))
 
 
 def _pointwise(g: HermitianMetric, name: str, u: Form) -> Form:
@@ -409,14 +438,20 @@ def divide_by_power(g: HermitianMetric, k: int, y: Form, *, tol: float = DEFAULT
     p, q = y.bidegree()
     if (p, q) != (k + 1, k + 1):
         raise InputError(f"divide_by_power({k}) expects bidegree ({k + 1},{k + 1}), got ({p},{q})")
-    ye = g.to_e_vec(y, p, q)
+    return g.from_e_vec(_divide_e(n, k, g.to_e_vec(y, p, q), tol), 1, 1)
+
+
+def _divide_e(n: int, k: int, ye: np.ndarray, tol: float) -> np.ndarray:
+    """Frame vector x of the (1,1)-slot with ``omega_k ^ x = y``, for the
+    frame vector ``ye`` of the (k+1,k+1)-slot; raises unless ``ye`` lies in
+    the image to ``tol``."""
     xe = _division_solve(n, k) @ ye
     resid = float(np.abs(_wedge_power_mat(n, k, 1, 1) @ xe - ye).max())
     if resid > tol * (1.0 + float(np.abs(ye).max())):
         raise InputError(
             f"form is not in the image of multiplication by omega_{k} "
             f"(residual {resid:.3e})")
-    return g.from_e_vec(xe, 1, 1)
+    return xe
 
 
 @lru_cache(maxsize=None)

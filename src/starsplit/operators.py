@@ -166,6 +166,9 @@ class IdentityReport:
         return [e.to_json_dict() for e in self.entries]
 
 
+_STOKES_REASON = "invariant Stokes residual exceeds tolerance; identity not asserted"
+
+
 def _resid(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -183,7 +186,9 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     identities on the metric form, the primitive-form star formula, the two
     wedge/star pairing identities, and the global adjointness of the
     formula-based adjoints.  The spot checks of a01, a12 and a13 push
-    ``samples`` (a12: ``2 * samples``) seeded forms through ``Form.wedge``."""
+    ``samples`` (a12: ``2 * samples``) seeded forms through ``Form.wedge``.
+    The adjoint identities a05, a06, a14 and a15 are skipped where the
+    invariant Stokes residual exceeds ``tol``."""
     n = M.dim
     table = OperatorTable(M, g)
     rng = np.random.default_rng(seed)
@@ -235,21 +240,24 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
                               sign * np.eye(space_dim(n, p, q))))
     rep.add("a04_star_involution", "star star = (-1)^deg Id", res)
 
-    # (del + tau)* = i [Lam, dbar]
-    res = 0.0
-    for p, q in table.bidegrees():
-        lhs = (table.mat("del", p - 1, q) + table.mat("tau", p - 1, q)).conj().T
-        rhs = 1j * (table.chain(["Lam", "dbar"], p, q) - table.chain(["dbar", "Lam"], p, q))
-        res = max(res, _resid(lhs, rhs))
-    rep.add("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", res)
+    # the frame conjugate transpose is the L2 adjoint only where Stokes holds
+    stokes = M.check_stokes() <= tol
 
-    # (dbar + taubar)* = -i [Lam, del]
-    res = 0.0
-    for p, q in table.bidegrees():
-        lhs = (table.mat("dbar", p, q - 1) + table.mat("taubar", p, q - 1)).conj().T
-        rhs = -1j * (table.chain(["Lam", "del"], p, q) - table.chain(["del", "Lam"], p, q))
-        res = max(res, _resid(lhs, rhs))
-    rep.add("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", res)
+    def add_if_stokes(ident, anchor, residual):
+        if stokes:
+            rep.add(ident, anchor, residual())
+        else:
+            rep.skip(ident, anchor, _STOKES_REASON)
+
+    # (del + tau)* = i [Lam, dbar] ; (dbar + taubar)* = -i [Lam, del]
+    add_if_stokes("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: max(
+        _resid((table.mat("del", p - 1, q) + table.mat("tau", p - 1, q)).conj().T,
+               1j * (table.chain(["Lam", "dbar"], p, q) - table.chain(["dbar", "Lam"], p, q)))
+        for p, q in table.bidegrees()))
+    add_if_stokes("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", lambda: max(
+        _resid((table.mat("dbar", p, q - 1) + table.mat("taubar", p, q - 1)).conj().T,
+               -1j * (table.chain(["Lam", "del"], p, q) - table.chain(["del", "Lam"], p, q)))
+        for p, q in table.bidegrees()))
 
     # del + tau = -i [dbar*, L]
     res = 0.0
@@ -319,15 +327,12 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     # global adjointness of the formula-based adjoints: in the frame the L2
     # adjoint of an operator between invariant forms is its conjugate
     # transpose
-    res_d = 0.0
-    res_db = 0.0
-    for p, q in table.bidegrees():
-        res_d = max(res_d, _resid(table.mat("del", p, q).conj().T,
-                                  table.mat("delstar", p + 1, q)))
-        res_db = max(res_db, _resid(table.mat("dbar", p, q).conj().T,
-                                    table.mat("dbarstar", p, q + 1)))
-    rep.add("a14_global_adjointness_del", "<<del u, v>> = <<u, del* v>>", res_d)
-    rep.add("a15_global_adjointness_delbar", "<<dbar u, v>> = <<u, dbar* v>>", res_db)
+    add_if_stokes("a14_global_adjointness_del", "<<del u, v>> = <<u, del* v>>", lambda: max(
+        _resid(table.mat("del", p, q).conj().T, table.mat("delstar", p + 1, q))
+        for p, q in table.bidegrees()))
+    add_if_stokes("a15_global_adjointness_delbar", "<<dbar u, v>> = <<u, dbar* v>>", lambda: max(
+        _resid(table.mat("dbar", p, q).conj().T, table.mat("dbarstar", p, q + 1))
+        for p, q in table.bidegrees()))
 
     return rep.finalize()
 
@@ -335,9 +340,6 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
 # ----------------------------------------------------------------------
 # operator identity suite
 # ----------------------------------------------------------------------
-_STOKES_REASON = "invariant Stokes residual exceeds tolerance; identity not asserted"
-
-
 def verify_operator_identities(M: InvariantComplexManifold,
                                omega_m: HermitianMetric,
                                gamma_m: HermitianMetric, *,

@@ -6,10 +6,11 @@ metric itself: the trace scalar obeys f(lambda omega) = f(omega)/lambda, so
 measuring in the moving metric would create spurious descent directions
 along conformal rays.
 
-Minimisation is simplex descent (reflection/expansion/contraction/shrink
-coefficients 1, 2, 1/2, 1/2) with seeded random restarts; positive
-definiteness violations are penalised with +inf.  Runs are deterministic
-for a fixed seed, ties between restarts resolve to the earliest index.
+Minimisation is Nelder-Mead simplex descent (reflection/expansion/
+contraction/shrink coefficients 1, 2, 1/2, 1/2, as in scipy, without
+importing it) with seeded random restarts; positive definiteness violations
+are penalised with +inf.  Runs are deterministic for a fixed seed, ties
+between restarts resolve to the earliest index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import analysis
 from .complex_structure import InvariantComplexManifold
 from .errors import InputError
-from .metric import HermitianMetric, form_norm
+from .metric import HermitianMetric
 
 DEFAULT_TOL = 1e-10
 
@@ -88,10 +89,12 @@ def family_by_name(kind: str, n: int) -> MetricFamily:
 # ----------------------------------------------------------------------
 def _defect_and_f(M: InvariantComplexManifold, g: HermitianMetric, tol: float
                   ) -> Tuple[float, float]:
-    """The star-split defect and the trace scalar f from one core evaluation."""
+    """The star-split defect and the trace scalar f from one core evaluation.
+    The orthonormal frame of the identity reference metric is the phi basis,
+    so the defect is the Euclidean norm of the phi-basis coefficients."""
     core = analysis._star_split(M, g, g, tol).checked(tol)
-    defect_form = analysis._laplacian_source(M, core.star_rho)
-    return form_norm(HermitianMetric.identity(M.dim), defect_form), core.f
+    defect = analysis._laplacian_source(M, core.star_rho, M.dim - 1)
+    return float(np.linalg.norm(defect)), core.f
 
 
 def pss_defect(M: InvariantComplexManifold, g: HermitianMetric, *,
@@ -99,6 +102,70 @@ def pss_defect(M: InvariantComplexManifold, g: HermitianMetric, *,
     """|| del delbar (star rho) || in the identity reference metric; zero
     exactly on pluriclosed star split metrics."""
     return _defect_and_f(M, g, tol)[0]
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _simplex_descent(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int, *,
+                     xatol: float, fatol: float) -> Tuple[np.ndarray, float]:
+    """Nelder-Mead from ``x0``; the best vertex and its value.  Evaluates the
+    same points in the same order as ``scipy.optimize.minimize`` with
+    ``method="Nelder-Mead"`` and these options, including its initial
+    simplex, its unstable sorts and its stop once ``maxfev`` is spent."""
+    calls = [0]
+
+    def f(x: np.ndarray) -> float:
+        if calls[0] >= maxfev:
+            raise _BudgetSpent
+        calls[0] += 1
+        return fun(np.copy(x))
+
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    while calls[0] < maxfev:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # contract outside the reflected point or inside; else shrink
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim))
 
 
 @dataclass
@@ -165,15 +232,11 @@ def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
     best_x: Optional[np.ndarray] = None
     best_val = float("inf")
     maxfev = max(family.n_params + 2, budget // max(1, len(starts)))
-    import scipy.optimize  # imported here: a cold start without search skips scipy
     for x0 in starts:
-        res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14})
-        val = float(res.fun)
+        x, val = _simplex_descent(objective, x0, maxfev, xatol=1e-12, fatol=1e-14)
         if np.isfinite(val) and val < best_val:
             best_val = val
-            best_x = np.asarray(res.x, dtype=float)
+            best_x = x
         if evaluations[0] >= budget:
             break
 

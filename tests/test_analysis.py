@@ -13,8 +13,10 @@ from starsplit.complex_structure import (InvariantComplexManifold, PullbackMap,
                                          pullback, total_volume)
 from starsplit.errors import InputError
 from starsplit.forms import Form, approx_equal
-from starsplit.metric import (HermitianMetric, divide_by_power, inner_product,
-                              lefschetz_lambda, omega_form)
+from starsplit.metric import (HermitianMetric, divide_by_power, form_norm,
+                              hodge_star, inner_product, lefschetz_lambda,
+                              omega_form, omega_power)
+from starsplit.search import pss_defect
 
 
 def ii(n, j, k=None, coeff=1j):
@@ -112,6 +114,127 @@ def test_rho_requires_dim_3():
         rho(M, g)
     with pytest.raises(InputError):
         classify(M, g)
+
+
+# ----------------------------------------------------------------------
+# the Form route of the star-split core: reference for the vector core
+# ----------------------------------------------------------------------
+def ref_star_split(M, omega_m, gamma_m, tol=1e-10):
+    """Divide i del delbar omega_{n-2} by gamma_{n-2}, trace and star with
+    gamma, on Forms throughout."""
+    n = M.dim
+    src = 1j * M.del_(M.delbar(omega_power(omega_m, n - 2)))
+    num = M.integrate(omega_form(gamma_m).wedge(src))
+    den = M.integrate(omega_power(gamma_m, n))
+    f = num / den
+    assert abs(f.imag) <= tol * (1.0 + abs(f))
+    f = f.real
+    rho_form = divide_by_power(gamma_m, n - 2, src, tol=tol)
+    f_lambda = (n - 1) * lefschetz_lambda(gamma_m, rho_form).coefficient((), ())
+    closed = (f / (n - 1)) * omega_power(gamma_m, n - 1) - src
+    resid = (closed - hodge_star(gamma_m, rho_form)).max_abs()
+    return {"src": src, "f": f, "rho": rho_form, "f_cross": abs(f - f_lambda),
+            "star_rho": closed, "star_rho_cross": resid}
+
+
+def ref_star_split_flags(M, gamma_m, sr):
+    """(defect, scale) of the pluriclosed and closed flags of star rho."""
+    n = M.dim
+    d_sr = M.d(sr)
+    scale = form_norm(gamma_m, sr)
+    pluri = form_norm(gamma_m, 1j * M.del_(d_sr.bidegree_component(n - 1, n)))
+    return {"pluriclosed_star_split": (pluri, scale),
+            "closed_star_split": (form_norm(gamma_m, d_sr), scale)}
+
+
+def ref_classify(M, g, tol=1e-10):
+    """The core, every flag's (defect, scale) and the report's norms."""
+    core = ref_star_split(M, g, g, tol)
+    n = M.dim
+    w, w_nm2, w_nm1 = omega_form(g), omega_power(g, n - 2), omega_power(g, n - 1)
+    d_w, d_w_nm1 = M.d(w), M.d(w_nm1)
+    scale_w, scale_nm1 = form_norm(g, w), form_norm(g, w_nm1)
+    flags = {
+        "kahler": (form_norm(g, d_w), scale_w),
+        "balanced": (form_norm(g, d_w_nm1), scale_nm1),
+        "gauduchon": (form_norm(g, 1j * M.del_(d_w_nm1.bidegree_component(n - 1, n))),
+                      scale_nm1),
+        "SKT": (form_norm(g, 1j * M.del_(d_w.bidegree_component(1, 2))), scale_w),
+        "astheno_kahler": (form_norm(g, core["src"]), form_norm(g, w_nm2)),
+        "n2_gauduchon": (form_norm(g, w.wedge(core["src"])), scale_nm1),
+    }
+    flags.update(ref_star_split_flags(M, g, core["star_rho"]))
+    vol = M.integrate(omega_power(g, n)).real
+    del_w = d_w.bidegree_component(2, 1)
+    norms = {"del_omega_sq": inner_product(g, del_w, del_w).real * vol,
+             "integral_f": core["f"] * vol,
+             "pss_cross_defect": form_norm(g, 1j * M.del_(M.delbar(core["f"] * w_nm1)))}
+    return core, flags, norms
+
+
+def _assert_close(got, want, rel=1e-13):
+    if isinstance(want, Form):
+        assert (got - want).max_abs() <= rel * max(1.0, want.max_abs()), (got, want)
+    else:
+        assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
+
+
+def _assert_flag(flag, defect_scale, tol=1e-10):
+    defect, scale = defect_scale
+    _assert_close(flag.defect, defect)
+    _assert_close(flag.threshold, tol * (1.0 + scale))
+    assert flag.holds == (defect < tol * (1.0 + scale))
+
+
+_REF_PARAMS = {"calabi_eckmann": {"t": 0.1 + 0.2j},
+               "iwasawa_def": {"sigma12": -1, "sigma11b": 0.2, "sigma21b": 0.1,
+                               "sigma22b": 0.3}}
+
+
+def _ref_cases():
+    rng = np.random.default_rng(11)
+    for name in catalog.list_names():
+        M, g, _ = catalog.get(name, _REF_PARAMS.get(name))
+        yield M, g, random_pd_metric(M.dim, rng)
+    M = non_unimodular()
+    yield M, HermitianMetric.identity(3), random_pd_metric(3, rng)
+
+
+def test_vector_core_matches_form_reference():
+    for M, g_default, g_dense in _ref_cases():
+        for g in (g_default, g_dense):
+            core, flags, norms = ref_classify(M, g)
+            rep = classify(M, g)
+            _assert_close(rep.f, core["f"])
+            _assert_close(rep.rho, core["rho"])
+            _assert_close(rep.star_rho, core["star_rho"])
+            _assert_close(rep.f_cross_residual, core["f_cross"])
+            _assert_close(rep.star_rho_cross_residual, core["star_rho_cross"])
+            assert set(rep.flags) == set(flags)
+            for key, flag in rep.flags.items():
+                _assert_flag(flag, flags[key])
+            _assert_close(rep.del_omega_norm_sq, norms["del_omega_sq"])
+            _assert_close(rep.integral_f, norms["integral_f"])
+            _assert_close(rep.pss_cross_defect, norms["pss_cross_defect"])
+            _assert_close(f_scalar(M, g), core["f"])
+            _assert_close(rho(M, g), core["rho"])
+            ref_defect = form_norm(HermitianMetric.identity(M.dim),
+                                   1j * M.del_(M.delbar(core["star_rho"])))
+            _assert_close(pss_defect(M, g), ref_defect)
+            _assert_close(star_rho(M, g), core["star_rho"])
+        # pair with a dense gamma
+        core = ref_star_split(M, g_default, g_dense)
+        pr = pair_analysis(M, g_default, g_dense)
+        _assert_close(pr.f, core["f"])
+        _assert_close(pr.rho, core["rho"])
+        _assert_close(pr.star_rho, core["star_rho"])
+        _assert_close(pr.f_cross_residual, core["f_cross"])
+        _assert_close(pr.star_rho_cross_residual, core["star_rho_cross"])
+        pair_flags = ref_star_split_flags(M, g_dense, core["star_rho"])
+        _assert_flag(pr.pluriclosed, pair_flags["pluriclosed_star_split"])
+        _assert_flag(pr.closed, pair_flags["closed_star_split"])
+        vol = M.integrate(omega_power(g_dense, M.dim)).real
+        _assert_close(pr.integral_f, core["f"] * vol)
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,23 @@ def test_metric_with_overflowing_volume_rejected(capsys, tmp_path, manifold, met
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("manifold,lam", [("iwasawa3", 1e-13), ("iwasawa5", 1e-3)])
+def test_small_metric_classifies_with_scaled_f(capsys, tmp_path, manifold, lam):
+    # det H = lam^n is far below Form's drop tolerance; f(lam omega) = f(omega)/lam
+    n = catalog.get(manifold)[0].dim
+    reports = {}
+    for scale in (lam, 1.0):
+        path = tmp_path / f"metric-{scale}.json"
+        path.write_text(json.dumps({"type": "diagonal", "coeffs": [scale] * n}))
+        code, out, err = run(capsys, "classify", "--manifold", manifold,
+                             "--metric", str(path), "--json")
+        assert code == 0 and err == ""
+        reports[scale] = json.loads(out)["report"]
+    assert reports[lam]["f"] * lam == pytest.approx(reports[1.0]["f"], rel=1e-9)
+    integral_f = reports[lam]["norms"]["integral_f"]
+    assert np.isfinite(integral_f) and integral_f != 0
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--manifold", "iwasawa3", "--seed", "-1"),
     ("search", "--manifold", "iwasawa3", "--budget", "5", "--seed", "-1"),

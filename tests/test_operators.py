@@ -10,7 +10,7 @@ from starsplit.errors import InputError
 from starsplit.forms import Form, approx_equal, basis_masks
 from starsplit.metric import (HermitianMetric, divide_by_power, hodge_star,
                               lefschetz_lambda, omega_form, omega_power)
-from starsplit.operators import (P, Q, R, S, T, random_form,
+from starsplit.operators import (_STOKES_REASON, P, Q, R, S, T, random_form,
                                  torsion_tau, torsion_tau_bar,
                                  verify_commutation_suite,
                                  verify_operator_identities)
@@ -263,6 +263,18 @@ def test_suite_refuses_integral_links_without_stokes():
     # pointwise identities still hold there
     assert ids["b05_p_operator_routes"].passed is True
     assert ids["b08_division_trace_22"].passed is True
+    assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commutation_suite_skips_adjoint_identities_without_stokes(seed):
+    M = stokes_violating()
+    rep = verify_commutation_suite(M, HermitianMetric.identity(3), seed=seed)
+    ids = {e.identity[:3]: e for e in rep.entries}
+    for key in ("a05", "a06", "a14", "a15"):
+        assert ids[key].passed is None
+        assert ids[key].skipped_reason == _STOKES_REASON
+    assert len(rep.entries) == 16
     assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
 
 

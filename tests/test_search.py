@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_pd_metric
-from starsplit import catalog
+from starsplit import catalog, metric, search
 from starsplit.analysis import classify, pair_analysis
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import InputError
+from starsplit.forms import Form
 from starsplit.metric import HermitianMetric
-from starsplit.search import (MetricFamily, diagonal_family, family_by_name,
-                              hermitian_family, pss_defect, scan,
+from starsplit.search import (MetricFamily, _simplex_descent, diagonal_family,
+                              family_by_name, hermitian_family, pss_defect, scan,
                               scan_rows_to_csv, search_pss)
 
 
@@ -183,3 +184,82 @@ def test_differential_calls_per_construction(monkeypatch):
     assert count(lambda: pair_analysis(M, g, gamma))[0] <= 4
     total, result = count(lambda: search_pss(M, hermitian_family(5), budget=20, seed=0))
     assert total <= 4 * result.evaluations + 15
+
+
+def test_objective_builds_no_form_and_one_compound_per_rank(monkeypatch):
+    # a fresh metric per call, as in the search; the manifold's slot
+    # matrices are warm
+    rng = np.random.default_rng(8)
+    M, _, _ = catalog.get("iwasawa5")
+    classify(M, random_pd_metric(5, rng))
+    calls = {"form": 0, "compound": 0}
+    form_init, compound = Form.__init__, metric.compound
+
+    def counted_form(self, *args, **kwargs):
+        calls["form"] += 1
+        form_init(self, *args, **kwargs)
+
+    def counted_compound(mat, r):
+        calls["compound"] += 1
+        return compound(mat, r)
+
+    monkeypatch.setattr(Form, "__init__", counted_form)
+    monkeypatch.setattr(metric, "compound", counted_compound)
+    search._defect_and_f(M, random_pd_metric(5, rng), 1e-10)
+    assert calls["form"] == 0
+    assert calls["compound"] <= 4
+    calls["compound"] = 0
+    classify(M, random_pd_metric(5, rng))
+    assert calls["compound"] <= 2 * (5 + 1)
+
+
+def _star_split_objective(M, family):
+    def objective(x):
+        try:
+            g = family.build(x)
+        except InputError:
+            return float("inf")
+        return pss_defect(M, g)
+    return objective
+
+
+@pytest.mark.parametrize("case", ["rosenbrock", "plateau", "tiny_budget", "solv", "iwasawa5"])
+def test_simplex_descent_matches_scipy_nelder_mead(case):
+    # scipy.optimize's Nelder-Mead is the reference: the same points are
+    # evaluated in the same order and the same vertex wins
+    import scipy.optimize
+    rng = np.random.default_rng(12)
+    maxfev, xatol, fatol = 400, 1e-12, 1e-14
+    if case == "rosenbrock":
+        fun = lambda x: float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+        x0 = np.array([-1.2, 1.0, 0.0, 0.5])
+    elif case == "plateau":
+        # ties between vertices exercise the tie rules and, above 16
+        # vertices, the order of the unstable sorts
+        fun = lambda x: float(np.floor(np.sum(x ** 2)))
+        x0 = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 24)])
+    elif case == "tiny_budget":
+        fun = lambda x: float(np.sum(x ** 2))
+        x0, maxfev = np.array([1.0, 2.0, 3.0, 4.0]), 3
+    elif case == "solv":
+        family = hermitian_family(3)
+        fun = _star_split_objective(non_unimodular(), family)
+        x0, maxfev = family.start + 0.1 * rng.standard_normal(family.n_params), 120
+    else:
+        family = hermitian_family(5)
+        fun = _star_split_objective(catalog.get("iwasawa5")[0], family)
+        x0, maxfev = family.start + 0.1 * rng.standard_normal(family.n_params), 60
+
+    def recorded(points):
+        def objective(x):
+            points.append(np.array(x))
+            return fun(x)
+        return objective
+
+    ours, ref = [], []
+    x, val = _simplex_descent(recorded(ours), x0, maxfev, xatol=xatol, fatol=fatol)
+    res = scipy.optimize.minimize(recorded(ref), x0, method="Nelder-Mead",
+                                  options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    assert len(ours) == len(ref) == res.nfev
+    assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+    assert np.array_equal(x, res.x) and val == float(res.fun)
