@@ -141,17 +141,10 @@ def cmd_invariants(args) -> int:
     M, default_metric, expectations = _resolve_manifold(args.manifold, _bindings(args), args.tol)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     rep = analysis.classify(M, g, tol=args.tol, notes=list(expectations.get("notes", [])))
-    payload = {
-        "manifold": rep.manifold,
-        "f": rep.f,
-        "eigenvalues": list(rep.eigenvalues),
-        "rho": analysis._form_json(rep.rho),
-        "star_rho": analysis._form_json(rep.star_rho),
-        "norms": {"del_omega_sq": rep.del_omega_norm_sq, "integral_f": rep.integral_f},
-        "notes": list(rep.notes),
-    }
     if args.json:
-        print(jsonio.dumps(payload))
+        full = rep.to_json_dict()
+        print(jsonio.dumps({key: full[key] for key in
+                            ("manifold", "f", "eigenvalues", "rho", "star_rho", "norms", "notes")}))
     else:
         print(f"manifold: {rep.manifold} (n={rep.dim}), metric: {rep.metric}")
         print(f"f = {rep.f:.12g}")

@@ -50,6 +50,7 @@ import numpy as np
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
+from .jsonio import json_array, json_object
 from .metric import (HermitianMetric, _slot_mat, _volume_coeff, compound,
                      form_to_vec, inner_product, substitution_matrix, vec_to_form)
 
@@ -62,6 +63,8 @@ class IntegrationWarning(UserWarning):
 
 # structure entry: (i, j, coefficient-expression-string)
 StructureTable = Dict[int, Dict[str, List[Tuple[int, int, str]]]]
+# the slots of d(phi_k) and the JSON name of each entry's second index
+_SLOT_COLUMNS = {"(2,0)": "j", "(1,1)": "jbar"}
 
 
 class InvariantComplexManifold:
@@ -242,14 +245,9 @@ class InvariantComplexManifold:
     def to_json_dict(self) -> dict:
         struct = {}
         for k in range(1, self.dim + 1):
-            entry: dict = {}
-            if self.structure[k]["(2,0)"]:
-                entry["(2,0)"] = [{"i": i, "j": j, "coeff": c}
-                                  for (i, j, c) in self.structure[k]["(2,0)"]]
-            if self.structure[k]["(1,1)"]:
-                entry["(1,1)"] = [{"i": i, "jbar": j, "coeff": c}
-                                  for (i, j, c) in self.structure[k]["(1,1)"]]
-            struct[f"phi{k}"] = entry
+            struct[f"phi{k}"] = {
+                slot: [{"i": i, col: j, "coeff": c} for (i, j, c) in self.structure[k][slot]]
+                for slot, col in _SLOT_COLUMNS.items() if self.structure[k][slot]}
         params = {name: {"default": [v.real, v.imag]} for name, v in self.params.items()}
         return {"name": self.name, "dim": self.dim, "parameters": params,
                 "structure": struct}
@@ -257,23 +255,28 @@ class InvariantComplexManifold:
     @classmethod
     def from_json_dict(cls, data: dict) -> "InvariantComplexManifold":
         try:
+            data = json_object(data, "the top level", ("name", "dim", "parameters", "structure"))
             name = data.get("name", "unnamed")
             dim = int(data["dim"])
             params = {}
-            for pname, spec in data.get("parameters", {}).items():
-                default = spec.get("default")
+            for pname, spec in json_object(data.get("parameters", {}), "parameters").items():
+                default = json_object(spec, f"parameter {pname!r}", ("default",)).get("default")
                 if default is not None:
+                    if not (isinstance(default, list) and len(default) == 2):
+                        raise InputError(f"default of parameter {pname!r} must be [re, im]")
                     params[pname] = complex(default[0], default[1])
             structure: StructureTable = {}
-            for key, parts in data.get("structure", {}).items():
-                if not key.startswith("phi"):
+            for key, parts in json_object(data.get("structure", {}), "structure").items():
+                k = int(key[3:]) if key.startswith("phi") and key[3:].isdecimal() else None
+                if k is None or key != f"phi{k}":
                     raise InputError(f"bad structure key {key!r}")
-                k = int(key[3:])
-                entry = {"(2,0)": [], "(1,1)": []}
-                for item in parts.get("(2,0)", ()):
-                    entry["(2,0)"].append((int(item["i"]), int(item["j"]), str(item["coeff"])))
-                for item in parts.get("(1,1)", ()):
-                    entry["(1,1)"].append((int(item["i"]), int(item["jbar"]), str(item["coeff"])))
+                parts = json_object(parts, key, _SLOT_COLUMNS)
+                entry = {}
+                for slot, col in _SLOT_COLUMNS.items():
+                    entry[slot] = []
+                    for item in json_array(parts.get(slot, []), f"{key} {slot}"):
+                        item = json_object(item, f"an entry of {key} {slot}", ("i", col, "coeff"))
+                        entry[slot].append((int(item["i"]), int(item[col]), str(item["coeff"])))
                 structure[k] = entry
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed manifold description: {exc}") from exc
@@ -470,7 +473,8 @@ class PullbackMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PullbackMap":
         try:
-            entries = data["matrix"]
+            data = json_object(data, "pullback description", ("matrix",))
+            entries = json_array(data["matrix"], "pullback 'matrix'")
             n = round(len(entries) ** 0.5)
             if n * n != len(entries):
                 raise InputError("pullback matrix needs n^2 [re,im] entries")

@@ -1,18 +1,22 @@
-"""Deterministic JSON output.
+"""Deterministic JSON output, and the shape checks of JSON input.
 
 Serialisation is canonical: keys sorted, floats in 17-significant-digit
 shortest form, no whitespace variation.  Non-finite floats are refused.
 Parsing a document produced here and re-serialising it reproduces the
 bytes (floats round-trip exactly through 17 significant digits).
+
+``json_object`` and ``json_array`` let the input readers (manifold, metric
+and pullback files) refuse a value of the wrong JSON type or an object
+with an unknown key as ``InputError`` instead of misreading it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List
+from typing import Iterable, List, Optional
 
-from .errors import StarsplitError
+from .errors import InputError, StarsplitError
 
 
 def _write(obj, out: List[str]) -> None:
@@ -54,3 +58,23 @@ def dumps(obj) -> str:
     out: List[str] = []
     _write(obj, out)
     return "".join(out)
+
+
+def json_object(data, what: str, keys: Optional[Iterable[str]] = None) -> dict:
+    """``data`` if it is a JSON object whose keys all lie in ``keys`` (any
+    key when ``keys`` is None)."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object")
+    if keys is not None:
+        unknown = sorted(set(data) - set(keys))
+        if unknown:
+            raise InputError(f"unknown key {unknown[0]!r} in {what}")
+    return data
+
+
+def json_array(data, what: str) -> list:
+    """``data`` if it is a JSON array."""
+    if not isinstance(data, list):
+        raise InputError(f"{what} must be a JSON array")
+    return data
+

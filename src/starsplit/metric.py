@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import AlgebraError, DimensionMismatchError, InputError
 from .forms import Form, MaskKey, _merge_sign, basis_masks, space_dim
+from .jsonio import json_array, json_object
 
 DEFAULT_TOL = 1e-10
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
@@ -264,18 +265,20 @@ class HermitianMetric:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HermitianMetric":
         try:
-            kind = data["type"]
+            kind = json_object(data, "metric description")["type"]
+            if kind not in ("diagonal", "hermitian"):
+                raise InputError(f"unknown metric type {kind!r}")
+            body = "coeffs" if kind == "diagonal" else "matrix"
+            json_object(data, f"{kind} metric description", ("type", body, "scale"))
+            entries = json_array(data[body], f"metric {body!r}")
             if kind == "diagonal":
-                g = cls.diagonal([float(c) for c in data["coeffs"]])
-            elif kind == "hermitian":
-                entries = data["matrix"]
+                g = cls.diagonal([float(c) for c in entries])
+            else:
                 n = round(len(entries) ** 0.5)
                 if n * n != len(entries):
                     raise InputError("hermitian matrix needs n^2 [re,im] entries")
                 flat = [complex(re, im) for re, im in entries]
                 g = cls(np.array(flat, dtype=complex).reshape(n, n))
-            else:
-                raise InputError(f"unknown metric type {kind!r}")
             scale = data.get("scale")
             return g if scale is None else g.scaled(float(scale))
         except InputError:

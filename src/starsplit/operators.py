@@ -32,16 +32,21 @@ forms remain only in the spot checks of a01, a12 and a13, which test the
 mask-built L and star against ``Form.wedge``, and where a check needs
 particular inputs (the semi-definite candidates of b26); a09, a10, b13
 and b14 cross-check Form-level routes on omega itself.
-Every suite run lists all identities; identities whose hypotheses fail
-(balanced-only, n >= 4 only, Stokes-dependent) are reported as skipped
-with a reason, never dropped.
+
+Both suites report through one harness, ``IdentityReport.check``.  An
+identity is its id, its anchor, a callable yielding residual arrays (the
+``lhs - rhs`` matrix of each slot, or a spot check's ``max_abs()`` as a
+0-d array) and its ``(holds, reason)`` hypotheses (balanced-only,
+n >= 4 only, Stokes-dependent).  The report records the largest absolute
+residual entry, or, when a hypothesis fails, a skip with the first failed
+reason; every identity is listed, none is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,12 +145,20 @@ class IdentityReport:
     tolerance: float
     entries: List[IdentityResult] = field(default_factory=list)
 
-    def add(self, identity: str, anchor: str, residual: float) -> None:
-        self.entries.append(IdentityResult(identity, anchor, float(residual),
-                                           float(residual) < self.tolerance))
-
-    def skip(self, identity: str, anchor: str, reason: str) -> None:
-        self.entries.append(IdentityResult(identity, anchor, None, None, reason))
+    def check(self, identity: str, anchor: str, residuals: Callable[[], Iterable],
+              *hypotheses: Tuple[bool, str], skip_anchor: Optional[str] = None) -> None:
+        """Skip with the reason of the first failed ``(holds, reason)``
+        hypothesis, under ``skip_anchor`` if given; otherwise add the largest
+        absolute entry of the arrays ``residuals()`` yields (a scalar is a 0-d
+        array; nothing yielded is residual 0).  ``residuals`` is not called
+        for a skipped entry."""
+        reason = next((why for ok, why in hypotheses if not ok), None)
+        if reason is not None:
+            entry = IdentityResult(identity, skip_anchor or anchor, None, None, reason)
+        else:
+            residual = max((float(np.abs(r).max(initial=0.0)) for r in residuals()), default=0.0)
+            entry = IdentityResult(identity, anchor, residual, residual < self.tolerance)
+        self.entries.append(entry)
 
     def finalize(self) -> "IdentityReport":
         self.entries.sort(key=lambda e: e.identity)
@@ -169,12 +182,6 @@ class IdentityReport:
 _STOKES_REASON = "invariant Stokes residual exceeds tolerance; identity not asserted"
 
 
-def _resid(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a - b).max())
-
-
 # ----------------------------------------------------------------------
 # commutation / frame identity suite
 # ----------------------------------------------------------------------
@@ -191,148 +198,92 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     invariant Stokes residual exceeds ``tol``."""
     n = M.dim
     table = OperatorTable(M, g)
+    m, ch, slots = table.mat, table.chain, table.bidegrees
     rng = np.random.default_rng(seed)
     rep = IdentityReport(M.name, g.describe(), tol)
     w = omega_form(g)
-
-    # [Lam, L] = (n-k) Id
-    res = 0.0
-    for p, q in table.bidegrees():
-        lhs = table.chain(["Lam", "L"], p, q) - table.chain(["L", "Lam"], p, q)
-        res = max(res, _resid(lhs, (n - p - q) * np.eye(space_dim(n, p, q))))
-    for _ in range(samples):
-        p, q = rng.integers(0, n + 1, 2)
-        if not space_dim(n, p, q):
-            continue
-        u = random_form(rng, n, p, q)
-        diff = (lefschetz_lambda(g, w.wedge(u)) - w.wedge(lefschetz_lambda(g, u))
-                - (n - p - q) * u)
-        res = max(res, diff.max_abs())
-    rep.add("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms", res)
-
-    # [L^r, Lam] = r(k-n+r-1) L^(r-1), r in {2,3}
-    for r in (2, 3):
-        res = 0.0
-        for p, q in table.bidegrees():
-            k = p + q
-            Lr = table.chain(["L"] * r, p, q)
-            lhs = (table.chain(["L"] * r + ["Lam"], p, q)
-                   - table.mat("Lam", p + r, q + r) @ Lr)
-            rhs = r * (k - n + r - 1) * table.chain(["L"] * (r - 1), p, q)
-            res = max(res, _resid(lhs, rhs))
-        rep.add(f"a02_l_power_lambda_commutator_r{r}",
-                f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", res)
-
-    # star L = Lam star ; star Lam = L star
-    res = 0.0
-    for p, q in table.bidegrees():
-        res = max(res, _resid(table.chain(["star", "L"], p, q),
-                              table.chain(["Lam", "star"], p, q)))
-        res = max(res, _resid(table.chain(["star", "Lam"], p, q),
-                              table.chain(["L", "star"], p, q)))
-    rep.add("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", res)
-
-    # star star = +/- Id
-    res = 0.0
-    for p, q in table.bidegrees():
-        sign = -1.0 if (p + q) % 2 else 1.0
-        res = max(res, _resid(table.chain(["star", "star"], p, q),
-                              sign * np.eye(space_dim(n, p, q))))
-    rep.add("a04_star_involution", "star star = (-1)^deg Id", res)
-
+    eye = lambda p, q: np.eye(space_dim(n, p, q))
+    bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
     # the frame conjugate transpose is the L2 adjoint only where Stokes holds
-    stokes = M.check_stokes() <= tol
+    stokes = (M.check_stokes() <= tol, _STOKES_REASON)
 
-    def add_if_stokes(ident, anchor, residual):
-        if stokes:
-            rep.add(ident, anchor, residual())
-        else:
-            rep.skip(ident, anchor, _STOKES_REASON)
+    def lambda_l():
+        """a01 on every slot, then on seeded forms through ``Form.wedge``."""
+        for p, q in slots():
+            yield bracket("Lam", "L", p, q) - (n - p - q) * eye(p, q)
+        for _ in range(samples):
+            p, q = rng.integers(0, n + 1, 2)
+            if space_dim(n, p, q):
+                u = random_form(rng, n, p, q)
+                yield (lefschetz_lambda(g, w.wedge(u)) - w.wedge(lefschetz_lambda(g, u))
+                       - (n - p - q) * u).max_abs()
 
-    # (del + tau)* = i [Lam, dbar] ; (dbar + taubar)* = -i [Lam, del]
-    add_if_stokes("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: max(
-        _resid((table.mat("del", p - 1, q) + table.mat("tau", p - 1, q)).conj().T,
-               1j * (table.chain(["Lam", "dbar"], p, q) - table.chain(["dbar", "Lam"], p, q)))
-        for p, q in table.bidegrees()))
-    add_if_stokes("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", lambda: max(
-        _resid((table.mat("dbar", p, q - 1) + table.mat("taubar", p, q - 1)).conj().T,
-               -1j * (table.chain(["Lam", "del"], p, q) - table.chain(["del", "Lam"], p, q)))
-        for p, q in table.bidegrees()))
-
-    # del + tau = -i [dbar*, L]
-    res = 0.0
-    for p, q in table.bidegrees():
-        lhs = table.mat("del", p, q) + table.mat("tau", p, q)
-        rhs = -1j * (table.chain(["dbarstar", "L"], p, q)
-                     - table.chain(["L", "dbarstar"], p, q))
-        res = max(res, _resid(lhs, rhs))
-    rep.add("a07_del_plus_torsion_bracket", "del + tau = -i [dbar*, L]", res)
-
-    # dbar + taubar = i [del*, L]
-    res = 0.0
-    for p, q in table.bidegrees():
-        lhs = table.mat("dbar", p, q) + table.mat("taubar", p, q)
-        rhs = 1j * (table.chain(["delstar", "L"], p, q) - table.chain(["L", "delstar"], p, q))
-        res = max(res, _resid(lhs, rhs))
-    rep.add("a08_delbar_plus_torsion_bracket", "dbar + taubar = i [del*, L]", res)
+    rep.check("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms", lambda_l)
+    for r in (2, 3):
+        rep.check(f"a02_l_power_lambda_commutator_r{r}",
+                  f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: (
+                      ch(["L"] * r + ["Lam"], p, q) - m("Lam", p + r, q + r) @ ch(["L"] * r, p, q)
+                      - r * (p + q - n + r - 1) * ch(["L"] * (r - 1), p, q) for p, q in slots()))
+    rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", lambda: (
+        ch(["star", a], p, q) - ch([b, "star"], p, q)
+        for p, q in slots() for a, b in (("L", "Lam"), ("Lam", "L"))))
+    rep.check("a04_star_involution", "star star = (-1)^deg Id", lambda: (
+        ch(["star", "star"], p, q) - (-1.0 if (p + q) % 2 else 1.0) * eye(p, q)
+        for p, q in slots()))
+    rep.check("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: (
+        (m("del", p - 1, q) + m("tau", p - 1, q)).conj().T - 1j * bracket("Lam", "dbar", p, q)
+        for p, q in slots()), stokes)
+    rep.check("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", lambda: (
+        (m("dbar", p, q - 1) + m("taubar", p, q - 1)).conj().T - -1j * bracket("Lam", "del", p, q)
+        for p, q in slots()), stokes)
+    rep.check("a07_del_plus_torsion_bracket", "del + tau = -i [dbar*, L]", lambda: (
+        m("del", p, q) + m("tau", p, q) - -1j * bracket("dbarstar", "L", p, q)
+        for p, q in slots()))
+    rep.check("a08_delbar_plus_torsion_bracket", "dbar + taubar = i [del*, L]", lambda: (
+        m("dbar", p, q) + m("taubar", p, q) - 1j * bracket("delstar", "L", p, q)
+        for p, q in slots()))
 
     # torsion trace identities on the metric form
-    taubar_adj_w = table.mat("taubar", 1, 0).conj().T @ g.to_e_vec(w, 1, 1)
     dbarstar_w = table.apply("dbarstar", w)
-    res = _resid(taubar_adj_w, -2.0 * g.to_e_vec(dbarstar_w, 1, 0))
-    rep.add("a09_torsion_adjoint_on_metric", "taubar* omega = -2 dbar* omega", res)
+    rep.check("a09_torsion_adjoint_on_metric", "taubar* omega = -2 dbar* omega", lambda: [
+        m("taubar", 1, 0).conj().T @ g.to_e_vec(w, 1, 1) - -2.0 * g.to_e_vec(dbarstar_w, 1, 0)])
+    rep.check("a10_delbar_adjoint_on_metric", "dbar* omega = i Lam(del omega)", lambda: [
+        (dbarstar_w - 1j * lefschetz_lambda(g, M.del_(w))).max_abs()])
 
-    res = (dbarstar_w - 1j * lefschetz_lambda(g, M.del_(w))).max_abs()
-    rep.add("a10_delbar_adjoint_on_metric", "dbar* omega = i Lam(del omega)", res)
+    def primitive_star(p, q):
+        """Both sides of a11 on the image of the slot's primitive projector."""
+        k, prim = p + q, _primitive_part(n, p, q, 0)
+        sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
+        return m("star", p, q) @ prim - sign * _wedge_power_mat(n, n - k, p, q) @ prim
 
-    # primitive-form star formula, on the image of each slot's primitive
-    # projector
-    res = 0.0
-    for p, q in table.bidegrees():
-        if p + q <= n:
-            k = p + q
-            prim = _primitive_part(n, p, q, 0)
-            sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
-            res = max(res, _resid(table.mat("star", p, q) @ prim,
-                                  sign * _wedge_power_mat(n, n - k, p, q) @ prim))
-    rep.add("a11_primitive_star_formula",
-            "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v", res)
+    rep.check("a11_primitive_star_formula",
+              "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
+              lambda: (primitive_star(p, q) for p, q in slots() if p + q <= n))
 
-    # alpha ^ beta = star alpha ^ star beta for complementary degrees
-    res = 0.0
-    for _ in range(2 * samples):
-        p, q = rng.integers(0, n + 1, 2)
-        r = int(rng.integers(0, n + 1))
-        s = 2 * n - p - q - r
-        if not (0 <= s <= n) or not space_dim(n, p, q) or not space_dim(n, r, s):
-            continue
-        a = random_form(rng, n, p, q)
-        b = random_form(rng, n, r, s)
-        lhs = a.wedge(b)
-        rhs = hodge_star(g, a).wedge(hodge_star(g, b))
-        res = max(res, (lhs - rhs).max_abs())
-    rep.add("a12_complementary_star_pairing",
-            "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n", res)
+    def complementary_spots():
+        for _ in range(2 * samples):
+            p, q = rng.integers(0, n + 1, 2)
+            r = int(rng.integers(0, n + 1))
+            s = 2 * n - p - q - r
+            if 0 <= s <= n and space_dim(n, p, q) and space_dim(n, r, s):
+                a = random_form(rng, n, p, q)
+                b = random_form(rng, n, r, s)
+                yield (a.wedge(b) - hodge_star(g, a).wedge(hodge_star(g, b))).max_abs()
 
-    # omega ^ Gamma = star(Gamma) ^ omega_{n-1} for real (n-1,n-1) Gamma
-    res = 0.0
-    for _ in range(samples):
-        Gam = random_form(rng, n, n - 1, n - 1, real=True)
-        lhs = w.wedge(Gam)
-        rhs = hodge_star(g, Gam).wedge(omega_power(g, n - 1))
-        res = max(res, (lhs - rhs).max_abs())
-    rep.add("a13_trace_pairing_top",
-            "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma", res)
+    rep.check("a12_complementary_star_pairing",
+              "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n", complementary_spots)
+    rep.check("a13_trace_pairing_top",
+              "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma", lambda: (
+                  (w.wedge(G) - hodge_star(g, G).wedge(omega_power(g, n - 1))).max_abs()
+                  for G in (random_form(rng, n, n - 1, n - 1, real=True) for _ in range(samples))))
 
     # global adjointness of the formula-based adjoints: in the frame the L2
     # adjoint of an operator between invariant forms is its conjugate
     # transpose
-    add_if_stokes("a14_global_adjointness_del", "<<del u, v>> = <<u, del* v>>", lambda: max(
-        _resid(table.mat("del", p, q).conj().T, table.mat("delstar", p + 1, q))
-        for p, q in table.bidegrees()))
-    add_if_stokes("a15_global_adjointness_delbar", "<<dbar u, v>> = <<u, dbar* v>>", lambda: max(
-        _resid(table.mat("dbar", p, q).conj().T, table.mat("dbarstar", p, q + 1))
-        for p, q in table.bidegrees()))
+    rep.check("a14_global_adjointness_del", "<<del u, v>> = <<u, del* v>>", lambda: (
+        m("del", p, q).conj().T - m("delstar", p + 1, q) for p, q in slots()), stokes)
+    rep.check("a15_global_adjointness_delbar", "<<dbar u, v>> = <<u, dbar* v>>", lambda: (
+        m("dbar", p, q).conj().T - m("dbarstar", p, q + 1) for p, q in slots()), stokes)
 
     return rep.finalize()
 
@@ -363,15 +314,6 @@ def verify_operator_identities(M: InvariantComplexManifold,
     kahler = (form_norm(g, M.d(w)) <= tol * (1.0 + form_norm(g, w)), "omega is not kahler")
     dim4 = (n >= 4, "needs n >= 4")
 
-    def check(ident, anchor, residuals, *hypotheses, skip_anchor=None):
-        """Add the largest entry of the matrices ``residuals()`` returns,
-        or skip with the first failed hypothesis."""
-        reason = next((why for ok, why in hypotheses if not ok), None)
-        if reason is not None:
-            rep.skip(ident, skip_anchor or anchor, reason)
-        else:
-            rep.add(ident, anchor, max(float(np.abs(r).max(initial=0.0)) for r in residuals()))
-
     # frame matrices: Lam on the (k,k)-slot, omega_r ^ . from it, the
     # division by omega_{n-2} and the second-order operators on (1,1)
     lam = lambda k: m("Lam", k, k)
@@ -383,53 +325,53 @@ def verify_operator_identities(M: InvariantComplexManifold,
     gam = 1j * ch(["del", "dbar"], 1, 1)
     trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
 
-    check("b01_t_operator_routes", "T = (omega_(n-2)^.)^-1 star = -Id + Lam(.) omega/(n-1)",
-          lambda: [Tm - div @ star1])
-    check("b02_s_operator_routes",
-          "S = star (omega_(n-2)^.)^-1 = -Id + Lam(star .) omega_(n-1)/(n-1)",
-          lambda: [Sm - star1 @ div])
-    check("b03_s_star_t_intertwine", "S star = star T on (1,1)-forms",
-          lambda: [Sm @ star1 - star1 @ Tm])
-    check("b04_star_s_division", "star S = T star = (omega_(n-2)^.)^-1",
-          lambda: [star_top @ Sm - div, Tm @ star_top - div])
-    check("b05_p_operator_routes",
-          "P = (omega_(n-2)^.)^-1(i dd^c-source ^ omega_(n-3)) = Lam(..) - Lam^2(..) omega/(2(n-1))",
-          lambda: [Pm - trace22 @ gam])
-    check("b06_p_wedge_top_form",
-          "P(a) ^ omega_(n-1) = ((n-2)/(n-1)) i del delbar a ^ omega_(n-2)",
-          lambda: [wedge(n - 1, 1) @ Pm - (n - 2) / (n - 1) * wedge(n - 2, 2) @ gam])
-    check("b07_trace_of_p", "Lam(P(a)) = ((n-2)/(2(n-1))) Lam^2(i del delbar a)",
-          lambda: [lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam])
-    check("b08_division_trace_22",
-          "(omega_(n-2)^.)^-1(G ^ omega_(n-3)) = Lam G - Lam^2(G) omega/(2(n-1)) on (2,2)",
-          lambda: [div @ wedge(n - 3, 2) - trace22])
-    check("b09_trace_square_ratio", "Lam^2(G)/2 = (G ^ omega_(n-2))/omega_n on (2,2)",
-          lambda: [wedge(n - 2, 2) / _volume_coeff(n) - 0.5 * lam(1) @ lam(2)])
-    check("b10_star_wedge_22", "star(G ^ omega_(n-3)) = -Lam G + Lam^2(G) omega/2 on (2,2)",
-          lambda: [star_top @ wedge(n - 3, 2) + lam(2) - 0.5 * Lw @ lam(1) @ lam(2)])
+    rep.check("b01_t_operator_routes", "T = (omega_(n-2)^.)^-1 star = -Id + Lam(.) omega/(n-1)",
+              lambda: [Tm - div @ star1])
+    rep.check("b02_s_operator_routes",
+              "S = star (omega_(n-2)^.)^-1 = -Id + Lam(star .) omega_(n-1)/(n-1)",
+              lambda: [Sm - star1 @ div])
+    rep.check("b03_s_star_t_intertwine", "S star = star T on (1,1)-forms",
+              lambda: [Sm @ star1 - star1 @ Tm])
+    rep.check("b04_star_s_division", "star S = T star = (omega_(n-2)^.)^-1",
+              lambda: [star_top @ Sm - div, Tm @ star_top - div])
+    rep.check("b05_p_operator_routes",
+              "P = (omega_(n-2)^.)^-1(i dd^c-source ^ omega_(n-3)) = Lam(..) - Lam^2(..) omega/(2(n-1))",
+              lambda: [Pm - trace22 @ gam])
+    rep.check("b06_p_wedge_top_form",
+              "P(a) ^ omega_(n-1) = ((n-2)/(n-1)) i del delbar a ^ omega_(n-2)",
+              lambda: [wedge(n - 1, 1) @ Pm - (n - 2) / (n - 1) * wedge(n - 2, 2) @ gam])
+    rep.check("b07_trace_of_p", "Lam(P(a)) = ((n-2)/(2(n-1))) Lam^2(i del delbar a)",
+              lambda: [lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam])
+    rep.check("b08_division_trace_22",
+              "(omega_(n-2)^.)^-1(G ^ omega_(n-3)) = Lam G - Lam^2(G) omega/(2(n-1)) on (2,2)",
+              lambda: [div @ wedge(n - 3, 2) - trace22])
+    rep.check("b09_trace_square_ratio", "Lam^2(G)/2 = (G ^ omega_(n-2))/omega_n on (2,2)",
+              lambda: [wedge(n - 2, 2) / _volume_coeff(n) - 0.5 * lam(1) @ lam(2)])
+    rep.check("b10_star_wedge_22", "star(G ^ omega_(n-3)) = -Lam G + Lam^2(G) omega/2 on (2,2)",
+              lambda: [star_top @ wedge(n - 3, 2) + lam(2) - 0.5 * Lw @ lam(1) @ lam(2)])
     lam3 = lambda: lam(1) @ lam(2) @ lam(3)
-    check("b11_star_wedge_33",
-          "star(O ^ omega_(n-4)) = -Lam^2 O/2 + Lam^3(O) omega/6 on (3,3)",
-          lambda: [star_top @ wedge(n - 4, 3) + 0.5 * lam(2) @ lam(3) - Lw @ lam3() / 6.0],
-          dim4, skip_anchor="star(O ^ omega_(n-4)) = ... on (3,3)")
-    check("b12_division_trace_33",
-          "(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = Lam^2(O)/2 - Lam^3(O) omega/(3(n-1))",
-          lambda: [div @ wedge(n - 4, 3) - 0.5 * lam(2) @ lam(3)
-                   + Lw @ lam3() / (3 * (n - 1))],
-          dim4, skip_anchor="(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = ...")
+    rep.check("b11_star_wedge_33",
+              "star(O ^ omega_(n-4)) = -Lam^2 O/2 + Lam^3(O) omega/6 on (3,3)",
+              lambda: [star_top @ wedge(n - 4, 3) + 0.5 * lam(2) @ lam(3) - Lw @ lam3() / 6.0],
+              dim4, skip_anchor="star(O ^ omega_(n-4)) = ... on (3,3)")
+    rep.check("b12_division_trace_33",
+              "(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = Lam^2(O)/2 - Lam^3(O) omega/(3(n-1))",
+              lambda: [div @ wedge(n - 4, 3) - 0.5 * lam(2) @ lam(3)
+                       + Lw @ lam3() / (3 * (n - 1))],
+              dim4, skip_anchor="(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = ...")
 
     # two-trace formula for f and the P-route for rho, on omega itself
     w_e = Lw[:, 0]
     dw_dbw = 1j * m("wdel", 1, 2) @ m("dbar", 1, 1) @ w_e
     lam3_t = (lam3() @ dw_dbw)[0]
     f_two_trace = (n - 2) / 2.0 * (lam(1) @ lam(2) @ gam @ w_e)[0] + (n - 3) / 6.0 * lam3_t
-    check("b13_f_two_trace_formula",
-          "f = ((n-2)/2) Lam^2(i del delbar omega) + ((n-3)/6) Lam^3(i del omega ^ delbar omega)",
-          lambda: [f_scalar(M, g, tol=tol) - f_two_trace])
+    rep.check("b13_f_two_trace_formula",
+              "f = ((n-2)/2) Lam^2(i del delbar omega) + ((n-3)/6) Lam^3(i del omega ^ delbar omega)",
+              lambda: [f_scalar(M, g, tol=tol) - f_two_trace])
     rho_route = Pm @ w_e + 0.5 * lam(2) @ lam(3) @ dw_dbw - lam3_t / (3 * (n - 1)) * w_e
-    check("b14_rho_via_p",
-          "rho = P(omega) + Lam^2(i del omega ^ delbar omega)/2 - Lam^3(...) omega/(3(n-1))",
-          lambda: [(rho(M, g, tol=tol) - g.from_e_vec(rho_route, 1, 1)).max_abs()])
+    rep.check("b14_rho_via_p",
+              "rho = P(omega) + Lam^2(i del omega ^ delbar omega)/2 - Lam^3(...) omega/(3(n-1))",
+              lambda: [(rho(M, g, tol=tol) - g.from_e_vec(rho_route, 1, 1)).max_abs()])
 
     # integral links between the pair construction and P/Q, as row vectors
     # over every phi-basis eta (int u ^ v = u @ pairing @ v / volume
@@ -442,53 +384,54 @@ def verify_operator_identities(M: InvariantComplexManifold,
     t_gamma = g.to_e_matrix(1, 1) @ gamma_phi(Tm, 1)
     src = 1j * M.del_(M.delbar(omega_power(g, n - 2)))
     int_star_rho = integral(gamma_phi(Sm, n - 1) @ form_to_vec(src, n - 1, n - 1))
-    check("b15_pair_division_integral_link",
-          "int eta ^ star_gamma rho(omega,gamma) = ((n-1)/(n-2)) int P(T_gamma eta) ^ omega_(n-1)",
-          lambda: [int_star_rho - (n - 1) / (n - 2) * int_w @ Pm @ t_gamma],
-          stokes, skip_anchor="int eta ^ star_gamma rho = ... P ...")
-    check("b16_q_integral_link",
-          "balanced: int eta ^ star_gamma rho = ((n-1)/(n-2)) int Q(T_gamma eta) ^ omega_(n-1)",
-          lambda: [int_star_rho - (n - 1) / (n - 2) * int_w @ Qm @ t_gamma],
-          stokes, balanced, skip_anchor="balanced: int eta ^ star_gamma rho = ... Q ...")
+    rep.check("b15_pair_division_integral_link",
+              "int eta ^ star_gamma rho(omega,gamma) = ((n-1)/(n-2)) int P(T_gamma eta) ^ omega_(n-1)",
+              lambda: [int_star_rho - (n - 1) / (n - 2) * int_w @ Pm @ t_gamma],
+              stokes, skip_anchor="int eta ^ star_gamma rho = ... P ...")
+    rep.check("b16_q_integral_link",
+              "balanced: int eta ^ star_gamma rho = ((n-1)/(n-2)) int Q(T_gamma eta) ^ omega_(n-1)",
+              lambda: [int_star_rho - (n - 1) / (n - 2) * int_w @ Qm @ t_gamma],
+              stokes, balanced, skip_anchor="balanced: int eta ^ star_gamma rho = ... Q ...")
     # potential inputs: i del delbar of an invariant function is zero
     pot = 1j * M.d_matrices(0, 1)[0] @ M.d_matrices(0, 0)[1]
-    check("b17_pair_potential_integral",
-          "int P(T_gamma(i del delbar c)) ^ omega_(n-1) = 0 for invariant c",
-          lambda: [int_w @ Pm @ t_gamma @ pot])
+    rep.check("b17_pair_potential_integral",
+              "int P(T_gamma(i del delbar c)) ^ omega_(n-1) = 0 for invariant c",
+              lambda: [int_w @ Pm @ t_gamma @ pot])
 
     # vanishing integrals
-    check("b18_r_integral_vanishing", "int R(a) ^ omega_(n-1) = 0",
-          lambda: [int_w @ Rm], stokes)
-    check("b19_scalar_trace_integral_vanishing",
-          "int (dbar* Lam(dbar a)) omega ^ omega_(n-1) = 0",
-          lambda: [int_w @ ch(["L", "dbarstar", "Lam", "dbar"], 1, 1)], stokes)
-    check("b20_balanced_first_order_integrals",
-          "balanced: int i del Lam(dbar a) ^ omega_(n-1) = 0 = int i del*(omega ^ dbar* a) ^ omega_(n-1)",
-          lambda: [int_w @ ch(["del", "Lam", "dbar"], 1, 1),
-                   int_w @ ch(["delstar", "L", "dbarstar"], 1, 1)],
-          stokes, balanced, skip_anchor="balanced: first-order integrals vanish")
-    check("b21_q_p_integral_bridge", "balanced: int (Q - P)(a) ^ omega_(n-1) = 0",
-          lambda: [int_w @ (Qm - Pm)],
-          stokes, balanced, skip_anchor="balanced: int (Q-P)(a) ^ omega_(n-1) = 0")
+    rep.check("b18_r_integral_vanishing", "int R(a) ^ omega_(n-1) = 0",
+              lambda: [int_w @ Rm], stokes)
+    rep.check("b19_scalar_trace_integral_vanishing",
+              "int (dbar* Lam(dbar a)) omega ^ omega_(n-1) = 0",
+              lambda: [int_w @ ch(["L", "dbarstar", "Lam", "dbar"], 1, 1)], stokes)
+    rep.check("b20_balanced_first_order_integrals",
+              "balanced: int i del Lam(dbar a) ^ omega_(n-1) = 0 = int i del*(omega ^ dbar* a) ^ omega_(n-1)",
+              lambda: [int_w @ ch(["del", "Lam", "dbar"], 1, 1),
+                       int_w @ ch(["delstar", "L", "dbarstar"], 1, 1)],
+              stokes, balanced, skip_anchor="balanced: first-order integrals vanish")
+    rep.check("b21_q_p_integral_bridge", "balanced: int (Q - P)(a) ^ omega_(n-1) = 0",
+              lambda: [int_w @ (Qm - Pm)],
+              stokes, balanced, skip_anchor="balanced: int (Q-P)(a) ^ omega_(n-1) = 0")
 
     # Q on the metric form, on kahler metrics and on harmonic forms
-    check("b22_q_on_metric_decomposition",
-          "Q(omega) = P(omega) + (n/(n-1)) R(omega) + del del* omega - i del*(omega ^ dbar* omega)",
-          lambda: [(Qm - Pm - n / (n - 1) * Rm - ch(["del", "delstar"], 1, 1)
-                    + 1j * ch(["delstar", "L", "dbarstar"], 1, 1)) @ w_e])
-    check("b23_q_equals_p_on_metric_balanced", "balanced: Q(omega) = P(omega)",
-          lambda: [(Qm - Pm) @ w_e], balanced)
+    rep.check("b22_q_on_metric_decomposition",
+              "Q(omega) = P(omega) + (n/(n-1)) R(omega) + del del* omega - i del*(omega ^ dbar* omega)",
+              lambda: [(Qm - Pm - n / (n - 1) * Rm - ch(["del", "delstar"], 1, 1)
+                        + 1j * ch(["delstar", "L", "dbarstar"], 1, 1)) @ w_e])
+    rep.check("b23_q_equals_p_on_metric_balanced", "balanced: Q(omega) = P(omega)",
+              lambda: [(Qm - Pm) @ w_e], balanced)
     lap = m("dbarlap", 1, 1)
-    check("b24_q_is_minus_laplacian_kahler", "kahler: Q = -(dbar-laplacian)",
-          lambda: [Qm + lap], kahler)
+    rep.check("b24_q_is_minus_laplacian_kahler", "kahler: Q = -(dbar-laplacian)",
+              lambda: [Qm + lap], kahler)
     _, svals, vh = np.linalg.svd(lap)
     harmonic = vh[svals < 1e-8 * max(1.0, svals.max())].conj().T
-    check("b25_q_equals_p_on_harmonic", "Q = P on ker(dbar-laplacian)",
-          lambda: [(Qm - Pm) @ harmonic],
-          stokes, (harmonic.size > 0, "no invariant harmonic (1,1)-forms sampled"))
+    rep.check("b25_q_equals_p_on_harmonic", "Q = P on ker(dbar-laplacian)",
+              lambda: [(Qm - Pm) @ harmonic],
+              stokes, (harmonic.size > 0, "no invariant harmonic (1,1)-forms sampled"))
 
-    # semi-definite forms with vanishing top trace must vanish
-    res_sd = None
+    # semi-definite forms with vanishing top trace must vanish: the spectra
+    # of the candidates among P(T_gamma eta) for seeded eta
+    candidates = []
     rng = np.random.default_rng(seed)
     for _ in range(samples if stokes[0] else 0):
         theta_e = Pm @ t_gamma @ form_to_vec(random_form(rng, n, 1, 1), 1, 1)
@@ -501,12 +444,9 @@ def verify_operator_identities(M: InvariantComplexManifold,
             continue
         eigs = np.array(eigenvalues_of_11(g, theta, tol=1e-6))
         if ((eigs > -1e-9).all() or (eigs < 1e-9).all()) and abs(int_w @ theta_e) < tol:
-            res_sd = max(res_sd or 0.0, float(np.abs(eigs).max()))
-    anchor = "semi-definite theta with int theta ^ omega_(n-1) = 0 vanishes"
-    if res_sd is None:
-        rep.skip("b26_semidefinite_zero_trace", anchor,
-                 "no semi-definite candidates arose in this run")
-    else:
-        rep.add("b26_semidefinite_zero_trace", anchor, res_sd)
+            candidates.append(eigs)
+    rep.check("b26_semidefinite_zero_trace",
+              "semi-definite theta with int theta ^ omega_(n-1) = 0 vanishes", lambda: candidates,
+              (bool(candidates), "no semi-definite candidates arose in this run"))
 
     return rep.finalize()

@@ -419,3 +419,62 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ----------------------------------------------------------------------
+# input files of the wrong shape: exit 2 and one stderr line naming the
+# fault, never a traceback and never a silently dropped key
+# ----------------------------------------------------------------------
+_IWASAWA3_PHI3 = {"(2,0)": [{"i": 1, "j": 2, "coeff": "-1"}]}
+
+
+@pytest.mark.parametrize("data,word", [
+    ({"dim": 3, "parameters": [], "structure": {}}, "parameters"),
+    ({"dim": 3, "structure": []}, "structure"),
+    ({"dim": 3, "structure": {"phi3": []}}, "phi3"),
+    ([1, 2], "manifold"),
+    ({"dim": 3, "parameters": {"s": [1, 0]}, "structure": {}}, "'s'"),
+    ({"dim": 3, "parameters": {"s": {"default": [1]}}, "structure": {}}, "'s'"),
+    ({"dim": 3, "structure": {"phi3": dict(_IWASAWA3_PHI3, **{
+        "(0,2)": [{"i": 1, "j": 2, "coeff": "1"}]})}}, "(0,2)"),
+    ({"dim": 3, "structure": {"phi3": _IWASAWA3_PHI3, "phi03": {}}}, "phi03"),
+    ({"dim": 3, "structur": {"phi3": _IWASAWA3_PHI3}}, "structur"),
+    ({"dim": 3, "structure": {"phi3": {"(2,0)": [{"i": 1, "j": 2, "jbar": 3, "coeff": "-1"}]}}},
+     "jbar"),
+])
+def test_malformed_manifold_file_rejected(capsys, tmp_path, data, word):
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "classify", "--manifold", str(path), "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and word in err, err
+
+
+@pytest.mark.parametrize("option,data,word", [
+    ("--metric", {"type": "diagonal", "coeffs": "111"}, "coeffs"),
+    ("--metric", {"type": "diagonal", "coeffs": [1, 1, 1], "scael": 2}, "scael"),
+    ("--metric", {"type": "hermitian", "coeffs": [1, 1, 1],
+                  "matrix": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0],
+                             [1, 0]]}, "coeffs"),
+    ("--gamma", {"type": "diagonal", "coeffs": [1, 2, 3], "matrix": []}, "matrix"),
+    ("--phi", {"matrix": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0],
+                          [1, 0]], "scale": 2}, "scale"),
+])
+def test_metric_and_pullback_files_refuse_unknown_keys(capsys, tmp_path, option, data, word):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3", option, str(path),
+                         "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and word in err, err
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_invariants_json_is_the_classify_report_subset(capsys, name):
+    code, out, _ = run(capsys, "classify", "--manifold", name, "--json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    code, out, _ = run(capsys, "invariants", "--manifold", name, "--json")
+    assert code == 0
+    keys = ("manifold", "f", "eigenvalues", "rho", "star_rho", "norms", "notes")
+    assert json.loads(out) == {key: report[key] for key in keys}

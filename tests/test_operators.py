@@ -10,7 +10,7 @@ from starsplit.errors import InputError
 from starsplit.forms import Form, approx_equal, basis_masks
 from starsplit.metric import (HermitianMetric, divide_by_power, hodge_star,
                               lefschetz_lambda, omega_form, omega_power)
-from starsplit.operators import (_STOKES_REASON, P, Q, R, S, T, random_form,
+from starsplit.operators import (_STOKES_REASON, IdentityReport, P, Q, R, S, T, random_form,
                                  torsion_tau, torsion_tau_bar,
                                  verify_commutation_suite,
                                  verify_operator_identities)
@@ -299,3 +299,39 @@ def test_report_json_shape():
     payload = rep.to_json_list()
     assert all(set(d) >= {"id", "anchor", "residual", "pass"} for d in payload)
     assert payload == sorted(payload, key=lambda d: d["id"])
+
+
+# ----------------------------------------------------------------------
+# the identity harness both suites report through
+# ----------------------------------------------------------------------
+def _entry(*args, **kwargs):
+    rep = IdentityReport("M", "g", 1e-10)
+    rep.check(*args, **kwargs)
+    return rep.entries[0]
+
+
+def test_check_skips_with_first_failed_hypothesis():
+    def never():
+        raise AssertionError("residuals of a skipped entry are not computed")
+
+    e = _entry("x01", "anchor", never, (True, "ok"), (False, "first"), (False, "second"))
+    assert (e.residual, e.passed, e.skipped_reason) == (None, None, "first")
+
+
+def test_check_skip_anchor_applies_only_to_skipped_entries():
+    e = _entry("x01", "full anchor", lambda: [np.zeros(2)], (False, "no"), skip_anchor="short")
+    assert e.anchor == "short"
+    e = _entry("x01", "full anchor", lambda: [np.zeros(2)], (True, "no"), skip_anchor="short")
+    assert e.anchor == "full anchor" and e.passed is True
+
+
+def test_check_takes_largest_absolute_entry():
+    # a scalar counts as a 0-d array, an empty array as residual 0
+    e = _entry("x01", "a", lambda: iter([np.array([[1e-12, -3e-9j]]), np.zeros((0, 4)),
+                                         np.float64(-2e-9)]))
+    assert e.residual == 3e-9 and e.passed is False
+
+
+def test_check_empty_residuals_pass():
+    e = _entry("x01", "a", lambda: iter(()))
+    assert e.residual == 0.0 and e.passed is True and e.skipped_reason is None
