@@ -5,13 +5,13 @@ Commands: ``catalog list``, ``classify``, ``invariants``, ``verify``,
 JSON file; metrics and pullback matrices from JSON files.  Complex values
 are written ``a+bi`` with no spaces.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (or an
+output pipe closed by its reader).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -50,16 +50,6 @@ def _bindings(args) -> Dict[str, complex]:
     return bindings
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path!r} is not valid JSON: {exc}") from exc
-
-
 def _resolve_manifold(source: str, params: Dict[str, complex], tol: float
                       ) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
     """Catalog name or JSON file path -> validated manifold, default metric,
@@ -76,7 +66,7 @@ def _resolve_manifold(source: str, params: Dict[str, complex], tol: float
 def _resolve_metric(path: Optional[str], default: HermitianMetric, n: int) -> HermitianMetric:
     if path is None:
         return default
-    g = HermitianMetric.from_json_dict(_load_json_file(path))
+    g = HermitianMetric.from_json_dict(jsonio.read_file(path, "metric file"))
     if g.dim != n:
         raise InputError(f"metric dimension {g.dim} does not match manifold dimension {n}")
     return g
@@ -104,7 +94,7 @@ def cmd_classify(args) -> int:
     notes = list(expectations.get("notes", []))
 
     if args.phi is not None:
-        phi = PullbackMap.from_json_dict(_load_json_file(args.phi))
+        phi = PullbackMap.from_json_dict(jsonio.read_file(args.phi, "pullback file"))
         gamma = _resolve_metric(args.gamma, g, M.dim)
         triple = analysis.triple_analysis(M, phi, g, gamma, tol=args.tol)
         if args.json:
@@ -303,7 +293,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise InputError(f"--tol must be a positive finite number, got {tol}")
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed before the output was written", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,6 @@ adjoints below genuine L2 adjoints on invariant forms.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,9 +49,10 @@ import numpy as np
 from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
-from .jsonio import json_array, json_object
-from .metric import (HermitianMetric, _slot_mat, _volume_coeff, compound,
-                     form_to_vec, inner_product, substitution_matrix, vec_to_form)
+from .jsonio import json_array, json_complex, json_number, json_object, read_file
+from .metric import (HermitianMetric, _lefschetz_chain, _slot_mat, _star_perm,
+                     _volume_coeff, compound, form_to_vec, inner_product,
+                     substitution_matrix, vec_to_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -257,14 +257,12 @@ class InvariantComplexManifold:
         try:
             data = json_object(data, "the top level", ("name", "dim", "parameters", "structure"))
             name = data.get("name", "unnamed")
-            dim = int(data["dim"])
+            dim = json_number(data["dim"], "'dim'", integer=True)
             params = {}
             for pname, spec in json_object(data.get("parameters", {}), "parameters").items():
                 default = json_object(spec, f"parameter {pname!r}", ("default",)).get("default")
                 if default is not None:
-                    if not (isinstance(default, list) and len(default) == 2):
-                        raise InputError(f"default of parameter {pname!r} must be [re, im]")
-                    params[pname] = complex(default[0], default[1])
+                    params[pname] = json_complex(default, f"default of parameter {pname!r}")
             structure: StructureTable = {}
             for key, parts in json_object(data.get("structure", {}), "structure").items():
                 k = int(key[3:]) if key.startswith("phi") and key[3:].isdecimal() else None
@@ -275,8 +273,11 @@ class InvariantComplexManifold:
                 for slot, col in _SLOT_COLUMNS.items():
                     entry[slot] = []
                     for item in json_array(parts.get(slot, []), f"{key} {slot}"):
-                        item = json_object(item, f"an entry of {key} {slot}", ("i", col, "coeff"))
-                        entry[slot].append((int(item["i"]), int(item[col]), str(item["coeff"])))
+                        where = f"an entry of {key} {slot}"
+                        item = json_object(item, where, ("i", col, "coeff"))
+                        i, j = (json_number(item[c], f"{c!r} of {where}", integer=True)
+                                for c in ("i", col))
+                        entry[slot].append((i, j, str(item["coeff"])))
                 structure[k] = entry
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed manifold description: {exc}") from exc
@@ -284,14 +285,7 @@ class InvariantComplexManifold:
 
     @classmethod
     def from_json_file(cls, path: str) -> "InvariantComplexManifold":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read manifold file {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"manifold file {path!r} is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_file(path, "manifold file"))
 
     def __repr__(self) -> str:
         return f"InvariantComplexManifold({self.name!r}, n={self.dim})"
@@ -324,12 +318,15 @@ def l2_pairing(M: InvariantComplexManifold, g: HermitianMetric, u: Form, v: Form
 class OperatorTable:
     """First-order and pointwise operators of a (manifold, metric) pair as
     matrices over the orthonormal monomial bases, built per slot on first
-    use and kept for the life of the table.
+    use and kept, read-only, for the life of the table.
 
     "del"/"dbar" are the manifold's slot matrices moved into the frame;
     "L", "Lam", "star", "T" and "S" the per-dimension matrices of
     ``metric._slot_mat``; every other name is a sum of scaled chains of
-    these (``_terms``).  "P", "R" and "Q" act on the (1,1)-slot only."""
+    these (``_terms``).  "P", "R" and "Q" act on the (1,1)-slot only.
+    ``chain`` applies "star" as the signed permutation it is, and takes a
+    chain of "L" and "Lam" alone from a per-dimension table; the slot
+    list ``bidegrees()`` is computed once per table."""
 
     _SHIFTS = {"del": (1, 0), "dbar": (0, 1), "L": (1, 1), "Lam": (-1, -1),
                "tau": (1, 0), "taubar": (0, 1), "delstar": (-1, 0), "dbarstar": (0, -1),
@@ -341,8 +338,10 @@ class OperatorTable:
             raise InputError("manifold/metric dimension mismatch")
         self.M = M
         self.g = g
-        self.n = M.dim
+        self.n = n = M.dim
         self._mats: Dict[Tuple[str, int, int], np.ndarray] = {}
+        self._bidegrees = tuple((p, q) for p in range(n + 1) for q in range(n + 1)
+                                if space_dim(n, p, q))
 
     def target(self, name: str, p: int, q: int) -> Tuple[int, int]:
         if name == "star":
@@ -396,26 +395,57 @@ class OperatorTable:
             mat = _slot_mat(n, name, p, q)[0]
         else:
             mat = sum(c * self.chain(names, p, q) for c, names in self._terms(name))
+        mat.setflags(write=False)
         self._mats[key] = mat
         return mat
 
     def chain(self, names: Sequence[str], p: int, q: int) -> np.ndarray:
-        """Composition, rightmost name applied first."""
+        """Composition, rightmost name applied first: exactly the dense
+        product of the ``mat`` entries, composed in that order, but a chain
+        of "L" and "Lam" alone is scattered from its per-dimension sparse
+        table and a "star" step is a signed-permutation gather.  A chain of
+        one name other than "star" is the table's read-only matrix; any
+        other chain is a fresh array."""
+        n = self.n
+        if len(names) > 1 and all(name in ("L", "Lam") for name in names):
+            shape, idx, vals = _lefschetz_chain(n, tuple(names), p, q)
+            mat = np.zeros(shape, dtype=complex)
+            mat.reshape(-1)[idx] = vals
+            return mat
+        # mat: a dense matrix, or (perm, phase) while only stars have acted
         mat, cur = None, (p, q)
         for name in reversed(names):
-            step = self.mat(name, *cur)
-            mat = step if mat is None else step @ mat
+            if name == "star" and space_dim(n, *cur):
+                perm, phase = _star_perm(n, *cur)
+                if mat is None:
+                    mat = (perm, phase)
+                elif isinstance(mat, tuple):
+                    mat = (mat[0][perm], phase * mat[1][perm])
+                else:
+                    mat = phase[:, None] * mat[perm]
+            else:
+                step = self.mat(name, *cur)
+                if isinstance(mat, tuple):
+                    # step @ star: column k of the product is a scaled
+                    # column of step
+                    perm, phase = mat
+                    mat = np.empty_like(step)
+                    mat[:, perm] = step * phase
+                else:
+                    mat = step if mat is None else step @ mat
             cur = self.target(name, *cur)
+        if isinstance(mat, tuple):
+            perm, phase = mat
+            mat = np.zeros((len(perm),) * 2, dtype=complex)
+            mat[np.arange(len(perm)), perm] = phase
         return mat
 
     def apply(self, name: str, u: Form) -> Form:
         """The operator ``name`` on every bidegree of ``u``."""
         return self.g.apply(u, lambda p, q: (self.mat(name, p, q), *self.target(name, p, q)))
 
-    def bidegrees(self):
-        n = self.n
-        return [(p, q) for p in range(n + 1) for q in range(n + 1)
-                if space_dim(n, p, q)]
+    def bidegrees(self) -> Tuple[Tuple[int, int], ...]:
+        return self._bidegrees
 
 
 def adjoint_del(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
@@ -478,7 +508,7 @@ class PullbackMap:
             n = round(len(entries) ** 0.5)
             if n * n != len(entries):
                 raise InputError("pullback matrix needs n^2 [re,im] entries")
-            flat = [complex(re, im) for re, im in entries]
+            flat = [json_complex(z, "an entry of pullback 'matrix'") for z in entries]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed pullback description: {exc}") from exc
         return cls(np.array(flat, dtype=complex).reshape(n, n))

@@ -5,16 +5,19 @@ shortest form, no whitespace variation.  Non-finite floats are refused.
 Parsing a document produced here and re-serialising it reproduces the
 bytes (floats round-trip exactly through 17 significant digits).
 
-``json_object`` and ``json_array`` let the input readers (manifold, metric
-and pullback files) refuse a value of the wrong JSON type or an object
-with an unknown key as ``InputError`` instead of misreading it.
+``read_file`` is the one reader of input files (manifold, metric and
+pullback): it refuses an object that repeats a key, where ``json.load``
+would keep the last.  ``json_object``, ``json_array``, ``json_number`` and
+``json_complex`` let the readers refuse a value of the wrong JSON type, an
+object with an unknown key, or a string or boolean where a number belongs,
+as ``InputError`` instead of misreading it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import InputError, StarsplitError
 
@@ -78,3 +81,42 @@ def json_array(data, what: str) -> list:
         raise InputError(f"{what} must be a JSON array")
     return data
 
+
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_file(path: str, what: str):
+    """The JSON document in the file ``path`` (``what`` names it in errors);
+    an object that repeats a key is refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{what} {path!r}: {exc}") from exc
+
+
+def json_number(data, what: str, integer: bool = False):
+    """``data`` if it is a JSON number (an integer when ``integer``); a
+    boolean is not a number."""
+    kinds = int if integer else (int, float)
+    if isinstance(data, bool) or not isinstance(data, kinds):
+        raise InputError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                         f"got {data!r}")
+    return data
+
+
+def json_complex(data, what: str) -> complex:
+    """A complex number written as the JSON pair ``[re, im]``."""
+    if not (isinstance(data, list) and len(data) == 2):
+        raise InputError(f"{what} must be a pair [re, im], got {data!r}")
+    return complex(json_number(data[0], what), json_number(data[1], what))

@@ -17,10 +17,16 @@ frame where they do not depend on the metric, and built from the monomial
 bitmasks alone: ``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column
 is the standard ``omega_r`` that ``omega_power`` moves to phi), the top
 pairing and the star (both signed permutations).  From these come L,
-Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``),
-the pseudo-inverse behind ``divide_by_power`` and the sl(2) closed form
-behind ``lefschetz_decompose``.  ``HermitianMetric.apply`` is the one
-routine that applies frame slot matrices to a ``Form``; ``hodge_star``,
+Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
+each built once per dimension and read-only), the pseudo-inverse behind
+``divide_by_power`` and the sl(2) closed form behind
+``lefschetz_decompose``.  Two forms of them serve ``OperatorTable.chain``:
+the star as the signed permutation ``(perm, phase)`` (``_star_perm``), so
+that it acts by a gather and a factor of +-1 or +-i per entry, and each
+product of L's and Lambda's that a chain asks for, kept once per
+dimension as its nonzero entries (``_lefschetz_chain``).
+``HermitianMetric.apply`` is the one routine that applies frame slot
+matrices to a ``Form``; ``hodge_star``,
 ``lefschetz_L``, ``lefschetz_lambda``, ``operators.T``/``S`` and
 ``OperatorTable.apply`` use it.
 
@@ -50,7 +56,7 @@ import numpy as np
 
 from .errors import AlgebraError, DimensionMismatchError, InputError
 from .forms import Form, MaskKey, _merge_sign, basis_masks, space_dim
-from .jsonio import json_array, json_object
+from .jsonio import json_array, json_complex, json_number, json_object
 
 DEFAULT_TOL = 1e-10
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
@@ -109,10 +115,12 @@ def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
 def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
     """Orthonormal-frame matrix of a pointwise operator on the (p,q)-slot
     and its target slot: "L" is ``omega ^ .``, "Lam" its adjoint, "star"
-    the Hodge star, "T" and "S" the divisions of ``_division_mat``."""
+    the Hodge star, "T" and "S" the divisions of ``_division_mat``.
+    Built once per dimension and read-only."""
     if name == "star":
         return _star_mat(n, p, q), n - q, n - p
     if name in ("T", "S"):
@@ -122,10 +130,30 @@ def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
         return _division_mat(n, name), p, q
     tp, tq = (p + 1, q + 1) if name == "L" else (p - 1, q - 1)
     if not (space_dim(n, p, q) and space_dim(n, tp, tq)):
-        return np.zeros((space_dim(n, tp, tq), space_dim(n, p, q)), dtype=complex), tp, tq
-    if name == "L":
-        return _wedge_power_mat(n, 1, p, q), tp, tq
-    return _wedge_power_mat(n, 1, tp, tq).conj().T, tp, tq
+        mat = np.zeros((space_dim(n, tp, tq), space_dim(n, p, q)), dtype=complex)
+    elif name == "L":
+        mat = _wedge_power_mat(n, 1, p, q)
+    else:
+        mat = _wedge_power_mat(n, 1, tp, tq).conj().T
+    mat.setflags(write=False)
+    return mat, tp, tq
+
+
+@lru_cache(maxsize=None)
+def _lefschetz_chain(n: int, names: Tuple[str, ...], p: int, q: int
+                     ) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray]:
+    """A product of "L" and "Lam" slot matrices on the (p,q)-slot, rightmost
+    name applied first, stored sparse as ``(shape, flat indices, values)``
+    of its nonzero entries."""
+    mat = None
+    for name in reversed(names):
+        step, p, q = _slot_mat(n, name, p, q)
+        mat = step if mat is None else step @ mat
+    idx = np.flatnonzero(mat)
+    vals = np.ravel(mat)[idx]
+    idx.setflags(write=False)
+    vals.setflags(write=False)
+    return mat.shape, idx, vals
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +202,19 @@ def _star_mat(n: int, p: int, q: int) -> np.ndarray:
     mat = (-1) ** (p * q) * _volume_coeff(n) * _top_pairing(n, q, p).T[:, conj]
     mat.setflags(write=False)
     return mat
+
+
+@lru_cache(maxsize=None)
+def _star_perm(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_star_mat(n, p, q)`` as the signed permutation it is: ``(perm,
+    phase)`` with ``_star_mat @ x == phase * x[perm]``, each phase one of
+    1, -1, i, -i."""
+    mat = _star_mat(n, p, q)
+    perm = np.abs(mat).argmax(axis=1)
+    phase = mat[np.arange(len(perm)), perm]
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
 
 
 @lru_cache(maxsize=None)
@@ -272,15 +313,15 @@ class HermitianMetric:
             json_object(data, f"{kind} metric description", ("type", body, "scale"))
             entries = json_array(data[body], f"metric {body!r}")
             if kind == "diagonal":
-                g = cls.diagonal([float(c) for c in entries])
+                g = cls.diagonal([json_number(c, "an entry of metric 'coeffs'") for c in entries])
             else:
                 n = round(len(entries) ** 0.5)
                 if n * n != len(entries):
                     raise InputError("hermitian matrix needs n^2 [re,im] entries")
-                flat = [complex(re, im) for re, im in entries]
+                flat = [json_complex(z, "an entry of metric 'matrix'") for z in entries]
                 g = cls(np.array(flat, dtype=complex).reshape(n, n))
             scale = data.get("scale")
-            return g if scale is None else g.scaled(float(scale))
+            return g if scale is None else g.scaled(json_number(scale, "metric 'scale'"))
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -14,13 +14,17 @@ Operators (omega a fixed metric, alpha a (1,1)-form, Omega an
 All of them are slot matrices of one ``OperatorTable`` (defined in
 ``complex_structure`` and re-exported here) over the orthonormal frame.
 Per dimension, independent of manifold and metric, are L, Lam, star, T
-(``-Id + L Lam / (n-1)``) and S (``star T star``).  Per table, built on
-first use and kept, are del and dbar (the manifold's Leibniz slot
-matrices moved into the frame) and every composite: ``del omega ^ .`` as
-the commutator ``[del, L]``, tau, the adjoints ``del* = -star dbar star``
-and ``dbar* = -star del star``, the dbar-Laplacian, and P, R and Q as
-chains on the (1,1)-slot.  The Form-level functions below build one table
-and apply its matrix.
+(``-Id + L Lam / (n-1)``) and S (``star T star``), and every product of
+L's and Lam's that a chain asks for (stored sparse).  The star is a
+signed permutation, and a chain applies it as one: a gather of rows or
+columns and a factor of +-1 or +-i each.  Per table, built on first use
+and kept, are del and dbar (the manifold's Leibniz slot matrices moved
+into the frame) and every composite: ``del omega ^ .`` as the commutator
+``[del, L]``, tau, the adjoints ``del* = -star dbar star`` and
+``dbar* = -star del star``, the dbar-Laplacian, and P, R and Q as chains
+on the (1,1)-slot.  Only tables are kept: every identity is evaluated
+afresh on every slot in every call.  The Form-level functions below build
+one table and apply its matrix.
 
 Each suite builds one table per run and evaluates both sides of every
 identity that is linear in its input on every monomial of its slot at
@@ -54,7 +58,7 @@ from .analysis import eigenvalues_of_11, f_scalar, matrix_of_11, rho
 from .complex_structure import InvariantComplexManifold, OperatorTable
 from .errors import InputError
 from .forms import Form, basis_masks, space_dim
-from .metric import (HermitianMetric, _primitive_part, _slot_mat, _top_pairing,
+from .metric import (HermitianMetric, _primitive_part, _slot_mat, _star_perm, _top_pairing,
                      _volume_coeff, _wedge_power_mat, form_norm, form_to_vec,
                      hodge_star, lefschetz_lambda, omega_form, omega_power)
 
@@ -222,7 +226,7 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     for r in (2, 3):
         rep.check(f"a02_l_power_lambda_commutator_r{r}",
                   f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: (
-                      ch(["L"] * r + ["Lam"], p, q) - m("Lam", p + r, q + r) @ ch(["L"] * r, p, q)
+                      ch(["L"] * r + ["Lam"], p, q) - ch(["Lam"] + ["L"] * r, p, q)
                       - r * (p + q - n + r - 1) * ch(["L"] * (r - 1), p, q) for p, q in slots()))
     rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", lambda: (
         ch(["star", a], p, q) - ch([b, "star"], p, q)
@@ -254,7 +258,8 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
         """Both sides of a11 on the image of the slot's primitive projector."""
         k, prim = p + q, _primitive_part(n, p, q, 0)
         sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
-        return m("star", p, q) @ prim - sign * _wedge_power_mat(n, n - k, p, q) @ prim
+        perm, phase = _star_perm(n, p, q)
+        return phase[:, None] * prim[perm] - sign * _wedge_power_mat(n, n - k, p, q) @ prim
 
     rep.check("a11_primitive_star_formula",
               "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",

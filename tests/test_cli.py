@@ -478,3 +478,98 @@ def test_invariants_json_is_the_classify_report_subset(capsys, name):
     assert code == 0
     keys = ("manifold", "f", "eigenvalues", "rho", "star_rho", "norms", "notes")
     assert json.loads(out) == {key: report[key] for key in keys}
+
+
+# ----------------------------------------------------------------------
+# input files that parse but would be misread: a repeated key, or a value
+# that is not a JSON number where one is needed.  Exit 2 and one stderr
+# line, never a silent last-key-wins or a truncating conversion.
+# ----------------------------------------------------------------------
+_PHI3_TEXT = '{"(2,0)": [{"i": 1, "j": 2, "coeff": "-1"}]}'
+_IDENTITY3 = [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("option,text,word", [
+    ("--manifold", '{"dim": 3, "structure": {"phi3": %s, "phi3": {}}}' % _PHI3_TEXT, "phi3"),
+    ("--manifold", '{"dim": 3, "dim": 3, "structure": {"phi3": %s}}' % _PHI3_TEXT, "dim"),
+    ("--metric", '{"type": "diagonal", "coeffs": [1, 1, 1], "coeffs": [1, 2, 3]}', "coeffs"),
+    ("--phi", '{"matrix": %s, "matrix": %s}' % (_IDENTITY3, _IDENTITY3), "matrix"),
+])
+def test_repeated_json_key_rejected(capsys, tmp_path, option, text, word):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["classify", "--json", option, str(path)]
+    if option != "--manifold":
+        argv += ["--manifold", "iwasawa3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "repeated" in err and word in err, err
+
+
+@pytest.mark.parametrize("option,data,word", [
+    ("--manifold", {"dim": 3.7, "structure": {"phi3": _IWASAWA3_PHI3}}, "dim"),
+    ("--manifold", {"dim": "3", "structure": {"phi3": _IWASAWA3_PHI3}}, "dim"),
+    ("--manifold", {"dim": True, "structure": {}}, "dim"),
+    ("--manifold", {"dim": 3, "structure": {"phi3": {
+        "(2,0)": [{"i": 1.9, "j": 2, "coeff": "-1"}]}}}, "phi3"),
+    ("--manifold", {"dim": 3, "parameters": {"s": {"default": [True, 0]}},
+                    "structure": {"phi3": {"(2,0)": [{"i": 1, "j": 2, "coeff": "s"}]}}}, "'s'"),
+    ("--metric", {"type": "diagonal", "coeffs": ["1", True, "2"]}, "coeffs"),
+    ("--metric", {"type": "diagonal", "coeffs": [1, True, 2]}, "coeffs"),
+    ("--metric", {"type": "hermitian", "matrix": [[True, 0]] + _IDENTITY3[1:]}, "matrix"),
+    ("--metric", {"type": "hermitian", "matrix": [[1, False]] + _IDENTITY3[1:]}, "matrix"),
+    ("--metric", {"type": "diagonal", "coeffs": [1, 1, 1], "scale": True}, "scale"),
+    ("--phi", {"matrix": [[True, 0]] + _IDENTITY3[1:]}, "matrix"),
+])
+def test_non_number_rejected(capsys, tmp_path, option, data, word):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = ["classify", "--json", option, str(path)]
+    if option != "--manifold":
+        argv += ["--manifold", "iwasawa3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and word in err, err
+
+
+def test_numbers_of_every_json_kind_still_read(capsys, tmp_path):
+    """Integers and floats are both numbers wherever a real is expected."""
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"type": "hermitian", "scale": 2,
+                                "matrix": [[1, 0.0], [0, 0], [0.0, 0], [0, 0], [2.5, 0],
+                                           [0, 0], [0, 0], [0, 0], [1, 0]]}))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3", "--metric", str(path),
+                         "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["report"]["metric"] == "diagonal(2, 5, 2)"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--manifold", "iwasawa3", "--json"],
+    ["verify", "--manifold", "iwasawa3", "--suite", "commutation"],
+    ["catalog", "list"],
+])
+def test_closed_output_pipe_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(argv)
+        monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "pipe" in err, err
