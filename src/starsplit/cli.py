@@ -25,6 +25,38 @@ from .metric import HermitianMetric
 
 DEFAULT_TOL = 1e-10
 
+# The dimension bound.  The largest array a command allocates is one dense
+# complex matrix on the monomials of a single slot: for ``verify`` an
+# operator on the middle (n//2, n//2)-slot, for every other command the
+# frame conversion of the (n-2, n-2)-slot.  A manifold file whose dimension
+# would make that array larger than the limit is refused before anything
+# is built: ``verify`` takes n <= 6, the other commands n <= 8.
+_ARRAY_LIMIT_BYTES = 16 << 20
+
+
+def _largest_array_bytes(command: str, n: int) -> int:
+    monomials = math.comb(n, n // 2 if command == "verify" else 2) ** 2
+    return 16 * monomials ** 2
+
+
+def dimension_bound(command: str) -> int:
+    """The largest dimension ``command`` accepts."""
+    n = 1
+    while _largest_array_bytes(command, n + 1) <= _ARRAY_LIMIT_BYTES:
+        n += 1
+    return n
+
+
+def _read_manifold(path: str, command: str) -> InvariantComplexManifold:
+    """The manifold of a JSON file, refused before it is built when its
+    dimension is above the bound of ``command``."""
+    data = jsonio.read_file(path, "manifold file")
+    dim, bound = data.get("dim") if isinstance(data, dict) else None, dimension_bound(command)
+    if isinstance(dim, int) and dim > bound:
+        raise InputError(f"dimension {dim} is above the bound {bound} for {command}: its "
+                         f"largest array would exceed {_ARRAY_LIMIT_BYTES >> 20} MiB")
+    return InvariantComplexManifold.from_json_dict(data)
+
 
 def _split_params(items: Optional[List[str]]) -> Tuple[Dict[str, complex], List[str]]:
     """--param entries: 'name=value' pairs become bindings, bare names are
@@ -50,12 +82,13 @@ def _bindings(args) -> Dict[str, complex]:
     return bindings
 
 
-def _resolve_manifold(source: str, params: Dict[str, complex], tol: float
-                      ) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
-    """Catalog name or JSON file path -> validated manifold, default metric,
-    expectations (empty for file manifolds)."""
+def _resolve_manifold(args) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
+    """--manifold (catalog name or JSON file path) with its --param bindings
+    -> validated manifold, default metric, expectations (empty for file
+    manifolds)."""
+    source, params, tol = args.manifold, _bindings(args), args.tol
     if source.endswith(".json") or os.path.exists(source):
-        M = InvariantComplexManifold.from_json_file(source)
+        M = _read_manifold(source, args.command)
         if params:
             M = M.bind(**params)
         M.validate(tol)
@@ -89,7 +122,7 @@ def _print_report(rep: analysis.MetricReport) -> None:
 
 
 def cmd_classify(args) -> int:
-    M, default_metric, expectations = _resolve_manifold(args.manifold, _bindings(args), args.tol)
+    M, default_metric, expectations = _resolve_manifold(args)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     notes = list(expectations.get("notes", []))
 
@@ -128,7 +161,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    M, default_metric, expectations = _resolve_manifold(args.manifold, _bindings(args), args.tol)
+    M, default_metric, expectations = _resolve_manifold(args)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     rep = analysis.classify(M, g, tol=args.tol, notes=list(expectations.get("notes", [])))
     if args.json:
@@ -146,7 +179,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    M, default_metric, _ = _resolve_manifold(args.manifold, _bindings(args), args.tol)
+    M, default_metric, _ = _resolve_manifold(args)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     gamma = _resolve_metric(args.gamma, g, M.dim)
 
@@ -175,7 +208,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    M, _, _ = _resolve_manifold(args.manifold, _bindings(args), args.tol)
+    M, _, _ = _resolve_manifold(args)
     family = search.family_by_name(args.family, M.dim)
     result = search.search_pss(M, family, budget=args.budget, seed=args.seed, tol=args.tol)
     if args.json:
@@ -199,7 +232,7 @@ def cmd_scan(args) -> int:
     values = [parse_complex(v) for v in args.values.split(",")] if args.values else []
 
     if source.endswith(".json") or os.path.exists(source):
-        M = InvariantComplexManifold.from_json_file(source)
+        M = _read_manifold(source, args.command)
         if bindings:
             M = M.bind(**bindings)
         metric = HermitianMetric.identity(M.dim)

@@ -21,8 +21,9 @@ generator differentials and slot matrices are built afresh.
 
 ``OperatorTable`` (re-exported by ``operators``) holds every metric-dependent
 operator as orthonormal-frame slot matrices: del/dbar moved into the frame,
-the per-dimension L, Lambda, star, T and S, and sums of chains of these:
-``del omega ^ . = [del, L]``, ``del* = -star delbar star``,
+the per-dimension L, Lambda, star, T and S, the wedges ``del omega ^ .``
+and ``delbar omega ^ .``, and sums of chains of these:
+``del* = -star delbar star``,
 ``delbar* = -star del star``, the torsion ``tau = [Lambda, del omega ^ .]``
 and its conjugate, the delbar-Laplacian and the (1,1)-operators P, R and Q
 of ``operators``.  The adjoints and the Laplacian below, and the operators
@@ -51,7 +52,7 @@ from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object, read_file
 from .metric import (HermitianMetric, _lefschetz_chain, _slot_mat, _star_perm,
-                     _volume_coeff, compound, form_to_vec, inner_product,
+                     _volume_coeff, _wedge_scatter, compound, form_to_vec, inner_product,
                      substitution_matrix, vec_to_form)
 
 DEFAULT_TOL = 1e-10
@@ -322,8 +323,12 @@ class OperatorTable:
 
     "del"/"dbar" are the manifold's slot matrices moved into the frame;
     "L", "Lam", "star", "T" and "S" the per-dimension matrices of
-    ``metric._slot_mat``; every other name is a sum of scaled chains of
-    these (``_terms``).  "P", "R" and "Q" act on the (1,1)-slot only.
+    ``metric._slot_mat``; "wdel"/"wdbar" the wedge with the frame 3-form
+    ``theta = del omega`` (``delbar omega``), which is one mat-vec of the
+    table, kept as the (0,0)-slot column and scattered into every other
+    slot by ``metric._wedge_scatter``; every other name is a sum of scaled
+    chains of these (``_terms``).  "P", "R" and "Q" act on the (1,1)-slot
+    only.
     ``chain`` applies "star" as the signed permutation it is, and takes a
     chain of "L" and "Lam" alone from a per-dimension table; the slot
     list ``bidegrees()`` is computed once per table."""
@@ -352,10 +357,6 @@ class OperatorTable:
     def _terms(self, name: str) -> List[Tuple[complex, List[str]]]:
         """(coefficient, chain) pairs summing to a composite operator."""
         n = self.n
-        if name in ("wdel", "wdbar"):
-            # Leibniz: del(omega ^ u) = del omega ^ u + omega ^ del u
-            d = name[1:]
-            return [(1, [d, "L"]), (-1, ["L", d])]
         if name in ("tau", "taubar"):
             wd = "wdel" if name == "tau" else "wdbar"
             return [(1, ["Lam", wd]), (-1, [wd, "Lam"])]
@@ -393,6 +394,14 @@ class OperatorTable:
             mat = g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
+        elif name in ("wdel", "wdbar"):
+            # theta ^ . for theta = del omega (dbar omega): one mat-vec, kept
+            # as the (0,0)-slot column, scattered into every other slot
+            theta = (self.mat(name[1:], 1, 1) @ self.mat("L", 0, 0) if (p, q) == (0, 0)
+                     else self.mat(name, 0, 0))[:, 0]
+            rows, cols, terms, signs = _wedge_scatter(n, *self._SHIFTS[name], p, q)
+            mat = np.zeros(shape, dtype=complex)
+            mat[rows, cols] = signs * theta[terms]
         else:
             mat = sum(c * self.chain(names, p, q) for c, names in self._terms(name))
         mat.setflags(write=False)

@@ -14,9 +14,12 @@ omega_{n-1}``, ``[Lambda, L] = (n-k) Id`` on k-forms, and the primitive-form
 star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
 frame where they do not depend on the metric, and built from the monomial
-bitmasks alone: ``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column
-is the standard ``omega_r`` that ``omega_power`` moves to phi), the top
-pairing and the star (both signed permutations).  From these come L,
+bitmasks alone: the wedge with any form of one slot as a scatter of its
+coefficients (``_wedge_scatter``, signed by ``_merge_table``), and from it
+``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column is the standard
+``omega_r`` that ``omega_power`` moves to phi) and the ``del omega ^ .``
+of ``OperatorTable``; the top pairing and the star (both signed
+permutations).  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
 ``divide_by_power`` and the sl(2) closed form behind
@@ -97,20 +100,57 @@ def _volume_coeff(n: int) -> complex:
 
 
 @lru_cache(maxsize=None)
+def _merge_table(n: int, a: int, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every a-subset mask A (rows) against every p-subset mask B (columns),
+    both in basis order: whether they are disjoint, ``forms._merge_sign(A,
+    B)`` (-1 to the number of pairs of a bit of A above a bit of B), and
+    the position of ``A | B`` among the (a+p)-subsets in basis order."""
+    A, B = (np.array([m for m, _ in _basis(n, r, 0)], dtype=np.intp).reshape(shape)
+            for r, shape in ((a, (-1, 1)), (p, (1, -1))))
+    masks = np.arange(1 << n)
+    count = sum((masks >> k) & 1 for k in range(n))
+    pairs = sum(((B >> k) & 1) * count[A >> (k + 1)] for k in range(n))
+    rank = np.zeros(1 << n, dtype=np.intp)
+    rank[[m for m, _ in _basis(n, a + p, 0)]] = np.arange(space_dim(n, a + p, 0))
+    out = ((A & B) == 0, 1 - 2 * (pairs & 1), rank[A | B])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``theta ^ .`` for a form theta of the (a,b)-slot, from the (p,q)-slot
+    to the (p+a,q+b)-slot, as ``(rows, cols, terms, signs)``: its matrix has
+    ``signs[k] * theta[terms[k]]`` at ``(rows[k], cols[k])`` and zeros
+    elsewhere, no position repeating.  The signs are ``Form.wedge``'s: the
+    merges of the holomorphic and of the antiholomorphic masks
+    (``_merge_table``), and (-1)^(pb) for moving ``ebar_J`` of theta past
+    ``e_I`` of the argument."""
+    free_i, sign_i, rank_i = _merge_table(n, a, p)   # holomorphic masks
+    free_j, sign_j, rank_j = _merge_table(n, b, q)   # antiholomorphic masks
+    ia, ip, jb, jq = np.nonzero(free_i[:, :, None, None] & free_j[None, None, :, :])
+    terms = ia * free_j.shape[0] + jb
+    cols = ip * free_j.shape[1] + jq
+    signs = sign_i[ia, ip] * sign_j[jb, jq] * (1 - 2 * (p * b & 1))
+    rows = rank_i[ia, ip] * space_dim(n, 0, q + b) + rank_j[jb, jq]
+    for arr in (rows, cols, terms, signs):
+        arr.setflags(write=False)
+    return rows, cols, terms, signs
+
+
+@lru_cache(maxsize=None)
 def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     """Matrix of ``omega_r ^ .`` from the (p,q)-slot to the (p+r,q+r)-slot,
-    standard frame.  ``omega_r = i^r (-1)^(r(r-1)/2) sum_K e_K ^ ebar_K``
-    over r-subsets K, so ``e_I ^ ebar_J`` goes to the sum over K disjoint
-    from I and J of ``e_(K+I) ^ ebar_(K+J)``, signed by merging K into I
-    and into J and by (-1)^(pr) for moving ``ebar_K`` past ``e_I``."""
-    rows = _index(n, p + r, q + r)
-    mat = np.zeros((len(rows), space_dim(n, p, q)), dtype=complex)
-    coeff = 1j ** r * (-1) ** (r * (r - 1) // 2 + p * r)
-    subsets = [k for k, _ in _basis(n, r, 0)]
-    for col, (i, j) in enumerate(_basis(n, p, q)):
-        for k in subsets:
-            if not k & (i | j):
-                mat[rows[(k | i, k | j)], col] = coeff * _merge_sign(k, i) * _merge_sign(k, j)
+    standard frame: the entries of ``_wedge_scatter`` at the terms
+    ``e_K ^ ebar_K`` of ``omega_r = i^r (-1)^(r(r-1)/2) sum_K e_K ^ ebar_K``
+    over r-subsets K, which are its only nonzero coefficients.  The table
+    is not kept: the matrix is."""
+    rows, cols, terms, signs = _wedge_scatter.__wrapped__(n, r, r, p, q)
+    diagonal = np.isin(terms, [_index(n, r, r)[(k, k)] for k, _ in _basis(n, r, 0)])
+    mat = np.zeros((space_dim(n, p + r, q + r), space_dim(n, p, q)), dtype=complex)
+    mat[rows[diagonal], cols[diagonal]] = 1j ** r * (-1) ** (r * (r - 1) // 2) * signs[diagonal]
     mat.setflags(write=False)
     return mat
 
@@ -267,10 +307,12 @@ class HermitianMetric:
         if lo <= 0:
             raise InputError(
                 f"metric matrix is not positive definite (eigenvalues {eigs})")
-        if lo <= 1e-14 * max(1.0, hi):
+        if lo <= 1e-14 * hi:
             raise InputError(f"metric matrix is too ill-conditioned (condition number "
-                             f"{hi / lo:.3g}; smallest eigenvalue {lo:.3g} is not above "
-                             f"1e-14 max(1, largest))")
+                             f"{hi / lo:.3g} is not below 1e14)")
+        if lo <= 1e-14:
+            raise InputError(f"metric matrix is too small (smallest eigenvalue {lo:.3g} "
+                             f"is at or below the 1e-14 floor)")
         log_det = float(np.log(eigs).sum())
         if log_det >= _LOG_MAX_DOUBLE:
             raise InputError(f"metric volume density det H = exp({log_det:.6g}) "

@@ -19,23 +19,28 @@ L's and Lam's that a chain asks for (stored sparse).  The star is a
 signed permutation, and a chain applies it as one: a gather of rows or
 columns and a factor of +-1 or +-i each.  Per table, built on first use
 and kept, are del and dbar (the manifold's Leibniz slot matrices moved
-into the frame) and every composite: ``del omega ^ .`` as the commutator
-``[del, L]``, tau, the adjoints ``del* = -star dbar star`` and
-``dbar* = -star del star``, the dbar-Laplacian, and P, R and Q as chains
-on the (1,1)-slot.  Only tables are kept: every identity is evaluated
-afresh on every slot in every call.  The Form-level functions below build
-one table and apply its matrix.
+into the frame) and every composite: ``del omega ^ .`` as the wedge with
+the 3-form ``theta = del omega`` (one mat-vec per table, scattered into
+each slot from a per-dimension sign table), tau, the adjoints
+``del* = -star dbar star`` and ``dbar* = -star del star``, the
+dbar-Laplacian, and P, R and Q as chains on the (1,1)-slot.  The
+Form-level functions below build one table and apply its matrix.
 
 Each suite builds one table per run and evaluates both sides of every
 identity that is linear in its input on every monomial of its slot at
 once, as matrices over the frame (where the L2 adjoint of an operator
 between invariant forms is its conjugate transpose, the total volume
 cancelling on both sides of the pairing); the primitive-form star formula
-(a11) runs on the image of each slot's primitive projector.  Seeded random
-forms remain only in the spot checks of a01, a12 and a13, which test the
-mask-built L and star against ``Form.wedge``, and where a check needs
-particular inputs (the semi-definite candidates of b26); a09, a10, b13
-and b14 cross-check Form-level routes on omega itself.
+(a11) runs on the image of each slot's primitive projector.  An identity
+whose matrices depend on n alone (the slot part of a01, a02 to a04, a11,
+b01 to b04 and b08 to b12) is evaluated once per dimension, over the
+table of the n-torus with the identity metric, and every later call of
+that dimension reads its cached largest residual (``_dimension_entries``);
+every other identity is evaluated afresh on every slot in every call.
+Seeded random forms remain only in the spot checks of a01, a12 and a13,
+which test the mask-built L and star against ``Form.wedge``, and where a
+check needs particular inputs (the semi-definite candidates of b26); a09,
+a10, b13 and b14 cross-check Form-level routes on omega itself.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
 identity is its id, its anchor, a callable yielding residual arrays (the
@@ -43,13 +48,17 @@ identity is its id, its anchor, a callable yielding residual arrays (the
 0-d array) and its ``(holds, reason)`` hypotheses (balanced-only,
 n >= 4 only, Stokes-dependent).  The report records the largest absolute
 residual entry, or, when a hypothesis fails, a skip with the first failed
-reason; every identity is listed, none is dropped.
+reason; every identity is listed, none is dropped.  ``IdentityReport.reuse``
+passes the cached entries of the identities of n alone through ``check``
+again, so that each report judges them by its own tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -164,6 +173,13 @@ class IdentityReport:
             entry = IdentityResult(identity, anchor, residual, residual < self.tolerance)
         self.entries.append(entry)
 
+    def reuse(self, entries: Iterable[IdentityResult]) -> None:
+        """Add entries that ``check`` made in another report: a residual is
+        judged by this report's tolerance, a skip is kept."""
+        for e in entries:
+            self.check(e.identity, e.anchor, lambda e=e: [e.residual],
+                       (e.residual is not None, e.skipped_reason))
+
     def finalize(self) -> "IdentityReport":
         self.entries.sort(key=lambda e: e.identity)
         return self
@@ -186,6 +202,92 @@ class IdentityReport:
 _STOKES_REASON = "invariant Stokes residual exceeds tolerance; identity not asserted"
 
 
+@lru_cache(maxsize=None)
+def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
+    """``_pointwise_entries`` once per dimension, over the table of the
+    n-torus with the identity metric."""
+    return _pointwise_entries(
+        OperatorTable(InvariantComplexManifold("torus", n, {}), HermitianMetric.identity(n)))
+
+
+def _pointwise_entries(table: OperatorTable) -> Tuple[IdentityResult, ...]:
+    """The suite entries whose matrices depend on n alone (L, Lam, star, T,
+    S and ``omega_r ^ .``): the slot part of a01, a02 to a04 and a11, and
+    from n = 3 on b01 to b04 and b08 to b12, with their largest residuals.
+    Any table of dimension n gives the same entries; each suite judges
+    them by its own tolerance (``IdentityReport.reuse``)."""
+    n = table.n
+    m, ch, slots = table.mat, table.chain, table.bidegrees
+    rep = IdentityReport("", "", math.inf)
+    eye = lambda p, q: np.eye(space_dim(n, p, q))
+    bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
+
+    rep.check("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms", lambda: (
+        bracket("Lam", "L", p, q) - (n - p - q) * eye(p, q) for p, q in slots()))
+    for r in (2, 3):
+        rep.check(f"a02_l_power_lambda_commutator_r{r}",
+                  f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: (
+                      ch(["L"] * r + ["Lam"], p, q) - ch(["Lam"] + ["L"] * r, p, q)
+                      - r * (p + q - n + r - 1) * ch(["L"] * (r - 1), p, q) for p, q in slots()))
+    rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", lambda: (
+        ch(["star", a], p, q) - ch([b, "star"], p, q)
+        for p, q in slots() for a, b in (("L", "Lam"), ("Lam", "L"))))
+    rep.check("a04_star_involution", "star star = (-1)^deg Id", lambda: (
+        ch(["star", "star"], p, q) - (-1.0 if (p + q) % 2 else 1.0) * eye(p, q)
+        for p, q in slots()))
+
+    def primitive_star(p, q):
+        """Both sides of a11 on the image of the slot's primitive projector."""
+        k, prim = p + q, _primitive_part(n, p, q, 0)
+        sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
+        perm, phase = _star_perm(n, p, q)
+        return phase[:, None] * prim[perm] - sign * _wedge_power_mat(n, n - k, p, q) @ prim
+
+    rep.check("a11_primitive_star_formula",
+              "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
+              lambda: (primitive_star(p, q) for p, q in slots() if p + q <= n))
+    if n < 3:
+        return tuple(rep.entries)
+
+    # frame matrices: Lam on the (k,k)-slot, omega_r ^ . from it, and the
+    # division by omega_{n-2}
+    lam = lambda k: m("Lam", k, k)
+    wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
+    div = np.linalg.inv(wedge(n - 2, 1))
+    Lw, star1, star_top = m("L", 0, 0), m("star", 1, 1), m("star", n - 1, n - 1)
+    Tm, Sm = m("T", 1, 1), m("S", n - 1, n - 1)
+    trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
+    dim4 = (n >= 4, "needs n >= 4")
+
+    rep.check("b01_t_operator_routes", "T = (omega_(n-2)^.)^-1 star = -Id + Lam(.) omega/(n-1)",
+              lambda: [Tm - div @ star1])
+    rep.check("b02_s_operator_routes",
+              "S = star (omega_(n-2)^.)^-1 = -Id + Lam(star .) omega_(n-1)/(n-1)",
+              lambda: [Sm - star1 @ div])
+    rep.check("b03_s_star_t_intertwine", "S star = star T on (1,1)-forms",
+              lambda: [Sm @ star1 - star1 @ Tm])
+    rep.check("b04_star_s_division", "star S = T star = (omega_(n-2)^.)^-1",
+              lambda: [star_top @ Sm - div, Tm @ star_top - div])
+    rep.check("b08_division_trace_22",
+              "(omega_(n-2)^.)^-1(G ^ omega_(n-3)) = Lam G - Lam^2(G) omega/(2(n-1)) on (2,2)",
+              lambda: [div @ wedge(n - 3, 2) - trace22])
+    rep.check("b09_trace_square_ratio", "Lam^2(G)/2 = (G ^ omega_(n-2))/omega_n on (2,2)",
+              lambda: [wedge(n - 2, 2) / _volume_coeff(n) - 0.5 * lam(1) @ lam(2)])
+    rep.check("b10_star_wedge_22", "star(G ^ omega_(n-3)) = -Lam G + Lam^2(G) omega/2 on (2,2)",
+              lambda: [star_top @ wedge(n - 3, 2) + lam(2) - 0.5 * Lw @ lam(1) @ lam(2)])
+    lam3 = lambda: lam(1) @ lam(2) @ lam(3)
+    rep.check("b11_star_wedge_33",
+              "star(O ^ omega_(n-4)) = -Lam^2 O/2 + Lam^3(O) omega/6 on (3,3)",
+              lambda: [star_top @ wedge(n - 4, 3) + 0.5 * lam(2) @ lam(3) - Lw @ lam3() / 6.0],
+              dim4, skip_anchor="star(O ^ omega_(n-4)) = ... on (3,3)")
+    rep.check("b12_division_trace_33",
+              "(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = Lam^2(O)/2 - Lam^3(O) omega/(3(n-1))",
+              lambda: [div @ wedge(n - 4, 3) - 0.5 * lam(2) @ lam(3)
+                       + Lw @ lam3() / (3 * (n - 1))],
+              dim4, skip_anchor="(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = ...")
+    return tuple(rep.entries)
+
+
 # ----------------------------------------------------------------------
 # commutation / frame identity suite
 # ----------------------------------------------------------------------
@@ -206,15 +308,13 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     rng = np.random.default_rng(seed)
     rep = IdentityReport(M.name, g.describe(), tol)
     w = omega_form(g)
-    eye = lambda p, q: np.eye(space_dim(n, p, q))
     bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
     # the frame conjugate transpose is the L2 adjoint only where Stokes holds
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
+    n_only = [e for e in _dimension_entries(n) if e.identity[0] == "a"]
 
-    def lambda_l():
-        """a01 on every slot, then on seeded forms through ``Form.wedge``."""
-        for p, q in slots():
-            yield bracket("Lam", "L", p, q) - (n - p - q) * eye(p, q)
+    def lambda_l_spots():
+        """a01 on seeded forms through ``Form.wedge``."""
         for _ in range(samples):
             p, q = rng.integers(0, n + 1, 2)
             if space_dim(n, p, q):
@@ -222,18 +322,10 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
                 yield (lefschetz_lambda(g, w.wedge(u)) - w.wedge(lefschetz_lambda(g, u))
                        - (n - p - q) * u).max_abs()
 
-    rep.check("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms", lambda_l)
-    for r in (2, 3):
-        rep.check(f"a02_l_power_lambda_commutator_r{r}",
-                  f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: (
-                      ch(["L"] * r + ["Lam"], p, q) - ch(["Lam"] + ["L"] * r, p, q)
-                      - r * (p + q - n + r - 1) * ch(["L"] * (r - 1), p, q) for p, q in slots()))
-    rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", lambda: (
-        ch(["star", a], p, q) - ch([b, "star"], p, q)
-        for p, q in slots() for a, b in (("L", "Lam"), ("Lam", "L"))))
-    rep.check("a04_star_involution", "star star = (-1)^deg Id", lambda: (
-        ch(["star", "star"], p, q) - (-1.0 if (p + q) % 2 else 1.0) * eye(p, q)
-        for p, q in slots()))
+    # a01 (the first entry): the cached slot part, then the spot checks
+    a01 = n_only.pop(0)
+    rep.check(a01.identity, a01.anchor, lambda: chain([a01.residual], lambda_l_spots()))
+    rep.reuse(n_only)
     rep.check("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: (
         (m("del", p - 1, q) + m("tau", p - 1, q)).conj().T - 1j * bracket("Lam", "dbar", p, q)
         for p, q in slots()), stokes)
@@ -253,17 +345,6 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
         m("taubar", 1, 0).conj().T @ g.to_e_vec(w, 1, 1) - -2.0 * g.to_e_vec(dbarstar_w, 1, 0)])
     rep.check("a10_delbar_adjoint_on_metric", "dbar* omega = i Lam(del omega)", lambda: [
         (dbarstar_w - 1j * lefschetz_lambda(g, M.del_(w))).max_abs()])
-
-    def primitive_star(p, q):
-        """Both sides of a11 on the image of the slot's primitive projector."""
-        k, prim = p + q, _primitive_part(n, p, q, 0)
-        sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
-        perm, phase = _star_perm(n, p, q)
-        return phase[:, None] * prim[perm] - sign * _wedge_power_mat(n, n - k, p, q) @ prim
-
-    rep.check("a11_primitive_star_formula",
-              "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
-              lambda: (primitive_star(p, q) for p, q in slots() if p + q <= n))
 
     def complementary_spots():
         for _ in range(2 * samples):
@@ -307,6 +388,8 @@ def verify_operator_identities(M: InvariantComplexManifold,
     that integrate by parts need Stokes.  ``samples`` seeded (1,1)-forms
     feed the semi-definite candidates of b26."""
     n = M.dim
+    if n < 3:
+        raise InputError(f"the operator suite needs dimension >= 3, got {n}")
     g = omega_m
     rep = IdentityReport(M.name, f"omega={omega_m.describe()}, gamma={gamma_m.describe()}", tol)
     table = OperatorTable(M, g)
@@ -317,28 +400,19 @@ def verify_operator_identities(M: InvariantComplexManifold,
     balanced = (form_norm(g, M.d(w_nm1)) <= tol * (1.0 + form_norm(g, w_nm1)),
                 "omega is not balanced")
     kahler = (form_norm(g, M.d(w)) <= tol * (1.0 + form_norm(g, w)), "omega is not kahler")
-    dim4 = (n >= 4, "needs n >= 4")
 
-    # frame matrices: Lam on the (k,k)-slot, omega_r ^ . from it, the
-    # division by omega_{n-2} and the second-order operators on (1,1)
+    rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "b")
+
+    # frame matrices: Lam on the (k,k)-slot, omega_r ^ . from it and the
+    # second-order operators on (1,1)
     lam = lambda k: m("Lam", k, k)
     wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
-    div = np.linalg.inv(wedge(n - 2, 1))
-    Lw, star1, star_top = m("L", 0, 0), m("star", 1, 1), m("star", n - 1, n - 1)
+    Lw = m("L", 0, 0)
     Tm, Sm, Pm, Rm, Qm = (m(name, k, k) for name, k in
                           (("T", 1), ("S", n - 1), ("P", 1), ("R", 1), ("Q", 1)))
     gam = 1j * ch(["del", "dbar"], 1, 1)
     trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
 
-    rep.check("b01_t_operator_routes", "T = (omega_(n-2)^.)^-1 star = -Id + Lam(.) omega/(n-1)",
-              lambda: [Tm - div @ star1])
-    rep.check("b02_s_operator_routes",
-              "S = star (omega_(n-2)^.)^-1 = -Id + Lam(star .) omega_(n-1)/(n-1)",
-              lambda: [Sm - star1 @ div])
-    rep.check("b03_s_star_t_intertwine", "S star = star T on (1,1)-forms",
-              lambda: [Sm @ star1 - star1 @ Tm])
-    rep.check("b04_star_s_division", "star S = T star = (omega_(n-2)^.)^-1",
-              lambda: [star_top @ Sm - div, Tm @ star_top - div])
     rep.check("b05_p_operator_routes",
               "P = (omega_(n-2)^.)^-1(i dd^c-source ^ omega_(n-3)) = Lam(..) - Lam^2(..) omega/(2(n-1))",
               lambda: [Pm - trace22 @ gam])
@@ -347,28 +421,11 @@ def verify_operator_identities(M: InvariantComplexManifold,
               lambda: [wedge(n - 1, 1) @ Pm - (n - 2) / (n - 1) * wedge(n - 2, 2) @ gam])
     rep.check("b07_trace_of_p", "Lam(P(a)) = ((n-2)/(2(n-1))) Lam^2(i del delbar a)",
               lambda: [lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam])
-    rep.check("b08_division_trace_22",
-              "(omega_(n-2)^.)^-1(G ^ omega_(n-3)) = Lam G - Lam^2(G) omega/(2(n-1)) on (2,2)",
-              lambda: [div @ wedge(n - 3, 2) - trace22])
-    rep.check("b09_trace_square_ratio", "Lam^2(G)/2 = (G ^ omega_(n-2))/omega_n on (2,2)",
-              lambda: [wedge(n - 2, 2) / _volume_coeff(n) - 0.5 * lam(1) @ lam(2)])
-    rep.check("b10_star_wedge_22", "star(G ^ omega_(n-3)) = -Lam G + Lam^2(G) omega/2 on (2,2)",
-              lambda: [star_top @ wedge(n - 3, 2) + lam(2) - 0.5 * Lw @ lam(1) @ lam(2)])
-    lam3 = lambda: lam(1) @ lam(2) @ lam(3)
-    rep.check("b11_star_wedge_33",
-              "star(O ^ omega_(n-4)) = -Lam^2 O/2 + Lam^3(O) omega/6 on (3,3)",
-              lambda: [star_top @ wedge(n - 4, 3) + 0.5 * lam(2) @ lam(3) - Lw @ lam3() / 6.0],
-              dim4, skip_anchor="star(O ^ omega_(n-4)) = ... on (3,3)")
-    rep.check("b12_division_trace_33",
-              "(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = Lam^2(O)/2 - Lam^3(O) omega/(3(n-1))",
-              lambda: [div @ wedge(n - 4, 3) - 0.5 * lam(2) @ lam(3)
-                       + Lw @ lam3() / (3 * (n - 1))],
-              dim4, skip_anchor="(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = ...")
 
     # two-trace formula for f and the P-route for rho, on omega itself
     w_e = Lw[:, 0]
     dw_dbw = 1j * m("wdel", 1, 2) @ m("dbar", 1, 1) @ w_e
-    lam3_t = (lam3() @ dw_dbw)[0]
+    lam3_t = (lam(1) @ lam(2) @ lam(3) @ dw_dbw)[0]
     f_two_trace = (n - 2) / 2.0 * (lam(1) @ lam(2) @ gam @ w_e)[0] + (n - 3) / 6.0 * lam3_t
     rep.check("b13_f_two_trace_formula",
               "f = ((n-2)/2) Lam^2(i del delbar omega) + ((n-3)/6) Lam^3(i del omega ^ delbar omega)",

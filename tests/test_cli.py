@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from starsplit import catalog, jsonio
-from starsplit.cli import main
+from starsplit.cli import dimension_bound, main
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import StarsplitError
 
@@ -182,6 +182,18 @@ def test_metric_refusal_names_conditioning_or_definiteness(capsys, tmp_path, met
     assert ("not positive definite" in err) == (words[0] == "not positive definite")
 
 
+def test_tiny_well_conditioned_metric_refusal_names_the_floor(capsys, tmp_path):
+    # 1e-15 I has condition number 1; what refuses it is the absolute floor
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"type": "diagonal", "coeffs": [1, 1, 1], "scale": 1e-15}))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3",
+                         "--metric", str(path), "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "ill-conditioned" not in err and "condition number" not in err, err
+    assert "1e-15" in err and "1e-14 floor" in err, err
+
+
 _N6_MODELS = {
     "torus_6": {},
     "iwasawa3_x_iwasawa3": {"phi3": {"(2,0)": [{"i": 1, "j": 2, "coeff": "-1"}]},
@@ -200,6 +212,39 @@ def test_verify_all_in_dimension_6(capsys, tmp_path, name):
     ids = {e["id"] for suite in payload["suites"] for e in suite}
     assert {i[:3] for i in ids} == ({f"a{k:02d}" for k in range(1, 16)}
                                     | {f"b{k:02d}" for k in range(1, 27)})
+
+
+_MANIFOLD_COMMANDS = {"classify": [], "invariants": [], "verify": [], "search": [],
+                      "scan": ["--param", "t", "--values", "1"]}
+
+
+def test_dimension_bounds_keep_dimension_6():
+    assert all(dimension_bound(command) >= 6 for command in _MANIFOLD_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFOLD_COMMANDS))
+@pytest.mark.parametrize("above", [1, 10 ** 12])
+def test_dimension_above_the_bound_refused_by_message(capsys, tmp_path, command, above):
+    # refused before any slot, or even the structure table, is built
+    n = dimension_bound(command) + above
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": n, "structure": {}}))
+    code, out, err = run(capsys, command, "--manifold", str(path), *_MANIFOLD_COMMANDS[command])
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"dimension {n} is above the bound {n - above} for {command}" in err, err
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operator_suite_below_dimension_3_refused(capsys, tmp_path, n):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"dim": n, "structure": {}}))
+    code, out, err = run(capsys, "verify", "--suite", "all", "--json", "--manifold", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "dimension >= 3" in err, err
+    code, out, _ = run(capsys, "verify", "--suite", "commutation", "--json",
+                       "--manifold", str(path))
+    assert code == 0 and json.loads(out)["all_passed"] is True
 
 
 @pytest.mark.parametrize("manifold,metric", [

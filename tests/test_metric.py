@@ -41,6 +41,24 @@ def test_rejects_non_hermitian_and_non_pd():
         HermitianMetric.diagonal([1.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("lo", [1e-16, 1e-15, 1e-14, 1.0000000000000002e-14, 2e-14, 1e-13, 1e-3])
+@pytest.mark.parametrize("hi", [1e-3, 0.5, 1.0, 2.0, 1e3, 1e14, 1e15])
+def test_metric_refusals_accept_what_the_single_check_accepted(lo, hi):
+    """Refused exactly where ``lo <= 1e-14 max(1, hi)`` (the one check that
+    the two refusals replace): on the condition number where ``lo <= 1e-14
+    hi``, otherwise on the floor."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    eigs = np.linalg.eigvalsh(np.diag([lo, hi, hi]).astype(complex))
+    refused = eigs.min() <= 1e-14 * max(1.0, eigs.max())
+    try:
+        HermitianMetric.diagonal([lo, hi, hi])
+    except InputError as exc:
+        assert refused
+        assert ("ill-conditioned" in str(exc)) == (eigs.min() <= 1e-14 * eigs.max()), str(exc)
+    else:
+        assert not refused
+
+
 def test_compound_matches_minor_loop(rng):
     # out[t, s] = det(mat[rows(s), cols(t)]) over r-subsets in combinations order
     for n in (3, 5):

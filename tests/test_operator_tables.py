@@ -2,16 +2,21 @@
 Hodge star as a signed permutation, and chains of L and Lambda stored
 sparse once per dimension.  Each must reproduce the dense product it
 replaces exactly, stay small, and hand out either a fresh array or a
-read-only one, so that no caller can change what a later call gets."""
+read-only one, so that no caller can change what a later call gets.
+Also the two per-dimension shortcuts of the suites: the cached entries
+of the identities of n alone, and ``del omega ^ .`` / ``dbar omega ^ .``
+scattered from the wedge table."""
 
 import numpy as np
 import pytest
 
 from conftest import random_pd_metric
-from starsplit import catalog, complex_structure
-from starsplit.complex_structure import OperatorTable
-from starsplit.metric import _lefschetz_chain, _slot_mat, _star_mat, _star_perm
-from starsplit.operators import verify_commutation_suite, verify_operator_identities
+from starsplit import catalog, complex_structure, operators
+from starsplit.complex_structure import InvariantComplexManifold, OperatorTable
+from starsplit.metric import (HermitianMetric, _lefschetz_chain, _slot_mat, _star_mat,
+                              _star_perm, omega_form)
+from starsplit.operators import random_form, verify_commutation_suite, verify_operator_identities
+from test_complex_structure import slot_models, stokes_violating_manifold
 
 
 class DenseTable(OperatorTable):
@@ -41,7 +46,9 @@ def test_star_perm_reproduces_star_matrix(n):
 
 def _requested_chains(monkeypatch, M, g, gamma):
     """Every (names, p, q) that either suite passes to ``chain``, directly
-    or while building a composite matrix."""
+    or while building a composite matrix, the identities of n alone
+    included: their per-dimension cache is emptied first."""
+    operators._dimension_entries.cache_clear()
     requests = set()
     chain = OperatorTable.chain
 
@@ -110,9 +117,66 @@ def test_lefschetz_chain_cache_stays_sparse(monkeypatch):
         return _lefschetz_chain(n, names, p, q)
 
     monkeypatch.setattr(complex_structure, "_lefschetz_chain", recording)
+    operators._dimension_entries.cache_clear()
     M, g, _ = catalog.get("iwasawa5")
     verify_commutation_suite(M, g)
     assert keys and {key[0] for key in keys} == {5}
     held = sum(idx.nbytes + vals.nbytes
                for _, idx, vals in (_lefschetz_chain(*key) for key in keys))
     assert held < 1 << 20, held
+
+
+def _models_of_dimension(n):
+    """A model of each dimension with structure where the catalog has one."""
+    named = {3: "iwasawa3", 4: "torus_4", 5: "iwasawa5"}
+    if n in named:
+        return catalog.get(named[n])[0]
+    return InvariantComplexManifold(f"torus_{n}", n, {})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dimension_entries_equal_a_fresh_dense_evaluation(rng, n):
+    """The cached entries of the identities of n alone read, bit for bit,
+    what a per-slot evaluation over dense chains on another manifold and
+    metric reads."""
+    operators._dimension_entries.cache_clear()
+    cached = operators._dimension_entries(n)
+    fresh = operators._pointwise_entries(DenseTable(_models_of_dimension(n),
+                                                    random_pd_metric(n, rng)))
+    assert cached == fresh
+    expected = {"a01", "a02", "a03", "a04", "a11"}
+    if n >= 3:
+        expected |= {"b01", "b02", "b03", "b04", "b08", "b09", "b10", "b11", "b12"}
+    assert {e.identity[:3] for e in cached} == expected
+    assert all(e.residual < 1e-12 for e in cached if e.skipped_reason is None)
+    skipped = [e.identity[:3] for e in cached if e.skipped_reason]
+    assert skipped == (["b11", "b12"] if n == 3 else [])
+    assert operators._dimension_entries(n) is cached
+
+
+@pytest.mark.parametrize("dense_metric", [False, True])
+def test_theta_wedge_equals_the_commutator_with_l(rng, dense_metric):
+    """del omega ^ . and dbar omega ^ . as scattered wedges agree with the
+    Leibniz commutators [del, L] and [dbar, L] on every slot."""
+    for M in slot_models() + [stokes_violating_manifold()]:
+        n = M.dim
+        g = random_pd_metric(n, rng) if dense_metric else HermitianMetric.identity(n)
+        table, dense = OperatorTable(M, g), DenseTable(M, g)
+        for d in ("del", "dbar"):
+            for p, q in table.bidegrees():
+                ref = dense.chain([d, "L"], p, q) - dense.chain(["L", d], p, q)
+                got = table.mat("w" + d, p, q)
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max(initial=0.0) < 1e-13, (M.name, d, p, q)
+
+
+def test_theta_wedge_equals_form_wedge(rng):
+    for M in (catalog.get("iwasawa5")[0], stokes_violating_manifold()):
+        n = M.dim
+        g = random_pd_metric(n, rng)
+        table, w = OperatorTable(M, g), omega_form(g)
+        for name, theta in (("wdel", M.del_(w)), ("wdbar", M.delbar(w))):
+            for p, q in ((0, 0), (1, 0), (1, 1), (0, 2), (1, 2), (2, 1)):
+                u = random_form(rng, n, p, q)
+                diff = table.apply(name, u) - theta.wedge(u)
+                assert diff.max_abs() < 1e-12 * max(1.0, theta.max_abs()), (M.name, name, p, q)
