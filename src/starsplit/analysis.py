@@ -22,7 +22,8 @@ The core and the classification work on one coefficient vector per
 bidegree slot, through the manifold's ``d_matrices``, the metric's frame
 matrices and the per-dimension frame tables of ``metric``; no coefficient
 is dropped, so small metrics keep their volume det H.  ``Form`` is the I/O
-type: rho and star rho become Forms at the end.
+type: rho and star rho become Forms at the end.  JSON output leaves out
+the coefficients at or below 1e-14 times the largest of their form.
 
 A metric is classified by the vanishing of: d omega (kahler),
 del delbar omega (SKT), del delbar omega_{n-2} (astheno),
@@ -51,11 +52,10 @@ from .complex_structure import (InvariantComplexManifold, PullbackMap, pullback,
                                 total_volume)
 from .errors import AlgebraError, InputError
 from .forms import Form
-from .metric import (HermitianMetric, _divide_e, _frame_norm, _omega_power_vec,
-                     _omega_vec, _star_mat, _top_pairing, _volume_coeff,
-                     _wedge_power_mat, hodge_star, omega_power, vec_to_form)
-
-DEFAULT_TOL = 1e-10
+from .metric import (DEFAULT_TOL, HermitianMetric, _divide_e, _frame_norm,
+                     _omega_power_vec, _omega_vec, _star_mat, _top_pairing,
+                     _volume_coeff, _wedge_power_mat, hodge_star, omega_power,
+                     vec_to_form)
 
 FLAG_ORDER = ("kahler", "balanced", "gauduchon", "SKT", "astheno_kahler",
               "n2_gauduchon", "pluriclosed_star_split", "closed_star_split")
@@ -77,10 +77,13 @@ def _flag(defect: float, scale: float, tol: float) -> FlagResult:
 
 
 def _form_json(u: Form) -> dict:
+    """The coefficients of ``u`` above 1e-14 times its largest one."""
+    floor = 1e-14 * u.max_abs()
     out = {}
     for holo, anti, c in u.terms():
-        key = ",".join(str(k) for k in holo) + "|" + ",".join(str(k) for k in anti)
-        out[key] = [c.real, c.imag]
+        if abs(c) > floor:
+            key = ",".join(str(k) for k in holo) + "|" + ",".join(str(k) for k in anti)
+            out[key] = [c.real, c.imag]
     return out
 
 

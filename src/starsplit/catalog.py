@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .complex_structure import InvariantComplexManifold, PullbackMap
 from .errors import InputError
-from .metric import HermitianMetric
+from .metric import DEFAULT_TOL, HermitianMetric
 
 # Sorted spectrum {A/2, A/2, -A/2} is reported for the deformation family and
 # the base iwasawa3 entry.  A spectrum {1, 1, -1} at A = 1 is in circulation
@@ -37,6 +37,7 @@ _EIGENVALUE_NOTE = (
 class CatalogEntry:
     name: str
     description: str
+    dim: int
     build: Callable[[Dict[str, complex]], InvariantComplexManifold]
     default_metric: Callable[[InvariantComplexManifold], HermitianMetric]
     expectations: Callable[[InvariantComplexManifold], dict]
@@ -195,6 +196,7 @@ def _register(entry: CatalogEntry) -> None:
 _register(CatalogEntry(
     name="torus_3",
     description="complex 3-torus (all structure constants zero)",
+    dim=3,
     build=_torus_builder(3),
     default_metric=_standard_metric,
     expectations=_torus_expectations,
@@ -203,6 +205,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="iwasawa3",
     description="3-dimensional nilmanifold, d phi3 = -phi1^phi2",
+    dim=3,
     build=_iwasawa3_build,
     default_metric=_standard_metric,
     expectations=_iwasawa3_expectations,
@@ -212,6 +215,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="nakamura",
     description="3-dimensional solvmanifold, d phi2 = phi1^phi2, d phi3 = -phi1^phi3",
+    dim=3,
     build=_nakamura_build,
     default_metric=_standard_metric,
     expectations=_nakamura_expectations,
@@ -220,6 +224,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="iwasawa_def",
     description="small deformations of iwasawa3 with free sigma coefficients",
+    dim=3,
     build=_iwasawa_def_build,
     default_metric=_standard_metric,
     expectations=_iwasawa_def_expectations,
@@ -229,6 +234,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="iwasawa5",
     description="5-dimensional nilmanifold with three non-closed generators",
+    dim=5,
     build=_iwasawa5_build,
     default_metric=_standard_metric,
     expectations=_iwasawa5_expectations,
@@ -237,6 +243,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="calabi_eckmann",
     description="complex structures on S^3 x S^3, parameter t in the unit disc",
+    dim=3,
     build=_calabi_eckmann_build,
     default_metric=_calabi_eckmann_metric,
     expectations=_calabi_eckmann_expectations,
@@ -252,37 +259,44 @@ def describe(name: str) -> str:
     return _ENTRIES[name].description
 
 
+def _entry(name: str) -> CatalogEntry:
+    """The entry of ``name``.  Any ``torus_<k>`` name is accepted even
+    though only ``torus_3`` is listed."""
+    if name in _ENTRIES:
+        return _ENTRIES[name]
+    m = re.fullmatch(r"torus_(\d+)", name)
+    if not m:
+        raise InputError(f"unknown catalog manifold {name!r}; "
+                         f"known: {', '.join(list_names())}")
+    k = int(m.group(1))
+    if k < 1:
+        raise InputError(f"bad torus dimension in {name!r}")
+    return CatalogEntry(name=name, description=f"complex {k}-torus", dim=k,
+                        build=_torus_builder(k), default_metric=_standard_metric,
+                        expectations=_torus_expectations, param_defaults={})
+
+
+def dimension(name: str) -> int:
+    """The complex dimension of a catalog manifold, known without building it."""
+    return _entry(name).dim
+
+
 def get(name: str, params: Optional[Dict[str, complex]] = None, *,
-        validate: bool = True, tol: float = 1e-10
-        ) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
+        tol: float = DEFAULT_TOL) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
     """Build a catalog manifold with bound parameters.
 
     Returns the validated manifold, its default metric and the expected
-    constants at those parameter values.  Any ``torus_<k>`` name is accepted
-    even though only ``torus_3`` is listed.
+    constants at those parameter values.
     """
     params = dict(params or {})
-    m = re.fullmatch(r"torus_(\d+)", name)
-    if m and name not in _ENTRIES:
-        k = int(m.group(1))
-        if k < 1:
-            raise InputError(f"bad torus dimension in {name!r}")
-        entry = CatalogEntry(name=name, description=f"complex {k}-torus",
-                             build=_torus_builder(k), default_metric=_standard_metric,
-                             expectations=_torus_expectations, param_defaults={})
-    elif name in _ENTRIES:
-        entry = _ENTRIES[name]
-    else:
-        raise InputError(f"unknown catalog manifold {name!r}; "
-                         f"known: {', '.join(list_names())}")
+    entry = _entry(name)
     bound = dict(entry.param_defaults)
     for key, value in params.items():
         if key not in entry.param_defaults:
             raise InputError(f"manifold {name!r} has no parameter {key!r}")
         bound[key] = complex(value)
     M = entry.build(bound)
-    if validate:
-        M.validate(tol)
+    M.validate(tol)
     return M, entry.default_metric(M), entry.expectations(M)
 
 

@@ -21,16 +21,15 @@ from . import analysis, catalog, jsonio, operators, search
 from .complex_structure import InvariantComplexManifold, PullbackMap
 from .errors import InputError, StarsplitError
 from .exprs import parse_complex
-from .metric import HermitianMetric
-
-DEFAULT_TOL = 1e-10
+from .metric import DEFAULT_TOL, HermitianMetric
 
 # The dimension bound.  The largest array a command allocates is one dense
 # complex matrix on the monomials of a single slot: for ``verify`` an
 # operator on the middle (n//2, n//2)-slot, for every other command the
-# frame conversion of the (n-2, n-2)-slot.  A manifold file whose dimension
-# would make that array larger than the limit is refused before anything
-# is built: ``verify`` takes n <= 6, the other commands n <= 8.
+# frame conversion of the (n-2, n-2)-slot.  A manifold, from a file or the
+# catalog, whose dimension would make that array larger than the limit is
+# refused before anything is built: ``verify`` takes n <= 6, the other
+# commands n <= 8.
 _ARRAY_LIMIT_BYTES = 16 << 20
 
 
@@ -47,14 +46,19 @@ def dimension_bound(command: str) -> int:
     return n
 
 
+def _check_dimension(dim, command: str) -> None:
+    """Refuse an integer ``dim`` above the bound of ``command``."""
+    bound = dimension_bound(command)
+    if isinstance(dim, int) and dim > bound:
+        raise InputError(f"dimension {dim} is above the bound {bound} for {command}: its "
+                         f"largest array would exceed {_ARRAY_LIMIT_BYTES >> 20} MiB")
+
+
 def _read_manifold(path: str, command: str) -> InvariantComplexManifold:
     """The manifold of a JSON file, refused before it is built when its
     dimension is above the bound of ``command``."""
     data = jsonio.read_file(path, "manifold file")
-    dim, bound = data.get("dim") if isinstance(data, dict) else None, dimension_bound(command)
-    if isinstance(dim, int) and dim > bound:
-        raise InputError(f"dimension {dim} is above the bound {bound} for {command}: its "
-                         f"largest array would exceed {_ARRAY_LIMIT_BYTES >> 20} MiB")
+    _check_dimension(data.get("dim") if isinstance(data, dict) else None, command)
     return InvariantComplexManifold.from_json_dict(data)
 
 
@@ -93,6 +97,7 @@ def _resolve_manifold(args) -> Tuple[InvariantComplexManifold, HermitianMetric, 
             M = M.bind(**params)
         M.validate(tol)
         return M, HermitianMetric.identity(M.dim), {}
+    _check_dimension(catalog.dimension(source), args.command)
     return catalog.get(source, params, tol=tol)
 
 
@@ -237,6 +242,7 @@ def cmd_scan(args) -> int:
             M = M.bind(**bindings)
         metric = HermitianMetric.identity(M.dim)
     else:
+        _check_dimension(catalog.dimension(source), args.command)
         M, metric, _ = catalog.get(source, bindings, tol=args.tol)
     metric = _resolve_metric(args.metric, metric, M.dim)
 

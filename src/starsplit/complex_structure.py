@@ -51,11 +51,9 @@ from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object, read_file
-from .metric import (HermitianMetric, _lefschetz_chain, _slot_mat, _star_perm,
+from .metric import (DEFAULT_TOL, HermitianMetric, _lefschetz_chain, _slot_mat, _star_perm,
                      _volume_coeff, _wedge_scatter, compound, form_to_vec, inner_product,
                      substitution_matrix, vec_to_form)
-
-DEFAULT_TOL = 1e-10
 
 
 class IntegrationWarning(UserWarning):
@@ -558,6 +556,8 @@ def is_structure_compatible(M: InvariantComplexManifold, phi: PullbackMap,
 def pullback_metric(M: InvariantComplexManifold, phi: PullbackMap,
                     g: HermitianMetric) -> HermitianMetric:
     """Metric of the pulled-back form phi* omega; rejects degenerate results."""
+    if phi.dim != M.dim or g.dim != M.dim:
+        raise DimensionMismatchError("pullback dimension mismatch")
     A = phi.matrix
     Ht = A.T @ g.H @ A.conj()
     try:

@@ -195,14 +195,3 @@ def parameter_names(node_or_text: Union[Node, str]) -> set:
 def parse_complex(text: str) -> complex:
     """Parse a closed complex literal like ``0.1+0.25i`` (no free names)."""
     return evaluate(text, {})
-
-
-def format_complex(z: complex) -> str:
-    """Inverse-ish of ``parse_complex``: shortest literal that round-trips."""
-    re_part, im_part = z.real, z.imag
-    if im_part == 0.0:
-        return repr(re_part)
-    if re_part == 0.0:
-        return f"{im_part!r}i"
-    sign = "+" if im_part >= 0 else "-"
-    return f"{re_part!r}{sign}{abs(im_part)!r}i"

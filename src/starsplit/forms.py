@@ -12,9 +12,8 @@ Multi-indices are stored as bitmasks (bit ``k-1`` set means index ``k`` is
 present), which keeps the wedge-sign bookkeeping to a few integer ops.
 
 Forms are immutable values: every operation returns a new ``Form``.
-Coefficients whose magnitude falls below a drop threshold (default
-``1e-14``) are removed, so results with rational/constant inputs stay
-exactly sparse up to rounding.
+Exact zeros are not stored and every other coefficient is kept, however
+small, so a form and its nonzero multiples have the same monomials.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InputError
-
-DEFAULT_DROP_TOL = 1e-14
 
 MaskKey = Tuple[int, int]
 
@@ -78,8 +75,7 @@ class Form:
 
     __slots__ = ("dim", "_terms")
 
-    def __init__(self, dim: int, terms: Dict[MaskKey, complex] | None = None,
-                 *, drop_tol: float = DEFAULT_DROP_TOL):
+    def __init__(self, dim: int, terms: Dict[MaskKey, complex] | None = None):
         if dim < 1:
             raise InputError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
@@ -87,7 +83,7 @@ class Form:
         if terms:
             for key, coeff in terms.items():
                 c = complex(coeff)
-                if abs(c) > drop_tol:
+                if c:
                     clean[key] = c
         self._terms = clean
 
@@ -200,7 +196,7 @@ class Form:
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form(self.dim, {k: -c for k, c in self._terms.items()}, drop_tol=0.0)
+        return Form(self.dim, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
@@ -232,7 +228,7 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 def linear_combine(coeffs: Sequence[complex], forms: Sequence[Form]) -> Form:
-    """Exact sparse linear combination ``sum(c_k * f_k)``; drops zeros."""
+    """Exact sparse linear combination ``sum(c_k * f_k)``; drops exact zeros."""
     if len(coeffs) != len(forms):
         raise InputError("coefficient and form lists have different lengths")
     if not forms:
@@ -260,12 +256,7 @@ def approx_equal(a: Form, b: Form, tol: float) -> bool:
     """Max-coefficient comparison of ``a - b`` against ``tol``."""
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    if a.dim != b.dim:
-        raise DimensionMismatchError("forms of different dimension")
-    diff = dict(a._terms)
-    for key, c in b._terms.items():
-        diff[key] = diff.get(key, 0j) - c
-    return all(abs(c) <= tol for c in diff.values())
+    return (a - b).max_abs() <= tol
 
 
 def basis_masks(n: int, p: int, q: int) -> List[MaskKey]:

@@ -61,6 +61,7 @@ from .errors import AlgebraError, DimensionMismatchError, InputError
 from .forms import Form, MaskKey, _merge_sign, basis_masks, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object
 
+# the default tolerance of every residual check and flag, shared by the package
 DEFAULT_TOL = 1e-10
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
@@ -291,7 +292,7 @@ class HermitianMetric:
 
     __slots__ = ("dim", "H", "chol", "_inv_chol", "_compounds", "_frames")
 
-    def __init__(self, H, *, tol: float = DEFAULT_TOL):
+    def __init__(self, H):
         H = np.array(H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise InputError(f"metric matrix must be square, got shape {H.shape}")
@@ -299,7 +300,7 @@ class HermitianMetric:
             raise InputError("metric matrix has non-finite entries")
         n = H.shape[0]
         scale = max(1.0, float(np.abs(H).max()))
-        if np.abs(H - H.conj().T).max() > tol * scale:
+        if np.abs(H - H.conj().T).max() > DEFAULT_TOL * scale:
             raise InputError("metric matrix is not Hermitian to tolerance")
         H = 0.5 * (H + H.conj().T)
         eigs = np.linalg.eigvalsh(H)

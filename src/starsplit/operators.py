@@ -67,11 +67,9 @@ from .analysis import eigenvalues_of_11, f_scalar, matrix_of_11, rho
 from .complex_structure import InvariantComplexManifold, OperatorTable
 from .errors import InputError
 from .forms import Form, basis_masks, space_dim
-from .metric import (HermitianMetric, _primitive_part, _slot_mat, _star_perm, _top_pairing,
-                     _volume_coeff, _wedge_power_mat, form_norm, form_to_vec,
+from .metric import (DEFAULT_TOL, HermitianMetric, _primitive_part, _slot_mat, _star_perm,
+                     _top_pairing, _volume_coeff, _wedge_power_mat, form_norm, form_to_vec,
                      hodge_star, lefschetz_lambda, omega_form, omega_power)
-
-DEFAULT_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -87,10 +85,9 @@ def S(g: HermitianMetric, Omega: Form) -> Form:
     return g.apply(Omega, partial(_slot_mat, g.dim, "S"))
 
 
-def P(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form, *,
-      tol: float = DEFAULT_TOL) -> Form:
+def P(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form) -> Form:
     """(omega_{n-2} ^ .)^{-1} (i del delbar alpha ^ omega_{n-3}); the
-    division is exact, so ``tol`` is not used."""
+    division is exact."""
     return OperatorTable(M, g).apply("P", alpha)
 
 
@@ -99,11 +96,10 @@ def R(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form) -> Form:
     return OperatorTable(M, g).apply("R", alpha)
 
 
-def Q(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form, *,
-      tol: float = DEFAULT_TOL) -> Form:
+def Q(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form) -> Form:
     """The elliptic completion of P; equals -laplacian_delbar plus
     lower-order torsion terms, and P + R corrected by three first-order
-    pieces.  ``tol`` is not used."""
+    pieces."""
     return OperatorTable(M, g).apply("Q", alpha)
 
 
@@ -118,8 +114,9 @@ def torsion_tau_bar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) ->
 
 
 def random_form(rng: np.random.Generator, n: int, p: int, q: int, *,
-                real: bool = False, unit: bool = True) -> Form:
-    """Dense random (p,q)-form; ``real=True`` symmetrises to a real form."""
+                real: bool = False) -> Form:
+    """Dense random (p,q)-form scaled to largest coefficient 1;
+    ``real=True`` symmetrises it to a real form first."""
     terms = {}
     for key in basis_masks(n, p, q):
         re, im = rng.standard_normal(2)
@@ -127,7 +124,7 @@ def random_form(rng: np.random.Generator, n: int, p: int, q: int, *,
     u = Form(n, terms)
     if real:
         u = 0.5 * (u + u.conjugate())
-    if unit and u.max_abs() > 0:
+    if u.max_abs() > 0:
         u = u / u.max_abs()
     return u
 

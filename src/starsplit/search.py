@@ -18,16 +18,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analysis
 from .complex_structure import InvariantComplexManifold
 from .errors import InputError
-from .metric import HermitianMetric
+from .metric import DEFAULT_TOL, HermitianMetric
 
-DEFAULT_TOL = 1e-10
+_RESTARTS = 4   # simplex descents per search: from the start and 3 perturbations
 
 
 # ----------------------------------------------------------------------
@@ -41,7 +41,6 @@ class MetricFamily:
     positive definite matrix; the search turns that into an +inf penalty.
     """
 
-    kind: str
     dim: int
     n_params: int
     build: Callable[[np.ndarray], HermitianMetric]
@@ -54,7 +53,7 @@ def diagonal_family(n: int) -> MetricFamily:
         if np.any(np.asarray(x) <= 0):
             raise InputError("diagonal entries must be positive")
         return HermitianMetric.diagonal(np.asarray(x, dtype=float))
-    return MetricFamily("diagonal", n, n, build, np.ones(n))
+    return MetricFamily(n, n, build, np.ones(n))
 
 
 def hermitian_family(n: int) -> MetricFamily:
@@ -73,7 +72,7 @@ def hermitian_family(n: int) -> MetricFamily:
                 pos += 2
         return HermitianMetric(H)
     start = np.concatenate([np.ones(n), np.zeros(2 * n_off)])
-    return MetricFamily("hermitian", n, n + 2 * n_off, build, start)
+    return MetricFamily(n, n + 2 * n_off, build, start)
 
 
 def family_by_name(kind: str, n: int) -> MetricFamily:
@@ -191,7 +190,7 @@ class SearchResult:
 
 
 def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
-               budget: int = 2000, seed: int = 0, restarts: int = 4,
+               budget: int = 2000, seed: int = 0,
                tol: float = DEFAULT_TOL) -> SearchResult:
     """Minimise the star-split defect over the family by simplex descent
     with random restarts.
@@ -225,7 +224,7 @@ def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
         raise InputError(f"family start point is infeasible: {exc}") from exc
 
     starts = [np.asarray(family.start, dtype=float)]
-    for _ in range(restarts - 1):
+    for _ in range(_RESTARTS - 1):
         starts.append(family.start * (1.0 + 0.5 * rng.standard_normal(family.n_params))
                       + 0.1 * rng.standard_normal(family.n_params))
 
@@ -273,22 +272,16 @@ class ScanRow:
 
 
 def scan(M: InvariantComplexManifold, param_name: str, values: Sequence[complex], *,
-         metric: Union[HermitianMetric, Callable[[InvariantComplexManifold], HermitianMetric], None] = None,
-         tol: float = DEFAULT_TOL) -> List[ScanRow]:
-    """Re-bind one manifold parameter per value and classify each instance."""
+         metric: HermitianMetric, tol: float = DEFAULT_TOL) -> List[ScanRow]:
+    """Re-bind one manifold parameter per value, validate each instance and
+    classify it with ``metric``, the same metric for every value."""
     if param_name not in M.parameter_names():
         raise InputError(f"manifold {M.name!r} has no parameter {param_name!r}")
     rows: List[ScanRow] = []
     for value in values:
         bound = M.bind(**{param_name: complex(value)})
         bound.validate(tol)
-        if metric is None:
-            g = HermitianMetric.identity(M.dim)
-        elif callable(metric):
-            g = metric(bound)
-        else:
-            g = metric
-        report = analysis.classify(bound, g, tol=tol)
+        report = analysis.classify(bound, metric, tol=tol)
         rows.append(ScanRow(
             value=complex(value),
             f=report.f,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_pd_metric
 from starsplit import catalog
-from starsplit.analysis import (classify, conformal_f, eigenvalues_of_11,
+from starsplit.analysis import (_form_json, classify, conformal_f, eigenvalues_of_11,
                                 eigenvalues_rel_omega, f_scalar,
                                 gauduchon_adjoint_on_constant, pair_analysis,
                                 rescale_f, rho, star_rho, triple_analysis)
@@ -50,6 +50,13 @@ def test_iwasawa_rho_and_star_rho_displays():
     assert approx_equal(star_rho(M, g), expected_sr, 1e-12)
     # reality of the dual
     assert approx_equal(star_rho(M, g).conjugate(), star_rho(M, g), 1e-12)
+
+
+def test_form_json_drops_relative_to_the_largest_coefficient():
+    u = Form(3, {(1, 1): 1e20, (1, 2): 1e7, (2, 1): 1e5})
+    assert _form_json(u) == {"1|1": [1e20, 0.0], "1|2": [1e7, 0.0]}
+    assert _form_json(1e-30 * u).keys() == {"1|1", "1|2"}
+    assert _form_json(Form.zero(3)) == {}
 
 
 def test_division_route_examples():

@@ -74,6 +74,11 @@ def test_torus_pattern_accepted():
     assert exp["f"] == 0.0
 
 
+@pytest.mark.parametrize("name", catalog.list_names() + ["torus_4"])
+def test_dimension_is_the_built_dimension(name):
+    assert catalog.dimension(name) == catalog.get(name)[0].dim
+
+
 def test_isometry_generators_structure_compatible(rng):
     factory = catalog.isometry_factory("iwasawa3")
     M, g, _ = catalog.get("iwasawa3")

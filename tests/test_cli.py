@@ -235,6 +235,17 @@ def test_dimension_above_the_bound_refused_by_message(capsys, tmp_path, command,
     assert f"dimension {n} is above the bound {n - above} for {command}" in err, err
 
 
+@pytest.mark.parametrize("command", sorted(_MANIFOLD_COMMANDS))
+def test_catalog_torus_above_the_bound_refused_by_message(capsys, command):
+    # a catalog name is held to the same bound as a file, before it is built
+    n = dimension_bound(command) + 1
+    code, out, err = run(capsys, command, "--manifold", f"torus_{n}",
+                         *_MANIFOLD_COMMANDS[command])
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"dimension {n} is above the bound {n - 1} for {command}" in err, err
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_operator_suite_below_dimension_3_refused(capsys, tmp_path, n):
     path = tmp_path / "small.json"
@@ -265,7 +276,7 @@ def test_metric_with_overflowing_volume_rejected(capsys, tmp_path, manifold, met
 
 @pytest.mark.parametrize("manifold,lam", [("iwasawa3", 1e-13), ("iwasawa5", 1e-3)])
 def test_small_metric_classifies_with_scaled_f(capsys, tmp_path, manifold, lam):
-    # det H = lam^n is far below Form's drop tolerance; f(lam omega) = f(omega)/lam
+    # det H = lam^n is far below every coefficient of the metric; f(lam omega) = f(omega)/lam
     n = catalog.get(manifold)[0].dim
     reports = {}
     for scale in (lam, 1.0):
@@ -320,6 +331,45 @@ def test_triple_report_via_phi(capsys, tmp_path):
     assert data["triple"]["pluriclosed"]["holds"] is True
     assert data["triple"]["gamma_isometric"] is True
     assert data["triple"]["rho_pullback_residual"] < 1e-10
+
+
+def test_pullback_of_the_wrong_dimension_refused(capsys, tmp_path):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+    code, out, err = run(capsys, "classify", "--manifold", "iwasawa3",
+                         "--phi", str(phi), "--json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "dimension" in err, err
+
+
+def _dense_iwasawa5_metric():
+    B = 0.4 * np.random.default_rng(5).standard_normal((5, 5, 2)) @ [1, 1j]
+    return B.conj().T @ B + np.eye(5)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(5), _dense_iwasawa5_metric()],
+                         ids=["identity", "dense"])
+def test_star_rho_scales_with_the_metric(capsys, tmp_path, matrix):
+    # rho(lam omega) = rho(omega) and star rho(lam omega) = lam^(n-2) star rho(omega):
+    # the reported monomials are the same at every scale
+    reports = {}
+    for lam in (1.0, 1e-6, 1e-5, 1e-3, 1e3):
+        path = tmp_path / f"metric-{lam}.json"
+        path.write_text(json.dumps({"type": "hermitian", "scale": lam,
+                                    "matrix": [[z.real, z.imag] for z in matrix.reshape(-1)]}))
+        code, out, err = run(capsys, "classify", "--manifold", "iwasawa5",
+                             "--metric", str(path), "--json")
+        assert code == 0 and err == ""
+        reports[lam] = {key: {k: complex(*c) for k, c in json.loads(out)["report"][key].items()}
+                        for key in ("rho", "star_rho")}
+    base = reports[1.0]
+    for lam, rep in reports.items():
+        for key, factor in (("rho", 1.0), ("star_rho", lam ** 3)):
+            assert rep[key].keys() == base[key].keys(), (lam, key)
+            largest = max(map(abs, base[key].values()))
+            for k, c in base[key].items():
+                assert abs(rep[key][k] - factor * c) <= 1e-12 * factor * largest, (lam, key, k)
 
 
 def test_search_command(capsys):

@@ -1,8 +1,7 @@
 import pytest
 
 from starsplit.errors import ExpressionError, UnboundParameterError
-from starsplit.exprs import (evaluate, format_complex, parameter_names,
-                             parse_complex, parse_expression)
+from starsplit.exprs import evaluate, parameter_names, parse_complex, parse_expression
 
 
 def test_literals():
@@ -53,11 +52,6 @@ def test_unbound_parameter():
 def test_syntax_errors(bad):
     with pytest.raises(ExpressionError):
         parse_expression(bad)
-
-
-def test_format_complex_round_trip():
-    for z in [0j, 1 + 0j, -2.5 + 0j, 0.25j, -0.2j, 1 + 1j, 0.1 - 0.3j]:
-        assert parse_complex(format_complex(z)) == z
 
 
 @pytest.mark.parametrize("bad", ["1/0", "1/(i-i)", "1e400", "-1e400i",

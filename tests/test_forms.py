@@ -116,10 +116,11 @@ def test_monomial_normalisation_and_coefficient():
 
 def test_zero_drop_threshold():
     n = 3
+    assert Form(n, {(1, 1): 0.0, (2, 2): 0j})._terms == {}
     tiny = Form(n, {(1, 1): 1e-16})
-    assert tiny.is_zero()
-    kept = Form(n, {(1, 1): 1e-16}, drop_tol=0.0)
-    assert not kept.is_zero()
+    assert not tiny.is_zero()
+    assert tiny.coefficient((1,), (1,)) == 1e-16
+    assert Form(n, {(1, 1): 1e-300}).coefficient((1,), (1,)) == 1e-300
 
 
 # ----------------------------------------------------------------------

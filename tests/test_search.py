@@ -112,7 +112,7 @@ def test_search_rejects_bad_family():
     def broken(x):
         raise InputError("never feasible")
 
-    family = MetricFamily("broken", 3, 2, broken, np.ones(2))
+    family = MetricFamily(3, 2, broken, np.ones(2))
     with pytest.raises(InputError):
         search_pss(M, family, budget=10, seed=0)
     with pytest.raises(InputError):
