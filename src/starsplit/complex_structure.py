@@ -20,14 +20,18 @@ Coefficients may be expressions over named complex parameters (see
 generator differentials and slot matrices are built afresh.
 
 ``OperatorTable`` (re-exported by ``operators``) holds every metric-dependent
-operator as orthonormal-frame slot matrices: del/dbar moved into the frame,
-the per-dimension L, Lambda, star, T and S, the wedges ``del omega ^ .``
-and ``delbar omega ^ .``, and sums of chains of these:
-``del* = -star delbar star``,
-``delbar* = -star del star``, the torsion ``tau = [Lambda, del omega ^ .]``
-and its conjugate, the delbar-Laplacian and the (1,1)-operators P, R and Q
-of ``operators``.  The adjoints and the Laplacian below, and the operators
-of ``operators``, only apply its matrices.
+operator as orthonormal-frame slot matrices.  del/dbar, the wedges ``del
+omega ^ .`` and ``delbar omega ^ .`` and the torsion ``tau = [Lambda, del
+omega ^ .]`` and its conjugate are scattered from per-dimension tables of
+``metric``: del/dbar from the frame differentials of the generators
+(the matrices on the (1,0)- and (0,1)-slots moved into the frame, the
+only congruences left), the rest from the frame 3-form ``del omega``
+(``delbar omega``).  L, Lambda, star, T and S are per dimension; every
+other operator is a sum of chains of these: ``del* = -star delbar
+star``, ``delbar* = -star del star``, the delbar-Laplacian and the
+(1,1)-operators P, R and Q of ``operators``.  The adjoints and the
+Laplacian below, and the operators of ``operators``, only apply its
+matrices.
 
 Validity of a model is quantified, not assumed: ``check_integrability``
 measures ``d(d phi_k)`` and ``check_stokes`` reads the top-degree rows of
@@ -51,9 +55,10 @@ from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object, read_file
-from .metric import (DEFAULT_TOL, HermitianMetric, _lefschetz_chain, _slot_mat, _star_perm,
-                     _volume_coeff, _wedge_scatter, compound, form_to_vec, inner_product,
-                     substitution_matrix, vec_to_form)
+from .metric import (DEFAULT_TOL, HermitianMetric, _derivation_scatter, _lefschetz_chain,
+                     _scatter, _slot_mat, _star_perm, _torsion_scatter, _volume_coeff,
+                     _wedge_scatter, compound, form_to_vec, inner_product, substitution_matrix,
+                     vec_to_form)
 
 
 class IntegrationWarning(UserWarning):
@@ -319,14 +324,20 @@ class OperatorTable:
     matrices over the orthonormal monomial bases, built per slot on first
     use and kept, read-only, for the life of the table.
 
-    "del"/"dbar" are the manifold's slot matrices moved into the frame;
-    "L", "Lam", "star", "T" and "S" the per-dimension matrices of
-    ``metric._slot_mat``; "wdel"/"wdbar" the wedge with the frame 3-form
-    ``theta = del omega`` (``delbar omega``), which is one mat-vec of the
-    table, kept as the (0,0)-slot column and scattered into every other
-    slot by ``metric._wedge_scatter``; every other name is a sum of scaled
-    chains of these (``_terms``).  "P", "R" and "Q" act on the (1,1)-slot
-    only.
+    "del"/"dbar" on every slot are one scatter (``metric._scatter``) of
+    the frame differentials of the generators through the Leibniz rule's
+    per-dimension table ``metric._derivation_scatter``; those
+    differentials are the manifold's (1,0)- and (0,1)-slot matrices moved
+    into the frame, four small congruences per table (``_generators``).
+    "L", "Lam", "star", "T" and "S" are the per-dimension matrices of
+    ``metric._slot_mat``.  "wdel"/"wdbar" are the wedge with the frame
+    3-form ``theta = del omega`` (``delbar omega``), which is one mat-vec
+    of the table, kept as the (0,0)-slot column and scattered into every
+    other slot by ``metric._wedge_scatter``; "tau"/"taubar", the
+    commutators of Lambda with them, are one scatter of the same theta
+    through ``metric._torsion_scatter``.  Every other name is a sum of
+    scaled chains of these (``_terms``).  "P", "R" and "Q" act on the
+    (1,1)-slot only.
     ``chain`` applies "star" as the signed permutation it is, and takes a
     chain of "L" and "Lam" alone from a per-dimension table; the slot
     list ``bidegrees()`` is computed once per table."""
@@ -343,6 +354,7 @@ class OperatorTable:
         self.g = g
         self.n = n = M.dim
         self._mats: Dict[Tuple[str, int, int], np.ndarray] = {}
+        self._gens: Dict[str, np.ndarray] = {}
         self._bidegrees = tuple((p, q) for p in range(n + 1) for q in range(n + 1)
                                 if space_dim(n, p, q))
 
@@ -355,9 +367,6 @@ class OperatorTable:
     def _terms(self, name: str) -> List[Tuple[complex, List[str]]]:
         """(coefficient, chain) pairs summing to a composite operator."""
         n = self.n
-        if name in ("tau", "taubar"):
-            wd = "wdel" if name == "tau" else "wdbar"
-            return [(1, ["Lam", wd]), (-1, [wd, "Lam"])]
         if name in ("delstar", "dbarstar"):
             return [(-1, ["star", "dbar" if name == "delstar" else "del", "star"])]
         if name == "dbarlap":
@@ -376,20 +385,37 @@ class OperatorTable:
                     (-1 / (n - 1), ["L", "dbarstar", "Lam", "dbar"])]
         raise InputError(f"unknown operator {name!r}")
 
+    def _generators(self, name: str) -> np.ndarray:
+        """The frame differentials ``del e_k`` and ``del ebar_k`` ("del"), or
+        ``dbar e_k`` and ``dbar ebar_k`` ("dbar"), in the layout that
+        ``metric._derivation_scatter`` reads: the manifold's matrices on the
+        (1,0)- and (0,1)-slots moved into the frame, flattened."""
+        if name not in self._gens:
+            part, g = name == "dbar", self.g
+            self._gens[name] = np.concatenate([
+                (g.to_e_matrix(*self.target(name, p, q)) @ self.M.d_matrices(p, q)[part]
+                 @ g.from_e_matrix(p, q)).ravel()
+                for p, q in ((1, 0), (0, 1)) if space_dim(self.n, *self.target(name, p, q))])
+        return self._gens[name]
+
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         key = (name, p, q)
         if key in self._mats:
             return self._mats[key]
         if name in ("P", "R", "Q") and (p, q) != (1, 1):
             raise InputError(f"{name} expects a (1,1)-form, got bidegree ({p},{q})")
-        n, g = self.n, self.g
+        n = self.n
         tp, tq = self.target(name, p, q)
         shape = (space_dim(n, tp, tq), space_dim(n, p, q))
         if not all(shape):
             return np.zeros(shape, dtype=complex)
         if name in ("del", "dbar"):
-            phi_mat = self.M.d_matrices(p, q)[("del", "dbar").index(name)]
-            mat = g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
+            mat = _scatter(shape, _derivation_scatter(n, ("del", "dbar").index(name), p, q),
+                           self._generators(name))
+        elif name in ("tau", "taubar"):
+            bar = name == "taubar"
+            theta = self.mat("wdbar" if bar else "wdel", 0, 0)[:, 0]
+            mat = 1j * _scatter(shape, _torsion_scatter(n, bar, p, q), theta)
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
         elif name in ("wdel", "wdbar"):

@@ -19,7 +19,13 @@ coefficients (``_wedge_scatter``, signed by ``_merge_table``), and from it
 ``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column is the standard
 ``omega_r`` that ``omega_power`` moves to phi) and the ``del omega ^ .``
 of ``OperatorTable``; the top pairing and the star (both signed
-permutations).  From these come L,
+permutations).  Two more tables give ``OperatorTable`` its other
+first-order operators as one gather and one bincount per slot
+(``_scatter``): the Leibniz rule as a derivation, which builds del or
+dbar of any slot from the differentials of the generators in any coframe
+(``_derivation_scatter``), and the torsion ``[Lambda, del omega ^ .]``
+from the coefficients of ``del omega`` (``_torsion_scatter``).  Both are
+stored as int32 positions and int8 signs.  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
 ``divide_by_power`` and the sl(2) closed form behind
@@ -139,6 +145,123 @@ def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
     for arr in (rows, cols, terms, signs):
         arr.setflags(write=False)
     return rows, cols, terms, signs
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(i, j)`` with ``left[i] == right[j]``."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    start = np.searchsorted(ordered, left, "left")
+    count = np.searchsorted(ordered, left, "right") - start
+    i = np.repeat(np.arange(len(left)), count)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    return i, order[np.repeat(start, count) + offset]
+
+
+def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], width: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pos, terms, signs)`` of a matrix whose entry at flat position
+    ``pos[k]`` collects ``signs[k] * values[terms[k]]``, for ``values`` of
+    length ``width``, from pieces of the same form: repeated (position,
+    term) pairs merged, zero sums dropped, stored as int32 and int8."""
+    pos, terms, signs = (np.concatenate([piece[m] for piece in pieces] or [np.zeros(0, int)])
+                         for m in range(3))
+    width = max(width, 1)
+    keys, inverse = np.unique(pos.astype(np.int64) * width + terms, return_inverse=True)
+    summed = np.bincount(inverse.reshape(-1), signs, len(keys)).astype(np.int64)
+    keep = summed != 0
+    out = ((keys[keep] // width).astype(np.int32), (keys[keep] % width).astype(np.int32),
+           summed[keep].astype(np.int8))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _scatter(shape: Tuple[int, int], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
+             values: np.ndarray) -> np.ndarray:
+    """The matrix of a ``_scatter_table`` for these values: one gather and
+    one bincount of the real and of the imaginary parts."""
+    pos, terms, signs = table
+    vals = signs * values[terms]
+    size = shape[0] * shape[1]
+    flat = np.bincount(pos, vals.real, size) + 1j * np.bincount(pos, vals.imag, size)
+    return flat.reshape(shape)
+
+
+# the slots of d e_k and of d ebar_k, for del (part 0) and for dbar (part 1)
+_GENERATOR_SLOTS = (((2, 0), (1, 1)), ((1, 1), (0, 2)))
+
+
+@lru_cache(maxsize=None)
+def _derivation_scatter(n: int, part: int, p: int, q: int
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """del (part 0) or dbar (part 1) from the (p,q)-slot as a
+    ``_scatter_table`` over the generator differentials: ``values`` is
+    ``concatenate([Dh.ravel(), Da.ravel()])``, where column k of ``Dh``
+    holds the coefficients of ``d e_k`` and column k of ``Da`` those of
+    ``d ebar_k`` (the part's component, on the slots of
+    ``_GENERATOR_SLOTS``), in any coframe.  It is the Leibniz rule as a
+    derivation: with ``e_I = (-1)^#(I below k) e_k ^ e_{I-k}``,
+
+        d(e_I ^ ebar_J) = sum_{k in I} (-1)^#(I below k) d e_k ^ e_{I-k} ^ ebar_J
+                        + sum_{k in J} (-1)^(p + #(J below k)) d ebar_k ^ e_I ^ ebar_{J-k},
+
+    each wedge read off ``_wedge_scatter``."""
+    tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
+    ncols = space_dim(n, p, q)
+    pieces, offset = [], 0
+    for side, (a, b) in enumerate(_GENERATOR_SLOTS[part]):
+        # (p,q) -> (rp,rq): remove one generator from the holomorphic (side
+        # 0) or the antiholomorphic (side 1) mask
+        rp, rq = (p - 1, q) if side == 0 else (p, q - 1)
+        if space_dim(n, rp, rq) and space_dim(n, tp, tq):
+            free, sign, rank = _merge_table(n, 1, (rp, rq)[side])
+            k, rest = np.nonzero(free)
+            other = np.arange(space_dim(n, (q, p)[side], 0))
+            k, rest, other = (np.repeat(k, len(other)), np.repeat(rest, len(other)),
+                              np.tile(other, len(k)))
+            ksign = sign[k, rest] * (1 - 2 * (p * side & 1))
+            if side == 0:
+                col = rank[k, rest] * space_dim(n, 0, q) + other
+                sub = rest * space_dim(n, 0, q) + other
+            else:
+                col = other * space_dim(n, 0, q) + rank[k, rest]
+                sub = other * space_dim(n, 0, rq) + rest
+            rows, cols, terms, signs = _wedge_scatter(n, a, b, rp, rq)
+            i, j = _join(sub, cols)
+            pieces.append((rows[j] * ncols + col[i], offset + terms[j] * n + k[i],
+                           ksign[i] * signs[j]))
+        offset += space_dim(n, a, b) * n
+    return _scatter_table(pieces, offset)
+
+
+@lru_cache(maxsize=None)
+def _torsion_scatter(n: int, bar: bool, p: int, q: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The torsion ``tau = [Lam, theta ^ .]`` from the (p,q)-slot, for the
+    (2,1)-form ``theta = del omega`` (``bar``: the (1,2)-form ``dbar
+    omega`` and ``taubar``), as a ``_scatter_table`` over the coefficients
+    of theta, times i: the nonzeros of Lambda are +-i, so ``Lam W - W Lam``
+    joins ``_wedge_scatter`` with the nonzeros of ``_slot_mat(n, "Lam",
+    ...)`` to integer signs."""
+    a, b = (1, 2) if bar else (2, 1)
+    ncols = space_dim(n, p, q)
+    pieces = []
+    if space_dim(n, p + a, q + b):
+        # Lam (theta ^ .): Lambda on the (p+a,q+b)-slot after the wedge
+        rows, cols, terms, signs = _wedge_scatter(n, a, b, p, q)
+        lam = _slot_mat(n, "Lam", p + a, q + b)[0]
+        lr, lc = np.nonzero(lam)
+        i, j = _join(rows, lc)
+        pieces.append((lr[j] * ncols + cols[i], terms[i], signs[i] * lam[lr, lc].imag[j]))
+    if space_dim(n, p - 1, q - 1) and space_dim(n, p + a - 1, q + b - 1):
+        # -(theta ^ .) Lam: the wedge on the (p-1,q-1)-slot after Lambda
+        rows, cols, terms, signs = _wedge_scatter(n, a, b, p - 1, q - 1)
+        lam = _slot_mat(n, "Lam", p, q)[0]
+        lr, lc = np.nonzero(lam)
+        i, j = _join(cols, lr)
+        pieces.append((rows[i] * ncols + lc[j], terms[i], -signs[i] * lam[lr, lc].imag[j]))
+    return _scatter_table(pieces, space_dim(n, a, b))
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +500,10 @@ class HermitianMetric:
         }
 
     def describe(self) -> str:
-        if np.abs(self.H - np.diag(np.diag(self.H))).max() < 1e-15:
+        """"diagonal(...)" when every off-diagonal entry is below 1e-15 times
+        the largest diagonal entry, else "hermitian(n=...)"."""
+        diag = np.diag(self.H)
+        if np.abs(self.H - np.diag(diag)).max() < 1e-15 * diag.real.max():
             vals = ", ".join(f"{v.real:g}" for v in np.diag(self.H))
             return f"diagonal({vals})"
         return f"hermitian(n={self.dim})"

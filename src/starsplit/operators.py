@@ -18,13 +18,14 @@ Per dimension, independent of manifold and metric, are L, Lam, star, T
 L's and Lam's that a chain asks for (stored sparse).  The star is a
 signed permutation, and a chain applies it as one: a gather of rows or
 columns and a factor of +-1 or +-i each.  Per table, built on first use
-and kept, are del and dbar (the manifold's Leibniz slot matrices moved
-into the frame) and every composite: ``del omega ^ .`` as the wedge with
-the 3-form ``theta = del omega`` (one mat-vec per table, scattered into
-each slot from a per-dimension sign table), tau, the adjoints
-``del* = -star dbar star`` and ``dbar* = -star del star``, the
-dbar-Laplacian, and P, R and Q as chains on the (1,1)-slot.  The
-Form-level functions below build one table and apply its matrix.
+and kept, are the first-order operators, each slot one scatter from a
+per-dimension table: del and dbar from the frame differentials of the
+generators (the Leibniz rule as a derivation), ``del omega ^ .`` as the
+wedge with the 3-form ``theta = del omega`` (one mat-vec per table), and
+tau from the same theta.  The composites are chains of these: the
+adjoints ``del* = -star dbar star`` and ``dbar* = -star del star``, the
+dbar-Laplacian, and P, R and Q on the (1,1)-slot.  The Form-level
+functions below build one table and apply its matrix.
 
 Each suite builds one table per run and evaluates both sides of every
 identity that is linear in its input on every monomial of its slot at

@@ -523,3 +523,15 @@ def test_frame_tables_build_no_form(monkeypatch):
     for k in range(n - 1):
         metric._division_solve(n, k)
     assert not built
+
+
+@pytest.mark.parametrize("scale,off,expected", [
+    (1.0, 0.0, "diagonal(1, 1, 1)"), (1.0, 1e-16, "diagonal(1, 1, 1)"),
+    (1e-12, 5e-16, "hermitian(n=3)"), (1e-12, 1e-28, "diagonal(1e-12, 1e-12, 1e-12)"),
+    (1e6, 1e-12, "diagonal(1e+06, 1e+06, 1e+06)"), (1.0, 1e-6, "hermitian(n=3)")])
+def test_describe_reads_off_diagonal_entries_relative_to_the_diagonal(scale, off, expected):
+    """A metric is "diagonal" when its off-diagonal entries are negligible
+    next to its largest diagonal entry, whatever its overall scale."""
+    H = scale * np.eye(3)
+    H[0, 1] = H[1, 0] = off
+    assert HermitianMetric(H).describe() == expected

@@ -3,9 +3,11 @@ Hodge star as a signed permutation, and chains of L and Lambda stored
 sparse once per dimension.  Each must reproduce the dense product it
 replaces exactly, stay small, and hand out either a fresh array or a
 read-only one, so that no caller can change what a later call gets.
-Also the two per-dimension shortcuts of the suites: the cached entries
-of the identities of n alone, and ``del omega ^ .`` / ``dbar omega ^ .``
-scattered from the wedge table."""
+Also the per-dimension shortcuts of the suites: the cached entries of
+the identities of n alone, ``del omega ^ .`` / ``dbar omega ^ .``
+scattered from the wedge table, and del, dbar, tau and taubar scattered
+from their own tables, checked against the congruence and the dense
+commutator they replace."""
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ import pytest
 from conftest import random_pd_metric
 from starsplit import catalog, complex_structure, operators
 from starsplit.complex_structure import InvariantComplexManifold, OperatorTable
-from starsplit.metric import (HermitianMetric, _lefschetz_chain, _slot_mat, _star_mat,
-                              _star_perm, omega_form)
+from starsplit.metric import (HermitianMetric, _derivation_scatter, _lefschetz_chain,
+                              _scatter, _slot_mat, _star_mat, _star_perm, _torsion_scatter,
+                              omega_form)
 from starsplit.operators import random_form, verify_commutation_suite, verify_operator_identities
+from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
 
 
@@ -180,3 +184,75 @@ def test_theta_wedge_equals_form_wedge(rng):
                 u = random_form(rng, n, p, q)
                 diff = table.apply(name, u) - theta.wedge(u)
                 assert diff.max_abs() < 1e-12 * max(1.0, theta.max_abs()), (M.name, name, p, q)
+
+
+# ----------------------------------------------------------------------
+# del, dbar, tau and taubar scattered from per-dimension tables
+# ----------------------------------------------------------------------
+def _reference_models():
+    """The slot models, the Stokes-violating one and a 6-dimensional one,
+    each with the metrics to run it on (the n = 6 model on one only)."""
+    n6 = InvariantComplexManifold.from_json_dict(
+        {"name": "iwasawa3_x_iwasawa3", "dim": 6,
+         "structure": _N6_MODELS["iwasawa3_x_iwasawa3"]})
+    for M in slot_models() + [stokes_violating_manifold()]:
+        yield M, (False, True)
+    yield n6, (True,)
+
+
+def _old_construction(table, name, p, q):
+    """del/dbar as the manifold's phi-basis matrix moved into the frame by
+    congruence, tau/taubar as the dense commutator of Lambda with the
+    theta wedge."""
+    M, g = table.M, table.g
+    if name in ("del", "dbar"):
+        tp, tq = table.target(name, p, q)
+        phi_mat = M.d_matrices(p, q)[("del", "dbar").index(name)]
+        if not phi_mat.size:
+            return phi_mat
+        return g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
+    wd = "wdel" if name == "tau" else "wdbar"
+    dense = DenseTable(M, g)
+    return dense.chain(["Lam", wd], p, q) - dense.chain([wd, "Lam"], p, q)
+
+
+def test_first_order_slot_matrices_equal_the_old_construction(rng):
+    for M, dense_metrics in _reference_models():
+        n = M.dim
+        for dense_metric in dense_metrics:
+            g = random_pd_metric(n, rng) if dense_metric else HermitianMetric.identity(n)
+            table = OperatorTable(M, g)
+            for name in ("del", "dbar", "tau", "taubar"):
+                for p, q in table.bidegrees():
+                    ref, got = _old_construction(table, name, p, q), table.mat(name, p, q)
+                    assert got.shape == ref.shape, (M.name, name, p, q)
+                    bound = 1e-13 * max(1.0, np.abs(ref).max(initial=0.0))
+                    assert np.abs(got - ref).max(initial=0.0) <= bound, (M.name, name, p, q)
+
+
+def test_derivation_table_reproduces_the_phi_basis_d_matrices():
+    """Fed with the generator differentials in the phi coframe, the
+    derivation table is the Leibniz rule: every slot matrix of
+    ``d_matrices``."""
+    for M, _ in _reference_models():
+        n = M.dim
+        for part in (0, 1):
+            gens = np.concatenate([M.d_matrices(p, q)[part].ravel()
+                                   for p, q in ((1, 0), (0, 1))])
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    ref = M.d_matrices(p, q)[part]
+                    got = _scatter(ref.shape, _derivation_scatter(n, part, p, q), gens)
+                    bound = 1e-13 * max(1.0, np.abs(ref).max(initial=0.0))
+                    assert np.abs(got - ref).max(initial=0.0) <= bound, (M.name, part, p, q)
+
+
+def test_first_order_tables_stay_small():
+    """Both per-dimension tables, over every slot of dimension 5, hold
+    less than 2 MiB."""
+    held = sum(arr.nbytes
+               for p in range(6) for q in range(6) for part in (0, 1)
+               for table in (_derivation_scatter(5, part, p, q),
+                             _torsion_scatter(5, bool(part), p, q))
+               for arr in table)
+    assert held < 2 << 20, held
