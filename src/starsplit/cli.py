@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
 
     reports = []
     if args.suite in ("commutation", "all"):
-        reports.append(operators.verify_commutation_suite(M, g, tol=args.tol, seed=args.seed))
+        reports.append(operators.verify_commutation_suite(M, g, tol=args.tol))
     if args.suite in ("operators", "all"):
         reports.append(operators.verify_operator_identities(
             M, g, gamma, tol=args.tol, seed=args.seed))

@@ -32,21 +32,24 @@ identity that is linear in its input on every monomial of its slot at
 once, as matrices over the frame (where the L2 adjoint of an operator
 between invariant forms is its conjugate transpose, the total volume
 cancelling on both sides of the pairing); the primitive-form star formula
-(a11) runs on the image of each slot's primitive projector.  An identity
-whose matrices depend on n alone (the slot part of a01, a02 to a04, a11,
-b01 to b04 and b08 to b12) is evaluated once per dimension, over the
-table of the n-torus with the identity metric, and every later call of
-that dimension reads its cached largest residual (``_dimension_entries``);
-every other identity is evaluated afresh on every slot in every call.
-Seeded random forms remain only in the spot checks of a01, a12 and a13,
-which test the mask-built L and star against ``Form.wedge``, and where a
-check needs particular inputs (the semi-definite candidates of b26); a09,
-a10, b13 and b14 cross-check Form-level routes on omega itself.
+(a11) runs on the image of each slot's primitive projector, and the
+identities on the metric form (a09, a10, b13, b14 and the omega-columns of
+b22 and b23) on omega's frame column.  An identity whose matrices depend on
+n alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) is evaluated
+once per dimension, over the table of the n-torus with the identity
+metric, and every later call of that dimension reads its cached largest
+residual (``_dimension_entries``); every other identity is evaluated afresh
+on every slot in every call.  The wedge pairings a12 and a13 are the top
+pairing ``metric._top_pairing`` against the star on either side.  The
+operator suite takes f, rho and ``i del delbar omega_{n-2}`` from one call
+of the star-split core ``analysis._star_split``.  Seeded random forms
+remain only where a check needs particular inputs: the semi-definite
+candidates of b26.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
 identity is its id, its anchor, a callable yielding residual arrays (the
-``lhs - rhs`` matrix of each slot, or a spot check's ``max_abs()`` as a
-0-d array) and its ``(holds, reason)`` hypotheses (balanced-only,
+``lhs - rhs`` matrix of each slot, or a scalar residual as a 0-d
+array) and its ``(holds, reason)`` hypotheses (balanced-only,
 n >= 4 only, Stokes-dependent).  The report records the largest absolute
 residual entry, or, when a hypothesis fails, a skip with the first failed
 reason; every identity is listed, none is dropped.  ``IdentityReport.reuse``
@@ -59,18 +62,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import eigenvalues_of_11, f_scalar, matrix_of_11, rho
+from .analysis import _star_split, eigenvalues_of_11, matrix_of_11
 from .complex_structure import InvariantComplexManifold, OperatorTable
 from .errors import InputError
 from .forms import Form, basis_masks, space_dim
-from .metric import (DEFAULT_TOL, HermitianMetric, _primitive_part, _slot_mat, _star_perm,
-                     _top_pairing, _volume_coeff, _wedge_power_mat, form_norm, form_to_vec,
-                     hodge_star, lefschetz_lambda, omega_form, omega_power)
+from .metric import (DEFAULT_TOL, HermitianMetric, _omega_power_vec, _primitive_part,
+                     _slot_mat, _star_perm, _top_pairing, _volume_coeff, _wedge_power_mat,
+                     form_to_vec)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +212,7 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
 
 def _pointwise_entries(table: OperatorTable) -> Tuple[IdentityResult, ...]:
     """The suite entries whose matrices depend on n alone (L, Lam, star, T,
-    S and ``omega_r ^ .``): the slot part of a01, a02 to a04 and a11, and
+    S, ``omega_r ^ .`` and the top pairing): a01 to a04 and a11 to a13, and
     from n = 3 on b01 to b04 and b08 to b12, with their largest residuals.
     Any table of dimension n gives the same entries; each suite judges
     them by its own tolerance (``IdentityReport.reuse``)."""
@@ -244,6 +246,17 @@ def _pointwise_entries(table: OperatorTable) -> Tuple[IdentityResult, ...]:
     rep.check("a11_primitive_star_formula",
               "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
               lambda: (primitive_star(p, q) for p, q in slots() if p + q <= n))
+    # top coefficients of wedges: u ^ v is u @ _top_pairing @ v on frame vectors
+    rep.check("a12_complementary_star_pairing",
+              "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n", lambda: (
+                  _top_pairing(n, p, q)
+                  - m("star", p, q).T @ _top_pairing(n, n - q, n - p) @ m("star", n - p, n - q)
+                  for p, q in slots()))
+    w, w_top = m("L", 0, 0)[:, 0], _wedge_power_mat(n, n - 1, 0, 0)[:, 0]
+    rep.check("a13_trace_pairing_top",
+              "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma", lambda: [
+                  w @ _top_pairing(n, 1, 1)
+                  - w_top @ _top_pairing(n, 1, 1).T @ m("star", n - 1, n - 1)])
     if n < 3:
         return tuple(rep.entries)
 
@@ -290,40 +303,24 @@ def _pointwise_entries(table: OperatorTable) -> Tuple[IdentityResult, ...]:
 # commutation / frame identity suite
 # ----------------------------------------------------------------------
 def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
-                             tol: float = DEFAULT_TOL, samples: int = 2,
-                             seed: int = 0) -> IdentityReport:
+                             tol: float = DEFAULT_TOL, seed: int = 0) -> IdentityReport:
     """Frame-level identities: sl(2) commutators, star intertwining and
     involution, the four torsion commutation relations, the torsion trace
     identities on the metric form, the primitive-form star formula, the two
     wedge/star pairing identities, and the global adjointness of the
-    formula-based adjoints.  The spot checks of a01, a12 and a13 push
-    ``samples`` (a12: ``2 * samples``) seeded forms through ``Form.wedge``.
-    The adjoint identities a05, a06, a14 and a15 are skipped where the
-    invariant Stokes residual exceeds ``tol``."""
+    formula-based adjoints, each on every monomial of its slots.  The
+    adjoint identities a05, a06, a14 and a15 are skipped where the
+    invariant Stokes residual exceeds ``tol``.  ``seed`` is unused: no
+    identity here needs particular inputs."""
     n = M.dim
     table = OperatorTable(M, g)
     m, ch, slots = table.mat, table.chain, table.bidegrees
-    rng = np.random.default_rng(seed)
     rep = IdentityReport(M.name, g.describe(), tol)
-    w = omega_form(g)
     bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
     # the frame conjugate transpose is the L2 adjoint only where Stokes holds
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
-    n_only = [e for e in _dimension_entries(n) if e.identity[0] == "a"]
 
-    def lambda_l_spots():
-        """a01 on seeded forms through ``Form.wedge``."""
-        for _ in range(samples):
-            p, q = rng.integers(0, n + 1, 2)
-            if space_dim(n, p, q):
-                u = random_form(rng, n, p, q)
-                yield (lefschetz_lambda(g, w.wedge(u)) - w.wedge(lefschetz_lambda(g, u))
-                       - (n - p - q) * u).max_abs()
-
-    # a01 (the first entry): the cached slot part, then the spot checks
-    a01 = n_only.pop(0)
-    rep.check(a01.identity, a01.anchor, lambda: chain([a01.residual], lambda_l_spots()))
-    rep.reuse(n_only)
+    rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "a")
     rep.check("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: (
         (m("del", p - 1, q) + m("tau", p - 1, q)).conj().T - 1j * bracket("Lam", "dbar", p, q)
         for p, q in slots()), stokes)
@@ -337,29 +334,13 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
         m("dbar", p, q) + m("taubar", p, q) - 1j * bracket("delstar", "L", p, q)
         for p, q in slots()))
 
-    # torsion trace identities on the metric form
-    dbarstar_w = table.apply("dbarstar", w)
+    # torsion trace identities on the metric form, on its frame column
+    w_e = m("L", 0, 0)[:, 0]
+    dbarstar_w = m("dbarstar", 1, 1) @ w_e
     rep.check("a09_torsion_adjoint_on_metric", "taubar* omega = -2 dbar* omega", lambda: [
-        m("taubar", 1, 0).conj().T @ g.to_e_vec(w, 1, 1) - -2.0 * g.to_e_vec(dbarstar_w, 1, 0)])
+        m("taubar", 1, 0).conj().T @ w_e - -2.0 * dbarstar_w])
     rep.check("a10_delbar_adjoint_on_metric", "dbar* omega = i Lam(del omega)", lambda: [
-        (dbarstar_w - 1j * lefschetz_lambda(g, M.del_(w))).max_abs()])
-
-    def complementary_spots():
-        for _ in range(2 * samples):
-            p, q = rng.integers(0, n + 1, 2)
-            r = int(rng.integers(0, n + 1))
-            s = 2 * n - p - q - r
-            if 0 <= s <= n and space_dim(n, p, q) and space_dim(n, r, s):
-                a = random_form(rng, n, p, q)
-                b = random_form(rng, n, r, s)
-                yield (a.wedge(b) - hodge_star(g, a).wedge(hodge_star(g, b))).max_abs()
-
-    rep.check("a12_complementary_star_pairing",
-              "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n", complementary_spots)
-    rep.check("a13_trace_pairing_top",
-              "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma", lambda: (
-                  (w.wedge(G) - hodge_star(g, G).wedge(omega_power(g, n - 1))).max_abs()
-                  for G in (random_form(rng, n, n - 1, n - 1, real=True) for _ in range(samples))))
+        dbarstar_w - 1j * m("Lam", 2, 1) @ m("del", 1, 1) @ w_e])
 
     # global adjointness of the formula-based adjoints: in the frame the L2
     # adjoint of an operator between invariant forms is its conjugate
@@ -383,8 +364,12 @@ def verify_operator_identities(M: InvariantComplexManifold,
     """Identities tying T, S, P, R, Q to the division and trace routes, the
     integral links between pairs and P/Q, and the vanishing statements.
     Entries whose hypotheses do not apply are reported as skipped; those
-    that integrate by parts need Stokes.  ``samples`` seeded (1,1)-forms
-    feed the semi-definite candidates of b26."""
+    that integrate by parts need Stokes.  f, rho and the source of b15 and
+    b16 come from one call of the star-split core; b13 and b14 compare f
+    and rho with the two-trace and P routes relative to their size.  Every
+    identity but b26 is evaluated on every monomial of its slot or on
+    omega; ``samples`` (1,1)-forms seeded by ``seed`` feed the
+    semi-definite candidates of b26."""
     n = M.dim
     if n < 3:
         raise InputError(f"the operator suite needs dimension >= 3, got {n}")
@@ -392,12 +377,20 @@ def verify_operator_identities(M: InvariantComplexManifold,
     rep = IdentityReport(M.name, f"omega={omega_m.describe()}, gamma={gamma_m.describe()}", tol)
     table = OperatorTable(M, g)
     m, ch = table.mat, table.chain
-    w, w_nm1 = omega_form(g), omega_power(g, n - 1)
+    core = _star_split(M, g, g, tol)
+    # omega and omega_(n-1) as frame columns
+    Lw = m("L", 0, 0)
+    w_e, w_top = Lw[:, 0], _wedge_power_mat(n, n - 1, 0, 0)[:, 0]
+
+    def closed(v, k, why):
+        """d v = 0 for the frame vector v of the (k,k)-slot, to tol relative
+        to |v|."""
+        dv = np.linalg.norm([np.linalg.norm(m(name, k, k) @ v) for name in ("del", "dbar")])
+        return dv <= tol * (1.0 + np.linalg.norm(v)), why
 
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
-    balanced = (form_norm(g, M.d(w_nm1)) <= tol * (1.0 + form_norm(g, w_nm1)),
-                "omega is not balanced")
-    kahler = (form_norm(g, M.d(w)) <= tol * (1.0 + form_norm(g, w)), "omega is not kahler")
+    balanced = closed(w_top, n - 1, "omega is not balanced")
+    kahler = closed(w_e, 1, "omega is not kahler")
 
     rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "b")
 
@@ -405,7 +398,6 @@ def verify_operator_identities(M: InvariantComplexManifold,
     # second-order operators on (1,1)
     lam = lambda k: m("Lam", k, k)
     wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
-    Lw = m("L", 0, 0)
     Tm, Sm, Pm, Rm, Qm = (m(name, k, k) for name, k in
                           (("T", 1), ("S", n - 1), ("P", 1), ("R", 1), ("Q", 1)))
     gam = 1j * ch(["del", "dbar"], 1, 1)
@@ -420,18 +412,18 @@ def verify_operator_identities(M: InvariantComplexManifold,
     rep.check("b07_trace_of_p", "Lam(P(a)) = ((n-2)/(2(n-1))) Lam^2(i del delbar a)",
               lambda: [lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam])
 
-    # two-trace formula for f and the P-route for rho, on omega itself
-    w_e = Lw[:, 0]
+    # two-trace formula for f and the P-route for rho, on omega itself, each
+    # relative to the size of what it compares
     dw_dbw = 1j * m("wdel", 1, 2) @ m("dbar", 1, 1) @ w_e
     lam3_t = (lam(1) @ lam(2) @ lam(3) @ dw_dbw)[0]
     f_two_trace = (n - 2) / 2.0 * (lam(1) @ lam(2) @ gam @ w_e)[0] + (n - 3) / 6.0 * lam3_t
     rep.check("b13_f_two_trace_formula",
               "f = ((n-2)/2) Lam^2(i del delbar omega) + ((n-3)/6) Lam^3(i del omega ^ delbar omega)",
-              lambda: [f_scalar(M, g, tol=tol) - f_two_trace])
+              lambda: [(core.f - f_two_trace) / (1.0 + abs(core.f))])
     rho_route = Pm @ w_e + 0.5 * lam(2) @ lam(3) @ dw_dbw - lam3_t / (3 * (n - 1)) * w_e
     rep.check("b14_rho_via_p",
               "rho = P(omega) + Lam^2(i del omega ^ delbar omega)/2 - Lam^3(...) omega/(3(n-1))",
-              lambda: [(rho(M, g, tol=tol) - g.from_e_vec(rho_route, 1, 1)).max_abs()])
+              lambda: [(core.rho_e - rho_route) / (1.0 + np.abs(core.rho_e).max())])
 
     # integral links between the pair construction and P/Q, as row vectors
     # over every phi-basis eta (int u ^ v = u @ pairing @ v / volume
@@ -439,11 +431,10 @@ def verify_operator_identities(M: InvariantComplexManifold,
     # t_gamma a phi-basis eta to T_gamma eta in the frame, and
     # star_gamma rho(omega, gamma) is S_gamma(i del delbar omega_(n-2)).
     integral = lambda v: _top_pairing(n, 1, 1) @ v / _volume_coeff(n)
-    int_w = integral(form_to_vec(w_nm1, n - 1, n - 1)) @ g.from_e_matrix(1, 1)
+    int_w = integral(_omega_power_vec(g, n - 1)) @ g.from_e_matrix(1, 1)
     gamma_phi = lambda x, k: gamma_m.from_e_matrix(k, k) @ x @ gamma_m.to_e_matrix(k, k)
     t_gamma = g.to_e_matrix(1, 1) @ gamma_phi(Tm, 1)
-    src = 1j * M.del_(M.delbar(omega_power(g, n - 2)))
-    int_star_rho = integral(gamma_phi(Sm, n - 1) @ form_to_vec(src, n - 1, n - 1))
+    int_star_rho = integral(gamma_phi(Sm, n - 1) @ core.src)
     rep.check("b15_pair_division_integral_link",
               "int eta ^ star_gamma rho(omega,gamma) = ((n-1)/(n-2)) int P(T_gamma eta) ^ omega_(n-1)",
               lambda: [int_star_rho - (n - 1) / (n - 2) * int_w @ Pm @ t_gamma],

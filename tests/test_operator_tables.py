@@ -148,7 +148,7 @@ def test_dimension_entries_equal_a_fresh_dense_evaluation(rng, n):
     fresh = operators._pointwise_entries(DenseTable(_models_of_dimension(n),
                                                     random_pd_metric(n, rng)))
     assert cached == fresh
-    expected = {"a01", "a02", "a03", "a04", "a11"}
+    expected = {"a01", "a02", "a03", "a04", "a11", "a12", "a13"}
     if n >= 3:
         expected |= {"b01", "b02", "b03", "b04", "b08", "b09", "b10", "b11", "b12"}
     assert {e.identity[:3] for e in cached} == expected

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pd_metric
-from starsplit import catalog
+from starsplit import catalog, operators
 from starsplit.analysis import rho
 from starsplit.complex_structure import (InvariantComplexManifold, OperatorTable,
                                          adjoint_del, adjoint_delbar, laplacian_delbar)
@@ -291,6 +291,58 @@ def test_operator_suite_builds_one_table_per_metric(monkeypatch, rng):
     rep = verify_operator_identities(M, g, random_pd_metric(5, rng))
     assert rep.all_passed
     assert len(built) <= 2
+
+
+def test_commutation_report_does_not_depend_on_the_seed(rng):
+    M = catalog.get("iwasawa5")[0]
+    g = random_pd_metric(5, rng)
+    assert verify_commutation_suite(M, g, seed=0) == verify_commutation_suite(M, g, seed=12345)
+
+
+def test_warm_suites_build_no_form_and_split_once(monkeypatch, rng):
+    """Once the manifold's and the dimension's tables exist, both suites
+    work on frame matrices alone (b26's seeded candidates aside), and the
+    operator suite runs the star-split core once."""
+    M = catalog.get("iwasawa5")[0]
+    g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
+    verify_commutation_suite(M, g)
+    verify_operator_identities(M, g, gamma, samples=0)
+    built, splits = [], []
+    init, split = Form.__init__, operators._star_split
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_split(*args):
+        splits.append(1)
+        return split(*args)
+
+    monkeypatch.setattr(Form, "__init__", counting_init)
+    monkeypatch.setattr(operators, "_star_split", counting_split)
+    assert verify_commutation_suite(M, g).all_passed
+    assert not built
+    assert verify_operator_identities(M, g, gamma, samples=0).all_passed
+    assert not built
+    assert len(splits) == 1
+
+
+@pytest.mark.parametrize("structure,coeffs,scale", [
+    ([(1, 2, "-i")], [0.5, 2.0, 1000.0], 0.001),
+    ([(1, 2, "-1"), (1, 1, "1")], [1.0, 1000.0, 0.001], 1000.0)])
+def test_suites_pass_where_f_and_the_metric_scale_are_far_from_one(structure, coeffs, scale):
+    """Metrics whose coefficients span three or six orders of magnitude.  On
+    the first, f is 1e6 and either route of f and rho rounds at about 1e-10
+    in absolute terms, so b13 and b14 compare relative to the size of f and
+    rho; on the second, seeded forms of the metric's size round at about
+    5e-10, so the wedge pairings a12 and a13 do not depend on the metric."""
+    M = InvariantComplexManifold("fuzz", 3, {3: {"(2,0)": [], "(1,1)": structure}})
+    g = HermitianMetric.diagonal(coeffs).scaled(scale)
+    rep = verify_operator_identities(M, g, g)
+    ids = {e.identity[:3]: e for e in rep.entries}
+    assert ids["b13"].residual < 1e-14 and ids["b14"].residual < 1e-14
+    for rep in (rep, verify_commutation_suite(M, g)):
+        assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
 
 
 def test_report_json_shape():
