@@ -222,20 +222,6 @@ def star_rho(M: InvariantComplexManifold, g: HermitianMetric, *,
     return _forms(g, _star_split(M, g, g, tol).checked(tol))[1]
 
 
-def eigenvalues_rel_omega(g: HermitianMetric, gamma_form: Form, *,
-                          tol: float = DEFAULT_TOL) -> List[float]:
-    """Spectrum of a real (n-1,n-1)-form relative to the metric: the
-    generalized eigenvalues, against the metric matrix, of the coefficient
-    matrix of its Hodge dual (a (1,1)-form)."""
-    n = g.dim
-    if gamma_form.is_zero():
-        return [0.0] * n
-    if gamma_form.bidegree() != (n - 1, n - 1):
-        raise InputError("eigenvalue report expects an (n-1,n-1)-form")
-    alpha = hodge_star(g, gamma_form)
-    return eigenvalues_of_11(g, alpha, tol=tol)
-
-
 def eigenvalues_of_11(g: HermitianMetric, alpha: Form, *, tol: float = DEFAULT_TOL
                       ) -> List[float]:
     """Generalized eigenvalues of a real (1,1)-form against the metric: the
@@ -433,14 +419,18 @@ def triple_analysis(M: InvariantComplexManifold, phi: PullbackMap,
 # ----------------------------------------------------------------------
 def conformal_f(f_base: float, g_val: float, laplacian_g_val: float) -> float:
     """Trace scalar of g * omega for balanced omega in dimension 3:
-    f_base / g - 2 * Lap(g) / g^2, with Lap(h) = -Lambda(i del delbar h)."""
+    f_base / g - 2 * Lap(g) / g^2, with Lap(h) = -Lambda(i del delbar h);
+    one of the abstract's "links with Gauduchon and balanced metrics"
+    through f."""
     if g_val <= 0:
         raise InputError("conformal factor must be positive")
     return f_base / g_val - 2.0 * laplacian_g_val / (g_val * g_val)
 
 
 def rescale_f(f_base: float, lam: float) -> float:
-    """Trace scalar of lambda * omega: f / lambda."""
+    """Trace scalar of lambda * omega: f / lambda.  A constant rescaling
+    keeps the sign of f, through which the abstract states its "links with
+    Gauduchon and balanced metrics"."""
     if lam <= 0:
         raise InputError("rescaling factor must be positive")
     return f_base / lam
@@ -449,7 +439,9 @@ def rescale_f(f_base: float, lam: float) -> float:
 def gauduchon_adjoint_on_constant(M: InvariantComplexManifold, g: HermitianMetric,
                                   c: float) -> Form:
     """c * i star delbar del omega_{n-1}: the adjoint Laplace operator applied
-    to the constant c.  Vanishes iff c = 0 or the metric is Gauduchon."""
+    to the constant c.  Vanishes iff c = 0 or the metric is Gauduchon, the
+    criterion behind the abstract's "links with Gauduchon and balanced
+    metrics"."""
     n = M.dim
     if c == 0:
         return Form.zero(n)

@@ -19,32 +19,24 @@ Coefficients may be expressions over named complex parameters (see
 ``exprs``); binding parameters produces a new, immutable instance whose
 generator differentials and slot matrices are built afresh.
 
-``OperatorTable`` (re-exported by ``operators``) holds every metric-dependent
-operator as orthonormal-frame slot matrices.  del/dbar, the wedges ``del
-omega ^ .`` and ``delbar omega ^ .`` and the torsion ``tau = [Lambda, del
-omega ^ .]`` and its conjugate are scattered from per-dimension tables of
-``metric``: del/dbar from the frame differentials of the generators
-(the matrices on the (1,0)- and (0,1)-slots moved into the frame, the
-only congruences left), the rest from the frame 3-form ``del omega``
-(``delbar omega``).  L, Lambda, star, T and S are per dimension; every
-other operator is a sum of chains of these: ``del* = -star delbar
-star``, ``delbar* = -star del star``, the delbar-Laplacian and the
-(1,1)-operators P, R and Q of ``operators``.  The adjoints and the
-Laplacian below, and the operators of ``operators``, only apply its
-matrices.
-
 Validity of a model is quantified, not assumed: ``check_integrability``
 measures ``d(d phi_k)`` and ``check_stokes`` reads the top-degree rows of
 the slot matrices on the (2n-1)-forms.  When both vanish, integration of
 invariant top forms against the canonical orientation form
 ``i phi_1 phibar_1 ^ ... ^ i phi_n phibar_n`` (total volume normalised
 to 1) satisfies ``integral(d beta) = 0``, which is what makes the formal
-adjoints below genuine L2 adjoints on invariant forms.
+adjoints of ``operators.OperatorTable`` genuine L2 adjoints on invariant
+forms.
+
+A ``PullbackMap`` is a linear coframe substitution: ``pullback`` applies
+it to forms through compound matrices, ``structure_compatibility``
+measures its commutation with ``d`` and ``pullback_metric`` moves a metric
+along it.  The metric enters only there and in ``total_volume``; every
+metric-dependent operator is a slot matrix of ``operators.OperatorTable``.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -55,10 +47,8 @@ from . import exprs
 from .errors import DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object, read_file
-from .metric import (DEFAULT_TOL, HermitianMetric, _derivation_scatter, _lefschetz_chain,
-                     _scatter, _slot_mat, _star_perm, _torsion_scatter, _volume_coeff,
-                     _wedge_scatter, compound, form_to_vec, inner_product, substitution_matrix,
-                     vec_to_form)
+from .metric import (DEFAULT_TOL, HermitianMetric, _volume_coeff, compound, form_to_vec,
+                     substitution_matrix, vec_to_form)
 
 
 class IntegrationWarning(UserWarning):
@@ -296,204 +286,12 @@ class InvariantComplexManifold:
 
 
 # ----------------------------------------------------------------------
-# metric-dependent operators
+# total volume of a metric
 # ----------------------------------------------------------------------
 def total_volume(M: InvariantComplexManifold, g: HermitianMetric) -> float:
     """Integral of ``omega_n``: the (n,n) entry det H of the conversion out
     of the frame, where its top coefficient is the standard one."""
     return float(g.from_e_matrix(g.dim, g.dim)[0, 0].real)
-
-
-def l2_pairing(M: InvariantComplexManifold, g: HermitianMetric, u: Form, v: Form) -> complex:
-    """Global pairing <<u, v>> = integral of <u, v> against the volume form.
-
-    On invariant forms the pointwise product is constant, so this is the
-    pointwise inner product times the total volume, summed over matching
-    bidegree components.
-    """
-    vol = total_volume(M, g)
-    out = 0j
-    common = set(u.bidegrees()) & set(v.bidegrees())
-    for p, q in common:
-        out += inner_product(g, u.bidegree_component(p, q), v.bidegree_component(p, q))
-    return out * vol
-
-
-class OperatorTable:
-    """First-order and pointwise operators of a (manifold, metric) pair as
-    matrices over the orthonormal monomial bases, built per slot on first
-    use and kept, read-only, for the life of the table.
-
-    "del"/"dbar" on every slot are one scatter (``metric._scatter``) of
-    the frame differentials of the generators through the Leibniz rule's
-    per-dimension table ``metric._derivation_scatter``; those
-    differentials are the manifold's (1,0)- and (0,1)-slot matrices moved
-    into the frame, four small congruences per table (``_generators``).
-    "L", "Lam", "star", "T" and "S" are the per-dimension matrices of
-    ``metric._slot_mat``.  "wdel"/"wdbar" are the wedge with the frame
-    3-form ``theta = del omega`` (``delbar omega``), which is one mat-vec
-    of the table, kept as the (0,0)-slot column and scattered into every
-    other slot by ``metric._wedge_scatter``; "tau"/"taubar", the
-    commutators of Lambda with them, are one scatter of the same theta
-    through ``metric._torsion_scatter``.  Every other name is a sum of
-    scaled chains of these (``_terms``).  "P", "R" and "Q" act on the
-    (1,1)-slot only.
-    ``chain`` applies "star" as the signed permutation it is, and takes a
-    chain of "L" and "Lam" alone from a per-dimension table; the slot
-    list ``bidegrees()`` is computed once per table."""
-
-    _SHIFTS = {"del": (1, 0), "dbar": (0, 1), "L": (1, 1), "Lam": (-1, -1),
-               "tau": (1, 0), "taubar": (0, 1), "delstar": (-1, 0), "dbarstar": (0, -1),
-               "wdel": (2, 1), "wdbar": (1, 2), "T": (0, 0), "S": (0, 0),
-               "P": (0, 0), "R": (0, 0), "Q": (0, 0), "dbarlap": (0, 0)}
-
-    def __init__(self, M: InvariantComplexManifold, g: HermitianMetric):
-        if M.dim != g.dim:
-            raise InputError("manifold/metric dimension mismatch")
-        self.M = M
-        self.g = g
-        self.n = n = M.dim
-        self._mats: Dict[Tuple[str, int, int], np.ndarray] = {}
-        self._gens: Dict[str, np.ndarray] = {}
-        self._bidegrees = tuple((p, q) for p in range(n + 1) for q in range(n + 1)
-                                if space_dim(n, p, q))
-
-    def target(self, name: str, p: int, q: int) -> Tuple[int, int]:
-        if name == "star":
-            return (self.n - q, self.n - p)
-        dp, dq = self._SHIFTS[name]
-        return (p + dp, q + dq)
-
-    def _terms(self, name: str) -> List[Tuple[complex, List[str]]]:
-        """(coefficient, chain) pairs summing to a composite operator."""
-        n = self.n
-        if name in ("delstar", "dbarstar"):
-            return [(-1, ["star", "dbar" if name == "delstar" else "del", "star"])]
-        if name == "dbarlap":
-            return [(1, ["dbar", "dbarstar"]), (1, ["dbarstar", "dbar"])]
-        if name == "R":
-            return [(1j, ["L", "delstar", "dbarstar"])]
-        if name in ("P", "Q") and n < 3:
-            raise InputError(f"{name} needs dimension >= 3")
-        if name == "P":
-            # (omega_{n-2} ^ .)^{-1} = T star on the (n-1,n-1)-slot
-            return [(1j / math.factorial(n - 3),
-                     ["T", "star"] + ["L"] * (n - 3) + ["del", "dbar"])]
-        if name == "Q":
-            return [(1, ["P"]), (1, ["R"]), (-1j, ["del", "Lam", "dbar"]),
-                    (-1j, ["delstar", "L", "dbarstar"]),
-                    (-1 / (n - 1), ["L", "dbarstar", "Lam", "dbar"])]
-        raise InputError(f"unknown operator {name!r}")
-
-    def _generators(self, name: str) -> np.ndarray:
-        """The frame differentials ``del e_k`` and ``del ebar_k`` ("del"), or
-        ``dbar e_k`` and ``dbar ebar_k`` ("dbar"), in the layout that
-        ``metric._derivation_scatter`` reads: the manifold's matrices on the
-        (1,0)- and (0,1)-slots moved into the frame, flattened."""
-        if name not in self._gens:
-            part, g = name == "dbar", self.g
-            self._gens[name] = np.concatenate([
-                (g.to_e_matrix(*self.target(name, p, q)) @ self.M.d_matrices(p, q)[part]
-                 @ g.from_e_matrix(p, q)).ravel()
-                for p, q in ((1, 0), (0, 1)) if space_dim(self.n, *self.target(name, p, q))])
-        return self._gens[name]
-
-    def mat(self, name: str, p: int, q: int) -> np.ndarray:
-        key = (name, p, q)
-        if key in self._mats:
-            return self._mats[key]
-        if name in ("P", "R", "Q") and (p, q) != (1, 1):
-            raise InputError(f"{name} expects a (1,1)-form, got bidegree ({p},{q})")
-        n = self.n
-        tp, tq = self.target(name, p, q)
-        shape = (space_dim(n, tp, tq), space_dim(n, p, q))
-        if not all(shape):
-            return np.zeros(shape, dtype=complex)
-        if name in ("del", "dbar"):
-            mat = _scatter(shape, _derivation_scatter(n, ("del", "dbar").index(name), p, q),
-                           self._generators(name))
-        elif name in ("tau", "taubar"):
-            bar = name == "taubar"
-            theta = self.mat("wdbar" if bar else "wdel", 0, 0)[:, 0]
-            mat = 1j * _scatter(shape, _torsion_scatter(n, bar, p, q), theta)
-        elif name in ("L", "Lam", "star", "T", "S"):
-            mat = _slot_mat(n, name, p, q)[0]
-        elif name in ("wdel", "wdbar"):
-            # theta ^ . for theta = del omega (dbar omega): one mat-vec, kept
-            # as the (0,0)-slot column, scattered into every other slot
-            theta = (self.mat(name[1:], 1, 1) @ self.mat("L", 0, 0) if (p, q) == (0, 0)
-                     else self.mat(name, 0, 0))[:, 0]
-            rows, cols, terms, signs = _wedge_scatter(n, *self._SHIFTS[name], p, q)
-            mat = np.zeros(shape, dtype=complex)
-            mat[rows, cols] = signs * theta[terms]
-        else:
-            mat = sum(c * self.chain(names, p, q) for c, names in self._terms(name))
-        mat.setflags(write=False)
-        self._mats[key] = mat
-        return mat
-
-    def chain(self, names: Sequence[str], p: int, q: int) -> np.ndarray:
-        """Composition, rightmost name applied first: exactly the dense
-        product of the ``mat`` entries, composed in that order, but a chain
-        of "L" and "Lam" alone is scattered from its per-dimension sparse
-        table and a "star" step is a signed-permutation gather.  A chain of
-        one name other than "star" is the table's read-only matrix; any
-        other chain is a fresh array."""
-        n = self.n
-        if len(names) > 1 and all(name in ("L", "Lam") for name in names):
-            shape, idx, vals = _lefschetz_chain(n, tuple(names), p, q)
-            mat = np.zeros(shape, dtype=complex)
-            mat.reshape(-1)[idx] = vals
-            return mat
-        # mat: a dense matrix, or (perm, phase) while only stars have acted
-        mat, cur = None, (p, q)
-        for name in reversed(names):
-            if name == "star" and space_dim(n, *cur):
-                perm, phase = _star_perm(n, *cur)
-                if mat is None:
-                    mat = (perm, phase)
-                elif isinstance(mat, tuple):
-                    mat = (mat[0][perm], phase * mat[1][perm])
-                else:
-                    mat = phase[:, None] * mat[perm]
-            else:
-                step = self.mat(name, *cur)
-                if isinstance(mat, tuple):
-                    # step @ star: column k of the product is a scaled
-                    # column of step
-                    perm, phase = mat
-                    mat = np.empty_like(step)
-                    mat[:, perm] = step * phase
-                else:
-                    mat = step if mat is None else step @ mat
-            cur = self.target(name, *cur)
-        if isinstance(mat, tuple):
-            perm, phase = mat
-            mat = np.zeros((len(perm),) * 2, dtype=complex)
-            mat[np.arange(len(perm)), perm] = phase
-        return mat
-
-    def apply(self, name: str, u: Form) -> Form:
-        """The operator ``name`` on every bidegree of ``u``."""
-        return self.g.apply(u, lambda p, q: (self.mat(name, p, q), *self.target(name, p, q)))
-
-    def bidegrees(self) -> Tuple[Tuple[int, int], ...]:
-        return self._bidegrees
-
-
-def adjoint_del(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
-    """del* = -star delbar star; the L2 adjoint of del when Stokes holds."""
-    return OperatorTable(M, g).apply("delstar", u)
-
-
-def adjoint_delbar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
-    """delbar* = -star del star."""
-    return OperatorTable(M, g).apply("dbarstar", u)
-
-
-def laplacian_delbar(M: InvariantComplexManifold, g: HermitianMetric, u: Form) -> Form:
-    """delbar-Laplacian: delbar delbar* + delbar* delbar."""
-    return OperatorTable(M, g).apply("dbarlap", u)
 
 
 # ----------------------------------------------------------------------
@@ -572,11 +370,6 @@ def structure_compatibility(M: InvariantComplexManifold, phi: PullbackMap) -> fl
         diff = pullback(M, phi, M.d(gen)) - M.d(pullback(M, phi, gen))
         res = max(res, diff.max_abs())
     return res
-
-
-def is_structure_compatible(M: InvariantComplexManifold, phi: PullbackMap,
-                            tol: float = DEFAULT_TOL) -> bool:
-    return structure_compatibility(M, phi) <= tol
 
 
 def pullback_metric(M: InvariantComplexManifold, phi: PullbackMap,

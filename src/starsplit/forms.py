@@ -220,45 +220,6 @@ class Form:
         return f"Form({self.dim}, " + " + ".join(parts) + ")"
 
 
-# ----------------------------------------------------------------------
-# module-level operations
-# ----------------------------------------------------------------------
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def linear_combine(coeffs: Sequence[complex], forms: Sequence[Form]) -> Form:
-    """Exact sparse linear combination ``sum(c_k * f_k)``; drops exact zeros."""
-    if len(coeffs) != len(forms):
-        raise InputError("coefficient and form lists have different lengths")
-    if not forms:
-        raise InputError("need at least one form")
-    dim = forms[0].dim
-    out: Dict[MaskKey, complex] = {}
-    for c, f in zip(coeffs, forms):
-        if f.dim != dim:
-            raise DimensionMismatchError("forms in a combination must share dim")
-        cc = complex(c)
-        for key, v in f._terms.items():
-            out[key] = out.get(key, 0j) + cc * v
-    return Form(dim, out)
-
-
-def conjugate(a: Form) -> Form:
-    return a.conjugate()
-
-
-def bidegree_component(a: Form, p: int, q: int) -> Form:
-    return a.bidegree_component(p, q)
-
-
-def approx_equal(a: Form, b: Form, tol: float) -> bool:
-    """Max-coefficient comparison of ``a - b`` against ``tol``."""
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
-    return (a - b).max_abs() <= tol
-
-
 def basis_masks(n: int, p: int, q: int) -> List[MaskKey]:
     """Monomial basis of the (p,q)-slot, holomorphic-major lexicographic order."""
     if p < 0 or q < 0 or p > n or q > n:

@@ -556,10 +556,6 @@ class HermitianMetric:
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-def omega_form(g: HermitianMetric) -> Form:
-    return vec_to_form(g.dim, 1, 1, _omega_vec(g))
-
-
 def _omega_vec(g: HermitianMetric) -> np.ndarray:
     """phi-basis coefficients of omega on the (1,1)-slot."""
     return 1j * g.H.reshape(-1)

@@ -3,7 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from starsplit.errors import InputError
+from starsplit.forms import Form
 from starsplit.metric import HermitianMetric
+
+
+def approx_equal(a: Form, b: Form, tol: float) -> bool:
+    """Max-coefficient comparison of ``a - b`` against ``tol``."""
+    if tol <= 0:
+        raise InputError("tolerance must be positive")
+    return (a - b).max_abs() <= tol
 
 
 def random_pd_metric(n: int, rng: np.random.Generator, spread: float = 0.4) -> HermitianMetric:

@@ -19,7 +19,7 @@ from starsplit.analysis import (classify, conformal_f, pair_analysis, rescale_f,
 from starsplit.cli import main as cli_main
 from starsplit.complex_structure import (InvariantComplexManifold, pullback,
                                          total_volume)
-from starsplit.metric import HermitianMetric, inner_product, omega_form
+from starsplit.metric import HermitianMetric, inner_product, omega_power
 from starsplit.operators import (verify_commutation_suite,
                                  verify_operator_identities)
 from starsplit.search import diagonal_family, scan, search_pss
@@ -198,7 +198,7 @@ def test_criterion_7_theorem_consequences():
         M, g, _ = catalog.get("iwasawa3")
         gamma = HermitianMetric.diagonal([1.0, 2.0, 3.0])
         pr = pair_analysis(M, g, gamma)
-        rhs = inner_product(g, M.del_(omega_form(gamma)), M.del_(omega_form(g)))
+        rhs = inner_product(g, M.del_(omega_power(gamma, 1)), M.del_(omega_power(g, 1)))
         assert abs(pr.integral_f - rhs * total_volume(M, g)) < TOL
         # pullback identities and group closure
         fac = catalog.isometry_factory("iwasawa3")

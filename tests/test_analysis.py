@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pd_metric
+from conftest import approx_equal, random_pd_metric
 from starsplit import catalog
 from starsplit.analysis import (_form_json, classify, conformal_f, eigenvalues_of_11,
-                                eigenvalues_rel_omega, f_scalar,
-                                gauduchon_adjoint_on_constant, pair_analysis,
+                                f_scalar, gauduchon_adjoint_on_constant, pair_analysis,
                                 rescale_f, rho, star_rho, triple_analysis)
 from starsplit.complex_structure import (InvariantComplexManifold, PullbackMap,
                                          pullback, total_volume)
 from starsplit.errors import InputError
-from starsplit.forms import Form, approx_equal
+from starsplit.forms import Form
 from starsplit.metric import (HermitianMetric, divide_by_power, form_norm,
                               hodge_star, inner_product, lefschetz_lambda,
-                              omega_form, omega_power)
+                              omega_power)
 from starsplit.search import pss_defect
 
 
@@ -61,11 +60,11 @@ def test_form_json_drops_relative_to_the_largest_coefficient():
 
 def test_division_route_examples():
     M, g, _ = catalog.get("iwasawa3")
-    src = 1j * M.del_(M.delbar(omega_form(g)))
+    src = 1j * M.del_(M.delbar(omega_power(g, 1)))
     assert approx_equal(divide_by_power(g, 1, src),
                         0.5 * (ii(3, 1) + ii(3, 2) - 1 * ii(3, 3)), 1e-12)
     M, g, _ = catalog.get("nakamura")
-    src = 1j * M.del_(M.delbar(omega_form(g)))
+    src = 1j * M.del_(M.delbar(omega_power(g, 1)))
     assert approx_equal(divide_by_power(g, 1, src), ii(3, 1), 1e-12)
 
 
@@ -131,7 +130,7 @@ def ref_star_split(M, omega_m, gamma_m, tol=1e-10):
     gamma, on Forms throughout."""
     n = M.dim
     src = 1j * M.del_(M.delbar(omega_power(omega_m, n - 2)))
-    num = M.integrate(omega_form(gamma_m).wedge(src))
+    num = M.integrate(omega_power(gamma_m, 1).wedge(src))
     den = M.integrate(omega_power(gamma_m, n))
     f = num / den
     assert abs(f.imag) <= tol * (1.0 + abs(f))
@@ -158,7 +157,7 @@ def ref_classify(M, g, tol=1e-10):
     """The core, every flag's (defect, scale) and the report's norms."""
     core = ref_star_split(M, g, g, tol)
     n = M.dim
-    w, w_nm2, w_nm1 = omega_form(g), omega_power(g, n - 2), omega_power(g, n - 1)
+    w, w_nm2, w_nm1 = omega_power(g, 1), omega_power(g, n - 2), omega_power(g, n - 1)
     d_w, d_w_nm1 = M.d(w), M.d(w_nm1)
     scale_w, scale_nm1 = form_norm(g, w), form_norm(g, w_nm1)
     flags = {
@@ -335,7 +334,7 @@ def test_eigenvalues_rel_omega_oracle():
     M, g, _ = catalog.get("iwasawa3")
     sr = 0.5 * (ii(3, 1).wedge(ii(3, 3)) + ii(3, 2).wedge(ii(3, 3))
                 - 1 * ii(3, 1).wedge(ii(3, 2)))
-    vals = eigenvalues_rel_omega(g, sr)
+    vals = eigenvalues_of_11(g, hodge_star(g, sr))
     R = np.diag([0.5, 0.5, -0.5])
     expected = sorted(scipy.linalg.eigh(R, np.eye(3), eigvals_only=True))
     assert np.allclose(vals, expected, atol=1e-12)
@@ -356,7 +355,7 @@ def test_eigenvalues_of_11_match_scipy_pencil_dense_metric(rng):
 def test_eigenvalues_reject_non_real():
     M, g, _ = catalog.get("iwasawa3")
     with pytest.raises(InputError):
-        eigenvalues_rel_omega(g, Form.monomial(3, (1, 2), (1, 3), 1.0))
+        eigenvalues_of_11(g, hodge_star(g, Form.monomial(3, (1, 2), (1, 3), 1.0)))
     with pytest.raises(InputError):
         eigenvalues_of_11(g, Form.monomial(3, (1,), (2,), 1.0))
 
@@ -388,8 +387,8 @@ def test_pair_balanced_omega_integral_identity(rng):
     for gamma in (HermitianMetric.diagonal([1.0, 2.0, 3.0]),
                   random_pd_metric(3, rng)):
         pr = pair_analysis(M, g, gamma)
-        dgam = M.del_(omega_form(gamma))
-        dw = M.del_(omega_form(g))
+        dgam = M.del_(omega_power(gamma, 1))
+        dw = M.del_(omega_power(g, 1))
         rhs = inner_product(g, dgam, dw) * total_volume(M, g)
         assert abs(pr.integral_f - rhs) < 1e-10
 

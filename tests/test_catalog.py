@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import approx_equal
 from starsplit import analysis, catalog
 from starsplit.complex_structure import (InvariantComplexManifold,
                                          structure_compatibility)
 from starsplit.errors import InputError
-from starsplit.forms import Form, approx_equal
+from starsplit.forms import Form
 
 
 ALL_PARAMS = {

@@ -1,16 +1,49 @@
-"""Import hygiene of the package, checked with the standard library alone:
-every name a module imports is used in it.  ``__init__`` re-exports names
-and is exempt."""
+"""Import hygiene and the public surface of the package, checked with the
+standard library alone: every name a module imports is used in it
+(``__init__`` re-exports names and is exempt), ``__init__`` exports exactly
+the ruled list below, and every module-level function or class under
+``src/`` is called from ``src/`` or ``bench/`` or is on that list."""
 
 import ast
 import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "starsplit")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "starsplit")
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
+
+# Each exported name is reached by the CLI or a report, is one of the
+# paper's constructions, or is a ``Form`` entry point to a table route.
+PUBLIC = {
+    # errors
+    "AlgebraError", "DimensionMismatchError", "ExpressionError", "InputError",
+    "StarsplitError", "UnboundParameterError",
+    # forms and the pointwise operators of a metric
+    "Form", "HermitianMetric", "divide_by_power", "form_norm", "hodge_star",
+    "inner_product", "lefschetz_L", "lefschetz_decompose", "lefschetz_lambda",
+    "omega_power",
+    # models and pullbacks
+    "InvariantComplexManifold", "PullbackMap", "pullback", "pullback_metric",
+    "structure_compatibility", "total_volume",
+    # the star-split invariants, pairs, triples and the links of f
+    "MetricReport", "PairReport", "TripleReport", "classify", "conformal_f",
+    "f_scalar", "gauduchon_adjoint_on_constant", "pair_analysis", "rescale_f",
+    "rho", "star_rho", "triple_analysis",
+    # the operator layer and the identity suites
+    "IdentityReport", "OperatorTable", "P", "Q", "R", "S", "T",
+    "verify_commutation_suite", "verify_operator_identities",
+    # the metric search
+    "MetricFamily", "SearchResult", "diagonal_family", "hermitian_family",
+    "pss_defect", "scan", "search_pss",
+    "catalog",
+}
+
+
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def unused_imports(source: str):
@@ -27,12 +60,53 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def exported_names(source: str):
+    return {alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def uncalled_definitions(sources):
+    """(module, name) of each module-level function or class of the
+    ``module -> source`` mapping that no top-level statement but its own
+    definition refers to, as a name or an attribute."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if own is not None:
+                defined.append((module, own))
+            referenced |= {node.id if isinstance(node, ast.Name) else node.attr
+                           for node in ast.walk(stmt)
+                           if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    return sorted(d for d in defined if d[1] not in referenced)
+
+
 def test_checker_finds_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Union\nx: List[int]\n") == [
         (1, "os"), (2, "Union")]
 
 
+def test_checker_finds_an_uncalled_definition():
+    sources = {"a": "def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n",
+               "b": "import a\n\ndef g():\n    return a.C()\n"}
+    assert uncalled_definitions(sources) == [("a", "f"), ("b", "g")]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(read(os.path.join(PACKAGE, module))) == []
+
+
+def test_init_exports_the_ruled_list():
+    assert exported_names(read(os.path.join(PACKAGE, "__init__.py"))) == PUBLIC
+
+
+def test_every_definition_is_called_or_public():
+    sources = {}
+    for folder in (PACKAGE, os.path.join(ROOT, "bench")):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                sources[os.path.relpath(os.path.join(folder, name), ROOT)] = read(
+                    os.path.join(folder, name))
+    assert [(module, name) for module, name in uncalled_definitions(sources)
+            if module.startswith("src") and name not in PUBLIC] == []

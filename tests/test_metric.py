@@ -4,15 +4,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_pd_metric
+from conftest import approx_equal, random_pd_metric
 from starsplit import metric
 from starsplit.errors import AlgebraError, InputError
-from starsplit.forms import Form, approx_equal, basis_masks, space_dim
+from starsplit.forms import Form, basis_masks, space_dim
 from starsplit.metric import (HermitianMetric, _slot_mat, _star_mat, _top_pairing,
                               _volume_coeff, _wedge_power_mat, compound,
                               divide_by_power, form_norm, form_to_vec, hodge_star,
                               inner_product, lefschetz_L, lefschetz_decompose,
-                              lefschetz_lambda, omega_form, omega_power)
+                              lefschetz_lambda, omega_power)
 from starsplit.operators import random_form
 
 
@@ -94,7 +94,7 @@ def test_omega_power_matches_wedge_recursion(rng):
     # reference: omega_k = omega ^ ... ^ omega / k!, built from phi-basis wedges
     for n in (3, 4, 5, 6):
         for g in (HermitianMetric.identity(n), random_pd_metric(n, rng)):
-            w = omega_form(g)
+            w = omega_power(g, 1)
             ref = Form.scalar(n, 1.0)
             for k in range(n + 1):
                 if k:
@@ -124,7 +124,7 @@ def test_omega4_is_sum_of_hats_in_dim_5():
 def test_inner_product_anchors(rng):
     for n in (3, 4):
         for g in (HermitianMetric.identity(n), random_pd_metric(n, rng)):
-            w = omega_form(g)
+            w = omega_power(g, 1)
             assert inner_product(g, w, w) == pytest.approx(n, abs=1e-12)
     g = HermitianMetric.identity(3)
     assert inner_product(g, Form.monomial(3, (1,), ()), Form.monomial(3, (2,), ())) == 0
@@ -132,7 +132,7 @@ def test_inner_product_anchors(rng):
 
 def test_inner_product_rejects_mixed_degree():
     g = HermitianMetric.identity(3)
-    w = omega_form(g)
+    w = omega_power(g, 1)
     with pytest.raises(InputError):
         inner_product(g, w + Form.scalar(3, 1.0), w)
     with pytest.raises(InputError):
@@ -143,7 +143,7 @@ def test_star_anchors(rng):
     for n in (3, 4, 5):
         for g in (HermitianMetric.identity(n), random_pd_metric(n, rng)):
             assert approx_equal(hodge_star(g, Form.scalar(n, 1.0)), omega_power(g, n), 1e-11)
-            assert approx_equal(hodge_star(g, omega_form(g)), omega_power(g, n - 1), 1e-11)
+            assert approx_equal(hodge_star(g, omega_power(g, 1)), omega_power(g, n - 1), 1e-11)
 
 
 def test_star_involution_and_isometry(rng):
@@ -162,7 +162,7 @@ def test_star_involution_and_isometry(rng):
 def test_star_rejects_inhomogeneous():
     g = HermitianMetric.identity(3)
     with pytest.raises(InputError):
-        hodge_star(g, Form.scalar(3, 1.0) + omega_form(g))
+        hodge_star(g, Form.scalar(3, 1.0) + omega_power(g, 1))
 
 
 def test_primitive_star_formula(rng):
@@ -199,7 +199,7 @@ def test_primitive_11_star_is_minus_wedge():
 def test_lambda_l_commutator(rng):
     for n in (3, 4, 5):
         g = random_pd_metric(n, rng)
-        w = omega_form(g)
+        w = omega_power(g, 1)
         for p in range(n + 1):
             for q in range(n + 1):
                 u = random_form(rng, n, p, q)
@@ -215,7 +215,7 @@ def test_lefschetz_l_matches_wedge_with_omega(rng):
     # form spread over several bidegrees
     for n in (3, 4):
         g = random_pd_metric(n, rng)
-        w = omega_form(g)
+        w = omega_power(g, 1)
         mixed = Form.zero(n)
         for p in range(n + 1):
             for q in range(n + 1):
@@ -229,7 +229,7 @@ def test_lefschetz_l_matches_wedge_with_omega(rng):
 def test_lambda_of_omega_is_n():
     for n in (3, 5):
         g = HermitianMetric.identity(n)
-        lam = lefschetz_lambda(g, omega_form(g))
+        lam = lefschetz_lambda(g, omega_power(g, 1))
         assert lam.coefficient((), ()) == pytest.approx(n)
 
 
@@ -283,7 +283,7 @@ def test_trace_pairing_top(rng):
     for n in (3, 4):
         g = random_pd_metric(n, rng)
         Gam = random_form(rng, n, n - 1, n - 1, real=True)
-        lhs = omega_form(g).wedge(Gam)
+        lhs = omega_power(g, 1).wedge(Gam)
         rhs = hodge_star(g, Gam).wedge(omega_power(g, n - 1))
         assert (lhs - rhs).max_abs() < 1e-10
 
@@ -295,7 +295,7 @@ def test_divide_omega_power_identity(rng):
     for n in (3, 4, 5):
         g = random_pd_metric(n, rng)
         x = divide_by_power(g, n - 2, omega_power(g, n - 1))
-        assert approx_equal(x, omega_form(g) / (n - 1), 1e-10)
+        assert approx_equal(x, omega_power(g, 1) / (n - 1), 1e-10)
 
 
 def test_divide_inverts_multiplication(rng):
@@ -330,14 +330,14 @@ def test_decompose_11_form(rng):
     assert lefschetz_lambda(g, prim).max_abs() < 1e-10
     lam = lefschetz_lambda(g, u).coefficient((), ())
     assert approx_equal(trace, (lam / n) * Form.scalar(n, 1.0), 1e-10)
-    assert approx_equal(prim + omega_form(g) * (lam / n), u, 1e-10)
+    assert approx_equal(prim + omega_power(g, 1) * (lam / n), u, 1e-10)
 
 
 def test_decompose_omega_is_pure_trace():
     g = HermitianMetric.identity(4)
-    parts = dict(lefschetz_decompose(g, omega_form(g)))
+    parts = dict(lefschetz_decompose(g, omega_power(g, 1)))
     assert parts[0].is_zero(1e-12)
-    assert approx_equal(omega_form(g).wedge(parts[1]), omega_form(g), 1e-12)
+    assert approx_equal(omega_power(g, 1).wedge(parts[1]), omega_power(g, 1), 1e-12)
 
 
 def test_decompose_22_form_dim5(rng):

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import random_pd_metric
-from starsplit import catalog, complex_structure, operators
-from starsplit.complex_structure import InvariantComplexManifold, OperatorTable
+from starsplit import catalog, operators
+from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.metric import (HermitianMetric, _derivation_scatter, _lefschetz_chain,
                               _scatter, _slot_mat, _star_mat, _star_perm, _torsion_scatter,
-                              omega_form)
-from starsplit.operators import random_form, verify_commutation_suite, verify_operator_identities
+                              omega_power)
+from starsplit.operators import (OperatorTable, random_form, verify_commutation_suite,
+                                 verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
 
@@ -120,7 +121,7 @@ def test_lefschetz_chain_cache_stays_sparse(monkeypatch):
         keys.add((n, names, p, q))
         return _lefschetz_chain(n, names, p, q)
 
-    monkeypatch.setattr(complex_structure, "_lefschetz_chain", recording)
+    monkeypatch.setattr(operators, "_lefschetz_chain", recording)
     operators._dimension_entries.cache_clear()
     M, g, _ = catalog.get("iwasawa5")
     verify_commutation_suite(M, g)
@@ -178,7 +179,7 @@ def test_theta_wedge_equals_form_wedge(rng):
     for M in (catalog.get("iwasawa5")[0], stokes_violating_manifold()):
         n = M.dim
         g = random_pd_metric(n, rng)
-        table, w = OperatorTable(M, g), omega_form(g)
+        table, w = OperatorTable(M, g), omega_power(g, 1)
         for name, theta in (("wdel", M.del_(w)), ("wdbar", M.delbar(w))):
             for p, q in ((0, 0), (1, 0), (1, 1), (0, 2), (1, 2), (2, 1)):
                 u = random_form(rng, n, p, q)

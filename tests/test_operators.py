@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_pd_metric
+from conftest import approx_equal, random_pd_metric
 from starsplit import catalog, operators
 from starsplit.analysis import rho
-from starsplit.complex_structure import (InvariantComplexManifold, OperatorTable,
-                                         adjoint_del, adjoint_delbar, laplacian_delbar)
+from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import InputError
-from starsplit.forms import Form, approx_equal, basis_masks
+from starsplit.forms import Form, basis_masks
 from starsplit.metric import (HermitianMetric, divide_by_power, hodge_star,
-                              lefschetz_lambda, omega_form, omega_power)
-from starsplit.operators import (_STOKES_REASON, IdentityReport, P, Q, R, S, T, random_form,
-                                 torsion_tau, torsion_tau_bar,
-                                 verify_commutation_suite,
+                              lefschetz_lambda, omega_power)
+from starsplit.operators import (_STOKES_REASON, IdentityReport, OperatorTable, P, Q, R, S, T,
+                                 random_form, verify_commutation_suite,
                                  verify_operator_identities)
 
 
@@ -30,7 +28,7 @@ def _scalar(u):
 
 def ref_T(g, alpha):
     lam = _scalar(lefschetz_lambda(g, alpha))
-    return -alpha + (lam / (g.dim - 1)) * omega_form(g)
+    return -alpha + (lam / (g.dim - 1)) * omega_power(g, 1)
 
 
 def ref_S(g, Omega):
@@ -49,25 +47,28 @@ def ref_P_trace_form(M, g, alpha):
     n = g.dim
     lam1 = lefschetz_lambda(g, 1j * M.del_(M.delbar(alpha)))
     lam2 = _scalar(lefschetz_lambda(g, lam1))
-    return lam1 - (lam2 / (2 * (n - 1))) * omega_form(g)
+    return lam1 - (lam2 / (2 * (n - 1))) * omega_power(g, 1)
 
 
 def ref_R(M, g, alpha):
-    return (1j * _scalar(adjoint_del(M, g, adjoint_delbar(M, g, alpha)))) * omega_form(g)
+    apply = OperatorTable(M, g).apply
+    return (1j * _scalar(apply("delstar", apply("dbarstar", alpha)))) * omega_power(g, 1)
 
 
 def ref_Q(M, g, alpha):
     n = g.dim
-    w = omega_form(g)
+    w = omega_power(g, 1)
+    apply = OperatorTable(M, g).apply
     lam_dbar = lefschetz_lambda(g, M.delbar(alpha))
     out = ref_P(M, g, alpha) + ref_R(M, g, alpha)
     out = out - 1j * M.del_(lam_dbar)
-    out = out - 1j * adjoint_del(M, g, w.wedge(adjoint_delbar(M, g, alpha)))
-    return out - (_scalar(adjoint_delbar(M, g, lam_dbar)) / (n - 1)) * w
+    out = out - 1j * apply("delstar", w.wedge(apply("dbarstar", alpha)))
+    return out - (_scalar(apply("dbarstar", lam_dbar)) / (n - 1)) * w
 
 
 def ref_laplacian(M, g, u):
-    return M.delbar(adjoint_delbar(M, g, u)) + adjoint_delbar(M, g, M.delbar(u))
+    apply = OperatorTable(M, g).apply
+    return M.delbar(apply("dbarstar", u)) + apply("dbarstar", M.delbar(u))
 
 
 def _close(a, b, tol=1e-10):
@@ -91,7 +92,7 @@ def test_operators_match_form_references_on_every_monomial(name, params, rng):
         assert _close(P(M, g, a), ref_P_trace_form(M, g, a))
         assert _close(R(M, g, a), ref_R(M, g, a))
         assert _close(Q(M, g, a), ref_Q(M, g, a))
-        assert _close(laplacian_delbar(M, g, a), ref_laplacian(M, g, a))
+        assert _close(OperatorTable(M, g).apply("dbarlap", a), ref_laplacian(M, g, a))
     for key in basis_masks(n, n - 1, n - 1):
         Om = Form(n, {key: 1.0})
         assert _close(S(g, Om), ref_S(g, Om))
@@ -103,7 +104,7 @@ def test_operators_match_form_references_on_every_monomial(name, params, rng):
 def test_t_on_omega(rng):
     for n in (3, 5):
         g = random_pd_metric(n, rng)
-        w = omega_form(g)
+        w = omega_power(g, 1)
         assert approx_equal(T(g, w), w / (n - 1), 1e-11)
 
 
@@ -136,7 +137,7 @@ def test_p_vanishes_on_torus(rng):
 
 def test_p_of_omega_is_rho_in_dim_3():
     M, g, _ = catalog.get("iwasawa3")
-    assert approx_equal(P(M, g, omega_form(g)), rho(M, g), 1e-12)
+    assert approx_equal(P(M, g, omega_power(g, 1)), rho(M, g), 1e-12)
 
 
 def test_p_routes_agree_dim5(rng):
@@ -151,7 +152,7 @@ def test_r_q_tau_vanish_on_torus(rng):
     a = random_form(rng, 3, 1, 1)
     assert R(M, g, a).is_zero(1e-14)
     assert Q(M, g, a).is_zero(1e-14)
-    assert torsion_tau(M, g, random_form(rng, 3, 2, 1)).is_zero(1e-14)
+    assert OperatorTable(M, g).apply("tau", random_form(rng, 3, 2, 1)).is_zero(1e-14)
 
 
 def test_q_is_minus_laplacian_on_kahler(rng):
@@ -160,21 +161,21 @@ def test_q_is_minus_laplacian_on_kahler(rng):
     g = random_pd_metric(3, rng)
     for _ in range(4):
         a = random_form(rng, 3, 1, 1)
-        assert (Q(M, g, a) + laplacian_delbar(M, g, a)).max_abs() < 1e-11
+        assert (Q(M, g, a) + OperatorTable(M, g).apply("dbarlap", a)).max_abs() < 1e-11
 
 
 def test_q_equals_p_on_balanced_metric_form():
     for name in ("iwasawa3", "iwasawa5"):
         M, g, _ = catalog.get(name)
-        w = omega_form(g)
+        w = omega_power(g, 1)
         assert (Q(M, g, w) - P(M, g, w)).max_abs() < 1e-11
 
 
 def test_tau_bar_is_conjugate_of_tau(rng):
     M, g, _ = catalog.get("iwasawa3")
     u = random_form(rng, 3, 1, 1)
-    lhs = torsion_tau_bar(M, g, u)
-    rhs = torsion_tau(M, g, u.conjugate()).conjugate()
+    lhs = OperatorTable(M, g).apply("taubar", u)
+    rhs = OperatorTable(M, g).apply("tau", u.conjugate()).conjugate()
     assert (lhs - rhs).max_abs() < 1e-12
 
 
@@ -186,13 +187,13 @@ def test_torsion_matches_lambda_commutator(rng):
         M, _, _ = catalog.get(name, params)
         n = M.dim
         g = random_pd_metric(n, rng)
-        w = omega_form(g)
-        for op, dw in ((torsion_tau, M.del_(w)), (torsion_tau_bar, M.delbar(w))):
+        w = omega_power(g, 1)
+        for name, dw in (("tau", M.del_(w)), ("taubar", M.delbar(w))):
             for p in range(n + 1):
                 for q in range(n + 1):
                     u = random_form(rng, n, p, q)
                     ref = lefschetz_lambda(g, dw.wedge(u)) - dw.wedge(lefschetz_lambda(g, u))
-                    assert (op(M, g, u) - ref).max_abs() < 1e-10
+                    assert (OperatorTable(M, g).apply(name, u) - ref).max_abs() < 1e-10
 
 
 # ----------------------------------------------------------------------
