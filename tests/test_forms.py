@@ -55,9 +55,13 @@ def test_wedge_dimension_mismatch():
 # ----------------------------------------------------------------------
 # scaled sums / conjugate / components
 # ----------------------------------------------------------------------
-def test_scaled_sum_cancels_and_merges():
+def test_linear_combine_cancels():
+    # a linear combination is a sum of scaled forms
     a = phi(3, 1).wedge(Form.monomial(3, (), (2,)))
     assert (1 * a + -1 * a).is_zero()
+
+
+def test_linear_combine_merges():
     x = ii(3, 1, 1)
     assert approx_equal(2 * x + 3 * x, 5 * x, 1e-15)
 
