@@ -222,30 +222,18 @@ def star_rho(M: InvariantComplexManifold, g: HermitianMetric, *,
     return _forms(g, _star_split(M, g, g, tol).checked(tol))[1]
 
 
-def eigenvalues_of_11(g: HermitianMetric, alpha: Form, *, tol: float = DEFAULT_TOL
-                      ) -> List[float]:
-    """Generalized eigenvalues of a real (1,1)-form against the metric: the
-    spectrum of ``T R T^H``, R whitened by ``T = to_e_matrix(1, 0)``."""
-    R = matrix_of_11(alpha)
-    scale = max(1.0, float(np.abs(R).max()))
-    if np.abs(R - R.conj().T).max() > tol * scale:
+def eigenvalues_of_11(alpha_e: np.ndarray, *, tol: float = DEFAULT_TOL) -> List[float]:
+    """Eigenvalues of a real (1,1)-form against the metric, from its
+    coefficients ``alpha_e`` on the metric's orthonormal frame of the
+    (1,1)-slot: the spectrum of the Hermitian R with
+    ``alpha = i sum R[j,k] e_j ^ ebar_k``."""
+    n = math.isqrt(len(alpha_e))
+    if not n or n * n != len(alpha_e):
+        raise InputError("expected the frame vector of a (1,1)-form")
+    R = np.reshape(alpha_e, (n, n)) / 1j
+    if np.abs(R - R.conj().T).max() > tol * max(1.0, float(np.abs(R).max())):
         raise InputError("eigenvalue report expects a real form")
-    T = g.to_e_matrix(1, 0)
-    W = T @ R @ T.conj().T
-    return [float(v) for v in np.linalg.eigvalsh(0.5 * (W + W.conj().T))]
-
-
-def matrix_of_11(alpha: Form) -> np.ndarray:
-    """Coefficient matrix R with alpha = i sum R[j,k] phi_j ^ phibar_k."""
-    n = alpha.dim
-    if not alpha.is_zero() and alpha.bidegree() != (1, 1):
-        raise InputError("expected a (1,1)-form")
-    R = np.zeros((n, n), dtype=complex)
-    for (imask, jmask), c in alpha._terms.items():
-        j = imask.bit_length() - 1
-        k = jmask.bit_length() - 1
-        R[j, k] = c / 1j
-    return R
+    return [float(v) for v in np.linalg.eigvalsh(0.5 * (R + R.conj().T))]
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +272,7 @@ def classify(M: InvariantComplexManifold, g: HermitianMetric, *,
         f=core.f,
         rho=rho_form,
         star_rho=star_rho_form,
-        eigenvalues=eigenvalues_of_11(g, rho_form, tol=tol),
+        eigenvalues=eigenvalues_of_11(core.rho_e, tol=tol),
         flags=flags,
         del_omega_norm_sq=_frame_norm(g, (del_w, 2, 1)) ** 2 * vol,
         integral_f=core.f * vol,

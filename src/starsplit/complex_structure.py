@@ -20,23 +20,26 @@ Coefficients may be expressions over named complex parameters (see
 generator differentials and slot matrices are built afresh.
 
 Validity of a model is quantified, not assumed: ``check_integrability``
-measures ``d(d phi_k)`` and ``check_stokes`` reads the top-degree rows of
-the slot matrices on the (2n-1)-forms.  When both vanish, integration of
-invariant top forms against the canonical orientation form
-``i phi_1 phibar_1 ^ ... ^ i phi_n phibar_n`` (total volume normalised
-to 1) satisfies ``integral(d beta) = 0``, which is what makes the formal
-adjoints of ``operators.OperatorTable`` genuine L2 adjoints on invariant
-forms.
+composes the slot matrices into ``d d`` on the generators, and
+``check_stokes`` reads the top-degree rows of the slot matrices on the
+(2n-1)-forms.  When both vanish, integration of invariant top forms
+against the canonical orientation form ``i phi_1 phibar_1 ^ ... ^ i phi_n
+phibar_n`` (total volume normalised to 1) satisfies ``integral(d beta) =
+0``, which is what makes the formal adjoints of ``operators.OperatorTable``
+genuine L2 adjoints on invariant forms.
 
-A ``PullbackMap`` is a linear coframe substitution: ``pullback`` applies
-it to forms through compound matrices, ``structure_compatibility``
-measures its commutation with ``d`` and ``pullback_metric`` moves a metric
-along it.  The metric enters only there and in ``total_volume``; every
-metric-dependent operator is a slot matrix of ``operators.OperatorTable``.
+A ``PullbackMap`` is a linear coframe substitution with finite entries,
+refused when it is singular to working precision (condition number 1e12
+or more): ``pullback`` applies it to forms through compound matrices,
+``structure_compatibility`` measures its commutation with the slot
+matrices of ``d``, and ``pullback_metric`` moves a metric along it.  The
+metric enters only there and in ``total_volume``; every metric-dependent
+operator is a slot matrix of ``operators.OperatorTable``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -198,9 +201,16 @@ class InvariantComplexManifold:
     # sanity residuals
     # ------------------------------------------------------------------
     def check_integrability(self) -> float:
-        """max over generators of the coefficients of d(d phi_k)."""
-        dgen, dgen_bar = self._generators()
-        return max(self.d(f).max_abs() for f in dgen[1:] + dgen_bar[1:])
+        """max over the (1,0)- and (0,1)-slots, that is over the generators
+        and their conjugates, of the entries of d d: its three bidegree
+        parts composed from the slot matrices."""
+        out = 0.0
+        for p, q in ((1, 0), (0, 1)):
+            del_, dbar = self.d_matrices(p, q)
+            (del_1, dbar_1), (del_2, dbar_2) = self.d_matrices(p + 1, q), self.d_matrices(p, q + 1)
+            for part in (del_1 @ del_, dbar_1 @ del_ + del_2 @ dbar, dbar_2 @ dbar):
+                out = max(out, float(np.abs(part).max(initial=0.0)))
+        return out
 
     def check_stokes(self) -> float:
         """max over (2n-1)-monomials of the top-degree coefficient of d:
@@ -307,8 +317,13 @@ class PullbackMap:
         A = np.array(self.matrix, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("pullback matrix must be square")
-        if abs(np.linalg.det(A)) < 1e-12:
-            raise InputError("pullback matrix is singular")
+        if not np.isfinite(A).all():
+            raise InputError("pullback matrix has non-finite entries")
+        # singular values, largest first; refused by conditioning, not size
+        s = np.linalg.svd(A, compute_uv=False)
+        if s.size and s[-1] <= 1e-12 * s[0]:
+            raise InputError(f"pullback matrix is singular to working precision (condition "
+                             f"number {s[0] / s[-1] if s[-1] else math.inf:.3g} is not below 1e12)")
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
@@ -348,28 +363,33 @@ class PullbackMap:
         return {"matrix": [[z.real, z.imag] for z in self.matrix.reshape(-1)]}
 
 
+def _pullback_matrix(phi: PullbackMap, p: int, q: int) -> np.ndarray:
+    """phi-basis matrix of the pullback on the (p,q)-slot, through compound
+    matrices (convention in ``metric``)."""
+    return substitution_matrix(compound(phi.matrix, p), compound(phi.matrix, q))
+
+
 def pullback(M: InvariantComplexManifold, phi: PullbackMap, u: Form) -> Form:
     """Algebra homomorphism determined by the coframe substitution, applied
-    per bidegree through compound matrices (convention in ``metric``)."""
+    per bidegree."""
     n = M.dim
     if phi.dim != n or u.dim != n:
         raise DimensionMismatchError("pullback dimension mismatch")
     out = Form.zero(n)
     for p, q in u.bidegrees():
-        mat = substitution_matrix(compound(phi.matrix, p), compound(phi.matrix, q))
-        out = out + vec_to_form(n, p, q, mat @ form_to_vec(u, p, q))
+        out = out + vec_to_form(n, p, q, _pullback_matrix(phi, p, q) @ form_to_vec(u, p, q))
     return out
 
 
 def structure_compatibility(M: InvariantComplexManifold, phi: PullbackMap) -> float:
-    """Residual of commutation of the pullback with d on the generators."""
-    n = M.dim
-    res = 0.0
-    for k in range(1, n + 1):
-        gen = Form.monomial(n, (k,), (), 1.0)
-        diff = pullback(M, phi, M.d(gen)) - M.d(pullback(M, phi, gen))
-        res = max(res, diff.max_abs())
-    return res
+    """Residual of commutation of the pullback with d on the generators:
+    the largest entry of phi* del - del phi* and of phi* dbar - dbar phi*
+    on the (1,0)-slot."""
+    if phi.dim != M.dim:
+        raise DimensionMismatchError("pullback dimension mismatch")
+    source = _pullback_matrix(phi, 1, 0)
+    return max(float(np.abs(_pullback_matrix(phi, *target) @ mat - mat @ source).max(initial=0.0))
+               for target, mat in zip(((2, 0), (1, 1)), M.d_matrices(1, 0)))
 
 
 def pullback_metric(M: InvariantComplexManifold, phi: PullbackMap,
@@ -378,7 +398,10 @@ def pullback_metric(M: InvariantComplexManifold, phi: PullbackMap,
     if phi.dim != M.dim or g.dim != M.dim:
         raise DimensionMismatchError("pullback dimension mismatch")
     A = phi.matrix
-    Ht = A.T @ g.H @ A.conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ht = A.T @ g.H @ A.conj()
+    if not np.isfinite(Ht).all():
+        raise InputError("pullback metric overflows: its entries are not finite doubles")
     try:
         return HermitianMetric(Ht)
     except InputError as exc:

@@ -29,11 +29,9 @@ stored as int32 positions and int8 signs.  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
 ``divide_by_power`` and the sl(2) closed form behind
-``lefschetz_decompose``.  Two forms of them serve ``OperatorTable.chain``:
-the star as the signed permutation ``(perm, phase)`` (``_star_perm``), so
-that it acts by a gather and a factor of +-1 or +-i per entry, and each
-product of L's and Lambda's that a chain asks for, kept once per
-dimension as its nonzero entries (``_lefschetz_chain``).
+``lefschetz_decompose``.  ``OperatorTable.chain`` applies the star as the
+signed permutation ``(perm, phase)`` it is (``_star_perm``), a gather and a
+factor of +-1 or +-i per entry.
 ``HermitianMetric.apply`` is the one routine that applies frame slot
 matrices to a ``Form``; ``hodge_star``,
 ``lefschetz_L``, ``lefschetz_lambda``, ``operators.T``/``S`` and
@@ -301,23 +299,6 @@ def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
         mat = _wedge_power_mat(n, 1, tp, tq).conj().T
     mat.setflags(write=False)
     return mat, tp, tq
-
-
-@lru_cache(maxsize=None)
-def _lefschetz_chain(n: int, names: Tuple[str, ...], p: int, q: int
-                     ) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray]:
-    """A product of "L" and "Lam" slot matrices on the (p,q)-slot, rightmost
-    name applied first, stored sparse as ``(shape, flat indices, values)``
-    of its nonzero entries."""
-    mat = None
-    for name in reversed(names):
-        step, p, q = _slot_mat(n, name, p, q)
-        mat = step if mat is None else step @ mat
-    idx = np.flatnonzero(mat)
-    vals = np.ravel(mat)[idx]
-    idx.setflags(write=False)
-    vals.setflags(write=False)
-    return mat.shape, idx, vals
 
 
 @lru_cache(maxsize=None)

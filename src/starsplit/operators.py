@@ -15,8 +15,7 @@ Operators (omega a fixed metric, alpha a (1,1)-form, Omega an
 
 All of them are slot matrices of one ``OperatorTable`` over the
 orthonormal frame.  Per dimension, independent of manifold and metric, are
-L, Lam, star, T (``-Id + L Lam / (n-1)``) and S (``star T star``), and
-every product of L's and Lam's that a chain asks for (stored sparse).  The
+L, Lam, star, T (``-Id + L Lam / (n-1)``) and S (``star T star``).  The
 star is a signed permutation, and a chain applies it as one: a gather of
 rows or columns and a factor of +-1 or +-i each.  Per table, built on
 first use and kept, are the first-order operators, each slot one scatter
@@ -36,7 +35,9 @@ between invariant forms is its conjugate transpose, the total volume
 cancelling on both sides of the pairing); the primitive-form star formula
 (a11) runs on the image of each slot's primitive projector, and the
 identities on the metric form (a09, a10, b13, b14 and the omega-columns of
-b22 and b23) on omega's frame column.  An identity whose matrices depend on
+b22 and b23) on omega's frame column, and b26 (the integral of
+``theta ^ omega_{n-1}`` is ``Lam theta`` times the volume) on every
+(1,1)-monomial.  An identity whose matrices depend on
 n alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) is evaluated
 once per dimension, over the table of the n-torus with the identity
 metric, and every later call of that dimension reads its cached largest
@@ -44,9 +45,9 @@ residual (``_dimension_entries``); every other identity is evaluated afresh
 on every slot in every call.  The wedge pairings a12 and a13 are the top
 pairing ``metric._top_pairing`` against the star on either side.  The
 operator suite takes f, rho and ``i del delbar omega_{n-2}`` from one call
-of the star-split core ``analysis._star_split``.  Seeded random forms
-remain only where a check needs particular inputs: the semi-definite
-candidates of b26.
+of the star-split core ``analysis._star_split``.  No identity needs
+particular inputs, so neither suite draws random forms: the ``seed`` of
+both is unused.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
 identity is its id, its anchor, a callable yielding residual arrays (the
@@ -68,14 +69,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import _star_split, eigenvalues_of_11, matrix_of_11
-from .complex_structure import InvariantComplexManifold
+from .analysis import _star_split
+from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import InputError
-from .forms import Form, basis_masks, space_dim
-from .metric import (DEFAULT_TOL, HermitianMetric, _derivation_scatter, _lefschetz_chain,
-                     _omega_power_vec, _primitive_part, _scatter, _slot_mat, _star_perm,
-                     _top_pairing, _torsion_scatter, _volume_coeff, _wedge_power_mat,
-                     _wedge_scatter, form_to_vec)
+from .forms import Form, space_dim
+from .metric import (DEFAULT_TOL, HermitianMetric, _derivation_scatter, _omega_power_vec,
+                     _primitive_part, _scatter, _slot_mat, _star_perm, _top_pairing,
+                     _torsion_scatter, _volume_coeff, _wedge_power_mat, _wedge_scatter)
 
 
 # ----------------------------------------------------------------------
@@ -187,17 +187,11 @@ class OperatorTable:
 
     def chain(self, names: Sequence[str], p: int, q: int) -> np.ndarray:
         """Composition, rightmost name applied first: exactly the dense
-        product of the ``mat`` entries, composed in that order, but a chain
-        of "L" and "Lam" alone is scattered from its per-dimension sparse
-        table and a "star" step is a signed-permutation gather.  A chain of
-        one name other than "star" is the table's read-only matrix; any
-        other chain is a fresh array."""
+        product of the ``mat`` entries, composed in that order, but a
+        "star" step is a signed-permutation gather.  A chain of one name
+        other than "star" is the table's read-only matrix; any other chain
+        is a fresh array."""
         n = self.n
-        if len(names) > 1 and all(name in ("L", "Lam") for name in names):
-            shape, idx, vals = _lefschetz_chain(n, tuple(names), p, q)
-            mat = np.zeros(shape, dtype=complex)
-            mat.reshape(-1)[idx] = vals
-            return mat
         # mat: a dense matrix, or (perm, phase) while only stars have acted
         mat, cur = None, (p, q)
         for name in reversed(names):
@@ -271,22 +265,6 @@ def Q(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form) -> Form:
     three first-order pieces, equal to minus the dbar-Laplacian ("dbarlap")
     plus lower-order torsion terms."""
     return OperatorTable(M, g).apply("Q", alpha)
-
-
-def random_form(rng: np.random.Generator, n: int, p: int, q: int, *,
-                real: bool = False) -> Form:
-    """Dense random (p,q)-form scaled to largest coefficient 1;
-    ``real=True`` symmetrises it to a real form first."""
-    terms = {}
-    for key in basis_masks(n, p, q):
-        re, im = rng.standard_normal(2)
-        terms[key] = complex(re, im)
-    u = Form(n, terms)
-    if real:
-        u = 0.5 * (u + u.conjugate())
-    if u.max_abs() > 0:
-        u = u / u.max_abs()
-    return u
 
 
 # ----------------------------------------------------------------------
@@ -467,8 +445,8 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     wedge/star pairing identities, and the global adjointness of the
     formula-based adjoints, each on every monomial of its slots.  The
     adjoint identities a05, a06, a14 and a15 are skipped where the
-    invariant Stokes residual exceeds ``tol``.  ``seed`` is unused: no
-    identity here needs particular inputs."""
+    invariant Stokes residual exceeds ``tol``.  ``seed`` is unused, kept
+    for callers that pass it: no identity here needs particular inputs."""
     n = M.dim
     table = OperatorTable(M, g)
     m, ch, slots = table.mat, table.chain, table.bidegrees
@@ -516,18 +494,18 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
 def verify_operator_identities(M: InvariantComplexManifold,
                                omega_m: HermitianMetric,
                                gamma_m: HermitianMetric, *,
-                               tol: float = DEFAULT_TOL, samples: int = 20,
-                               seed: int = 0) -> IdentityReport:
+                               tol: float = DEFAULT_TOL, seed: int = 0) -> IdentityReport:
     """Identities tying T, S, P, R, Q to the division and trace routes, the
     integral links between pairs and P/Q, and the vanishing statements.
     Entries whose hypotheses do not apply are reported as skipped; those
     that integrate by parts need Stokes.  f, rho and the source of b15 and
     b16 come from one call of the star-split core; b13 and b14 compare f
     and rho with the two-trace and P routes relative to their size, and b15
-    and b16 the pair integrals relative to theirs.  Every
-    identity but b26 is evaluated on every monomial of its slot or on
-    omega; ``samples`` (1,1)-forms seeded by ``seed`` feed the
-    semi-definite candidates of b26."""
+    and b16 the pair integrals relative to theirs.  b26 is the identity
+    behind the vanishing of semi-definite forms with zero integral, on every
+    (1,1)-monomial.  Every identity is evaluated on every monomial of its
+    slot or on omega.  ``seed`` is unused, kept for callers that pass it: no
+    identity here needs particular inputs."""
     n = M.dim
     if n < 3:
         raise InputError(f"the operator suite needs dimension >= 3, got {n}")
@@ -640,24 +618,11 @@ def verify_operator_identities(M: InvariantComplexManifold,
               lambda: [(Qm - Pm) @ harmonic],
               stokes, (harmonic.size > 0, "no invariant harmonic (1,1)-forms sampled"))
 
-    # semi-definite forms with vanishing top trace must vanish: the spectra
-    # of the candidates among P(T_gamma eta) for seeded eta
-    candidates = []
-    rng = np.random.default_rng(seed)
-    for _ in range(samples if stokes[0] else 0):
-        theta_e = Pm @ t_gamma @ form_to_vec(random_form(rng, n, 1, 1), 1, 1)
-        theta = g.from_e_vec(theta_e, 1, 1)
-        try:
-            Hm = matrix_of_11(theta)
-        except InputError:
-            continue
-        if np.abs(Hm - Hm.conj().T).max() > 1e-9:
-            continue
-        eigs = np.array(eigenvalues_of_11(g, theta, tol=1e-6))
-        if ((eigs > -1e-9).all() or (eigs < 1e-9).all()) and abs(int_w @ theta_e) < tol:
-            candidates.append(eigs)
+    # theta ^ omega_(n-1) = (Lam theta) omega_n, and Lam on the (1,1)-slot
+    # is the trace of theta's frame matrix: a semi-definite theta with
+    # int theta ^ omega_(n-1) = 0 has a zero trace, hence vanishes
     rep.check("b26_semidefinite_zero_trace",
-              "semi-definite theta with int theta ^ omega_(n-1) = 0 vanishes", lambda: candidates,
-              (bool(candidates), "no semi-definite candidates arose in this run"))
+              "int theta ^ omega_(n-1) = Lam(theta) vol, so semi-definite theta with zero integral vanishes",
+              lambda: [int_w / total_volume(M, g) - lam(1)])
 
     return rep.finalize()

@@ -144,7 +144,7 @@ def test_criterion_6_operator_suites():
         rng = np.random.default_rng(6060)
         M, g, _ = catalog.get("iwasawa3")
         rep = verify_operator_identities(M, g, HermitianMetric.diagonal([1, 2, 3]),
-                                         tol=TOL, samples=20)
+                                         tol=TOL)
         assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
         ids = {e.identity: e for e in rep.entries}
         for key in ("b05_p_operator_routes", "b06_p_wedge_top_form", "b07_trace_of_p",
@@ -158,7 +158,7 @@ def test_criterion_6_operator_suites():
 
         M5, g5, _ = catalog.get("iwasawa5")
         rep5 = verify_operator_identities(M5, g5, random_pd_metric(5, rng),
-                                          tol=TOL, samples=20)
+                                          tol=TOL)
         assert rep5.all_passed, [e.to_json_dict() for e in rep5.failures()]
         ids5 = {e.identity: e for e in rep5.entries}
         for key in ("b11_star_wedge_33", "b12_division_trace_33",

@@ -328,13 +328,41 @@ def test_eigenvalue_reports():
     assert np.allclose(rep.eigenvalues, [-0.5, 0.5, 0.5], atol=1e-10)
 
 
+def test_classify_spectrum_is_the_pencil_of_rho(monkeypatch, rng):
+    """The spectrum read off rho's frame vector is the generalized spectrum
+    of rho's phi-basis matrix against H, and a warm ``classify`` builds no
+    ``Form`` but rho and star rho."""
+    import scipy.linalg
+    for name in ("iwasawa3", "nakamura", "iwasawa5"):
+        M = catalog.get(name)[0]
+        n = M.dim
+        g = random_pd_metric(n, rng)
+        rep = classify(M, g)
+        R = np.zeros((n, n), dtype=complex)
+        for (imask, jmask), c in rep.rho._terms.items():
+            R[imask.bit_length() - 1, jmask.bit_length() - 1] = c / 1j
+        expected = scipy.linalg.eigh(R, g.H, eigvals_only=True)
+        assert np.allclose(rep.eigenvalues, expected, rtol=0, atol=1e-13)
+
+    built = []
+    init = Form.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Form, "__init__", counting_init)
+    classify(M, g)
+    assert len(built) == 2
+
+
 def test_eigenvalues_rel_omega_oracle():
     # hand-built dual form of the iwasawa metric against a scipy pencil solve
     import scipy.linalg
     M, g, _ = catalog.get("iwasawa3")
     sr = 0.5 * (ii(3, 1).wedge(ii(3, 3)) + ii(3, 2).wedge(ii(3, 3))
                 - 1 * ii(3, 1).wedge(ii(3, 2)))
-    vals = eigenvalues_of_11(g, hodge_star(g, sr))
+    vals = eigenvalues_of_11(g.to_e_vec(hodge_star(g, sr), 1, 1))
     R = np.diag([0.5, 0.5, -0.5])
     expected = sorted(scipy.linalg.eigh(R, np.eye(3), eigvals_only=True))
     assert np.allclose(vals, expected, atol=1e-12)
@@ -349,15 +377,17 @@ def test_eigenvalues_of_11_match_scipy_pencil_dense_metric(rng):
         alpha = Form(n, {((1 << j), (1 << k)): 1j * R[j, k]
                          for j in range(n) for k in range(n)})
         expected = scipy.linalg.eigh(R, g.H, eigvals_only=True)
-        assert np.allclose(eigenvalues_of_11(g, alpha), expected, atol=1e-12)
+        assert np.allclose(eigenvalues_of_11(g.to_e_vec(alpha, 1, 1)), expected, atol=1e-12)
 
 
 def test_eigenvalues_reject_non_real():
     M, g, _ = catalog.get("iwasawa3")
     with pytest.raises(InputError):
-        eigenvalues_of_11(g, hodge_star(g, Form.monomial(3, (1, 2), (1, 3), 1.0)))
+        eigenvalues_of_11(g.to_e_vec(hodge_star(g, Form.monomial(3, (1, 2), (1, 3), 1.0)), 1, 1))
     with pytest.raises(InputError):
-        eigenvalues_of_11(g, Form.monomial(3, (1,), (2,), 1.0))
+        eigenvalues_of_11(g.to_e_vec(Form.monomial(3, (1,), (2,), 1.0), 1, 1))
+    with pytest.raises(InputError):
+        eigenvalues_of_11(np.ones(8))
 
 
 # ----------------------------------------------------------------------

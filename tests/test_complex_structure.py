@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import approx_equal, random_pd_metric
+from conftest import approx_equal, random_form, random_pd_metric
 from starsplit import catalog
 from starsplit.complex_structure import (InvariantComplexManifold, IntegrationWarning,
                                          PullbackMap, pullback, pullback_metric,
@@ -10,7 +10,7 @@ from starsplit.errors import InputError, UnboundParameterError
 from starsplit.forms import Form, basis_masks
 from starsplit.metric import (DEFAULT_TOL, HermitianMetric, form_to_vec, hodge_star,
                               inner_product, lefschetz_lambda, omega_power)
-from starsplit.operators import OperatorTable, random_form
+from starsplit.operators import OperatorTable
 
 
 def ii(n, j, k=None):
@@ -301,6 +301,28 @@ def test_pullback_rejects_singular():
         PullbackMap(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_pullback_refuses_non_finite_entries(bad):
+    """Refused up front, by name, before any numpy routine warns about them."""
+    A = np.eye(3, dtype=complex)
+    A[0, 1] = bad
+    with pytest.raises(InputError, match="pullback matrix has non-finite entries"):
+        PullbackMap(A)
+
+
+def test_pullback_refused_by_conditioning_not_by_size():
+    """A small multiple of an isometry has condition number 1 and a
+    working pulled-back metric; a matrix singular to working precision is
+    refused whatever its size."""
+    M, g, _ = catalog.get("iwasawa3")
+    phi = PullbackMap(5e-5 * np.eye(3))
+    assert np.allclose(pullback_metric(M, phi, g).H, 2.5e-9 * g.H, rtol=1e-14, atol=0)
+    for A in (np.diag([1.0, 1.0, 1e-13]), 1e6 * np.diag([1.0, 1.0, 1e-13]),
+              np.outer([1.0, 2.0, 3.0], [1.0, 1j, 0.5])):
+        with pytest.raises(InputError, match="pullback matrix is singular"):
+            PullbackMap(A)
+
+
 def test_pullback_metric_formula():
     M, g, _ = catalog.get("iwasawa3")
     phi = PullbackMap.diagonal([2.0, 1.0, 1.0])
@@ -387,6 +409,37 @@ def leibniz_stokes(M):
             top = M._leibniz_d(Form(n, {key: 1.0})).bidegree_component(n, n)
             res = max(res, top.max_abs())
     return res
+
+
+def leibniz_integrability(M):
+    """``check_integrability`` on Forms: the largest coefficient of d(d phi_k)
+    and of d(d phibar_k), with d the Leibniz rule."""
+    dgen, dgen_bar = M._generators()
+    return max(M._leibniz_d(f).max_abs() for f in dgen[1:] + dgen_bar[1:])
+
+
+def form_structure_compatibility(M, phi):
+    """``structure_compatibility`` on Forms: the largest coefficient of
+    phi* d phi_k - d phi* phi_k."""
+    n = M.dim
+    gens = (Form.monomial(n, (k,), (), 1.0) for k in range(1, n + 1))
+    return max((pullback(M, phi, M.d(u)) - M.d(pullback(M, phi, u))).max_abs() for u in gens)
+
+
+def test_validity_residuals_match_the_form_route(rng):
+    """d d composed from the slot matrices, and the commutation of the
+    pullback with d on the (1,0)-slot, read what the Form route reads."""
+    models = slot_models() + [stokes_violating_manifold(), corrupted_manifold()]
+    for M in models:
+        ref = leibniz_integrability(M)
+        assert abs(M.check_integrability() - ref) <= 1e-14 * (1.0 + ref), M.name
+        n = M.dim
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for phi in (PullbackMap.identity(n), PullbackMap.diagonal(range(1, n + 1)),
+                    PullbackMap(A)):
+            ref = form_structure_compatibility(M, phi)
+            assert abs(structure_compatibility(M, phi) - ref) <= 1e-13 * (1.0 + ref), M.name
+    assert leibniz_integrability(corrupted_manifold()) > 0.5
 
 
 def test_matrix_d_matches_leibniz_rule(rng):

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import approx_equal, random_pd_metric
+from conftest import approx_equal, random_form, random_pd_metric
 from starsplit import metric
 from starsplit.errors import AlgebraError, InputError
 from starsplit.forms import Form, basis_masks, space_dim
@@ -13,7 +13,6 @@ from starsplit.metric import (HermitianMetric, _slot_mat, _star_mat, _top_pairin
                               divide_by_power, form_norm, form_to_vec, hodge_star,
                               inner_product, lefschetz_L, lefschetz_decompose,
                               lefschetz_lambda, omega_power)
-from starsplit.operators import random_form
 
 
 def ii(n, j, k=None):

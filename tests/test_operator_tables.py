@@ -12,13 +12,13 @@ commutator they replace."""
 import numpy as np
 import pytest
 
-from conftest import random_pd_metric
+from conftest import random_form, random_pd_metric
 from starsplit import catalog, operators
 from starsplit.complex_structure import InvariantComplexManifold
-from starsplit.metric import (HermitianMetric, _derivation_scatter, _lefschetz_chain,
-                              _scatter, _slot_mat, _star_mat, _star_perm, _torsion_scatter,
+from starsplit.metric import (HermitianMetric, _derivation_scatter, _scatter,
+                              _slot_mat, _star_mat, _star_perm, _torsion_scatter,
                               omega_power)
-from starsplit.operators import (OperatorTable, random_form, verify_commutation_suite,
+from starsplit.operators import (OperatorTable, verify_commutation_suite,
                                  verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
@@ -110,25 +110,6 @@ def test_table_matrices_are_read_only(rng, name):
     assert mat is table.mat(name, 1, 1)
     with pytest.raises(ValueError):
         mat += 1.0
-
-
-def test_lefschetz_chain_cache_stays_sparse(monkeypatch):
-    """The L/Lambda chains of one commutation suite on iwasawa5 cost far
-    less than their dense form (several MiB) to keep."""
-    keys = set()
-
-    def recording(n, names, p, q):
-        keys.add((n, names, p, q))
-        return _lefschetz_chain(n, names, p, q)
-
-    monkeypatch.setattr(operators, "_lefschetz_chain", recording)
-    operators._dimension_entries.cache_clear()
-    M, g, _ = catalog.get("iwasawa5")
-    verify_commutation_suite(M, g)
-    assert keys and {key[0] for key in keys} == {5}
-    held = sum(idx.nbytes + vals.nbytes
-               for _, idx, vals in (_lefschetz_chain(*key) for key in keys))
-    assert held < 1 << 20, held
 
 
 def _models_of_dimension(n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import approx_equal, random_pd_metric
+from conftest import approx_equal, random_form, random_pd_metric
 from starsplit import catalog, operators
 from starsplit.analysis import rho
 from starsplit.complex_structure import InvariantComplexManifold
@@ -10,7 +10,7 @@ from starsplit.forms import Form, basis_masks
 from starsplit.metric import (HermitianMetric, divide_by_power, hodge_star,
                               lefschetz_lambda, omega_power)
 from starsplit.operators import (_STOKES_REASON, IdentityReport, OperatorTable, P, Q, R, S, T,
-                                 random_form, verify_commutation_suite,
+                                 verify_commutation_suite,
                                  verify_operator_identities)
 
 
@@ -217,8 +217,7 @@ def test_commutation_suite_on_catalog(name, params, rng):
 
 def test_operator_suite_iwasawa3():
     M, g, _ = catalog.get("iwasawa3")
-    rep = verify_operator_identities(M, g, HermitianMetric.diagonal([1, 2, 3]),
-                                     samples=20)
+    rep = verify_operator_identities(M, g, HermitianMetric.diagonal([1, 2, 3]))
     assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
     ids = {e.identity: e for e in rep.entries}
     # balanced entries are evaluated, dimension-4 entries are skipped with a reason
@@ -231,7 +230,7 @@ def test_operator_suite_iwasawa3():
 
 def test_operator_suite_iwasawa5(rng):
     M, g, _ = catalog.get("iwasawa5")
-    rep = verify_operator_identities(M, g, random_pd_metric(5, rng), samples=20)
+    rep = verify_operator_identities(M, g, random_pd_metric(5, rng))
     assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
     ids = {e.identity: e for e in rep.entries}
     assert ids["b11_star_wedge_33"].passed is True
@@ -300,14 +299,45 @@ def test_commutation_report_does_not_depend_on_the_seed(rng):
     assert verify_commutation_suite(M, g, seed=0) == verify_commutation_suite(M, g, seed=12345)
 
 
+def test_operator_report_does_not_depend_on_the_seed(rng):
+    M = catalog.get("iwasawa5")[0]
+    g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
+    assert (verify_operator_identities(M, g, gamma, seed=0)
+            == verify_operator_identities(M, g, gamma, seed=12345))
+
+
+@pytest.mark.parametrize("name,params", CATALOG_CASES + [("torus_4", None), ("solv", None)])
+def test_b26_is_evaluated_on_every_model(name, params, rng):
+    """int theta ^ omega_(n-1) / vol = Lam theta holds on every monomial,
+    with no hypothesis: Stokes-violating models included."""
+    M, g = ((stokes_violating(), HermitianMetric.identity(3)) if name == "solv"
+            else catalog.get(name, params)[:2])
+    for metric in (g, random_pd_metric(M.dim, rng)):
+        rep = verify_operator_identities(M, metric, random_pd_metric(M.dim, rng))
+        b26 = {e.identity: e for e in rep.entries}["b26_semidefinite_zero_trace"]
+        assert b26.skipped_reason is None and b26.passed is True
+        assert b26.residual < 1e-14, (name, b26.residual)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_lambda_on_11_is_the_frame_trace(n):
+    """Lam of theta = i sum R[j,k] e_j ^ ebar_k is trace R: the row of Lam on
+    the (1,1)-slot is -i at each e_j ^ ebar_j and 0 elsewhere, exactly."""
+    M = InvariantComplexManifold(f"torus_{n}", n, {})
+    lam = OperatorTable(M, HermitianMetric.identity(n)).mat("Lam", 1, 1)
+    trace = np.zeros((1, n * n), dtype=complex)
+    trace[0, [basis_masks(n, 1, 1).index((1 << j, 1 << j)) for j in range(n)]] = -1j
+    assert np.array_equal(lam, trace)
+
+
 def test_warm_suites_build_no_form_and_split_once(monkeypatch, rng):
     """Once the manifold's and the dimension's tables exist, both suites
-    work on frame matrices alone (b26's seeded candidates aside), and the
-    operator suite runs the star-split core once."""
+    work on frame matrices alone, and the operator suite runs the star-split
+    core once."""
     M = catalog.get("iwasawa5")[0]
     g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
     verify_commutation_suite(M, g)
-    verify_operator_identities(M, g, gamma, samples=0)
+    verify_operator_identities(M, g, gamma)
     built, splits = [], []
     init, split = Form.__init__, operators._star_split
 
@@ -323,7 +353,7 @@ def test_warm_suites_build_no_form_and_split_once(monkeypatch, rng):
     monkeypatch.setattr(operators, "_star_split", counting_split)
     assert verify_commutation_suite(M, g).all_passed
     assert not built
-    assert verify_operator_identities(M, g, gamma, samples=0).all_passed
+    assert verify_operator_identities(M, g, gamma).all_passed
     assert not built
     assert len(splits) == 1
 
