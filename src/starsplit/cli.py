@@ -244,6 +244,9 @@ def cmd_scan(args) -> int:
     else:
         _check_dimension(catalog.dimension(source), args.command)
         M, metric, _ = catalog.get(source, bindings, tol=args.tol)
+        for value in values:
+            # the catalog's own parameter checks, which rebinding M skips
+            catalog.get(source, {**bindings, target: value}, tol=args.tol)
     metric = _resolve_metric(args.metric, metric, M.dim)
 
     rows = search.scan(M, target, values, metric=metric, tol=args.tol)

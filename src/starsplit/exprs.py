@@ -165,6 +165,8 @@ def evaluate(node_or_text: Union[Node, str], params: Mapping[str, complex] | Non
 
     try:
         value = walk(node)
+    except OverflowError as exc:
+        raise ExpressionError(f"{node_or_text!r} overflows a double") from exc
     except ArithmeticError as exc:
         raise ExpressionError(f"cannot evaluate {node_or_text!r}: {exc}") from exc
     if not cmath.isfinite(value):

@@ -19,13 +19,14 @@ coefficients (``_wedge_scatter``, signed by ``_merge_table``), and from it
 ``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column is the standard
 ``omega_r`` that ``omega_power`` moves to phi) and the ``del omega ^ .``
 of ``OperatorTable``; the top pairing and the star (both signed
-permutations).  Two more tables give ``OperatorTable`` its other
-first-order operators as one gather and one bincount per slot
-(``_scatter``): the Leibniz rule as a derivation, which builds del or
-dbar of any slot from the differentials of the generators in any coframe
-(``_derivation_scatter``), and the torsion ``[Lambda, del omega ^ .]``
-from the coefficients of ``del omega`` (``_torsion_scatter``).  Both are
-stored as int32 positions and int8 signs.  From these come L,
+permutations).  More tables give ``OperatorTable`` its other first-order
+operators as one gather and one bincount per slot (``_scatter``): the
+Leibniz rule as a derivation, which builds del or dbar of any slot from
+the differentials of the generators in any coframe
+(``_derivation_scatter``), and from it the adjoints (that table
+conjugated by the star) and the commutators of L or Lambda with these or
+with ``del omega ^ .``, the torsion among them (``_operator_scatter``).
+All are stored as int32 positions and int8 signs.  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
 ``divide_by_power`` and the sl(2) closed form behind
@@ -146,25 +147,25 @@ def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every index pair ``(i, j)`` with ``left[i] == right[j]``."""
+    """Every index pair ``(i, j)`` with ``left[i] == right[j]`` (non-negative ints)."""
     order = np.argsort(right, kind="stable")
-    ordered = right[order]
-    start = np.searchsorted(ordered, left, "left")
-    count = np.searchsorted(ordered, left, "right") - start
+    counts = np.bincount(right, minlength=int(left.max(initial=0)) + 1)
+    count = counts[left]
+    start = (np.cumsum(counts) - counts)[left]
     i = np.repeat(np.arange(len(left)), count)
     offset = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
     return i, order[np.repeat(start, count) + offset]
 
 
-def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], width: int
+def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(pos, terms, signs)`` of a matrix whose entry at flat position
-    ``pos[k]`` collects ``signs[k] * values[terms[k]]``, for ``values`` of
-    length ``width``, from pieces of the same form: repeated (position,
-    term) pairs merged, zero sums dropped, stored as int32 and int8."""
+    ``pos[k]`` collects ``signs[k] * values[terms[k]]``, from pieces of the
+    same form with integer signs: repeated (position, term) pairs merged,
+    zero sums dropped, stored as int32 and int8."""
     pos, terms, signs = (np.concatenate([piece[m] for piece in pieces] or [np.zeros(0, int)])
                          for m in range(3))
-    width = max(width, 1)
+    width = int(terms.max(initial=0)) + 1
     keys, inverse = np.unique(pos.astype(np.int64) * width + terms, return_inverse=True)
     summed = np.bincount(inverse.reshape(-1), signs, len(keys)).astype(np.int64)
     keep = summed != 0
@@ -177,12 +178,13 @@ def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], widt
 
 def _scatter(shape: Tuple[int, int], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
              values: np.ndarray) -> np.ndarray:
-    """The matrix of a ``_scatter_table`` for these values: one gather and
-    one bincount of the real and of the imaginary parts."""
+    """The matrix of a ``_scatter_table`` for these values: a gather and a
+    bincount of the real and of the imaginary parts."""
     pos, terms, signs = table
-    vals = signs * values[terms]
     size = shape[0] * shape[1]
-    flat = np.bincount(pos, vals.real, size) + 1j * np.bincount(pos, vals.imag, size)
+    flat = np.empty(size, dtype=complex)
+    flat.real = np.bincount(pos, signs * values.real[terms], size)
+    flat.imag = np.bincount(pos, signs * values.imag[terms], size)
     return flat.reshape(shape)
 
 
@@ -230,36 +232,71 @@ def _derivation_scatter(n: int, part: int, p: int, q: int
             pieces.append((rows[j] * ncols + col[i], offset + terms[j] * n + k[i],
                            ksign[i] * signs[j]))
         offset += space_dim(n, a, b) * n
-    return _scatter_table(pieces, offset)
+    return _scatter_table(pieces)
+
+
+# slot shifts of L, Lambda and the operators X of ``_operator_scatter``
+_SHIFTS = {"L": (1, 1), "Lam": (-1, -1), "del": (1, 0), "dbar": (0, 1), "delstar": (-1, 0),
+           "dbarstar": (0, -1), "wdel": (2, 1), "wdbar": (1, 2)}
+_ADJOINT_OF = {"delstar": "dbar", "dbarstar": "del"}   # D of each adjoint -star D star
 
 
 @lru_cache(maxsize=None)
-def _torsion_scatter(n: int, bar: bool, p: int, q: int
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The torsion ``tau = [Lam, theta ^ .]`` from the (p,q)-slot, for the
-    (2,1)-form ``theta = del omega`` (``bar``: the (1,2)-form ``dbar
-    omega`` and ``taubar``), as a ``_scatter_table`` over the coefficients
-    of theta, times i: the nonzeros of Lambda are +-i, so ``Lam W - W Lam``
-    joins ``_wedge_scatter`` with the nonzeros of ``_slot_mat(n, "Lam",
-    ...)`` to integer signs."""
-    a, b = (1, 2) if bar else (2, 1)
-    ncols = space_dim(n, p, q)
+def _operator_scatter(n: int, lef: str, op: str, p: int, q: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = ``op`` from the (p,q)-slot, or with ``lef`` (F = L or Lambda)
+    ``-i [F, X] = -i (F X - X F)``, as a ``_scatter_table`` over the values
+    of X.  del and dbar are ``_derivation_scatter``.  An adjoint ``-star D
+    star`` is the table of D, or of ``[F', D]`` (F' the other of L and
+    Lambda, as ``star L = Lam star``), on the star of the slot, relabelled
+    through ``_star_perm``, whose phases multiply to a real sign.  Any other
+    commutator joins X's entries with the nonzeros of F, all +-i, to integer
+    signs: the torsion ``tau = [Lam, del omega ^ .]`` is the one with "wdel"."""
+    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
+    ncols, tp, tq = space_dim(n, p, q), p + fp + xp, q + fq + xq
+    if not (ncols and space_dim(n, tp, tq)):
+        return _scatter_table([])
+    if op in ("del", "dbar") and not lef:
+        return _derivation_scatter(n, op == "dbar", p, q)
+    if op in _ADJOINT_OF:
+        other = {"L": "Lam", "Lam": "L"}.get(lef, "")
+        pos, terms, signs = _operator_scatter(n, other, _ADJOINT_OF[op], n - q, n - p)
+        perm, phase = _star_perm(n, p, q)
+        out_perm, out_phase = _star_perm(n, n - tq, n - tp)
+        row, col = np.divmod(pos, ncols)
+        row = np.argsort(out_perm)[row]
+        return _scatter_table([(row * ncols + perm[col], terms,
+                                -signs * (out_phase[row] * phase[col]).real.astype(int))])
+
+    def entries(p, q):   # X from the (p,q)-slot as (rows, cols, terms, signs)
+        if op in ("wdel", "wdbar"):
+            return _wedge_scatter(n, xp, xq, p, q)
+        pos, terms, signs = _derivation_scatter(n, ("del", "dbar").index(op), p, q)
+        return (*np.divmod(pos, space_dim(n, p, q)), terms, signs)
+
     pieces = []
-    if space_dim(n, p + a, q + b):
-        # Lam (theta ^ .): Lambda on the (p+a,q+b)-slot after the wedge
-        rows, cols, terms, signs = _wedge_scatter(n, a, b, p, q)
-        lam = _slot_mat(n, "Lam", p + a, q + b)[0]
-        lr, lc = np.nonzero(lam)
-        i, j = _join(rows, lc)
-        pieces.append((lr[j] * ncols + cols[i], terms[i], signs[i] * lam[lr, lc].imag[j]))
-    if space_dim(n, p - 1, q - 1) and space_dim(n, p + a - 1, q + b - 1):
-        # -(theta ^ .) Lam: the wedge on the (p-1,q-1)-slot after Lambda
-        rows, cols, terms, signs = _wedge_scatter(n, a, b, p - 1, q - 1)
-        lam = _slot_mat(n, "Lam", p, q)[0]
-        lr, lc = np.nonzero(lam)
-        i, j = _join(cols, lr)
-        pieces.append((rows[i] * ncols + lc[j], terms[i], -signs[i] * lam[lr, lc].imag[j]))
-    return _scatter_table(pieces, space_dim(n, a, b))
+    if space_dim(n, p + xp, q + xq):
+        # F after X: F on the target slot of X
+        rows, cols, terms, signs = entries(p, q)
+        fr, fc, fv = _lefschetz_nonzeros(n, lef, p + xp, q + xq)
+        i, j = _join(rows, fc)
+        pieces.append((fr[j] * ncols + cols[i], terms[i], signs[i] * fv[j]))
+    if space_dim(n, p + fp, q + fq):
+        # X after F: X on the target slot of F
+        rows, cols, terms, signs = entries(p + fp, q + fq)
+        fr, fc, fv = _lefschetz_nonzeros(n, lef, p, q)
+        i, j = _join(cols, fr)
+        pieces.append((rows[i] * ncols + fc[j], terms[i], -signs[i] * fv[j]))
+    return _scatter_table(pieces)
+
+
+@lru_cache(maxsize=None)
+def _lefschetz_nonzeros(n: int, name: str, p: int, q: int
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, signs)``: the nonzeros ``i * signs`` of L or Lambda."""
+    mat = _slot_mat(n, name, p, q)[0]
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols].imag.astype(np.int8)
 
 
 @lru_cache(maxsize=None)

@@ -19,14 +19,17 @@ L, Lam, star, T (``-Id + L Lam / (n-1)``) and S (``star T star``).  The
 star is a signed permutation, and a chain applies it as one: a gather of
 rows or columns and a factor of +-1 or +-i each.  Per table, built on
 first use and kept, are the first-order operators, each slot one scatter
-from a per-dimension table: del and dbar from the frame differentials of
-the generators (the Leibniz rule as a derivation), ``del omega ^ .`` as
-the wedge with the 3-form ``theta = del omega`` (one mat-vec per table),
-and tau from the same theta.  The composites are chains of these: the
-adjoints ``del* = -star dbar star`` and ``dbar* = -star del star``, the
-dbar-Laplacian, and P, R and Q on the (1,1)-slot.  ``OperatorTable.apply``
-is the ``Form`` entry point to every operator of the table; T, S, P, R and
-Q, the paper's constructions, have their own functions below.
+from a per-dimension table: del, dbar and the adjoints ``del* = -star
+dbar star`` and ``dbar* = -star del star`` from the frame differentials of
+the generators, ``del omega ^ .`` as the wedge with the 3-form ``theta =
+del omega`` (one mat-vec per table), and tau from the same theta.
+``OperatorTable.bracket`` scatters the brackets of L and Lambda with
+these, so the commutation suite forms no dense product.  The composites
+are chains: the dbar-Laplacian and P, R and Q on the (1,1)-slot; chains
+also serve the identities of n alone and the operator suite.
+``OperatorTable.apply`` is the ``Form`` entry point to every operator of
+the table; T, S, P, R and Q, the paper's constructions, have their own
+functions below.
 
 Each suite builds one table per run and evaluates both sides of every
 identity that is linear in its input on every monomial of its slot at
@@ -73,9 +76,9 @@ from .analysis import _star_split
 from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import InputError
 from .forms import Form, space_dim
-from .metric import (DEFAULT_TOL, HermitianMetric, _derivation_scatter, _omega_power_vec,
-                     _primitive_part, _scatter, _slot_mat, _star_perm, _top_pairing,
-                     _torsion_scatter, _volume_coeff, _wedge_power_mat, _wedge_scatter)
+from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _omega_power_vec,
+                     _operator_scatter, _primitive_part, _scatter, _slot_mat, _star_perm,
+                     _top_pairing, _volume_coeff, _wedge_power_mat, _wedge_scatter)
 
 
 # ----------------------------------------------------------------------
@@ -86,18 +89,16 @@ class OperatorTable:
     orthonormal monomial bases, built per slot on first use and kept,
     read-only, for the life of the table.
 
-    "del"/"dbar" scatter the frame differentials of the generators
-    (``_generators``) through ``metric._derivation_scatter``; "L", "Lam",
-    "star", "T" and "S" are ``metric._slot_mat``; "wdel"/"wdbar" scatter
-    the (0,0)-slot column ``theta`` through ``metric._wedge_scatter``, and
-    "tau"/"taubar", the commutators of Lambda with them, scatter the same
-    theta through ``metric._torsion_scatter``.  Every other name is a sum
+    "del"/"dbar" and their adjoints "delstar"/"dbarstar" scatter the
+    frame differentials of the generators (``_values``) through
+    ``metric._operator_scatter``; "L", "Lam", "star", "T" and "S" are
+    ``metric._slot_mat``; "wdel"/"wdbar" scatter the (0,0)-slot column
+    ``theta`` through ``metric._wedge_scatter``, and "tau"/"taubar" are
+    their brackets with Lambda (``bracket``).  Every other name is a sum
     of scaled chains of these (``_terms``); "P", "R" and "Q" act on the
     (1,1)-slot only."""
 
-    _SHIFTS = {"del": (1, 0), "dbar": (0, 1), "L": (1, 1), "Lam": (-1, -1),
-               "tau": (1, 0), "taubar": (0, 1), "delstar": (-1, 0), "dbarstar": (0, -1),
-               "wdel": (2, 1), "wdbar": (1, 2), "T": (0, 0), "S": (0, 0),
+    _SHIFTS = {**_SHIFTS, "tau": (1, 0), "taubar": (0, 1), "T": (0, 0), "S": (0, 0),
                "P": (0, 0), "R": (0, 0), "Q": (0, 0), "dbarlap": (0, 0)}
 
     def __init__(self, M: InvariantComplexManifold, g: HermitianMetric):
@@ -120,8 +121,6 @@ class OperatorTable:
     def _terms(self, name: str) -> List[Tuple[complex, List[str]]]:
         """(coefficient, chain) pairs summing to a composite operator."""
         n = self.n
-        if name in ("delstar", "dbarstar"):
-            return [(-1, ["star", "dbar" if name == "delstar" else "del", "star"])]
         if name == "dbarlap":
             return [(1, ["dbar", "dbarstar"]), (1, ["dbarstar", "dbar"])]
         if name == "R":
@@ -138,11 +137,14 @@ class OperatorTable:
                     (-1 / (n - 1), ["L", "dbarstar", "Lam", "dbar"])]
         raise InputError(f"unknown operator {name!r}")
 
-    def _generators(self, name: str) -> np.ndarray:
-        """The frame differentials ``del e_k`` and ``del ebar_k`` ("del"), or
-        ``dbar e_k`` and ``dbar ebar_k`` ("dbar"), in the layout that
-        ``metric._derivation_scatter`` reads: the manifold's matrices on the
-        (1,0)- and (0,1)-slots moved into the frame, flattened."""
+    def _values(self, name: str) -> np.ndarray:
+        """What the table of ``name`` scatters: theta, the (0,0)-slot column
+        of "wdel"/"wdbar", or the generator differentials under del (for del
+        and dbar*) or dbar (dbar and del*): the manifold's (1,0)- and
+        (0,1)-slot matrices moved into the frame, flattened."""
+        if name in ("wdel", "wdbar"):
+            return self.mat(name, 0, 0)[:, 0]
+        name = _ADJOINT_OF.get(name, name)
         if name not in self._gens:
             part, g = name == "dbar", self.g
             self._gens[name] = np.concatenate([
@@ -150,6 +152,16 @@ class OperatorTable:
                  @ g.from_e_matrix(p, q)).ravel()
                 for p, q in ((1, 0), (0, 1)) if space_dim(self.n, *self.target(name, p, q))])
         return self._gens[name]
+
+    def bracket(self, a: str, b: str, p: int, q: int) -> np.ndarray:
+        """``[a, b] = a b - b a`` from the (p,q)-slot, for "L" or "Lam" and
+        del, dbar, their adjoints, "wdel" or "wdbar": one scatter, a fresh
+        array."""
+        name, op, unit = (a, b, 1j) if a in ("L", "Lam") else (b, a, -1j)
+        shape = (space_dim(self.n, *self.target(op, *self.target(name, p, q))),
+                 space_dim(self.n, p, q))
+        return _scatter(shape, _operator_scatter(self.n, name, op, p, q),
+                        unit * self._values(op))
 
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         key = (name, p, q)
@@ -162,13 +174,10 @@ class OperatorTable:
         shape = (space_dim(n, tp, tq), space_dim(n, p, q))
         if not all(shape):
             return np.zeros(shape, dtype=complex)
-        if name in ("del", "dbar"):
-            mat = _scatter(shape, _derivation_scatter(n, ("del", "dbar").index(name), p, q),
-                           self._generators(name))
+        if name in ("del", "dbar", "delstar", "dbarstar"):
+            mat = _scatter(shape, _operator_scatter(n, "", name, p, q), self._values(name))
         elif name in ("tau", "taubar"):
-            bar = name == "taubar"
-            theta = self.mat("wdbar" if bar else "wdel", 0, 0)[:, 0]
-            mat = 1j * _scatter(shape, _torsion_scatter(n, bar, p, q), theta)
+            mat = self.bracket("Lam", "wdel" if name == "tau" else "wdbar", p, q)
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
         elif name in ("wdel", "wdbar"):
@@ -449,9 +458,8 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     for callers that pass it: no identity here needs particular inputs."""
     n = M.dim
     table = OperatorTable(M, g)
-    m, ch, slots = table.mat, table.chain, table.bidegrees
+    m, bracket, slots = table.mat, table.bracket, table.bidegrees
     rep = IdentityReport(M.name, g.describe(), tol)
-    bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
     # the frame conjugate transpose is the L2 adjoint only where Stokes holds
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
 

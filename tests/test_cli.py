@@ -81,6 +81,18 @@ def test_scan_csv(capsys):
     assert fs == pytest.approx([0.0, 0.8, -1.6], abs=1e-10)
 
 
+@pytest.mark.parametrize("values", ["2,0.5", "0.5,1", "1e300i"])
+def test_scan_applies_the_catalog_parameter_check(capsys, values):
+    """A scan value that ``classify --param`` refuses is refused by
+    ``scan`` too, in the same words, before any row is printed."""
+    code, out, err = run(capsys, "scan", "--manifold", "calabi_eckmann", "--param", "t",
+                         "--values", values, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: calabi_eckmann parameter must satisfy |t| < 1")
+
+
 def test_scan_requires_bare_param(capsys):
     code, _, err = run(capsys, "scan", "--manifold", "calabi_eckmann",
                        "--values", "0.1")

@@ -1,10 +1,12 @@
 """Generated manifold, metric and pullback files through ``starsplit verify
 --suite all --json`` and ``starsplit classify --json`` with ``--gamma`` and
-``--phi``: every input ends in a report (exit 0) or in exit 2 with exactly
-one ``error:`` line, never in a failed identity (exit 1), an exception, a
-warning or a traceback, and the report is valid JSON.  Every model these
-files describe satisfies the paper's identities, so a failed identity here
-is a defect of the program."""
+``--phi``, and generated ``--param`` expressions and ``--values`` lists
+through ``scan``, ``invariants`` and ``search``: every input ends in a
+report (exit 0) or in exit 2 with exactly one ``error:`` line, never in a
+failed identity (exit 1), an exception, a warning or a traceback, and the
+report is valid JSON.  Every model these files describe satisfies the
+paper's identities, so a failed identity here is a defect of the
+program."""
 
 import contextlib
 import io
@@ -97,8 +99,9 @@ def pullback_files(draw, n):
 
 def check_cli(command, files, *flags):
     """Write ``files`` (option name -> JSON content) to a temporary
-    directory, run ``starsplit command --option path ... flags --json`` and
-    hold it to the contract of this module."""
+    directory, run ``starsplit command --option path ... flags --json``,
+    hold it to the contract of this module and return its exit code, stdout
+    and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command]
         for option, content in files.items():
@@ -115,6 +118,7 @@ def check_cli(command, files, *flags):
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), (
             err.getvalue(), files)
+    return code, out.getvalue(), err.getvalue()
 
 
 def check_verify(manifold, metric):
@@ -170,3 +174,72 @@ def test_classify_ends_in_a_report_or_a_message(data):
     for option in data.draw(st.sampled_from([["gamma"], ["phi"], ["gamma", "phi"]])):
         files[option] = data.draw(pullback_files(n) if option == "phi" else metric_files(n, False))
     check_cli("classify", files)
+
+
+# ----------------------------------------------------------------------
+# --param expressions and --values lists through scan, invariants, search
+# ----------------------------------------------------------------------
+# in range (thrice as likely), out of range or overflowing, ill-formed
+PARAM_VALUES = st.sampled_from(["0", "0.5", "-0.3i", "0.1+0.2i", "conj(0.2i)", "0.99"] * 3
+                               + ["1", "2", "-1e300i", "1e200", "abs2(1e200)"]
+                               + ["1e400", "1/0", "(", "", "s"])
+FILE_COEFFS = st.sampled_from(["s", "conj(s)", "abs2(s)", "1/(1-s)", "s*s", "i*s+1"])
+CATALOG_PARAMS = {"calabi_eckmann": ("t",), "iwasawa3": (), "torus_3": (),
+                  "iwasawa_def": ("sigma12", "sigma11b", "sigma12b", "sigma21b", "sigma22b")}
+
+
+def parametric_file(n, coeffs):
+    """d phi_n = c1 phi_1 ^ phibar_1 (+ c2 phi_1 ^ phi_2 for n = 3), the
+    other generators closed: a 2-step nilpotent model, valid at every
+    finite value of the expressions c1, c2 in the parameter ``s``."""
+    top = {"(1,1)": [{"i": 1, "jbar": 1, "coeff": coeffs[0]}]}
+    if n == 3:
+        top["(2,0)"] = [{"i": 1, "j": 2, "coeff": coeffs[1]}]
+    return {"name": "fuzz", "dim": n, "structure": {f"phi{n}": top}}
+
+
+# the scan defects: a value that the catalog refuses printed a row, and an
+# overflowing value leaked a raw errno tuple ("(34, 'Numerical result out of
+# range')")
+@pytest.mark.parametrize("files,flags,message", [
+    ({}, ["--manifold", "calabi_eckmann", "--values=2,0.5"],
+     "calabi_eckmann parameter must satisfy |t| < 1"),
+    ({}, ["--manifold", "calabi_eckmann", "--values=1e300i"],
+     "calabi_eckmann parameter must satisfy |t| < 1"),
+    ({"manifold": parametric_file(2, ["abs2(t)"])}, ["--values=1e300i"],
+     "'abs2(t)' overflows a double")])
+def test_scan_on_inputs_that_once_misbehaved(files, flags, message):
+    code, out, err = check_cli("scan", files, "--param", "t", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}"), err
+
+
+@seed(20261020)
+@settings(database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_parameter_commands_end_in_a_report_or_a_message(data):
+    """``scan``, ``invariants`` or ``search`` on a catalog model or a
+    parametric file (n <= 3), with drawn ``--param`` bindings, scan targets
+    and ``--values`` lists: in range, out of range, overflowing, ill-formed
+    or naming no parameter."""
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(sorted(CATALOG_PARAMS)))
+        files, flags, names = {}, ["--manifold", name], CATALOG_PARAMS[name]
+    else:
+        n = data.draw(st.sampled_from([2, 3, 3]))
+        files = {"manifold": parametric_file(n, [data.draw(FILE_COEFFS) for _ in range(2)])}
+        flags, names = [], ("s",)
+    command = data.draw(st.sampled_from(["scan", "invariants", "search"]))
+    # each parameter is bound with probability 3/4, the unknown "x" with 1/8
+    bound = [name for name in names if data.draw(st.integers(0, 3))]
+    bound += ["x"] * (data.draw(st.integers(0, 7)) == 0)
+    flags += [f"--param={name}={data.draw(PARAM_VALUES)}" for name in bound]
+    if command == "scan":
+        values = data.draw(st.lists(PARAM_VALUES, min_size=1, max_size=3))
+        target = data.draw(st.sampled_from(names * 4 + ("x",)))
+        flags += ["--param", target, "--values=" + ",".join(values)]
+    elif command == "search":
+        flags += ["--budget", str(data.draw(st.sampled_from([1, 5, 20]))),
+                  "--family", data.draw(st.sampled_from(["diagonal", "hermitian"])),
+                  "--seed", str(data.draw(st.integers(0, 3)))]
+    check_cli(command, files, *flags)

@@ -59,3 +59,13 @@ def test_syntax_errors(bad):
 def test_arithmetic_failures_are_expression_errors(bad):
     with pytest.raises(ExpressionError):
         parse_complex(bad)
+
+
+@pytest.mark.parametrize("text,params", [("abs2(t)", {"t": 1e300j}), ("abs2(1e200)", {}),
+                                         ("abs2(conj(t))*2", {"t": -1e155})])
+def test_overflow_is_reported_in_plain_words(text, params):
+    """An overflowing evaluation names the expression, and no raw errno
+    tuple such as "(34, 'Numerical result out of range')"."""
+    with pytest.raises(ExpressionError) as info:
+        evaluate(text, params)
+    assert str(info.value) == f"{text!r} overflows a double"

@@ -5,9 +5,10 @@ replaces exactly, stay small, and hand out either a fresh array or a
 read-only one, so that no caller can change what a later call gets.
 Also the per-dimension shortcuts of the suites: the cached entries of
 the identities of n alone, ``del omega ^ .`` / ``dbar omega ^ .``
-scattered from the wedge table, and del, dbar, tau and taubar scattered
-from their own tables, checked against the congruence and the dense
-commutator they replace."""
+scattered from the wedge table, and del, dbar, their adjoints, tau, taubar
+and the four brackets of the commutation suite scattered from their own
+tables, checked against the congruence and the dense products they
+replace."""
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ import pytest
 from conftest import random_form, random_pd_metric
 from starsplit import catalog, operators
 from starsplit.complex_structure import InvariantComplexManifold
-from starsplit.metric import (HermitianMetric, _derivation_scatter, _scatter,
-                              _slot_mat, _star_mat, _star_perm, _torsion_scatter,
-                              omega_power)
+from starsplit.metric import (HermitianMetric, _derivation_scatter, _operator_scatter,
+                              _scatter, _slot_mat, _star_mat, _star_perm, omega_power)
 from starsplit.operators import (OperatorTable, verify_commutation_suite,
                                  verify_operator_identities)
 from test_cli import _N6_MODELS
@@ -73,8 +73,7 @@ def test_every_suite_chain_equals_the_dense_product(monkeypatch, rng):
     g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
     requests = _requested_chains(monkeypatch, M, g, gamma)
     assert {names for names, _, _ in requests} >= {
-        ("Lam", "L"), ("L", "L", "L", "Lam"), ("star", "dbar", "star"), ("star", "star"),
-        ("L", "star"), ("star", "Lam")}
+        ("Lam", "L"), ("L", "L", "L", "Lam"), ("star", "star"), ("L", "star"), ("star", "Lam")}
     table, dense = OperatorTable(M, g), DenseTable(M, g)
     for names, p, q in sorted(requests):
         assert np.array_equal(table.chain(names, p, q), dense.chain(names, p, q)), (names, p, q)
@@ -235,6 +234,80 @@ def test_first_order_tables_stay_small():
     held = sum(arr.nbytes
                for p in range(6) for q in range(6) for part in (0, 1)
                for table in (_derivation_scatter(5, part, p, q),
-                             _torsion_scatter(5, bool(part), p, q))
+                             _operator_scatter(5, "Lam", ("wdel", "wdbar")[part], p, q))
                for arr in table)
     assert held < 2 << 20, held
+
+
+# ----------------------------------------------------------------------
+# the adjoints and the brackets of the commutation suite as scatters
+# ----------------------------------------------------------------------
+def _dense_first_order(dense, name, p, q):
+    """A first-order operator as a dense matrix: an adjoint as the dense
+    product ``-star D star``, any other name as the table's matrix."""
+    if name in ("delstar", "dbarstar"):
+        d = "dbar" if name == "delstar" else "del"
+        return -dense.chain(["star", d, "star"], p, q)
+    return dense.mat(name, p, q)
+
+
+def _random_generator_tables(n, rng):
+    """An ``OperatorTable`` of dimension n and its ``DenseTable``, both
+    reading the same random complex generator differentials, so that every
+    entry of every table is exercised (the tables do not need d^2 = 0)."""
+    M, g = InvariantComplexManifold(f"torus_{n}", n, {}), HermitianMetric.identity(n)
+    table, dense = OperatorTable(M, g), DenseTable(M, g)
+    for name in ("del", "dbar"):
+        size = table._values(name).size
+        gens = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        table._gens[name] = dense._gens[name] = gens
+    return table, dense
+
+
+def _relative_gap(got, ref):
+    assert got.shape == ref.shape
+    return np.abs(got - ref).max(initial=0.0) / max(np.abs(ref).max(initial=0.0), 1e-300)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scattered_adjoints_and_brackets_equal_the_dense_products(rng, n):
+    """del*, dbar* and [Lam, del], [Lam, dbar], [dbar*, L], [del*, L] (and
+    the torsion brackets with the theta wedges) match, on every slot, the
+    dense products they replace, to 1e-15 relative."""
+    table, dense = _random_generator_tables(n, rng)
+    for p, q in table.bidegrees():
+        for name in ("delstar", "dbarstar"):
+            ref = _dense_first_order(dense, name, p, q)
+            assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
+        for lef, op in (("Lam", "del"), ("Lam", "dbar"), ("L", "dbarstar"), ("L", "delstar"),
+                        ("Lam", "wdel"), ("Lam", "wdbar")):
+            tp, tq = table.target(op, p, q)
+            fp, fq = table.target(lef, p, q)
+            ref = (dense.mat(lef, tp, tq) @ _dense_first_order(dense, op, p, q)
+                   - _dense_first_order(dense, op, fp, fq) @ dense.mat(lef, p, q))
+            assert _relative_gap(table.bracket(lef, op, p, q), ref) <= 1e-15, (lef, op, p, q)
+            assert np.array_equal(table.bracket(op, lef, p, q), -table.bracket(lef, op, p, q))
+
+
+def test_a_warm_commutation_suite_makes_no_chain_call(monkeypatch, rng):
+    M = catalog.get("iwasawa5")[0]
+    verify_commutation_suite(M, random_pd_metric(5, rng))
+    calls = []
+    chain = OperatorTable.chain
+    monkeypatch.setattr(OperatorTable, "chain",
+                        lambda self, *args: calls.append(args) or chain(self, *args))
+    rep = verify_commutation_suite(M, random_pd_metric(5, rng))
+    assert rep.all_passed
+    assert calls == []
+
+
+def test_adjoint_and_bracket_tables_stay_small():
+    """The adjoint tables and the four bracket tables, over every slot of
+    dimension 5, hold less than 2.5 MiB."""
+    held = sum(arr.nbytes
+               for p in range(6) for q in range(6)
+               for lef, op in (("", "delstar"), ("", "dbarstar"), ("Lam", "del"),
+                               ("Lam", "dbar"), ("L", "delstar"), ("L", "dbarstar"))
+               for table in [_operator_scatter(5, lef, op, p, q)]
+               for arr in table)
+    assert held < 5 << 19, held
