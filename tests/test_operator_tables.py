@@ -308,6 +308,5 @@ def test_adjoint_and_bracket_tables_stay_small():
                for p in range(6) for q in range(6)
                for lef, op in (("", "delstar"), ("", "dbarstar"), ("Lam", "del"),
                                ("Lam", "dbar"), ("L", "delstar"), ("L", "dbarstar"))
-               for table in [_operator_scatter(5, lef, op, p, q)]
-               for arr in table)
+               for arr in _operator_scatter(5, lef, op, p, q))
     assert held < 5 << 19, held
