@@ -15,10 +15,12 @@ partner), which the test-suites compare against computed reports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .complex_structure import InvariantComplexManifold, PullbackMap
+import numpy as np
+
+from .complex_structure import InvariantComplexManifold, PullbackMap, StructureTable
 from .errors import InputError
 from .metric import DEFAULT_TOL, HermitianMetric
 
@@ -33,97 +35,44 @@ _EIGENVALUE_NOTE = (
     "metric; the alternate published values {1, 1, -1} correspond to 2*rho")
 
 
+_ALL_FLAGS = dict.fromkeys(("kahler", "balanced", "gauduchon", "SKT", "astheno_kahler",
+                           "n2_gauduchon", "pluriclosed_star_split", "closed_star_split"), True)
+# the fixed non-Kähler entries: balanced and star split, neither SKT nor
+# astheno-Kähler nor n2-Gauduchon
+_BALANCED = {**_ALL_FLAGS, "kahler": False, "SKT": False, "astheno_kahler": False,
+             "n2_gauduchon": False}
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog model: its structure table over the parameters
+    ``param_defaults``, its default metric ``metric_scale`` times the
+    identity, the range ``check`` its parameters must pass, and the
+    expected constants of a bound instance under that metric."""
+
     name: str
     description: str
     dim: int
-    build: Callable[[Dict[str, complex]], InvariantComplexManifold]
-    default_metric: Callable[[InvariantComplexManifold], HermitianMetric]
+    structure: StructureTable
     expectations: Callable[[InvariantComplexManifold], dict]
-    param_defaults: Dict[str, complex]
+    param_defaults: Dict[str, complex] = field(default_factory=dict)
+    metric_scale: float = 1.0
+    check: Optional[Callable[[Dict[str, complex]], None]] = None
     isometry: Optional[Callable[..., PullbackMap]] = None
 
 
-def _torus_builder(n: int):
-    def build(params: Dict[str, complex]) -> InvariantComplexManifold:
-        return InvariantComplexManifold(f"torus_{n}", n, {})
-    return build
+def _fixed(f: float, eigenvalues: List[float], flags: dict, notes: Tuple[str, ...] = ()):
+    """The expectations of an entry without parameters."""
+    def expectations(M: InvariantComplexManifold) -> dict:
+        exp = {"f": f, "eigenvalues": list(eigenvalues), "flags": dict(flags)}
+        if notes:
+            exp["notes"] = list(notes)
+        return exp
+    return expectations
 
 
-def _torus_expectations(M: InvariantComplexManifold) -> dict:
-    return {
-        "f": 0.0,
-        "eigenvalues": [0.0] * M.dim,
-        "flags": {"kahler": True, "balanced": True, "gauduchon": True,
-                  "SKT": True, "astheno_kahler": True, "n2_gauduchon": True,
-                  "pluriclosed_star_split": True, "closed_star_split": True},
-    }
-
-
-def _iwasawa3_build(params: Dict[str, complex]) -> InvariantComplexManifold:
-    structure = {3: {"(2,0)": [(1, 2, "-1")], "(1,1)": []}}
-    return InvariantComplexManifold("iwasawa3", 3, structure)
-
-
-def _iwasawa3_expectations(M: InvariantComplexManifold) -> dict:
-    return {
-        "f": 1.0,
-        "eigenvalues": [-0.5, 0.5, 0.5],
-        "flags": {"kahler": False, "balanced": True, "gauduchon": True,
-                  "SKT": False, "astheno_kahler": False, "n2_gauduchon": False,
-                  "pluriclosed_star_split": True, "closed_star_split": True},
-        "notes": [_EIGENVALUE_NOTE],
-    }
-
-
-def _iwasawa3_isometry(u: complex, v: complex) -> PullbackMap:
-    """Coframe rotation diag(u, v, u*v); an isometry of the standard metric
-    for |u| = |v| = 1 and structure-compatible for all u, v."""
-    return PullbackMap.diagonal([u, v, u * v])
-
-
-def _nakamura_build(params: Dict[str, complex]) -> InvariantComplexManifold:
-    structure = {2: {"(2,0)": [(1, 2, "1")], "(1,1)": []},
-                 3: {"(2,0)": [(1, 3, "-1")], "(1,1)": []}}
-    return InvariantComplexManifold("nakamura", 3, structure)
-
-
-def _nakamura_expectations(M: InvariantComplexManifold) -> dict:
-    return {
-        "f": 2.0,
-        "eigenvalues": [0.0, 0.0, 1.0],
-        "flags": {"kahler": False, "balanced": True, "gauduchon": True,
-                  "SKT": False, "astheno_kahler": False, "n2_gauduchon": False,
-                  "pluriclosed_star_split": True, "closed_star_split": True},
-    }
-
-
-def _iwasawa5_build(params: Dict[str, complex]) -> InvariantComplexManifold:
-    structure = {3: {"(2,0)": [(1, 2, "1")], "(1,1)": []},
-                 4: {"(2,0)": [(1, 3, "1")], "(1,1)": []},
-                 5: {"(2,0)": [(2, 3, "1")], "(1,1)": []}}
-    return InvariantComplexManifold("iwasawa5", 5, structure)
-
-
-def _iwasawa5_expectations(M: InvariantComplexManifold) -> dict:
-    return {
-        "f": 3.0,
-        "eigenvalues": [-0.25, -0.25, -0.25, 0.75, 0.75],
-        "flags": {"kahler": False, "balanced": True, "gauduchon": True,
-                  "SKT": False, "astheno_kahler": False, "n2_gauduchon": False,
-                  "pluriclosed_star_split": True, "closed_star_split": True},
-    }
-
-
-_SIGMA_NAMES = ("sigma12", "sigma11b", "sigma12b", "sigma21b", "sigma22b")
-
-
-def _iwasawa_def_build(params: Dict[str, complex]) -> InvariantComplexManifold:
-    structure = {3: {"(2,0)": [(1, 2, "sigma12")],
-                     "(1,1)": [(1, 1, "sigma11b"), (1, 2, "sigma12b"),
-                               (2, 1, "sigma21b"), (2, 2, "sigma22b")]}}
-    return InvariantComplexManifold("iwasawa_def", 3, structure, params)
+def _torus(k: int, description: str) -> CatalogEntry:
+    return CatalogEntry(f"torus_{k}", description, k, {}, _fixed(0.0, [0.0] * k, _ALL_FLAGS))
 
 
 def deformation_trace_constant(params: Dict[str, complex]) -> float:
@@ -148,107 +97,61 @@ def _iwasawa_def_expectations(M: InvariantComplexManifold) -> dict:
     }
 
 
-def _calabi_eckmann_build(params: Dict[str, complex]) -> InvariantComplexManifold:
+def _calabi_eckmann_check(params: Dict[str, complex]) -> None:
     t = params["t"]
     if abs(t) >= 1.0:
         raise InputError(
             f"calabi_eckmann parameter must satisfy |t| < 1 "
             f"(structure coefficients are singular at |t| = 1), got |t| = {abs(t):g}")
-    structure = {
-        1: {"(2,0)": [(1, 3, "i*(conj(t)+1)/(1-abs2(t))")],
-            "(1,1)": [(1, 3, "i*(t+1)/(1-abs2(t))")]},
-        2: {"(2,0)": [(2, 3, "(1-conj(t))/(1-abs2(t))")],
-            "(1,1)": [(2, 3, "(t-1)/(1-abs2(t))")]},
-        3: {"(2,0)": [],
-            "(1,1)": [(1, 1, "i*(t-1)"), (2, 2, "t+1")]},
-    }
-    return InvariantComplexManifold("calabi_eckmann", 3, structure, params)
 
 
 def _calabi_eckmann_expectations(M: InvariantComplexManifold) -> dict:
     t = M.params["t"]
-    f = 8.0 * t.imag
     real_t = abs(t.imag) < 1e-14
     return {
-        "f": f,
+        "f": 8.0 * t.imag,
         "eigenvalues": sorted([4 * t.imag, 4 * t.imag, -4 * t.imag]),
-        "flags": {"kahler": False, "balanced": False, "gauduchon": True,
-                  "SKT": real_t, "astheno_kahler": real_t, "n2_gauduchon": real_t,
-                  "pluriclosed_star_split": True, "closed_star_split": real_t},
+        "flags": {**_ALL_FLAGS, "kahler": False, "balanced": False, "SKT": real_t,
+                  "astheno_kahler": real_t, "n2_gauduchon": real_t,
+                  "closed_star_split": real_t},
     }
 
 
-def _standard_metric(M: InvariantComplexManifold) -> HermitianMetric:
-    return HermitianMetric.identity(M.dim)
-
-
-def _calabi_eckmann_metric(M: InvariantComplexManifold) -> HermitianMetric:
-    return HermitianMetric.identity(M.dim).scaled(0.5)
-
-
-_ENTRIES: Dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    _ENTRIES[entry.name] = entry
-
-
-_register(CatalogEntry(
-    name="torus_3",
-    description="complex 3-torus (all structure constants zero)",
-    dim=3,
-    build=_torus_builder(3),
-    default_metric=_standard_metric,
-    expectations=_torus_expectations,
-    param_defaults={},
-))
-_register(CatalogEntry(
-    name="iwasawa3",
-    description="3-dimensional nilmanifold, d phi3 = -phi1^phi2",
-    dim=3,
-    build=_iwasawa3_build,
-    default_metric=_standard_metric,
-    expectations=_iwasawa3_expectations,
-    param_defaults={},
-    isometry=_iwasawa3_isometry,
-))
-_register(CatalogEntry(
-    name="nakamura",
-    description="3-dimensional solvmanifold, d phi2 = phi1^phi2, d phi3 = -phi1^phi3",
-    dim=3,
-    build=_nakamura_build,
-    default_metric=_standard_metric,
-    expectations=_nakamura_expectations,
-    param_defaults={},
-))
-_register(CatalogEntry(
-    name="iwasawa_def",
-    description="small deformations of iwasawa3 with free sigma coefficients",
-    dim=3,
-    build=_iwasawa_def_build,
-    default_metric=_standard_metric,
-    expectations=_iwasawa_def_expectations,
-    param_defaults={"sigma12": -1 + 0j, "sigma11b": 0j,
-                    "sigma12b": 0j, "sigma21b": 0j, "sigma22b": 0j},
-))
-_register(CatalogEntry(
-    name="iwasawa5",
-    description="5-dimensional nilmanifold with three non-closed generators",
-    dim=5,
-    build=_iwasawa5_build,
-    default_metric=_standard_metric,
-    expectations=_iwasawa5_expectations,
-    param_defaults={},
-))
-_register(CatalogEntry(
-    name="calabi_eckmann",
-    description="complex structures on S^3 x S^3, parameter t in the unit disc",
-    dim=3,
-    build=_calabi_eckmann_build,
-    default_metric=_calabi_eckmann_metric,
-    expectations=_calabi_eckmann_expectations,
-    param_defaults={"t": 0j},
-))
+_ENTRIES: Dict[str, CatalogEntry] = {entry.name: entry for entry in (
+    _torus(3, "complex 3-torus (all structure constants zero)"),
+    CatalogEntry(
+        "iwasawa3", "3-dimensional nilmanifold, d phi3 = -phi1^phi2", 3,
+        {3: {"(2,0)": [(1, 2, "-1")]}},
+        _fixed(1.0, [-0.5, 0.5, 0.5], _BALANCED, (_EIGENVALUE_NOTE,)),
+        # coframe rotation diag(u, v, u*v): an isometry of the standard
+        # metric for |u| = |v| = 1 and structure-compatible for all u, v
+        isometry=lambda u, v: PullbackMap.diagonal([u, v, u * v])),
+    CatalogEntry(
+        "nakamura", "3-dimensional solvmanifold, d phi2 = phi1^phi2, d phi3 = -phi1^phi3", 3,
+        {2: {"(2,0)": [(1, 2, "1")]}, 3: {"(2,0)": [(1, 3, "-1")]}},
+        _fixed(2.0, [0.0, 0.0, 1.0], _BALANCED)),
+    CatalogEntry(
+        "iwasawa_def", "small deformations of iwasawa3 with free sigma coefficients", 3,
+        {3: {"(2,0)": [(1, 2, "sigma12")],
+             "(1,1)": [(1, 1, "sigma11b"), (1, 2, "sigma12b"),
+                       (2, 1, "sigma21b"), (2, 2, "sigma22b")]}},
+        _iwasawa_def_expectations,
+        param_defaults={"sigma12": -1 + 0j, "sigma11b": 0j,
+                        "sigma12b": 0j, "sigma21b": 0j, "sigma22b": 0j}),
+    CatalogEntry(
+        "iwasawa5", "5-dimensional nilmanifold with three non-closed generators", 5,
+        {3: {"(2,0)": [(1, 2, "1")]}, 4: {"(2,0)": [(1, 3, "1")]}, 5: {"(2,0)": [(2, 3, "1")]}},
+        _fixed(3.0, [-0.25, -0.25, -0.25, 0.75, 0.75], _BALANCED)),
+    CatalogEntry(
+        "calabi_eckmann", "complex structures on S^3 x S^3, parameter t in the unit disc", 3,
+        {1: {"(2,0)": [(1, 3, "i*(conj(t)+1)/(1-abs2(t))")],
+             "(1,1)": [(1, 3, "i*(t+1)/(1-abs2(t))")]},
+         2: {"(2,0)": [(2, 3, "(1-conj(t))/(1-abs2(t))")],
+             "(1,1)": [(2, 3, "(t-1)/(1-abs2(t))")]},
+         3: {"(1,1)": [(1, 1, "i*(t-1)"), (2, 2, "t+1")]}},
+        _calabi_eckmann_expectations, param_defaults={"t": 0j}, metric_scale=0.5,
+        check=_calabi_eckmann_check),
+)}
 
 
 def list_names() -> List[str]:
@@ -271,9 +174,7 @@ def _entry(name: str) -> CatalogEntry:
     k = int(m.group(1))
     if k < 1:
         raise InputError(f"bad torus dimension in {name!r}")
-    return CatalogEntry(name=name, description=f"complex {k}-torus", dim=k,
-                        build=_torus_builder(k), default_metric=_standard_metric,
-                        expectations=_torus_expectations, param_defaults={})
+    return _torus(k, f"complex {k}-torus")
 
 
 def dimension(name: str) -> int:
@@ -295,9 +196,9 @@ def get(name: str, params: Optional[Dict[str, complex]] = None, *,
         if key not in entry.param_defaults:
             raise InputError(f"manifold {name!r} has no parameter {key!r}")
         bound[key] = complex(value)
-    M = entry.build(bound)
+    M = InvariantComplexManifold(entry.name, entry.dim, entry.structure, bound, entry.check)
     M.validate(tol)
-    return M, entry.default_metric(M), entry.expectations(M)
+    return M, HermitianMetric(entry.metric_scale * np.eye(entry.dim)), entry.expectations(M)
 
 
 def isometry_factory(name: str):

@@ -86,16 +86,20 @@ def _bindings(args) -> Dict[str, complex]:
     return bindings
 
 
-def _resolve_manifold(args) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
+def _resolve_manifold(args, scan_bindings: Optional[Dict[str, complex]] = None
+                      ) -> Tuple[InvariantComplexManifold, HermitianMetric, dict]:
     """--manifold (catalog name or JSON file path) with its --param bindings
     -> validated manifold, default metric, expectations (empty for file
-    manifolds)."""
-    source, params, tol = args.manifold, _bindings(args), args.tol
+    manifolds).  ``scan`` passes its bindings, and a file manifold is then
+    left to ``search.scan`` to validate at each scanned value."""
+    source, tol = args.manifold, args.tol
+    params = _bindings(args) if scan_bindings is None else scan_bindings
     if source.endswith(".json") or os.path.exists(source):
         M = _read_manifold(source, args.command)
         if params:
             M = M.bind(**params)
-        M.validate(tol)
+        if scan_bindings is None:
+            M.validate(tol)
         return M, HermitianMetric.identity(M.dim), {}
     _check_dimension(catalog.dimension(source), args.command)
     return catalog.get(source, params, tol=tol)
@@ -229,24 +233,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.json and args.format not in (None, "json"):
+        raise InputError(f"--json prints JSON and cannot be combined with --format {args.format}")
     bindings, bare = _split_params(args.param)
     if len(bare) != 1:
         raise InputError("scan needs exactly one bare --param NAME as the scan target")
     target = bare[0]
-    source = args.manifold
     values = [parse_complex(v) for v in args.values.split(",")] if args.values else []
-
-    if source.endswith(".json") or os.path.exists(source):
-        M = _read_manifold(source, args.command)
-        if bindings:
-            M = M.bind(**bindings)
-        metric = HermitianMetric.identity(M.dim)
-    else:
-        _check_dimension(catalog.dimension(source), args.command)
-        M, metric, _ = catalog.get(source, bindings, tol=args.tol)
-        for value in values:
-            # the catalog's own parameter checks, which rebinding M skips
-            catalog.get(source, {**bindings, target: value}, tol=args.tol)
+    M, metric, _ = _resolve_manifold(args, bindings)
     metric = _resolve_metric(args.metric, metric, M.dim)
 
     rows = search.scan(M, target, values, metric=metric, tol=args.tol)
@@ -273,8 +267,38 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Refuses a command line like any other input: one ``error:`` line and
+    exit code 2, through ``main``."""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += " (a value that starts with '-' is written --option=VALUE)"
+        raise InputError(message)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return tol
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="starsplit",
         description="invariant Hermitian metric invariants, classification and identity checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parameter binding name=value (repeatable); complex as a+bi")
         if metric:
             p.add_argument("--metric", help="metric JSON file (default: catalog/identity)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("catalog", help="catalog operations")
@@ -307,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", choices=["commutation", "operators", "all"], default="all")
     p.add_argument("--gamma", help="second metric JSON file for the operator suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="minimise the star-split defect over a family")
     common(p, metric=False)
     p.add_argument("--family", choices=["diagonal", "hermitian"], default="diagonal")
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("scan", help="classify along one parameter")
@@ -327,14 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        tol = getattr(args, "tol", DEFAULT_TOL)
-        if not 0 < tol < math.inf:
-            raise InputError(f"--tol must be a positive finite number, got {tol}")
-        if getattr(args, "seed", 0) < 0:
-            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

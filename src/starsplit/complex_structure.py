@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,13 +65,19 @@ _SLOT_COLUMNS = {"(2,0)": "j", "(1,1)": "jbar"}
 
 
 class InvariantComplexManifold:
-    """Coframe model with parameterised constant structure coefficients."""
+    """Coframe model with parameterised constant structure coefficients.
 
-    __slots__ = ("name", "dim", "structure", "params", "_d_gen", "_d_gen_bar",
+    ``check``, if given, is called with the bound parameters of this
+    instance and of every instance ``bind`` makes from it, and raises
+    ``InputError`` on values outside the model's range (the catalog's
+    range checks)."""
+
+    __slots__ = ("name", "dim", "structure", "params", "check", "_d_gen", "_d_gen_bar",
                  "_d_mats")
 
     def __init__(self, name: str, dim: int, structure: StructureTable,
-                 params: Optional[Mapping[str, complex]] = None):
+                 params: Optional[Mapping[str, complex]] = None,
+                 check: Optional[Callable[[Dict[str, complex]], None]] = None):
         if dim < 1:
             raise InputError("dimension must be positive")
         for k in structure:
@@ -90,6 +96,9 @@ class InvariantComplexManifold:
                     if slot == "(2,0)" and i >= j:
                         raise InputError(f"(2,0) entries need i < j, got ({i},{j})")
         self.params: Dict[str, complex] = dict(params or {})
+        self.check = check
+        if check is not None:
+            check(self.params)
         self._d_gen: Optional[List[Form]] = None
         self._d_gen_bar: Optional[List[Form]] = None
         self._d_mats: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -113,7 +122,7 @@ class InvariantComplexManifold:
                     f"manifold {self.name!r} has no parameter {key!r}")
         merged = dict(self.params)
         merged.update({k: complex(v) for k, v in values.items()})
-        return InvariantComplexManifold(self.name, self.dim, self.structure, merged)
+        return InvariantComplexManifold(self.name, self.dim, self.structure, merged, self.check)
 
     def _generators(self) -> Tuple[List[Form], List[Form]]:
         if self._d_gen is None:

@@ -1,25 +1,29 @@
-"""Tiny recursive-descent evaluator for complex coefficient expressions.
+"""Complex coefficient expressions, read as a subset of Python expressions.
 
-Structure-constant tables and CLI values use a minimal grammar:
+Structure-constant tables and CLI values are numbers, the imaginary unit,
+parameter names, binary ``+ - * /``, unary ``+ -``, parentheses and the
+one-argument functions ``conj`` and ``abs2``, as in
+``(conj(t)+1)/(1-abs2(t))*i``.  ``NUMBER`` is a decimal literal with
+optional exponent; a directly attached ``i`` suffix (as in ``2i`` or
+``.5i``) makes it imaginary, and a bare ``i`` is the imaginary unit.  Free
+names are parameters bound at evaluation time.
 
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('+'|'-') unary | atom
-    atom   := NUMBER | 'i' | NAME | ('conj'|'abs2') '(' expr ')' | '(' expr ')'
-
-``NUMBER`` is a decimal literal with optional exponent; a directly attached
-``i`` suffix (as in ``2i`` or ``.5i``) makes it imaginary, and a bare ``i``
-is the imaginary unit.  Free names are parameters bound at evaluation time.
-This is deliberately not a CAS: just enough to encode coefficient tables
-like ``(conj(t)+1)/(1-abs2(t))*i``.
+A text is rewritten token by token to Python source (numbers as the
+``repr`` of their float, ``i`` as ``j``, every name prefixed with ``_`` so
+that none is a Python keyword), parsed with ``ast`` and refused unless
+every node is on the grammar above.  Nothing is compiled or executed: the
+tree is walked with complex arithmetic, left operand first.
 """
 
 from __future__ import annotations
 
+import ast
 import cmath
+import functools
 import math
+import operator
 import re
-from typing import List, Mapping, Tuple, Union
+from typing import Mapping, Union
 
 from .errors import ExpressionError, UnboundParameterError
 
@@ -29,16 +33,15 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/()]))"
 )
 
-_FUNCTIONS = ("conj", "abs2")
+_FUNCTIONS = {"_conj": complex.conjugate, "_abs2": lambda v: complex(abs(v) ** 2, 0.0)}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Call,
+          ast.Load, ast.USub, ast.UAdd, *_BINARY)
 
-# AST nodes are nested tuples:
-#   ("num", complex) ("param", name) ("call", fn, arg)
-#   ("+"|"-"|"*"|"/", left, right) ("neg", arg)
-Node = Tuple
 
-
-def _tokenize(text: str) -> List[Tuple[str, Union[str, complex]]]:
-    tokens = []
+def _to_python(text: str) -> str:
+    pieces = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -47,151 +50,91 @@ def _tokenize(text: str) -> List[Tuple[str, Union[str, complex]]]:
                 break
             raise ExpressionError(f"cannot tokenize {text[pos:]!r} in {text!r}")
         pos = m.end()
-        if m.group("num"):
-            lit = m.group("num")
-            value = float(lit.rstrip("i"))
+        num, name = m.group("num", "name")
+        if num:
+            value = float(num.rstrip("i"))
             if math.isinf(value):
-                raise ExpressionError(f"literal {lit!r} overflows in {text!r}")
-            tokens.append(("num", complex(0.0, value) if lit[-1] == "i" else complex(value, 0.0)))
-        elif m.group("name"):
-            name = m.group("name")
-            if name == "i":
-                tokens.append(("num", 1j))
-            else:
-                tokens.append(("name", name))
+                raise ExpressionError(f"literal {num!r} overflows in {text!r}")
+            pieces.append(repr(value) + "j" * num.endswith("i"))
+        elif name:
+            pieces.append("1j" if name == "i" else "_" + name)
         else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", ""))
-    return tokens
+            pieces.append(m.group("op"))
+    return " ".join(pieces)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.text!r}")
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input in {self.text!r}")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            node = (op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("neg", self.unary())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.atom()
-
-    def atom(self) -> Node:
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            return ("param", val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {val!r} in {self.text!r}")
+def _on_grammar(tree: ast.Expression) -> bool:
+    """Whether every node of ``tree`` is on the grammar; ``conj`` and
+    ``abs2`` only as called by name (``conj(x)``, not ``(conj)(x)``) with
+    one argument."""
+    callees = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                    and node.func.col_offset == node.col_offset and len(node.args) == 1):
+                return False
+            callees.add(node.func)
+        elif not isinstance(node, _NODES):
+            return False
+        elif isinstance(node, ast.Name) and node.id in _FUNCTIONS and node not in callees:
+            return False
+    return True
 
 
-def parse_expression(text: str) -> Node:
-    return _Parser(text).parse()
-
-
-def evaluate(node_or_text: Union[Node, str], params: Mapping[str, complex] | None = None) -> complex:
-    node = parse_expression(node_or_text) if isinstance(node_or_text, str) else node_or_text
-    env: Mapping[str, complex] = params or {}
-
-    def walk(nd: Node) -> complex:
-        tag = nd[0]
-        if tag == "num":
-            return nd[1]
-        if tag == "param":
-            if nd[1] not in env:
-                raise UnboundParameterError(f"parameter {nd[1]!r} has no bound value")
-            return complex(env[nd[1]])
-        if tag == "neg":
-            return -walk(nd[1])
-        if tag == "call":
-            v = walk(nd[2])
-            return v.conjugate() if nd[1] == "conj" else complex(abs(v) ** 2, 0.0)
-        a, b = walk(nd[1]), walk(nd[2])
-        if tag == "+":
-            return a + b
-        if tag == "-":
-            return a - b
-        if tag == "*":
-            return a * b
-        if tag == "/":
-            return a / b
-        raise ExpressionError(f"bad node {nd!r}")
-
+@functools.lru_cache(maxsize=1024)
+def parse_expression(text: str) -> ast.expr:
+    """The tree of ``text``; cached, so callers share it and never modify it."""
     try:
-        value = walk(node)
+        tree = ast.parse(_to_python(text), mode="eval")
+    except SyntaxError:
+        tree = None
+    except (RecursionError, MemoryError):
+        # the parser's limits: RecursionError while building the tree of a
+        # long sum, MemoryError ("parser stack overflowed") past its depth
+        raise ExpressionError(f"{text!r} is too long or too deeply nested") from None
+    if tree is None or not _on_grammar(tree):
+        raise ExpressionError(f"cannot parse {text!r}: expected numbers, i, parameter names, "
+                              f"+ - * /, parentheses, conj(x) and abs2(x)")
+    return tree.body
+
+
+def _value(node: ast.expr, env: Mapping[str, complex]) -> complex:
+    kind = type(node)
+    if kind is ast.BinOp:
+        return _BINARY[type(node.op)](_value(node.left, env), _value(node.right, env))
+    if kind is ast.Constant:
+        return complex(node.value)
+    if kind is ast.Name:
+        name = node.id[1:]
+        if name not in env:
+            raise UnboundParameterError(f"parameter {name!r} has no bound value")
+        return complex(env[name])
+    if kind is ast.UnaryOp:
+        value = _value(node.operand, env)
+        return -value if type(node.op) is ast.USub else value
+    return _FUNCTIONS[node.func.id](_value(node.args[0], env))
+
+
+def evaluate(node_or_text: Union[ast.expr, str],
+             params: Mapping[str, complex] | None = None) -> complex:
+    node = parse_expression(node_or_text) if isinstance(node_or_text, str) else node_or_text
+    try:
+        value = _value(node, params or {})
     except OverflowError as exc:
         raise ExpressionError(f"{node_or_text!r} overflows a double") from exc
     except ArithmeticError as exc:
         raise ExpressionError(f"cannot evaluate {node_or_text!r}: {exc}") from exc
+    except RecursionError:
+        raise ExpressionError(f"{node_or_text!r} is too long or too deeply nested") from None
     if not cmath.isfinite(value):
         raise ExpressionError(f"{node_or_text!r} evaluates to {value}")
     return value
 
 
-def parameter_names(node_or_text: Union[Node, str]) -> set:
+def parameter_names(node_or_text: Union[ast.expr, str]) -> set:
     node = parse_expression(node_or_text) if isinstance(node_or_text, str) else node_or_text
-    names = set()
-
-    def walk(nd: Node):
-        tag = nd[0]
-        if tag == "param":
-            names.add(nd[1])
-        elif tag == "neg":
-            walk(nd[1])
-        elif tag == "call":
-            walk(nd[2])
-        elif tag in "+-*/":
-            walk(nd[1])
-            walk(nd[2])
-
-    walk(node)
-    return names
+    return {nd.id[1:] for nd in ast.walk(node)
+            if isinstance(nd, ast.Name) and nd.id not in _FUNCTIONS}
 
 
 def parse_complex(text: str) -> complex:

@@ -7,6 +7,7 @@ from starsplit.complex_structure import (InvariantComplexManifold,
                                          structure_compatibility)
 from starsplit.errors import InputError
 from starsplit.forms import Form
+from starsplit.search import scan
 
 
 ALL_PARAMS = {
@@ -108,3 +109,15 @@ def test_deformation_constant_formula():
     M, g, exp = catalog.get("iwasawa_def", params)
     assert exp["f"] == pytest.approx(expected)
     assert analysis.f_scalar(M, g) == pytest.approx(expected, abs=1e-12)
+
+
+def test_range_check_survives_bind_and_scan():
+    """A bound or scanned catalog model is refused by the same check, in
+    the same words, as ``catalog.get``."""
+    M, g, _ = catalog.get("calabi_eckmann")
+    message = r"calabi_eckmann parameter must satisfy \|t\| < 1"
+    with pytest.raises(InputError, match=message):
+        M.bind(t=2.0)
+    with pytest.raises(InputError, match=message):
+        scan(M, "t", [2.0], metric=g)
+    assert M.bind(t=0.5).params == {"t": 0.5}

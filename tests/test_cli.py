@@ -680,3 +680,69 @@ def test_closed_output_pipe_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "pipe" in err, err
+
+
+# ----------------------------------------------------------------------
+# long and deep expressions, --format with --json, argparse refusals
+# ----------------------------------------------------------------------
+LONG_AND_DEEP = {"sum": "+".join(["0.0001"] * 3000), "parentheses": "(" * 600 + "0.1" + ")" * 600,
+                 "minuses": "-" * 3000 + "0.1"}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_AND_DEEP))
+@pytest.mark.parametrize("route", ["param", "file"])
+def test_long_and_deep_expressions_exit_2_with_one_line(capsys, tmp_path, kind, route):
+    """Each of these once exited 1 with a RecursionError traceback."""
+    text = LONG_AND_DEEP[kind]
+    if route == "param":
+        argv = ["classify", "--manifold", "calabi_eckmann", f"--param=t={text}"]
+    else:
+        data = {"name": "deep", "dim": 3,
+                "structure": {"phi3": {"(2,0)": [{"i": 1, "j": 2, "coeff": text}]}}}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        argv = ["classify", "--manifold", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err[:200]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_scan_refuses_a_format_other_than_json_with_json(capsys, fmt):
+    code, out, err = run(capsys, "scan", "--manifold", "calabi_eckmann", "--param", "t",
+                         "--values", "0.1", "--format", fmt, "--json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "--format" in err
+
+
+def test_scan_format_json_with_json_is_json(capsys):
+    code, out, _ = run(capsys, "scan", "--manifold", "calabi_eckmann", "--param", "t",
+                       "--values", "0.1", "--format", "json", "--json")
+    assert code == 0 and json.loads(out)["param"] == "t"
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["classify", "--manifold", "iwasawa3", "--bogus"], "--bogus"),
+    (["classify"], "--manifold"),
+    (["verify", "--manifold", "iwasawa3", "--suite", "nope"], "--suite"),
+    (["scan", "--manifold", "calabi_eckmann", "--param", "t", "--values", "-0.2i,0.1"],
+     "--values"),
+    ([], "command")],
+    ids=["unknown-option", "missing-manifold", "bad-suite", "negative-values", "no-command"])
+def test_argument_refusals_are_one_line(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and words in err, err
+
+
+def test_scan_builds_one_model_per_value_and_one_base(capsys, monkeypatch):
+    built = []
+    init = InvariantComplexManifold.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(InvariantComplexManifold, "__init__", counting_init)
+    code, _, _ = run(capsys, "scan", "--manifold", "calabi_eckmann", "--param", "t",
+                     "--values=0.1,0.2,-0.3i", "--json")
+    assert code == 0 and len(built) == 3 + 1

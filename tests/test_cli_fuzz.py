@@ -1,6 +1,6 @@
 """Generated manifold, metric and pullback files through ``starsplit verify
 --suite all --json`` and ``starsplit classify --json`` with ``--gamma`` and
-``--phi``, and generated ``--param`` expressions and ``--values`` lists
+``--phi``, and generated ``--param`` expressions, ``--values`` lists and ``--format``
 through ``scan``, ``invariants`` and ``search``: every input ends in a
 report (exit 0) or in exit 2 with exactly one ``error:`` line, never in a
 failed identity (exit 1), an exception, a warning or a traceback, and the
@@ -179,10 +179,15 @@ def test_classify_ends_in_a_report_or_a_message(data):
 # ----------------------------------------------------------------------
 # --param expressions and --values lists through scan, invariants, search
 # ----------------------------------------------------------------------
-# in range (thrice as likely), out of range or overflowing, ill-formed
+# in range (thrice as likely), out of range or overflowing, ill-formed, long
+# or deep (a 3000-term sum, 3000 minuses and 600 parentheses once exited 1
+# with a RecursionError traceback)
 PARAM_VALUES = st.sampled_from(["0", "0.5", "-0.3i", "0.1+0.2i", "conj(0.2i)", "0.99"] * 3
                                + ["1", "2", "-1e300i", "1e200", "abs2(1e200)"]
-                               + ["1e400", "1/0", "(", "", "s"])
+                               + ["1e400", "1/0", "(", "", "s"]
+                               + ["+".join(["0.001"] * 100), "(" * 50 + "0.2" + ")" * 50,
+                                  "-" * 100 + "0.3i", "+".join(["0.0001"] * 3000),
+                                  "-" * 3000 + "0.1", "(" * 600 + "0.1" + ")" * 600])
 FILE_COEFFS = st.sampled_from(["s", "conj(s)", "abs2(s)", "1/(1-s)", "s*s", "i*s+1"])
 CATALOG_PARAMS = {"calabi_eckmann": ("t",), "iwasawa3": (), "torus_3": (),
                   "iwasawa_def": ("sigma12", "sigma11b", "sigma12b", "sigma21b", "sigma22b")}
@@ -219,9 +224,10 @@ def test_scan_on_inputs_that_once_misbehaved(files, flags, message):
 @given(st.data())
 def test_parameter_commands_end_in_a_report_or_a_message(data):
     """``scan``, ``invariants`` or ``search`` on a catalog model or a
-    parametric file (n <= 3), with drawn ``--param`` bindings, scan targets
-    and ``--values`` lists: in range, out of range, overflowing, ill-formed
-    or naming no parameter."""
+    parametric file (n <= 3), with drawn ``--param`` bindings, scan targets,
+    ``--values`` lists (as ``--values=LIST`` or ``--values LIST``) and
+    ``scan --format``: in range, out of range, overflowing, ill-formed, long,
+    deep or naming no parameter."""
     if data.draw(st.booleans()):
         name = data.draw(st.sampled_from(sorted(CATALOG_PARAMS)))
         files, flags, names = {}, ["--manifold", name], CATALOG_PARAMS[name]
@@ -237,7 +243,13 @@ def test_parameter_commands_end_in_a_report_or_a_message(data):
     if command == "scan":
         values = data.draw(st.lists(PARAM_VALUES, min_size=1, max_size=3))
         target = data.draw(st.sampled_from(names * 4 + ("x",)))
-        flags += ["--param", target, "--values=" + ",".join(values)]
+        # a space-separated list that starts with "-" is refused by argparse
+        joined = ",".join(values)
+        flags += ["--param", target] + data.draw(st.sampled_from(
+            [["--values=" + joined], ["--values", joined]]))
+        # --format other than json is refused next to --json
+        flags += data.draw(st.sampled_from([[], [], ["--format", "json"],
+                                            ["--format", "csv"], ["--format", "text"]]))
     elif command == "search":
         flags += ["--budget", str(data.draw(st.sampled_from([1, 5, 20]))),
                   "--family", data.draw(st.sampled_from(["diagonal", "hermitian"])),

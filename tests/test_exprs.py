@@ -69,3 +69,44 @@ def test_overflow_is_reported_in_plain_words(text, params):
     with pytest.raises(ExpressionError) as info:
         evaluate(text, params)
     assert str(info.value) == f"{text!r} overflows a double"
+
+
+# The grammar pinned by example: texts that read as numbers, and texts that
+# are refused, with the class of the refusal.
+@pytest.mark.parametrize("text,value", [
+    ("007", 7), ("٣", 3), ("\t1\n+\t2\n", 3), ("1E+3i", 1000j), ("--1", 1),
+    ("+-+1", -1), ("2i", 2j), (" i ", 1j), ("conj((1+i))", 1 - 1j)])
+def test_accepted_texts(text, value):
+    assert parse_complex(text) == value
+
+
+@pytest.mark.parametrize("text,error", [
+    ("1j", ExpressionError), ("0x10", ExpressionError), ("1_0", ExpressionError),
+    ("2**3", ExpressionError), ("8//2", ExpressionError), ("conj", ExpressionError),
+    ("abs2+1", ExpressionError), ("t(1)", ExpressionError), ("(1)(2)", ExpressionError),
+    ("2(3)", ExpressionError), ("1;2", ExpressionError), ("1#2", ExpressionError),
+    ("conj(1,2)", ExpressionError), ("conj()", ExpressionError), ("conj(*t)", ExpressionError),
+    ("(conj)(1)", ExpressionError),
+    ("()", ExpressionError), ("2 i", ExpressionError), ("t.real", ExpressionError),
+    ("'1'", ExpressionError), ("1 if t else 2", ExpressionError),
+    ("True", UnboundParameterError), ("lambda", UnboundParameterError),
+    ("not", UnboundParameterError)])
+def test_refused_texts(text, error):
+    with pytest.raises(error):
+        parse_complex(text)
+
+
+def test_python_keywords_are_plain_parameter_names():
+    assert parameter_names("None*conj(if)+lambda") == {"None", "if", "lambda"}
+    assert evaluate("True*2", {"True": 3}) == 6
+
+
+# Each of these once raised RecursionError out of the parser or the evaluator.
+@pytest.mark.parametrize("text", ["+".join(["1"] * 3000), "(" * 600 + "1" + ")" * 600,
+                                  "-" * 3000 + "1", "-" * 20000 + "1"],
+                         ids=["sum", "parentheses", "minuses", "parser-stack"])
+def test_long_and_deep_expressions_are_expression_errors(text):
+    with pytest.raises(ExpressionError):
+        parse_complex(text)
+    with pytest.raises(ExpressionError):
+        evaluate(f"t*({text})", {"t": 1})
