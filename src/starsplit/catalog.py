@@ -163,17 +163,18 @@ def describe(name: str) -> str:
 
 
 def _entry(name: str) -> CatalogEntry:
-    """The entry of ``name``.  Any ``torus_<k>`` name is accepted even
-    though only ``torus_3`` is listed."""
+    """The entry of ``name``.  Any ``torus_<k>`` name, k >= 1 written in
+    ASCII digits without a leading zero, is accepted even though only
+    ``torus_3`` is listed."""
     if name in _ENTRIES:
         return _ENTRIES[name]
-    m = re.fullmatch(r"torus_(\d+)", name)
-    if not m:
+    if not re.fullmatch(r"torus_[1-9][0-9]*", name):
         raise InputError(f"unknown catalog manifold {name!r}; "
-                         f"known: {', '.join(list_names())}")
-    k = int(m.group(1))
-    if k < 1:
-        raise InputError(f"bad torus dimension in {name!r}")
+                         f"known: {', '.join(list_names())}, torus_<k> (k >= 1)")
+    try:
+        k = int(name[len("torus_"):])
+    except ValueError:  # more digits than int() converts
+        raise InputError(f"bad torus dimension in {name!r}") from None
     return _torus(k, f"complex {k}-torus")
 
 

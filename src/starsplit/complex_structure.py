@@ -115,9 +115,8 @@ class InvariantComplexManifold:
         return names
 
     def bind(self, **values: complex) -> "InvariantComplexManifold":
-        known = self.parameter_names()
         for key in values:
-            if key not in known:
+            if key not in self.params and key not in self.parameter_names():
                 raise UnboundParameterError(
                     f"manifold {self.name!r} has no parameter {key!r}")
         merged = dict(self.params)

@@ -63,14 +63,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import AlgebraError, DimensionMismatchError, InputError
-from .forms import Form, MaskKey, _merge_sign, basis_masks, space_dim
+from .forms import Form, MaskKey, basis_masks, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object
 
 # the default tolerance of every residual check and flag, shared by the package
 DEFAULT_TOL = 1e-10
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
-
-_FULL = lambda n: (1 << n) - 1
 
 
 # ----------------------------------------------------------------------
@@ -358,16 +356,12 @@ def _top_pairing(n: int, p: int, q: int) -> np.ndarray:
     """Top coefficient of ``a ^ b`` for the monomials a of the (p,q)-slot
     (rows) and b of the (n-p,n-q)-slot (columns); the same in every
     coframe, so ``integral(u ^ v) = u @ _top_pairing @ v / _volume_coeff(n)``
-    on phi-basis coefficient vectors.  ``e_I ^ ebar_J`` pairs only with its
-    complement, signed by the two merges and by (-1)^((n-p)q) for moving
-    the complement's holomorphic part past ``ebar_J``."""
-    full = _FULL(n)
-    cols = _index(n, n - p, n - q)
-    mat = np.zeros((space_dim(n, p, q), len(cols)), dtype=complex)
-    sign = (-1) ** ((n - p) * q)
-    for row, (i, j) in enumerate(_basis(n, p, q)):
-        mat[row, cols[(full ^ i, full ^ j)]] = (
-            sign * _merge_sign(i, full ^ i) * _merge_sign(j, full ^ j))
+    on phi-basis coefficient vectors.  It is ``_wedge_scatter``'s table of
+    ``a ^ .`` into the one-dimensional top slot: ``e_I ^ ebar_J`` pairs
+    only with its complement."""
+    _, cols, terms, signs = _wedge_scatter.__wrapped__(n, p, q, n - p, n - q)
+    mat = np.zeros((space_dim(n, p, q), space_dim(n, n - p, n - q)), dtype=complex)
+    mat[terms, cols] = signs
     mat.setflags(write=False)
     return mat
 

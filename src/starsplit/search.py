@@ -196,7 +196,8 @@ def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
     with random restarts.
 
     Deterministic for fixed seed.  The winning metric is re-validated with
-    a full classification report.  The sign of the trace scalar f seen at
+    a full classification report; its defect is the value the descent
+    evaluated there.  The sign of the trace scalar f seen at
     each feasible evaluation is recorded (not asserted), to surface sign
     changes along the family.
     """
@@ -242,12 +243,11 @@ def search_pss(M: InvariantComplexManifold, family: MetricFamily, *,
     if best_x is None:
         raise InputError("search found no positive definite metric in the family")
 
-    g_best = family.build(best_x)
-    report = analysis.classify(M, g_best, tol=tol)
+    report = analysis.classify(M, family.build(best_x), tol=tol)
     signs = sorted(signs_seen)
     return SearchResult(
         best_params=best_x,
-        best_defect=pss_defect(M, g_best, tol=tol),
+        best_defect=best_val,
         report=report,
         evaluations=evaluations[0],
         restarts=len(starts),

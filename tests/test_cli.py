@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_pd_metric
 from starsplit import catalog, jsonio
 from starsplit.cli import dimension_bound, main
 from starsplit.complex_structure import InvariantComplexManifold
@@ -68,6 +69,45 @@ def test_json_round_trips_byte_identical(capsys):
     code, out, _ = run(capsys, "invariants", "--manifold", "nakamura", "--json")
     text = out.strip()
     assert jsonio.dumps(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("values", ["-0.2,0.1", "-0.2i,0.1"])
+def test_scan_json_round_trips_byte_identical(capsys, values):
+    # f = 0 and the real or imaginary parts -0.0 and 0.0 print as floats
+    code, out, _ = run(capsys, "scan", "--manifold", "calabi_eckmann", "--param", "t",
+                       f"--values={values}", "--json")
+    assert code == 0
+    assert jsonio.dumps(json.loads(out)) + "\n" == out
+
+
+_SCAN_VALUES = {"calabi_eckmann": ("t", "-0.2,0.1,0,0.5+0.5i"),
+                "iwasawa_def": ("sigma12", "-1,0,0.5,1-0.5i")}
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_every_json_report_round_trips_byte_identical(capsys, tmp_path, rng, name):
+    """Every JSON report on a catalog model, with its default metric and
+    with dense ones (one report on the pair), parses and re-serialises
+    through ``jsonio.dumps`` to the same bytes."""
+    dense = []
+    for k in range(2):
+        dense.append(str(tmp_path / f"g{k}.json"))
+        g = random_pd_metric(catalog.dimension(name), rng)
+        with open(dense[-1], "w") as fh:
+            json.dump(g.to_json_dict(), fh)
+    runs = [["search", "--manifold", name, "--family", family, "--budget", "60"]
+            for family in ("diagonal", "hermitian")]
+    for metric in ([], ["--metric", dense[0]]):
+        for command in (["classify"], ["invariants"], ["verify", "--suite", "all"]):
+            runs.append(command + ["--manifold", name] + metric)
+    runs.append(["classify", "--manifold", name, "--metric", dense[0], "--gamma", dense[1]])
+    if name in _SCAN_VALUES:
+        param, values = _SCAN_VALUES[name]
+        runs.append(["scan", "--manifold", name, "--param", param, f"--values={values}"])
+    for argv in runs:
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == "", (argv, err)
+        assert jsonio.dumps(json.loads(out)) + "\n" == out, argv
 
 
 def test_scan_csv(capsys):
@@ -516,6 +556,15 @@ def test_iwasawa_def_has_no_parameter_t(capsys):
     code, _, err = run(capsys, "classify", "--manifold", "iwasawa_def", "--param", "t=0.3")
     assert code == 2
     assert "'t'" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["torus_04", "torus_0", "torus_\u0663", "torus_", "torus_4x",
+                                  pytest.param("torus_" + "1" * 5000, id="torus_5000_digits")])
+def test_torus_names_outside_the_pattern_refused(capsys, name):
+    # torus_<k>: k >= 1 in ASCII digits, no leading zero; never renamed
+    code, out, err = run(capsys, "classify", "--manifold", name)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_cli_import_leaves_scipy_unloaded():

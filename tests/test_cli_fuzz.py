@@ -4,9 +4,10 @@
 through ``scan``, ``invariants`` and ``search``: every input ends in a
 report (exit 0) or in exit 2 with exactly one ``error:`` line, never in a
 failed identity (exit 1), an exception, a warning or a traceback, and the
-report is valid JSON.  Every model these files describe satisfies the
-paper's identities, so a failed identity here is a defect of the
-program."""
+report is canonical JSON: parsing it and writing it back with
+``jsonio.dumps`` gives the same bytes.  Every model these files describe
+satisfies the paper's identities, so a failed identity here is a defect of
+the program."""
 
 import contextlib
 import io
@@ -18,6 +19,7 @@ import tempfile
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from starsplit import jsonio
 from starsplit.cli import main
 
 COEFFS = st.sampled_from(["1", "-1", "2", "0.5", "i", "-i", "1+i", "1e-8", "3e5"])
@@ -114,7 +116,7 @@ def check_cli(command, files, *flags):
     assert code in (0, 2), (code, files, out.getvalue())
     assert "Traceback" not in err.getvalue(), files
     if code == 0:
-        json.loads(out.getvalue())
+        assert jsonio.dumps(json.loads(out.getvalue())) + "\n" == out.getvalue(), files
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), (
             err.getvalue(), files)

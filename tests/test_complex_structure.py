@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import approx_equal, random_form, random_pd_metric
-from starsplit import catalog
+from starsplit import catalog, exprs
 from starsplit.complex_structure import (InvariantComplexManifold, IntegrationWarning,
                                          PullbackMap, pullback, pullback_metric,
                                          structure_compatibility, total_volume)
@@ -361,6 +361,22 @@ def test_unbound_parameter_raises():
     assert bound.check_integrability() == 0.0
     with pytest.raises(UnboundParameterError):
         M.bind(nonexistent=1.0)
+
+
+@pytest.mark.parametrize("name", ["iwasawa_def", "calabi_eckmann"])
+def test_bind_of_known_names_walks_no_coefficient_tree(monkeypatch, name):
+    # every catalog key already carries a bound value, so bind() looks no
+    # further than params; an unknown name is still refused
+    M, _, _ = catalog.get(name)
+    walks = []
+    real = exprs.parameter_names
+    monkeypatch.setattr(exprs, "parameter_names", lambda node: walks.append(node) or real(node))
+    for k in range(100):
+        M = M.bind(**{key: 0.001 * k for key in M.params})
+    assert walks == []
+    with pytest.raises(UnboundParameterError, match="'nonexistent'"):
+        M.bind(nonexistent=1.0)
+    assert walks
 
 
 def test_structure_format_rejects_bad_entries():

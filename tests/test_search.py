@@ -106,6 +106,29 @@ def test_search_descends_on_nontrivial_objective():
     assert result.best_defect <= start + 1e-12
 
 
+def test_search_runs_the_core_once_per_feasible_evaluation_and_once_to_classify(monkeypatch):
+    # the winner's defect is the descent's value there, not a second core run
+    M = non_unimodular()
+    fam = diagonal_family(3)
+    feasible = []
+
+    def build(x):
+        g = fam.build(x)
+        feasible.append(x)
+        return g
+
+    core_runs = []
+    real = search.analysis._star_split
+    monkeypatch.setattr(search.analysis, "_star_split",
+                        lambda *args: core_runs.append(args) or real(*args))
+    result = search_pss(M, MetricFamily(3, 3, build, fam.start), budget=600, seed=5)
+    # feasible builds: the start check, the feasible evaluations and the winner
+    assert len(core_runs) == (len(feasible) - 2) + 1
+    monkeypatch.undo()
+    assert result.best_defect > 0.0
+    assert result.best_defect == pss_defect(M, fam.build(result.best_params))
+
+
 def test_search_rejects_bad_family():
     M, _, _ = catalog.get("iwasawa3")
 
