@@ -20,13 +20,15 @@ coefficients (``_wedge_scatter``, signed by ``_merge_table``), and from it
 ``omega_r`` that ``omega_power`` moves to phi) and the ``del omega ^ .``
 of ``OperatorTable``; the top pairing and the star (both signed
 permutations).  More tables give ``OperatorTable`` its other first-order
-operators as one gather and one bincount per slot (``_scatter``): the
-Leibniz rule as a derivation, which builds del or dbar of any slot from
-the differentials of the generators in any coframe
-(``_derivation_scatter``), and from it the adjoints (that table
-conjugated by the star) and the commutators of L or Lambda with these or
-with ``del omega ^ .``, the torsion among them (``_operator_scatter``).
-All are stored as int32 positions and int8 signs.  From these come L,
+operators as one complex gather (``take``) and a bincount of its real and
+of its imaginary parts per slot (``_scatter``): the Leibniz rule as a
+derivation, which builds del or dbar of any slot from the differentials
+of the generators in any coframe (``_derivation_scatter``), and from it
+the adjoints (that table conjugated by the star) and the commutators of L
+or Lambda with these or with ``del omega ^ .``, the torsion among them
+(``_operator_scatter``).  All are stored as int32 positions and int8
+signs; the int32 tables are never fancy-indexed, which would cast them to
+intp on every call.  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
 ``divide_by_power`` and the sl(2) closed form behind
@@ -176,13 +178,16 @@ def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 def _scatter(shape: Tuple[int, int], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
              values: np.ndarray) -> np.ndarray:
-    """The matrix of a ``_scatter_table`` for these values: a gather and a
-    bincount of the real and of the imaginary parts."""
+    """The matrix of a ``_scatter_table`` for these values: one complex
+    gather (``take``) and a bincount of its real and of its imaginary parts.
+    The int32 ``terms`` are never fancy-indexed: numpy casts such an index
+    array to intp on every call, which costs more than the gather."""
     pos, terms, signs = table
     size = shape[0] * shape[1]
+    gathered = values.take(terms)
     flat = np.empty(size, dtype=complex)
-    flat.real = np.bincount(pos, signs * values.real[terms], size)
-    flat.imag = np.bincount(pos, signs * values.imag[terms], size)
+    flat.real = np.bincount(pos, signs * gathered.real, size)
+    flat.imag = np.bincount(pos, signs * gathered.imag, size)
     return flat.reshape(shape)
 
 

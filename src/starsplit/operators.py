@@ -153,15 +153,16 @@ class OperatorTable:
                 for p, q in ((1, 0), (0, 1)) if space_dim(self.n, *self.target(name, p, q))])
         return self._gens[name]
 
-    def bracket(self, a: str, b: str, p: int, q: int) -> np.ndarray:
-        """``[a, b] = a b - b a`` from the (p,q)-slot, for "L" or "Lam" and
-        del, dbar, their adjoints, "wdel" or "wdbar": one scatter, a fresh
-        array."""
+    def bracket(self, a: str, b: str, p: int, q: int, factor: complex = 1) -> np.ndarray:
+        """``factor [a, b] = factor (a b - b a)`` from the (p,q)-slot, for "L"
+        or "Lam" and del, dbar, their adjoints, "wdel" or "wdbar": one
+        scatter, a fresh array.  The factor scales the values the scatter
+        reads; for +-1 or +-i that is exact."""
         name, op, unit = (a, b, 1j) if a in ("L", "Lam") else (b, a, -1j)
         shape = (space_dim(self.n, *self.target(op, *self.target(name, p, q))),
                  space_dim(self.n, p, q))
         return _scatter(shape, _operator_scatter(self.n, name, op, p, q),
-                        unit * self._values(op))
+                        factor * unit * self._values(op))
 
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         key = (name, p, q)
@@ -464,17 +465,30 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
 
     rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "a")
+    # del + tau and dbar + taubar, summed once per slot: a05 (a06) keeps
+    # the sums it makes, and a07 (a08), checked next, reads and drops them,
+    # so that at most one operator's sums are held at a time
+    kept: Dict[Tuple[str, int, int], np.ndarray] = {}
+
+    def plus_torsion(d: str, p: int, q: int, keep: bool) -> np.ndarray:
+        mat = kept.pop((d, p, q), None)
+        if mat is None:
+            mat = m(d, p, q) + m("tau" if d == "del" else "taubar", p, q)
+        if keep:
+            kept[d, p, q] = mat
+        return mat
+
     rep.check("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: (
-        (m("del", p - 1, q) + m("tau", p - 1, q)).conj().T - 1j * bracket("Lam", "dbar", p, q)
-        for p, q in slots()), stokes)
-    rep.check("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", lambda: (
-        (m("dbar", p, q - 1) + m("taubar", p, q - 1)).conj().T - -1j * bracket("Lam", "del", p, q)
+        plus_torsion("del", p - 1, q, True).conj().T - bracket("Lam", "dbar", p, q, 1j)
         for p, q in slots()), stokes)
     rep.check("a07_del_plus_torsion_bracket", "del + tau = -i [dbar*, L]", lambda: (
-        m("del", p, q) + m("tau", p, q) - -1j * bracket("dbarstar", "L", p, q)
+        plus_torsion("del", p, q, False) - bracket("dbarstar", "L", p, q, -1j)
         for p, q in slots()))
+    rep.check("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", lambda: (
+        plus_torsion("dbar", p, q - 1, True).conj().T - bracket("Lam", "del", p, q, -1j)
+        for p, q in slots()), stokes)
     rep.check("a08_delbar_plus_torsion_bracket", "dbar + taubar = i [del*, L]", lambda: (
-        m("dbar", p, q) + m("taubar", p, q) - 1j * bracket("delstar", "L", p, q)
+        plus_torsion("dbar", p, q, False) - bracket("delstar", "L", p, q, 1j)
         for p, q in slots()))
 
     # torsion trace identities on the metric form, on its frame column

@@ -137,7 +137,8 @@ def _simplex_descent(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev:
 
     while calls[0] < maxfev:
         try:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+            # a non-finite best value (every vertex infeasible) never stops
+            if (np.isfinite(fsim[0]) and np.abs(sim[1:] - sim[0]).max() <= xatol
                     and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
@@ -292,15 +293,19 @@ def scan(M: InvariantComplexManifold, param_name: str, values: Sequence[complex]
 
 
 def scan_rows_to_csv(rows: List[ScanRow]) -> str:
+    """The rows as CSV.  Every float is spelled as the JSON output spells
+    it, by ``repr``; the parameter is ``<real><sign><imag>i`` with the sign
+    of the imaginary part always written."""
     buf = io.StringIO()
     flag_names = list(analysis.FLAG_ORDER)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["param", "f"] + flag_names + ["eigenvalues"])
     for row in rows:
+        imag = repr(row.value.imag)
         writer.writerow(
-            [f"{row.value.real:.17g}{row.value.imag:+.17g}i", f"{row.f:.17g}"]
+            [f"{row.value.real!r}{'' if imag.startswith('-') else '+'}{imag}i", repr(float(row.f))]
             + [str(row.flags.get(name, "")) for name in flag_names]
-            + [";".join(f"{v:.17g}" for v in row.eigenvalues)])
+            + [";".join(repr(float(v)) for v in row.eigenvalues)])
     return buf.getvalue()
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -119,6 +120,25 @@ def test_scan_csv(capsys):
     assert len(lines) == 4
     fs = [float(line.split(",")[1]) for line in lines[1:]]
     assert fs == pytest.approx([0.0, 0.8, -1.6], abs=1e-10)
+
+
+@pytest.mark.parametrize("values", ["-0.2i,0.1", "0.1,0.1+0.1i,-0.2i", "-0.3-0i,1e-300+1e-5i"])
+def test_scan_csv_spells_every_float_as_the_json(capsys, values):
+    # the same scan as CSV and as JSON: each CSV float token is the JSON's
+    # token for that value, and the parameter is <real><sign><imag>i
+    argv = ["scan", "--manifold", "calabi_eckmann", "--param", "t", f"--values={values}"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    rows = json.loads(json_out)["rows"]
+    lines = list(csv.reader(out.splitlines()))[1:]
+    assert len(lines) == len(rows) == values.count(",") + 1
+    for fields, row in zip(lines, rows):
+        real, imag = (jsonio.dumps(x) for x in row["param"])
+        assert fields[0] == f"{real}{'' if imag.startswith('-') else '+'}{imag}i"
+        assert fields[1] == jsonio.dumps(row["f"])
+        assert fields[-1].split(";") == [jsonio.dumps(v) for v in row["eigenvalues"]]
 
 
 @pytest.mark.parametrize("values", ["2,0.5", "0.5,1", "1e300i"])
@@ -431,6 +451,25 @@ def test_search_command(capsys):
     data = json.loads(out)
     assert data["best_defect"] < 1e-8
     assert data["report"]["flags"]["pluriclosed_star_split"]["holds"] is True
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_search_over_an_infeasible_simplex_warns_nothing(fmt):
+    # at this budget a restart meets a simplex whose values are all inf
+    # (no vertex positive definite); the stop test must not subtract inf
+    # from inf there, and the points evaluated stay those it always took
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "starsplit.cli", "search", "--manifold", "iwasawa3",
+         "--family", "diagonal", "--budget", "2000", "--seed", "0", *fmt],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    if fmt:
+        data = json.loads(proc.stdout)
+        assert data["evaluations"] == 1057 and data["best_params"] == [1.0, 1.0, 1.0]
+    else:
+        assert "after 1057 evaluations\nbest params: 1, 1, 1\n" in proc.stdout
 
 
 def test_verify_json_output(capsys):

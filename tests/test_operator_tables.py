@@ -8,7 +8,7 @@ the identities of n alone, ``del omega ^ .`` / ``dbar omega ^ .``
 scattered from the wedge table, and del, dbar, their adjoints, tau, taubar
 and the four brackets of the commutation suite scattered from their own
 tables, checked against the congruence and the dense products they
-replace."""
+replace, and the kernel that reads those tables against ``np.add.at``."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ import pytest
 from conftest import random_form, random_pd_metric
 from starsplit import catalog, operators
 from starsplit.complex_structure import InvariantComplexManifold
-from starsplit.metric import (HermitianMetric, _derivation_scatter, _operator_scatter,
+from starsplit.forms import space_dim
+from starsplit.metric import (_SHIFTS, HermitianMetric, _derivation_scatter, _operator_scatter,
                               _scatter, _slot_mat, _star_mat, _star_perm, omega_power)
 from starsplit.operators import (OperatorTable, verify_commutation_suite,
                                  verify_operator_identities)
@@ -237,6 +238,44 @@ def test_first_order_tables_stay_small():
                              _operator_scatter(5, "Lam", ("wdel", "wdbar")[part], p, q))
                for arr in table)
     assert held < 2 << 20, held
+
+
+_FIRST_ORDER = ("del", "dbar", "delstar", "dbarstar", "wdel", "wdbar")
+
+
+def _scatter_tables(n):
+    """``(shape, table)`` of every ``_derivation_scatter`` and
+    ``_operator_scatter`` table of dimension n."""
+    for p in range(n + 1):
+        for q in range(n + 1):
+            ncols = space_dim(n, p, q)
+            for part in (0, 1):
+                tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
+                yield (space_dim(n, tp, tq), ncols), _derivation_scatter(n, part, p, q)
+            for lef, ops in (("", _FIRST_ORDER[:4]), ("L", _FIRST_ORDER), ("Lam", _FIRST_ORDER)):
+                for op in ops:
+                    fp, fq = _SHIFTS.get(lef, (0, 0))
+                    tp, tq = p + fp + _SHIFTS[op][0], q + fq + _SHIFTS[op][1]
+                    yield (space_dim(n, tp, tq), ncols), _operator_scatter(n, lef, op, p, q)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_scatter_equals_add_at_bit_for_bit(rng, n):
+    """``_scatter`` on every table of dimension n equals the plain
+    ``np.add.at`` accumulation bit for bit, for values given as a
+    contiguous array and as a strided column view (as theta reaches the
+    torsion brackets)."""
+    tables = list(_scatter_tables(n))
+    assert sum(len(table[0]) for _, table in tables)
+    for shape, (pos, terms, signs) in tables:
+        size = int(terms.max(initial=0)) + 1
+        block = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
+        for values in (np.ascontiguousarray(block[:, 0]), block[:, 1]):
+            ref = np.zeros(shape[0] * shape[1], dtype=complex)
+            np.add.at(ref, pos, signs * values[terms])
+            got = _scatter(shape, (pos, terms, signs), values)
+            assert got.shape == shape
+            assert np.array_equal(got.ravel(), ref), (n, shape)
 
 
 # ----------------------------------------------------------------------
