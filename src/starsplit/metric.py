@@ -26,9 +26,10 @@ derivation, which builds del or dbar of any slot from the differentials
 of the generators in any coframe (``_derivation_scatter``), and from it
 the adjoints (that table conjugated by the star) and the commutators of L
 or Lambda with these or with ``del omega ^ .``, the torsion among them
-(``_operator_scatter``).  All are stored as int32 positions and int8
-signs; the int32 tables are never fancy-indexed, which would cast them to
-intp on every call.  From these come L,
+(``_operator_scatter``), each also on all slots at once, as one table of
+the operator's nonzero entries (``_whole_scatter``).  All are stored as
+int32 positions and int8 signs; the int32 tables are never fancy-indexed,
+which would cast them to intp on every call.  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
 ``divide_by_power`` and the sl(2) closed form behind
@@ -162,7 +163,8 @@ def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     """``(pos, terms, signs)`` of a matrix whose entry at flat position
     ``pos[k]`` collects ``signs[k] * values[terms[k]]``, from pieces of the
     same form with integer signs: repeated (position, term) pairs merged,
-    zero sums dropped, stored as int32 and int8."""
+    zero sums dropped, ordered by position and then term, stored as int32
+    and int8."""
     pos, terms, signs = (np.concatenate([piece[m] for piece in pieces] or [np.zeros(0, int)])
                          for m in range(3))
     width = int(terms.max(initial=0)) + 1
@@ -176,14 +178,14 @@ def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     return out
 
 
-def _scatter(shape: Tuple[int, int], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
+def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
              values: np.ndarray) -> np.ndarray:
-    """The matrix of a ``_scatter_table`` for these values: one complex
+    """The array of a ``_scatter_table`` for these values: one complex
     gather (``take``) and a bincount of its real and of its imaginary parts.
     The int32 ``terms`` are never fancy-indexed: numpy casts such an index
     array to intp on every call, which costs more than the gather."""
     pos, terms, signs = table
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     gathered = values.take(terms)
     flat = np.empty(size, dtype=complex)
     flat.real = np.bincount(pos, signs * gathered.real, size)
@@ -195,7 +197,6 @@ def _scatter(shape: Tuple[int, int], table: Tuple[np.ndarray, np.ndarray, np.nda
 _GENERATOR_SLOTS = (((2, 0), (1, 1)), ((1, 1), (0, 2)))
 
 
-@lru_cache(maxsize=None)
 def _derivation_scatter(n: int, part: int, p: int, q: int
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """del (part 0) or dbar (part 1) from the (p,q)-slot as a
@@ -247,14 +248,21 @@ _ADJOINT_OF = {"delstar": "dbar", "dbarstar": "del"}   # D of each adjoint -star
 @lru_cache(maxsize=None)
 def _operator_scatter(n: int, lef: str, op: str, p: int, q: int
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_operator_table`` of one slot, kept, as are the tables it reads."""
+    return _operator_table(n, lef, op, p, q, _operator_scatter)
+
+
+def _operator_table(n: int, lef: str, op: str, p: int, q: int, lookup: Callable
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X = ``op`` from the (p,q)-slot, or with ``lef`` (F = L or Lambda)
     ``-i [F, X] = -i (F X - X F)``, as a ``_scatter_table`` over the values
     of X.  del and dbar are ``_derivation_scatter``.  An adjoint ``-star D
-    star`` is the table of D, or of ``[F', D]`` (F' the other of L and
-    Lambda, as ``star L = Lam star``), on the star of the slot, relabelled
-    through ``_star_perm``, whose phases multiply to a real sign.  Any other
+    star`` is the table of D, or of ``[F', D]`` (``_adjoint_base``), on the
+    star of the slot, relabelled by ``_star_conjugate``.  Any other
     commutator joins X's entries with the nonzeros of F, all +-i, to integer
-    signs: the torsion ``tau = [Lam, del omega ^ .]`` is the one with "wdel"."""
+    signs: the torsion ``tau = [Lam, del omega ^ .]`` is the one with "wdel".
+    The tables of D, ``[F', D]`` and X come from ``lookup``, called with
+    this function's first five arguments."""
     (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
     ncols, tp, tq = space_dim(n, p, q), p + fp + xp, q + fq + xq
     if not (ncols and space_dim(n, tp, tq)):
@@ -262,19 +270,17 @@ def _operator_scatter(n: int, lef: str, op: str, p: int, q: int
     if op in ("del", "dbar") and not lef:
         return _derivation_scatter(n, op == "dbar", p, q)
     if op in _ADJOINT_OF:
-        other = {"L": "Lam", "Lam": "L"}.get(lef, "")
-        pos, terms, signs = _operator_scatter(n, other, _ADJOINT_OF[op], n - q, n - p)
-        perm, phase = _star_perm(n, p, q)
-        out_perm, out_phase = _star_perm(n, n - tq, n - tp)
+        pos, terms, signs = lookup(n, *_adjoint_base(lef, op), n - q, n - p)
+        start = _slot_starts(n)[1]
         row, col = np.divmod(pos, ncols)
-        row = np.argsort(out_perm)[row]
-        return _scatter_table([(row * ncols + perm[col], terms,
-                                -signs * (out_phase[row] * phase[col]).real.astype(int))])
+        row, col, sign = _star_conjugate(n, start[n - tq, n - tp] + row, start[n - q, n - p] + col)
+        return _scatter_table([((row - start[tp, tq]) * ncols + col - start[p, q], terms,
+                                signs * sign)])
 
     def entries(p, q):   # X from the (p,q)-slot as (rows, cols, terms, signs)
         if op in ("wdel", "wdbar"):
             return _wedge_scatter(n, xp, xq, p, q)
-        pos, terms, signs = _derivation_scatter(n, ("del", "dbar").index(op), p, q)
+        pos, terms, signs = lookup(n, "", op, p, q)
         return (*np.divmod(pos, space_dim(n, p, q)), terms, signs)
 
     pieces = []
@@ -291,6 +297,83 @@ def _operator_scatter(n: int, lef: str, op: str, p: int, q: int
         i, j = _join(cols, fr)
         pieces.append((rows[i] * ncols + fc[j], terms[i], -signs[i] * fv[j]))
     return _scatter_table(pieces)
+
+
+def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
+    """What an adjoint ``-star D star``, or ``-i [F, X]`` of one, is
+    relabelled from: D, or ``-i [F', D]`` (``star L = Lam star``)."""
+    return {"L": "Lam", "Lam": "L"}.get(lef, ""), _ADJOINT_OF[op]
+
+
+@lru_cache(maxsize=None)
+def _slot_starts(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The monomials of all slots numbered slot after slot: ``(dims,
+    start)``, each slot's size and the number of its first monomial."""
+    dims = np.array([[space_dim(n, p, q) for q in range(n + 1)] for p in range(n + 1)],
+                    dtype=np.int32)
+    start = (np.cumsum(dims, dtype=np.int32) - dims.ravel()).reshape(dims.shape)
+    for arr in (dims, start):
+        arr.setflags(write=False)
+    return dims, start
+
+
+@lru_cache(maxsize=None)
+def _star_all(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_star_perm`` on all slots (``_slot_starts``) at once, with the
+    inverse permutation: ``(perm, inverse, phase)``."""
+    dims, start = _slot_starts(n)
+    perm = np.empty(4 ** n, dtype=np.intp)
+    phase = np.empty(4 ** n, dtype=complex)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            rows = start[n - q, n - p] + np.arange(dims[p, q])
+            slot_perm, slot_phase = _star_perm(n, p, q)
+            perm[rows], phase[rows] = start[p, q] + slot_perm, slot_phase
+    out = (perm, np.argsort(perm), phase)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _star_conjugate(n: int, rows: np.ndarray, cols: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries at ``(rows, cols)`` of a matrix D over all slots
+    (``_slot_starts``) as entries of ``-star D star``: rows, columns and
+    the real sign (+-1) of each."""
+    perm, inverse, phase = _star_all(n)
+    rows = inverse[rows]
+    return rows, perm[cols], -(phase[rows] * phase[cols]).real.astype(np.int8)
+
+
+def _whole_scatter(n: int, lef: str, op: str, lookup: Callable
+                   ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """``_operator_table`` on all slots (``_slot_starts``) at once: a
+    ``_scatter_table`` whose positions number X's nonzero entries, with
+    their rows and columns.  It is the slot tables read through ``lookup``,
+    concatenated with positions renumbered: each entry sums its terms in its
+    slot table's order, as the scatter of the slot's matrix does."""
+    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
+    dims, start = _slot_starts(n)
+    tables, rows, cols, count = [], [], [], 0
+    for p in range(n + 1):
+        for q in range(n + 1):
+            pos, terms, signs = lookup(n, lef, op, p, q)
+            if not len(pos):
+                continue
+            # a slot table is ordered by position: an entry starts where it changes
+            first = np.ones(len(pos), dtype=bool)
+            first[1:] = pos[1:] != pos[:-1]
+            tables.append((count - 1 + np.cumsum(first), terms, signs))
+            row, col = np.divmod(pos[first], dims[p, q])
+            rows.append(start[p + fp + xp, q + fq + xq] + row)
+            cols.append(start[p, q] + col)
+            count += len(row)
+    out = tuple(np.concatenate([t[m] for t in tables] or [np.zeros(0, dtype)]).astype(dtype)
+                for m, dtype in enumerate((np.int32, np.int32, np.int8)))
+    for arr in out:
+        arr.setflags(write=False)
+    empty = [np.zeros(0, np.int32)]
+    return out, np.concatenate(rows or empty), np.concatenate(cols or empty)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ dbar star`` and ``dbar* = -star del star`` from the frame differentials of
 the generators, ``del omega ^ .`` as the wedge with the 3-form ``theta =
 del omega`` (one mat-vec per table), and tau from the same theta.
 ``OperatorTable.bracket`` scatters the brackets of L and Lambda with
-these, so the commutation suite forms no dense product.  The composites
+these, so no first-order identity forms a dense product.  The composites
 are chains: the dbar-Laplacian and P, R and Q on the (1,1)-slot; chains
 also serve the identities of n alone and the operator suite.
 ``OperatorTable.apply`` is the ``Form`` entry point to every operator of
@@ -44,9 +44,13 @@ b22 and b23) on omega's frame column, and b26 (the integral of
 n alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) is evaluated
 once per dimension, over the table of the n-torus with the identity
 metric, and every later call of that dimension reads its cached largest
-residual (``_dimension_entries``); every other identity is evaluated afresh
-on every slot in every call.  The wedge pairings a12 and a13 are the top
-pairing ``metric._top_pairing`` against the star on either side.  The
+residual (``_dimension_entries``).  a05 to a08, a14 and a15 compare their
+operators' nonzero entries on all slots at once: per dimension a table of
+each operator's entries and an alignment of each identity's
+(``_torsion_layout``), per call one scatter per operator and a few gathers
+per identity (``_torsion_residuals``).  Every other identity is evaluated
+afresh in every call, slot by slot.  The wedge pairings a12 and a13 are
+the top pairing ``metric._top_pairing`` against the star on either side.  The
 operator suite takes f, rho and ``i del delbar omega_{n-2}`` from one call
 of the star-split core ``analysis._star_split``.  No identity needs
 particular inputs, so neither suite draws random forms: the ``seed`` of
@@ -54,13 +58,14 @@ both is unused.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
 identity is its id, its anchor, a callable yielding residual arrays (the
-``lhs - rhs`` matrix of each slot, or a scalar residual as a 0-d
-array) and its ``(holds, reason)`` hypotheses (balanced-only,
-n >= 4 only, Stokes-dependent).  The report records the largest absolute
-residual entry, or, when a hypothesis fails, a skip with the first failed
-reason; every identity is listed, none is dropped.  ``IdentityReport.reuse``
-passes the cached entries of the identities of n alone through ``check``
-again, so that each report judges them by its own tolerance.
+``lhs - rhs`` matrix of each slot, the vector of a05 to a08, a14 or a15
+over all slots, or a scalar residual as a 0-d array) and its ``(holds,
+reason)`` hypotheses (balanced-only, n >= 4 only, Stokes-dependent).  The
+report records the largest absolute residual entry, or, when a hypothesis
+fails, a skip with the first failed reason; every identity is listed,
+none is dropped.  ``IdentityReport.reuse`` passes the cached entries of
+the identities of n alone through ``check`` again, so that each report
+judges them by its own tolerance.
 """
 
 from __future__ import annotations
@@ -76,14 +81,22 @@ from .analysis import _star_split
 from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import InputError
 from .forms import Form, space_dim
-from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _omega_power_vec,
-                     _operator_scatter, _primitive_part, _scatter, _slot_mat, _star_perm,
-                     _top_pairing, _volume_coeff, _wedge_power_mat, _wedge_scatter)
+from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _adjoint_base,
+                     _omega_power_vec, _operator_scatter, _operator_table, _primitive_part,
+                     _scatter, _slot_mat, _slot_starts, _star_conjugate, _star_perm,
+                     _top_pairing, _volume_coeff, _wedge_power_mat, _wedge_scatter,
+                     _whole_scatter)
 
 
 # ----------------------------------------------------------------------
 # the operator table
 # ----------------------------------------------------------------------
+def _bracket_order(a: str, b: str) -> Tuple[str, str, complex]:
+    """``(F, X, unit)`` with ``[a, b] = unit (-i [F, X])``, F the one of a
+    and b that is "L" or "Lam"."""
+    return (a, b, 1j) if a in ("L", "Lam") else (b, a, -1j)
+
+
 class OperatorTable:
     """The operators of a (manifold, metric) pair as matrices over the
     orthonormal monomial bases, built per slot on first use and kept,
@@ -153,16 +166,14 @@ class OperatorTable:
                 for p, q in ((1, 0), (0, 1)) if space_dim(self.n, *self.target(name, p, q))])
         return self._gens[name]
 
-    def bracket(self, a: str, b: str, p: int, q: int, factor: complex = 1) -> np.ndarray:
-        """``factor [a, b] = factor (a b - b a)`` from the (p,q)-slot, for "L"
-        or "Lam" and del, dbar, their adjoints, "wdel" or "wdbar": one
-        scatter, a fresh array.  The factor scales the values the scatter
-        reads; for +-1 or +-i that is exact."""
-        name, op, unit = (a, b, 1j) if a in ("L", "Lam") else (b, a, -1j)
+    def bracket(self, a: str, b: str, p: int, q: int) -> np.ndarray:
+        """``[a, b] = a b - b a`` from the (p,q)-slot, for "L" or "Lam" and
+        del, dbar, their adjoints, "wdel" or "wdbar": one scatter, a fresh
+        array."""
+        name, op, unit = _bracket_order(a, b)
         shape = (space_dim(self.n, *self.target(op, *self.target(name, p, q))),
                  space_dim(self.n, p, q))
-        return _scatter(shape, _operator_scatter(self.n, name, op, p, q),
-                        factor * unit * self._values(op))
+        return _scatter(shape, _operator_scatter(self.n, name, op, p, q), unit * self._values(op))
 
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         key = (name, p, q)
@@ -258,8 +269,11 @@ def S(g: HermitianMetric, Omega: Form) -> Form:
 
 def P(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form) -> Form:
     """(omega_{n-2} ^ .)^{-1} (i del delbar alpha ^ omega_{n-3}), the
-    second-order principal part of the abstract's "Laplace-like
-    differential operator of order two"; the division is exact."""
+    second-order part of the abstract's "Laplace-like differential
+    operator of order two"; the division is exact.  P is not elliptic by
+    itself: its principal symbol, division after ``xi^(1,0) ^ xi^(0,1) ^
+    .``, is singular at every covector xi (it kills ``xi^(1,0) ^
+    xi^(0,1)``); the other four terms of Q make Q elliptic."""
     return OperatorTable(M, g).apply("P", alpha)
 
 
@@ -273,7 +287,8 @@ def Q(M: InvariantComplexManifold, g: HermitianMetric, alpha: Form) -> Form:
     """The abstract's "Laplace-like differential operator of order two
     acting on the smooth (1,1)-forms", proved "elliptic": P + R corrected by
     three first-order pieces, equal to minus the dbar-Laplacian ("dbarlap")
-    plus lower-order torsion terms."""
+    plus lower-order torsion terms; its principal symbol is
+    ``-|xi^(1,0)|^2 Id``, that of minus the dbar-Laplacian."""
     return OperatorTable(M, g).apply("Q", alpha)
 
 
@@ -447,49 +462,162 @@ def _pointwise_entries(table: OperatorTable) -> Tuple[IdentityResult, ...]:
 # ----------------------------------------------------------------------
 # commutation / frame identity suite
 # ----------------------------------------------------------------------
+# the operators of a05 to a08, a14 and a15: a name of ``OperatorTable.mat``
+# or ``(a, b, factor)`` for ``factor [a, b]``, each adjoint after its base
+_TORSION_OPERATORS = {
+    "del": "del", "dbar": "dbar", "delstar": "delstar", "dbarstar": "dbarstar",
+    "tau": ("Lam", "wdel", 1), "taubar": ("Lam", "wdbar", 1),
+    "i[Lam,dbar]": ("Lam", "dbar", 1j), "-i[Lam,del]": ("Lam", "del", -1j),
+    "-i[dbar*,L]": ("dbarstar", "L", -1j), "i[del*,L]": ("delstar", "L", 1j)}
+
+# id: (anchor, summands, adjoint, rhs): the residual is the summands' sum,
+# conjugate-transposed for an adjoint identity, minus rhs.  The frame
+# conjugate transpose is the L2 adjoint only where Stokes holds.
+_TORSION_IDENTITIES = {
+    "a05_adjoint_of_del_plus_torsion": (
+        "(del+tau)* = i [Lam, dbar]", ("del", "tau"), True, "i[Lam,dbar]"),
+    "a06_adjoint_of_delbar_plus_torsion": (
+        "(dbar+taubar)* = -i [Lam, del]", ("dbar", "taubar"), True, "-i[Lam,del]"),
+    "a07_del_plus_torsion_bracket": (
+        "del + tau = -i [dbar*, L]", ("del", "tau"), False, "-i[dbar*,L]"),
+    "a08_delbar_plus_torsion_bracket": (
+        "dbar + taubar = i [del*, L]", ("dbar", "taubar"), False, "i[del*,L]"),
+    "a14_global_adjointness_del": (
+        "<<del u, v>> = <<u, del* v>>", ("del",), True, "delstar"),
+    "a15_global_adjointness_delbar": (
+        "<<dbar u, v>> = <<u, dbar* v>>", ("dbar",), True, "dbarstar"),
+}
+
+
+def _torsion_operator(spec) -> Tuple[str, str, Optional[complex]]:
+    """``(F, X, scale)``: the tables of F and X read X's values times scale
+    (None: as they are), as ``OperatorTable.bracket`` reads them."""
+    if isinstance(spec, str):
+        return "", spec, None
+    a, b, factor = spec
+    lef, op, unit = _bracket_order(a, b)
+    return lef, op, factor * unit
+
+
+def _align(n: int, entries: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, ...]:
+    """For the entries ``(rows, cols)`` of some matrices over all slots
+    (``metric._slot_starts``), with the columns of a row in one slot, the
+    same for all: one int32 index per matrix, its entry at each position of
+    their union in row-major order, or its entry count (the 0 its vector of
+    entries ends in) where it has none."""
+    dims, start = _slot_starts(n)
+    local = np.arange(4 ** n, dtype=np.int32) - np.repeat(start.ravel(), dims.ravel())
+    width = int(dims.max())
+    keys = [rows * width + local[cols] for rows, cols in entries]
+    held = np.zeros(len(local) * width, dtype=bool)
+    for key in keys:
+        held[key] = True
+    union = np.flatnonzero(held)
+    rank = np.empty(len(held), dtype=np.int32)
+    rank[union] = np.arange(len(union), dtype=np.int32)
+    out = []
+    for key in keys:
+        at = np.full(len(union), len(key), dtype=np.int32)
+        at[rank[key]] = np.arange(len(key), dtype=np.int32)
+        at.setflags(write=False)
+        out.append(at)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _torsion_layout(n: int) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
+    """Per dimension: ``tables``, each operator but the adjoints as its
+    ``metric._whole_scatter`` table and entry count, and ``aligned``, per
+    identity and operator ``(name, at, negate)``: the ``_align`` index into
+    the entries of ``tables[name]`` (summands of an adjoint identity
+    transposed).  An adjoint reads its base's entries, relabelled by
+    ``metric._star_conjugate`` and negated where ``negate`` holds.  Slot
+    tables are built once each and dropped, not kept in
+    ``_operator_scatter``."""
+    lookup = lru_cache(maxsize=None)(lambda *key: _operator_table(*key, lookup))
+    ops = {name: _torsion_operator(spec) for name, spec in _TORSION_OPERATORS.items()}
+    named = {(lef, op): name for name, (lef, op, _) in ops.items()}
+    tables, entries, flips = {}, {}, {}
+    for name, (lef, op, scale) in ops.items():
+        if op in _ADJOINT_OF:
+            base = named[_adjoint_base(lef, op)]
+            rows, cols, sign = _star_conjugate(n, *entries[base])
+            # the values of the two differ by a factor of +-1 too
+            ratio = ((scale or 1) / (ops[base][2] or 1)).real
+            flips[name] = base, np.append(sign * ratio < 0, False)
+        else:
+            table, rows, cols = _whole_scatter(n, lef, op, lookup)
+            tables[name] = table, len(rows)
+        entries[name] = rows, cols
+    lookup.cache_clear()   # it refers to itself
+    aligned = {}
+    for identity, (_, summands, adjoint, rhs) in _TORSION_IDENTITIES.items():
+        names = summands + (rhs,)
+        ats = _align(n, [entries[name][::-1] if adjoint and name != rhs else entries[name]
+                         for name in names])
+        aligned[identity] = tuple((name, at, None) if name not in flips
+                                  else (flips[name][0], at, flips[name][1][at])
+                                  for name, at in zip(names, ats))
+    return tables, aligned
+
+
+def _torsion_residuals(table: OperatorTable) -> Dict[str, Callable[[], np.ndarray]]:
+    """Per identity, a callable giving its residual at each position of its
+    ``_torsion_layout`` alignment.  Each table is scattered once into its
+    vector of entries and a 0, largest first (its temporaries then meet the
+    fewest vectors held), and each identity gathers from these.  A scatter
+    sums an entry as the slot's scatter does, negation is exact and a
+    missing entry reads 0: these are, bit for bit up to the sign of a zero,
+    the entries of the slot residual matrices not zero by construction."""
+    tables, aligned = _torsion_layout(table.n)
+    vectors = {}
+    for name in sorted(tables, key=lambda name: -tables[name][1]):
+        _, op, scale = _torsion_operator(_TORSION_OPERATORS[name])
+        whole, size = tables[name]
+        values = table._values(op)
+        vectors[name] = _scatter((size + 1,), whole, values if scale is None else scale * values)
+
+    def entries(name: str, at: np.ndarray, negate: Optional[np.ndarray]) -> np.ndarray:
+        out = vectors[name].take(at)
+        if negate is not None:
+            np.negative(out, out=out, where=negate)
+        return out
+
+    def residual(identity: str) -> np.ndarray:
+        *summands, rhs = aligned[identity]
+        out = entries(*summands[0])
+        for operand in summands[1:]:
+            out += entries(*operand)
+        if _TORSION_IDENTITIES[identity][2]:
+            np.conjugate(out, out=out)
+        out -= entries(*rhs)
+        return out
+
+    return {identity: partial(residual, identity) for identity in _TORSION_IDENTITIES}
+
+
 def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
                              tol: float = DEFAULT_TOL, seed: int = 0) -> IdentityReport:
     """Frame-level identities: sl(2) commutators, star intertwining and
     involution, the four torsion commutation relations, the torsion trace
     identities on the metric form, the primitive-form star formula, the two
     wedge/star pairing identities, and the global adjointness of the
-    formula-based adjoints, each on every monomial of its slots.  The
-    adjoint identities a05, a06, a14 and a15 are skipped where the
-    invariant Stokes residual exceeds ``tol``.  ``seed`` is unused, kept
-    for callers that pass it: no identity here needs particular inputs."""
+    formula-based adjoints, each on every monomial of its slots (a05 to
+    a08, a14 and a15 on all slots at once, ``_torsion_residuals``).  a05,
+    a06, a14 and a15 are skipped where the invariant Stokes residual
+    exceeds ``tol``.  ``seed`` is unused, kept for callers that pass it: no
+    identity here needs particular inputs."""
     n = M.dim
     table = OperatorTable(M, g)
-    m, bracket, slots = table.mat, table.bracket, table.bidegrees
+    m = table.mat
     rep = IdentityReport(M.name, g.describe(), tol)
-    # the frame conjugate transpose is the L2 adjoint only where Stokes holds
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
 
     rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "a")
-    # del + tau and dbar + taubar, summed once per slot: a05 (a06) keeps
-    # the sums it makes, and a07 (a08), checked next, reads and drops them,
-    # so that at most one operator's sums are held at a time
-    kept: Dict[Tuple[str, int, int], np.ndarray] = {}
-
-    def plus_torsion(d: str, p: int, q: int, keep: bool) -> np.ndarray:
-        mat = kept.pop((d, p, q), None)
-        if mat is None:
-            mat = m(d, p, q) + m("tau" if d == "del" else "taubar", p, q)
-        if keep:
-            kept[d, p, q] = mat
-        return mat
-
-    rep.check("a05_adjoint_of_del_plus_torsion", "(del+tau)* = i [Lam, dbar]", lambda: (
-        plus_torsion("del", p - 1, q, True).conj().T - bracket("Lam", "dbar", p, q, 1j)
-        for p, q in slots()), stokes)
-    rep.check("a07_del_plus_torsion_bracket", "del + tau = -i [dbar*, L]", lambda: (
-        plus_torsion("del", p, q, False) - bracket("dbarstar", "L", p, q, -1j)
-        for p, q in slots()))
-    rep.check("a06_adjoint_of_delbar_plus_torsion", "(dbar+taubar)* = -i [Lam, del]", lambda: (
-        plus_torsion("dbar", p, q - 1, True).conj().T - bracket("Lam", "del", p, q, -1j)
-        for p, q in slots()), stokes)
-    rep.check("a08_delbar_plus_torsion_bracket", "dbar + taubar = i [del*, L]", lambda: (
-        plus_torsion("dbar", p, q, False) - bracket("delstar", "L", p, q, 1j)
-        for p, q in slots()))
+    residuals = _torsion_residuals(table)
+    for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
+        rep.check(identity, anchor, lambda r=residuals[identity]: [r()],
+                  *([stokes] if adjoint else []))
 
     # torsion trace identities on the metric form, on its frame column
     w_e = m("L", 0, 0)[:, 0]
@@ -498,14 +626,6 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
         m("taubar", 1, 0).conj().T @ w_e - -2.0 * dbarstar_w])
     rep.check("a10_delbar_adjoint_on_metric", "dbar* omega = i Lam(del omega)", lambda: [
         dbarstar_w - 1j * m("Lam", 2, 1) @ m("del", 1, 1) @ w_e])
-
-    # global adjointness of the formula-based adjoints: in the frame the L2
-    # adjoint of an operator between invariant forms is its conjugate
-    # transpose
-    rep.check("a14_global_adjointness_del", "<<del u, v>> = <<u, del* v>>", lambda: (
-        m("del", p, q).conj().T - m("delstar", p + 1, q) for p, q in slots()), stokes)
-    rep.check("a15_global_adjointness_delbar", "<<dbar u, v>> = <<u, dbar* v>>", lambda: (
-        m("dbar", p, q).conj().T - m("dbarstar", p, q + 1) for p, q in slots()), stokes)
 
     return rep.finalize()
 

@@ -2,12 +2,13 @@
 --suite all --json`` and ``starsplit classify --json`` with ``--gamma`` and
 ``--phi``, and generated ``--param`` expressions, ``--values`` lists and ``--format``
 through ``scan``, ``invariants`` and ``search``: every input ends in a
-report (exit 0) or in exit 2 with exactly one ``error:`` line, never in a
-failed identity (exit 1), an exception, a warning or a traceback, and the
-report is canonical JSON: parsing it and writing it back with
-``jsonio.dumps`` gives the same bytes.  Every model these files describe
-satisfies the paper's identities, so a failed identity here is a defect of
-the program."""
+report (exit 0, nothing on stderr) or in exit 2 with exactly one
+``error:`` line, never in a failed identity (exit 1), an exception, a
+warning or a traceback, and the report is canonical JSON: parsing it and
+writing it back with ``jsonio.dumps`` gives the same bytes.  Every model
+these files describe satisfies the paper's identities at the default
+tolerance, so a failed identity here is a defect of the program; only
+``verify --tol`` may fail one, with its report on stdout."""
 
 import contextlib
 import io
@@ -99,11 +100,11 @@ def pullback_files(draw, n):
     return {"matrix": [[z.real, z.imag] for row in A for z in row]}
 
 
-def check_cli(command, files, *flags):
+def check_cli(command, files, *flags, exits=(0, 2)):
     """Write ``files`` (option name -> JSON content) to a temporary
     directory, run ``starsplit command --option path ... flags --json``,
-    hold it to the contract of this module and return its exit code, stdout
-    and stderr."""
+    hold it to the contract of this module, with ``exits`` the exit codes
+    allowed, and return its exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command]
         for option, content in files.items():
@@ -113,9 +114,10 @@ def check_cli(command, files, *flags):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + list(flags) + ["--json"])
-    assert code in (0, 2), (code, files, out.getvalue())
+    assert code in exits, (code, files, out.getvalue())
     assert "Traceback" not in err.getvalue(), files
-    if code == 0:
+    if code != 2:
+        assert err.getvalue() == "", files
         assert jsonio.dumps(json.loads(out.getvalue())) + "\n" == out.getvalue(), files
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), (
@@ -150,6 +152,38 @@ def test_verify_ends_in_a_report_or_a_message(data):
     bad = data.draw(st.sampled_from(["none"] * 6 + ["manifold", "metric"]))
     manifold = data.draw(manifold_files(bad == "manifold"))
     check_verify(manifold, data.draw(metric_files(manifold["dim"], bad == "metric")))
+
+
+# a positive finite tolerance, the default among them, one too small for
+# the rounding of any residual, and values that are not a tolerance
+TOLERANCES = st.sampled_from(["1e-10", "1e-10", "1e-6", "0.01", "0.5", "1e-300",
+                              "0", "-1e-3", "nan", "inf", "1e400", "x", ""])
+
+
+@seed(20261021)
+@settings(database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_with_gamma_and_tol_ends_in_a_report_or_a_message(data):
+    """``verify --json`` (n <= 3) on any suite, with a second metric, a
+    tolerance or both.  Here an identity may fail, exit 1, with the report
+    on stdout and nothing on stderr: a tolerance below rounding fails a
+    residual, a wide one admits a model that breaks d^2 = 0 or Stokes, and
+    b22 and b25 compare absolute residuals, which on a coefficient of 3e5
+    exceed even the default tolerance.  The exit code is 0 exactly when
+    the report says every identity passed."""
+    bad = data.draw(st.sampled_from(["none"] * 12 + ["manifold", "metric", "gamma"]))
+    manifold = data.draw(manifold_files(bad == "manifold", dims=(3, 3, 2)))
+    n = manifold["dim"]
+    files = {"manifold": manifold, "metric": data.draw(metric_files(n, bad == "metric"))}
+    flags = ["--suite", data.draw(st.sampled_from(["all", "commutation", "operators"]))]
+    for option in data.draw(st.sampled_from([["gamma"], ["tol"], ["gamma", "tol"]])):
+        if option == "gamma":
+            files["gamma"] = data.draw(metric_files(n, bad == "gamma"))
+        else:
+            flags.append("--tol=" + data.draw(TOLERANCES))
+    code, out, _ = check_cli("verify", files, *flags, exits=(0, 1, 2))
+    if code != 2:
+        assert json.loads(out)["all_passed"] is (code == 0)
 
 
 # pullbacks that once misbehaved: a NaN or an infinite entry passed the

@@ -8,7 +8,11 @@ the identities of n alone, ``del omega ^ .`` / ``dbar omega ^ .``
 scattered from the wedge table, and del, dbar, their adjoints, tau, taubar
 and the four brackets of the commutation suite scattered from their own
 tables, checked against the congruence and the dense products they
-replace, and the kernel that reads those tables against ``np.add.at``."""
+replace, the kernel that reads those tables against ``np.add.at``, and
+a05 to a08, a14 and a15 on all slots at once against their evaluation
+slot by slot."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,10 +23,11 @@ from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.forms import space_dim
 from starsplit.metric import (_SHIFTS, HermitianMetric, _derivation_scatter, _operator_scatter,
                               _scatter, _slot_mat, _star_mat, _star_perm, omega_power)
-from starsplit.operators import (OperatorTable, verify_commutation_suite,
+from starsplit.operators import (OperatorTable, _bracket_order, verify_commutation_suite,
                                  verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
+from test_operators import stokes_violating
 
 
 class DenseTable(OperatorTable):
@@ -36,6 +41,54 @@ class DenseTable(OperatorTable):
             mat = step if mat is None else step @ mat
             cur = self.target(name, *cur)
         return mat
+
+
+def _scaled_bracket(table, a, b, p, q, factor):
+    """``factor [a, b]`` from the (p,q)-slot, one scatter whose values the
+    factor scales."""
+    lef, op, unit = _bracket_order(a, b)
+    shape = (space_dim(table.n, *table.target(op, *table.target(lef, p, q))),
+             space_dim(table.n, p, q))
+    return _scatter(shape, _operator_scatter(table.n, lef, op, p, q),
+                    factor * unit * table._values(op))
+
+
+def per_slot_torsion_residuals(table):
+    """a05 to a08, a14 and a15 evaluated slot by slot, as dense slot
+    matrices: for each identity, the ``lhs - rhs`` matrix of every slot."""
+    m, slots = table.mat, table.bidegrees()
+    br = partial(_scaled_bracket, table)
+    plus = lambda d, p, q: m(d, p, q) + m({"del": "tau", "dbar": "taubar"}[d], p, q)
+    return {
+        "a05_adjoint_of_del_plus_torsion": [
+            plus("del", p - 1, q).conj().T - br("Lam", "dbar", p, q, 1j) for p, q in slots],
+        "a06_adjoint_of_delbar_plus_torsion": [
+            plus("dbar", p, q - 1).conj().T - br("Lam", "del", p, q, -1j) for p, q in slots],
+        "a07_del_plus_torsion_bracket": [
+            plus("del", p, q) - br("dbarstar", "L", p, q, -1j) for p, q in slots],
+        "a08_delbar_plus_torsion_bracket": [
+            plus("dbar", p, q) - br("delstar", "L", p, q, 1j) for p, q in slots],
+        "a14_global_adjointness_del": [
+            m("del", p, q).conj().T - m("delstar", p + 1, q) for p, q in slots],
+        "a15_global_adjointness_delbar": [
+            m("dbar", p, q).conj().T - m("dbarstar", p, q + 1) for p, q in slots],
+    }
+
+
+def assert_torsion_residuals_equal_the_per_slot_ones(table, fresh):
+    """``_torsion_residuals`` of ``fresh`` against the per-slot evaluation
+    on ``table``, both over the same manifold, metric and generators: the
+    reported residual (the largest absolute entry) equal, and the nonzero
+    entries equal as multisets, bit for bit."""
+    ref = per_slot_torsion_residuals(table)
+    got = operators._torsion_residuals(fresh)
+    assert set(got) == set(ref)
+    for identity, mats in ref.items():
+        dense = np.concatenate([r.ravel() for r in mats])
+        vec = got[identity]()
+        assert (float(np.abs(vec).max(initial=0.0))
+                == max((float(np.abs(r).max(initial=0.0)) for r in mats), default=0.0)), identity
+        assert np.array_equal(np.sort(vec[vec != 0]), np.sort(dense[dense != 0])), identity
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -349,3 +402,48 @@ def test_adjoint_and_bracket_tables_stay_small():
                                ("Lam", "dbar"), ("L", "delstar"), ("L", "dbarstar"))
                for arr in _operator_scatter(5, lef, op, p, q))
     assert held < 5 << 19, held
+
+
+# ----------------------------------------------------------------------
+# a05 to a08, a14 and a15 on all slots at once
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", catalog.list_names() + ["solv"])
+def test_torsion_residuals_equal_the_per_slot_evaluation(rng, name):
+    """On each catalog model and on the Stokes-violating one, at the
+    default metric and two dense ones."""
+    M, g = (stokes_violating(), HermitianMetric.identity(3)) if name == "solv" \
+        else catalog.get(name)[:2]
+    for metric in (g, random_pd_metric(M.dim, rng), random_pd_metric(M.dim, rng, spread=1.0)):
+        assert_torsion_residuals_equal_the_per_slot_ones(OperatorTable(M, metric),
+                                                         OperatorTable(M, metric))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_torsion_residuals_equal_the_per_slot_evaluation_on_random_generators(rng, n):
+    """Random complex generator differentials reach every entry of every
+    table; the identities need not hold for them."""
+    table, _ = _random_generator_tables(n, rng)
+    fresh = OperatorTable(table.M, table.g)
+    fresh._gens.update(table._gens)
+    assert_torsion_residuals_equal_the_per_slot_ones(table, fresh)
+
+
+def test_torsion_layout_stays_small_and_makes_no_slot_table(rng):
+    """At n = 5 the whole-slot tables and the alignments, with the sign
+    flips of the adjoints, hold at most 4.5 MiB.  Building them leaves no
+    ``_operator_scatter`` entry, and a warm commutation suite adds none."""
+    operators._torsion_layout.cache_clear()
+    _operator_scatter.cache_clear()
+    tables, aligned = operators._torsion_layout(5)
+    assert _operator_scatter.cache_info().currsize == 0
+    held = (sum(arr.nbytes for table, _ in tables.values() for arr in table)
+            + sum(arr.nbytes for operands in aligned.values() for _, *arrs in operands
+                  for arr in arrs if arr is not None))
+    assert held <= 4.5 * 2 ** 20, held
+    M = catalog.get("iwasawa5")[0]
+    verify_commutation_suite(M, random_pd_metric(5, rng))
+    warm = _operator_scatter.cache_info().currsize
+    assert warm <= 6   # the slots of a09 and a10
+    verify_commutation_suite(M, random_pd_metric(5, rng))
+    assert _operator_scatter.cache_info().currsize == warm
+    assert operators._torsion_layout(5)[0] is tables

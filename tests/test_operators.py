@@ -6,9 +6,9 @@ from starsplit import catalog, operators
 from starsplit.analysis import rho
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import InputError
-from starsplit.forms import Form, basis_masks
-from starsplit.metric import (HermitianMetric, divide_by_power, hodge_star,
-                              lefschetz_lambda, omega_power)
+from starsplit.forms import Form, basis_masks, space_dim
+from starsplit.metric import (_SHIFTS, HermitianMetric, _wedge_scatter, divide_by_power,
+                              hodge_star, lefschetz_lambda, omega_power)
 from starsplit.operators import (_STOKES_REASON, IdentityReport, OperatorTable, P, Q, R, S, T,
                                  verify_commutation_suite,
                                  verify_operator_identities)
@@ -418,3 +418,59 @@ def test_check_takes_largest_absolute_entry():
 def test_check_empty_residuals_pass():
     e = _entry("x01", "a", lambda: iter(()))
     assert e.residual == 0.0 and e.passed is True and e.skipped_reason is None
+
+
+# ----------------------------------------------------------------------
+# ellipticity at the principal symbol
+# ----------------------------------------------------------------------
+class SymbolTable(OperatorTable):
+    """The principal symbols at the real covector xi whose (1,0)-part is
+    ``sum_k c_k e_k`` (so its (0,1)-part is ``sum_k conj(c_k) ebar_k``), on
+    the n-torus with the identity metric: del is ``i xi^(1,0) ^ .``, dbar
+    ``i xi^(0,1) ^ .`` and each adjoint the conjugate transpose of its
+    operator's symbol.  L, Lambda, the star and T are the table's own, and
+    every composite ("P", "Q", "dbarlap") is its ``_terms`` and ``chain``,
+    so each chain of two first-order operators gives its principal part."""
+
+    def __init__(self, c):
+        n = len(c)
+        super().__init__(InvariantComplexManifold(f"torus_{n}", n, {}),
+                         HermitianMetric.identity(n))
+        self.xi = {(1, 0): np.asarray(c), (0, 1): np.conj(c)}
+
+    def mat(self, name, p, q):
+        if name in ("delstar", "dbarstar"):
+            d = "del" if name == "delstar" else "dbar"
+            return self.mat(d, *self.target(name, p, q)).conj().T
+        if name not in ("del", "dbar"):
+            return super().mat(name, p, q)
+        a, b = _SHIFTS[name]
+        out = np.zeros((space_dim(self.n, p + a, q + b), space_dim(self.n, p, q)), dtype=complex)
+        if out.size:
+            rows, cols, terms, signs = _wedge_scatter(self.n, a, b, p, q)
+            out[rows, cols] = 1j * signs * self.xi[a, b][terms]
+        return out
+
+
+def polarisation_covectors(n):
+    """The (1,0)-parts of the n(2n+1) real covectors e_a and e_a + e_b
+    (a < b) of R^2n = C^n: a quadratic form in xi that vanishes on them
+    vanishes everywhere."""
+    basis = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    return list(basis) + [basis[a] + basis[b] for a in range(2 * n) for b in range(a + 1, 2 * n)]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_q_is_elliptic_at_the_principal_symbol(n):
+    """sigma_xi(Q) = -|xi^(1,0)|^2 Id on (1,1)-forms, the symbol of minus the
+    dbar-Laplacian (itself |xi^(1,0)|^2 Id), while sigma_xi(P) is singular:
+    P alone is not elliptic, the other four terms of Q make it so."""
+    covectors = polarisation_covectors(n)
+    assert len(covectors) == n * (2 * n + 1)
+    eye = np.eye(space_dim(n, 1, 1))
+    for c in covectors:
+        table, size = SymbolTable(c), np.vdot(c, c).real
+        assert np.abs(table.mat("Q", 1, 1) + size * eye).max() <= 1e-14, c
+        assert np.abs(table.mat("dbarlap", 1, 1) - size * eye).max() <= 1e-14, c
+        svals = np.linalg.svd(table.mat("P", 1, 1), compute_uv=False)
+        assert svals[-1] <= 1e-14 * svals[0], c
