@@ -19,16 +19,18 @@ coefficients (``_wedge_scatter``, signed by ``_merge_table``), and from it
 ``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column is the standard
 ``omega_r`` that ``omega_power`` moves to phi) and the ``del omega ^ .``
 of ``OperatorTable``; the top pairing and the star (both signed
-permutations).  More tables give ``OperatorTable`` its other first-order
-operators as one complex gather (``take``) and a bincount of its real and
-of its imaginary parts per slot (``_scatter``): the Leibniz rule as a
-derivation, which builds del or dbar of any slot from the differentials
-of the generators in any coframe (``_derivation_scatter``), and from it
-the adjoints (that table conjugated by the star) and the commutators of L
-or Lambda with these or with ``del omega ^ .``, the torsion among them
-(``_operator_scatter``), each also on all slots at once, as one table of
-the operator's nonzero entries (``_whole_scatter``).  All are stored as
-int32 positions and int8 signs; the int32 tables are never fancy-indexed,
+permutations).  More tables give ``OperatorTable`` del and dbar as one
+complex gather (``take``) and a bincount of its real and of its imaginary
+parts per slot (``_scatter``): the Leibniz rule as a derivation, which
+builds del or dbar of any slot from the differentials of the generators
+in any coframe (``_derivation_scatter``).  The adjoints and the torsion
+of one slot are the chains that define them (``OperatorTable._terms``).
+The commutators of L or Lambda with del, dbar or ``del omega ^ .``, the
+torsion among them (``_operator_scatter``), are read on all slots at once
+as one table of the operator's nonzero entries (``_whole_scatter``), the
+adjoints as these relabelled by the star (``_star_conjugate``): they
+serve a05 to a08, a14 and a15 of ``operators``.  All are stored as int32
+positions and int8 signs; the int32 tables are never fancy-indexed,
 which would cast them to intp on every call.  From these come L,
 Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
 each built once per dimension and read-only), the pseudo-inverse behind
@@ -240,8 +242,8 @@ def _derivation_scatter(n: int, part: int, p: int, q: int
 
 
 # slot shifts of L, Lambda and the operators X of ``_operator_scatter``
-_SHIFTS = {"L": (1, 1), "Lam": (-1, -1), "del": (1, 0), "dbar": (0, 1), "delstar": (-1, 0),
-           "dbarstar": (0, -1), "wdel": (2, 1), "wdbar": (1, 2)}
+_SHIFTS = {"L": (1, 1), "Lam": (-1, -1), "del": (1, 0), "dbar": (0, 1), "wdel": (2, 1),
+           "wdbar": (1, 2)}
 _ADJOINT_OF = {"delstar": "dbar", "dbarstar": "del"}   # D of each adjoint -star D star
 
 
@@ -254,28 +256,19 @@ def _operator_scatter(n: int, lef: str, op: str, p: int, q: int
 
 def _operator_table(n: int, lef: str, op: str, p: int, q: int, lookup: Callable
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X = ``op`` from the (p,q)-slot, or with ``lef`` (F = L or Lambda)
-    ``-i [F, X] = -i (F X - X F)``, as a ``_scatter_table`` over the values
-    of X.  del and dbar are ``_derivation_scatter``.  An adjoint ``-star D
-    star`` is the table of D, or of ``[F', D]`` (``_adjoint_base``), on the
-    star of the slot, relabelled by ``_star_conjugate``.  Any other
-    commutator joins X's entries with the nonzeros of F, all +-i, to integer
-    signs: the torsion ``tau = [Lam, del omega ^ .]`` is the one with "wdel".
-    The tables of D, ``[F', D]`` and X come from ``lookup``, called with
-    this function's first five arguments."""
+    """X = ``op`` (del, dbar, "wdel" or "wdbar") from the (p,q)-slot, or
+    with ``lef`` (F = L or Lambda) ``-i [F, X] = -i (F X - X F)``, as a
+    ``_scatter_table`` over the values of X.  del and dbar are
+    ``_derivation_scatter``.  A commutator joins X's entries with the
+    nonzeros of F, all +-i, to integer signs: the torsion ``tau = [Lam, del
+    omega ^ .]`` is the one with "wdel".  The tables of X come from
+    ``lookup``, called with this function's first five arguments."""
     (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
     ncols, tp, tq = space_dim(n, p, q), p + fp + xp, q + fq + xq
     if not (ncols and space_dim(n, tp, tq)):
         return _scatter_table([])
     if op in ("del", "dbar") and not lef:
         return _derivation_scatter(n, op == "dbar", p, q)
-    if op in _ADJOINT_OF:
-        pos, terms, signs = lookup(n, *_adjoint_base(lef, op), n - q, n - p)
-        start = _slot_starts(n)[1]
-        row, col = np.divmod(pos, ncols)
-        row, col, sign = _star_conjugate(n, start[n - tq, n - tp] + row, start[n - q, n - p] + col)
-        return _scatter_table([((row - start[tp, tq]) * ncols + col - start[p, q], terms,
-                                signs * sign)])
 
     def entries(p, q):   # X from the (p,q)-slot as (rows, cols, terms, signs)
         if op in ("wdel", "wdbar"):

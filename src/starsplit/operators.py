@@ -18,15 +18,15 @@ orthonormal frame.  Per dimension, independent of manifold and metric, are
 L, Lam, star, T (``-Id + L Lam / (n-1)``) and S (``star T star``).  The
 star is a signed permutation, and a chain applies it as one: a gather of
 rows or columns and a factor of +-1 or +-i each.  Per table, built on
-first use and kept, are the first-order operators, each slot one scatter
-from a per-dimension table: del, dbar and the adjoints ``del* = -star
-dbar star`` and ``dbar* = -star del star`` from the frame differentials of
-the generators, ``del omega ^ .`` as the wedge with the 3-form ``theta =
-del omega`` (one mat-vec per table), and tau from the same theta.
-``OperatorTable.bracket`` scatters the brackets of L and Lambda with
-these, so no first-order identity forms a dense product.  The composites
-are chains: the dbar-Laplacian and P, R and Q on the (1,1)-slot; chains
-also serve the identities of n alone and the operator suite.
+first use and kept, are the first-order operators: del and dbar, each
+slot one scatter of the frame differentials of the generators from a
+per-dimension table, and ``del omega ^ .`` as the wedge with the 3-form
+``theta = del omega`` (one mat-vec per table).  Every other operator is
+a chain or a sum of chains of these: the adjoints ``del* = -star dbar
+star`` and ``dbar* = -star del star``, the torsion ``tau = Lam (del omega
+^ .) - (del omega ^ .) Lam``, the dbar-Laplacian and P, R and Q on the
+(1,1)-slot; chains also serve the identities of n alone and the operator
+suite.
 ``OperatorTable.apply`` is the ``Form`` entry point to every operator of
 the table; T, S, P, R and Q, the paper's constructions, have their own
 functions below.
@@ -91,28 +91,25 @@ from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _adjoin
 # ----------------------------------------------------------------------
 # the operator table
 # ----------------------------------------------------------------------
-def _bracket_order(a: str, b: str) -> Tuple[str, str, complex]:
-    """``(F, X, unit)`` with ``[a, b] = unit (-i [F, X])``, F the one of a
-    and b that is "L" or "Lam"."""
-    return (a, b, 1j) if a in ("L", "Lam") else (b, a, -1j)
-
-
 class OperatorTable:
     """The operators of a (manifold, metric) pair as matrices over the
     orthonormal monomial bases, built per slot on first use and kept,
     read-only, for the life of the table.
 
-    "del"/"dbar" and their adjoints "delstar"/"dbarstar" scatter the
-    frame differentials of the generators (``_values``) through
-    ``metric._operator_scatter``; "L", "Lam", "star", "T" and "S" are
-    ``metric._slot_mat``; "wdel"/"wdbar" scatter the (0,0)-slot column
-    ``theta`` through ``metric._wedge_scatter``, and "tau"/"taubar" are
-    their brackets with Lambda (``bracket``).  Every other name is a sum
-    of scaled chains of these (``_terms``); "P", "R" and "Q" act on the
-    (1,1)-slot only."""
+    "del"/"dbar" scatter the frame differentials of the generators
+    (``_values``) through ``metric._operator_scatter``; "L", "Lam",
+    "star", "T" and "S" are ``metric._slot_mat``; "wdel"/"wdbar" scatter
+    the (0,0)-slot column ``theta`` through ``metric._wedge_scatter``.
+    Every other name is a sum of scaled chains of these (``_terms``): the
+    adjoints "delstar"/"dbarstar" and the torsion "tau"/"taubar" are the
+    chains that define them; "P", "R" and "Q" act on the (1,1)-slot only.
+    The commutation suite reads del, dbar, their adjoints, the torsion
+    and their brackets with L and Lambda on all slots at once from tables
+    of their own (``_torsion_residuals``) for a05 to a08, a14 and a15."""
 
-    _SHIFTS = {**_SHIFTS, "tau": (1, 0), "taubar": (0, 1), "T": (0, 0), "S": (0, 0),
-               "P": (0, 0), "R": (0, 0), "Q": (0, 0), "dbarlap": (0, 0)}
+    _SHIFTS = {**_SHIFTS, "delstar": (-1, 0), "dbarstar": (0, -1), "tau": (1, 0),
+               "taubar": (0, 1), "T": (0, 0), "S": (0, 0), "P": (0, 0), "R": (0, 0),
+               "Q": (0, 0), "dbarlap": (0, 0)}
 
     def __init__(self, M: InvariantComplexManifold, g: HermitianMetric):
         if M.dim != g.dim:
@@ -134,6 +131,11 @@ class OperatorTable:
     def _terms(self, name: str) -> List[Tuple[complex, List[str]]]:
         """(coefficient, chain) pairs summing to a composite operator."""
         n = self.n
+        if name in ("delstar", "dbarstar"):
+            return [(-1, ["star", "dbar" if name == "delstar" else "del", "star"])]
+        if name in ("tau", "taubar"):
+            wedge = "wdel" if name == "tau" else "wdbar"
+            return [(1, ["Lam", wedge]), (-1, [wedge, "Lam"])]
         if name == "dbarlap":
             return [(1, ["dbar", "dbarstar"]), (1, ["dbarstar", "dbar"])]
         if name == "R":
@@ -152,12 +154,11 @@ class OperatorTable:
 
     def _values(self, name: str) -> np.ndarray:
         """What the table of ``name`` scatters: theta, the (0,0)-slot column
-        of "wdel"/"wdbar", or the generator differentials under del (for del
-        and dbar*) or dbar (dbar and del*): the manifold's (1,0)- and
-        (0,1)-slot matrices moved into the frame, flattened."""
+        of "wdel"/"wdbar", or the generator differentials under del or dbar:
+        the manifold's (1,0)- and (0,1)-slot matrices moved into the frame,
+        flattened."""
         if name in ("wdel", "wdbar"):
             return self.mat(name, 0, 0)[:, 0]
-        name = _ADJOINT_OF.get(name, name)
         if name not in self._gens:
             part, g = name == "dbar", self.g
             self._gens[name] = np.concatenate([
@@ -165,15 +166,6 @@ class OperatorTable:
                  @ g.from_e_matrix(p, q)).ravel()
                 for p, q in ((1, 0), (0, 1)) if space_dim(self.n, *self.target(name, p, q))])
         return self._gens[name]
-
-    def bracket(self, a: str, b: str, p: int, q: int) -> np.ndarray:
-        """``[a, b] = a b - b a`` from the (p,q)-slot, for "L" or "Lam" and
-        del, dbar, their adjoints, "wdel" or "wdbar": one scatter, a fresh
-        array."""
-        name, op, unit = _bracket_order(a, b)
-        shape = (space_dim(self.n, *self.target(op, *self.target(name, p, q))),
-                 space_dim(self.n, p, q))
-        return _scatter(shape, _operator_scatter(self.n, name, op, p, q), unit * self._values(op))
 
     def mat(self, name: str, p: int, q: int) -> np.ndarray:
         key = (name, p, q)
@@ -186,10 +178,8 @@ class OperatorTable:
         shape = (space_dim(n, tp, tq), space_dim(n, p, q))
         if not all(shape):
             return np.zeros(shape, dtype=complex)
-        if name in ("del", "dbar", "delstar", "dbarstar"):
+        if name in ("del", "dbar"):
             mat = _scatter(shape, _operator_scatter(n, "", name, p, q), self._values(name))
-        elif name in ("tau", "taubar"):
-            mat = self.bracket("Lam", "wdel" if name == "tau" else "wdbar", p, q)
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
         elif name in ("wdel", "wdbar"):
@@ -490,13 +480,14 @@ _TORSION_IDENTITIES = {
 
 
 def _torsion_operator(spec) -> Tuple[str, str, Optional[complex]]:
-    """``(F, X, scale)``: the tables of F and X read X's values times scale
-    (None: as they are), as ``OperatorTable.bracket`` reads them."""
+    """``(F, X, scale)`` for ``metric._operator_table``: a name is X itself
+    (F "", scale None: X's values as they are); ``(a, b, factor)``, that
+    is ``factor [a, b]``, is ``-i [F, X]`` over X's values times scale, F
+    the one of a and b that is "L" or "Lam"."""
     if isinstance(spec, str):
         return "", spec, None
     a, b, factor = spec
-    lef, op, unit = _bracket_order(a, b)
-    return lef, op, factor * unit
+    return (a, b, factor * 1j) if a in ("L", "Lam") else (b, a, factor * -1j)
 
 
 def _align(n: int, entries: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, ...]:
@@ -642,8 +633,10 @@ def verify_operator_identities(M: InvariantComplexManifold,
     Entries whose hypotheses do not apply are reported as skipped; those
     that integrate by parts need Stokes.  f, rho and the source of b15 and
     b16 come from one call of the star-split core; b13 and b14 compare f
-    and rho with the two-trace and P routes relative to their size, and b15
-    and b16 the pair integrals relative to theirs.  b26 is the identity
+    and rho with the two-trace and P routes relative to their size, b15
+    and b16 the pair integrals relative to theirs, b22 Q(omega) and its
+    decomposition relative to the larger of the two, and b25 Q and P on
+    the harmonic forms relative to the larger matrix.  b26 is the identity
     behind the vanishing of semi-definite forms with zero integral, on every
     (1,1)-monomial.  Every identity is evaluated on every monomial of its
     slot or on omega.  ``seed`` is unused, kept for callers that pass it: no
@@ -745,10 +738,16 @@ def verify_operator_identities(M: InvariantComplexManifold,
               stokes, balanced, skip_anchor="balanced: int (Q-P)(a) ^ omega_(n-1) = 0")
 
     # Q on the metric form, on kahler metrics and on harmonic forms
+    def b22():
+        """Q(omega) minus the other side, relative to the larger of the two."""
+        q_w = Qm @ w_e
+        r = (Qm - Pm - n / (n - 1) * Rm - ch(["del", "delstar"], 1, 1)
+             + 1j * ch(["delstar", "L", "dbarstar"], 1, 1)) @ w_e
+        return [r / (1.0 + max(np.abs(q_w).max(), np.abs(q_w - r).max()))]
+
     rep.check("b22_q_on_metric_decomposition",
               "Q(omega) = P(omega) + (n/(n-1)) R(omega) + del del* omega - i del*(omega ^ dbar* omega)",
-              lambda: [(Qm - Pm - n / (n - 1) * Rm - ch(["del", "delstar"], 1, 1)
-                        + 1j * ch(["delstar", "L", "dbarstar"], 1, 1)) @ w_e])
+              b22)
     rep.check("b23_q_equals_p_on_metric_balanced", "balanced: Q(omega) = P(omega)",
               lambda: [(Qm - Pm) @ w_e], balanced)
     lap = m("dbarlap", 1, 1)
@@ -757,7 +756,7 @@ def verify_operator_identities(M: InvariantComplexManifold,
     _, svals, vh = np.linalg.svd(lap)
     harmonic = vh[svals < 1e-8 * max(1.0, svals.max())].conj().T
     rep.check("b25_q_equals_p_on_harmonic", "Q = P on ker(dbar-laplacian)",
-              lambda: [(Qm - Pm) @ harmonic],
+              lambda: [(Qm - Pm) @ harmonic / (1.0 + max(np.abs(Qm).max(), np.abs(Pm).max()))],
               stokes, (harmonic.size > 0, "no invariant harmonic (1,1)-forms sampled"))
 
     # theta ^ omega_(n-1) = (Lam theta) omega_n, and Lam on the (1,1)-slot

@@ -196,6 +196,24 @@ def test_verify_operator_suite_with_gamma(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_verify_operator_suite_on_a_large_structure_constant(capsys, tmp_path):
+    """A coefficient of 3e5 and a metric entry of 1e-3 make Q(omega) and
+    P(omega) about 4.5e13: b22 and b25, like b13 to b16, compare relative
+    to the size of what they compare, so rounding at 1e-16 of that size
+    passes."""
+    manifold, metric = tmp_path / "manifold.json", tmp_path / "metric.json"
+    manifold.write_text(json.dumps(
+        {"dim": 3, "structure": {"phi3": {"(1,1)": [{"i": 2, "jbar": 1, "coeff": "3e5"}]}}}))
+    metric.write_text(json.dumps({"type": "hermitian", "matrix": [
+        [1e-3, 0], [1e-4, 0], [0, 0], [1e-4, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]}))
+    code, out, err = run(capsys, "verify", "--manifold", str(manifold), "--metric", str(metric),
+                         "--suite", "operators", "--json")
+    report = json.loads(out)
+    assert (code, err, report["all_passed"]) == (0, "", True), report
+    residuals = {e["id"][:3]: e["residual"] for e in report["suites"][0]}
+    assert residuals["b22"] < 1e-14 and residuals["b25"] < 1e-14, residuals
+
+
 def test_verify_corrupted_manifold(capsys, corrupted_file):
     code, _, err = run(capsys, "verify", "--manifold", corrupted_file)
     assert code == 2

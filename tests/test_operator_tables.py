@@ -5,12 +5,13 @@ replaces exactly, stay small, and hand out either a fresh array or a
 read-only one, so that no caller can change what a later call gets.
 Also the per-dimension shortcuts of the suites: the cached entries of
 the identities of n alone, ``del omega ^ .`` / ``dbar omega ^ .``
-scattered from the wedge table, and del, dbar, their adjoints, tau, taubar
-and the four brackets of the commutation suite scattered from their own
-tables, checked against the congruence and the dense products they
-replace, the kernel that reads those tables against ``np.add.at``, and
+scattered from the wedge table, and del and dbar scattered from their
+own tables, checked against the congruence they replace; the adjoints
+and the torsion as the chains that define them, against the dense
+products; the kernel that reads those tables against ``np.add.at``; and
 a05 to a08, a14 and a15 on all slots at once against their evaluation
-slot by slot."""
+slot by slot, with the brackets of that evaluation scattered from
+per-slot tables (the adjoint ones renumbered through the star)."""
 
 from functools import partial
 
@@ -18,12 +19,14 @@ import numpy as np
 import pytest
 
 from conftest import random_form, random_pd_metric
-from starsplit import catalog, operators
+from starsplit import catalog, metric, operators
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.forms import space_dim
-from starsplit.metric import (_SHIFTS, HermitianMetric, _derivation_scatter, _operator_scatter,
-                              _scatter, _slot_mat, _star_mat, _star_perm, omega_power)
-from starsplit.operators import (OperatorTable, _bracket_order, verify_commutation_suite,
+from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base,
+                              _derivation_scatter, _operator_scatter, _scatter, _scatter_table,
+                              _slot_mat, _slot_starts, _star_conjugate, _star_mat, _star_perm,
+                              omega_power)
+from starsplit.operators import (OperatorTable, _torsion_operator, verify_commutation_suite,
                                  verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
@@ -43,22 +46,43 @@ class DenseTable(OperatorTable):
         return mat
 
 
+def _bracket_table(n, lef, op, p, q):
+    """The per-slot table of ``-i [F, X]`` from the (p,q)-slot over the
+    values of X, or, for an adjoint X = ``-star D star``, over those of D:
+    the table of ``-i [F', D]`` (``star L = Lam star``) on the star of the
+    slot, renumbered through ``metric._star_conjugate``."""
+    if op not in _ADJOINT_OF:
+        return _operator_scatter(n, lef, op, p, q)
+    (fp, fq), (xp, xq) = _SHIFTS[lef], OperatorTable._SHIFTS[op]
+    tp, tq, ncols = p + fp + xp, q + fq + xq, space_dim(n, p, q)
+    if not (ncols and space_dim(n, tp, tq)):
+        return _scatter_table([])
+    pos, terms, signs = _operator_scatter(n, *_adjoint_base(lef, op), n - q, n - p)
+    start = _slot_starts(n)[1]
+    row, col = np.divmod(pos, ncols)
+    row, col, sign = _star_conjugate(n, start[n - tq, n - tp] + row, start[n - q, n - p] + col)
+    return _scatter_table([((row - start[tp, tq]) * ncols + col - start[p, q], terms,
+                            signs * sign)])
+
+
 def _scaled_bracket(table, a, b, p, q, factor):
     """``factor [a, b]`` from the (p,q)-slot, one scatter whose values the
     factor scales."""
-    lef, op, unit = _bracket_order(a, b)
+    lef, op, scale = _torsion_operator((a, b, factor))
     shape = (space_dim(table.n, *table.target(op, *table.target(lef, p, q))),
              space_dim(table.n, p, q))
-    return _scatter(shape, _operator_scatter(table.n, lef, op, p, q),
-                    factor * unit * table._values(op))
+    return _scatter(shape, _bracket_table(table.n, lef, op, p, q),
+                    scale * table._values(_ADJOINT_OF.get(op, op)))
 
 
 def per_slot_torsion_residuals(table):
     """a05 to a08, a14 and a15 evaluated slot by slot, as dense slot
-    matrices: for each identity, the ``lhs - rhs`` matrix of every slot."""
+    matrices: for each identity, the ``lhs - rhs`` matrix of every slot.
+    The adjoints are the table's chains; the torsion and the brackets are
+    scattered from per-slot tables."""
     m, slots = table.mat, table.bidegrees()
     br = partial(_scaled_bracket, table)
-    plus = lambda d, p, q: m(d, p, q) + m({"del": "tau", "dbar": "taubar"}[d], p, q)
+    plus = lambda d, p, q: m(d, p, q) + br("Lam", "w" + d, p, q, 1)
     return {
         "a05_adjoint_of_del_plus_torsion": [
             plus("del", p - 1, q).conj().T - br("Lam", "dbar", p, q, 1j) for p, q in slots],
@@ -293,9 +317,6 @@ def test_first_order_tables_stay_small():
     assert held < 2 << 20, held
 
 
-_FIRST_ORDER = ("del", "dbar", "delstar", "dbarstar", "wdel", "wdbar")
-
-
 def _scatter_tables(n):
     """``(shape, table)`` of every ``_derivation_scatter`` and
     ``_operator_scatter`` table of dimension n."""
@@ -305,8 +326,8 @@ def _scatter_tables(n):
             for part in (0, 1):
                 tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
                 yield (space_dim(n, tp, tq), ncols), _derivation_scatter(n, part, p, q)
-            for lef, ops in (("", _FIRST_ORDER[:4]), ("L", _FIRST_ORDER), ("Lam", _FIRST_ORDER)):
-                for op in ops:
+            for lef in ("", "L", "Lam"):
+                for op in ("del", "dbar") + (("wdel", "wdbar") if lef else ()):
                     fp, fq = _SHIFTS.get(lef, (0, 0))
                     tp, tq = p + fp + _SHIFTS[op][0], q + fq + _SHIFTS[op][1]
                     yield (space_dim(n, tp, tq), ncols), _operator_scatter(n, lef, op, p, q)
@@ -332,14 +353,13 @@ def test_scatter_equals_add_at_bit_for_bit(rng, n):
 
 
 # ----------------------------------------------------------------------
-# the adjoints and the brackets of the commutation suite as scatters
+# the adjoints and the torsion as chains, the brackets as scatters
 # ----------------------------------------------------------------------
 def _dense_first_order(dense, name, p, q):
     """A first-order operator as a dense matrix: an adjoint as the dense
     product ``-star D star``, any other name as the table's matrix."""
     if name in ("delstar", "dbarstar"):
-        d = "dbar" if name == "delstar" else "del"
-        return -dense.chain(["star", d, "star"], p, q)
+        return -dense.chain(["star", _ADJOINT_OF[name], "star"], p, q)
     return dense.mat(name, p, q)
 
 
@@ -363,13 +383,20 @@ def _relative_gap(got, ref):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_scattered_adjoints_and_brackets_equal_the_dense_products(rng, n):
-    """del*, dbar* and [Lam, del], [Lam, dbar], [dbar*, L], [del*, L] (and
-    the torsion brackets with the theta wedges) match, on every slot, the
-    dense products they replace, to 1e-15 relative."""
+    """On every slot, to 1e-15 relative: the table's del*, dbar*, tau and
+    taubar equal the dense products ``-star D star`` and ``[Lam, theta ^
+    .]``, and the scattered [Lam, del], [Lam, dbar], [dbar*, L], [del*, L],
+    [Lam, wdel] and [Lam, wdbar] that the per-slot evaluation of a05 to
+    a08 reads equal the dense products of their operators."""
     table, dense = _random_generator_tables(n, rng)
     for p, q in table.bidegrees():
         for name in ("delstar", "dbarstar"):
             ref = _dense_first_order(dense, name, p, q)
+            assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
+        for name, wedge in (("tau", "wdel"), ("taubar", "wdbar")):
+            fp, fq = table.target("Lam", p, q)
+            ref = (dense.mat("Lam", *table.target(wedge, p, q)) @ dense.mat(wedge, p, q)
+                   - dense.mat(wedge, fp, fq) @ dense.mat("Lam", p, q))
             assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
         for lef, op in (("Lam", "del"), ("Lam", "dbar"), ("L", "dbarstar"), ("L", "delstar"),
                         ("Lam", "wdel"), ("Lam", "wdbar")):
@@ -377,31 +404,41 @@ def test_scattered_adjoints_and_brackets_equal_the_dense_products(rng, n):
             fp, fq = table.target(lef, p, q)
             ref = (dense.mat(lef, tp, tq) @ _dense_first_order(dense, op, p, q)
                    - _dense_first_order(dense, op, fp, fq) @ dense.mat(lef, p, q))
-            assert _relative_gap(table.bracket(lef, op, p, q), ref) <= 1e-15, (lef, op, p, q)
-            assert np.array_equal(table.bracket(op, lef, p, q), -table.bracket(lef, op, p, q))
+            got = _scaled_bracket(table, lef, op, p, q, 1)
+            assert _relative_gap(got, ref) <= 1e-15, (lef, op, p, q)
+            assert np.array_equal(_scaled_bracket(table, op, lef, p, q, 1), -got)
 
 
-def test_a_warm_commutation_suite_makes_no_chain_call(monkeypatch, rng):
+def test_a_warm_commutation_suite_chains_only_for_a09_and_a10(monkeypatch, rng):
+    """A warm suite reads a05 to a08, a14 and a15 from its all-slot tables;
+    its only chains are taubar on the (1,0)-slot (a09) and dbar* on the
+    (1,1)-slot (a09, a10)."""
     M = catalog.get("iwasawa5")[0]
     verify_commutation_suite(M, random_pd_metric(5, rng))
     calls = []
     chain = OperatorTable.chain
-    monkeypatch.setattr(OperatorTable, "chain",
-                        lambda self, *args: calls.append(args) or chain(self, *args))
+    monkeypatch.setattr(OperatorTable, "chain", lambda self, names, p, q: (
+        calls.append((tuple(names), p, q)) or chain(self, names, p, q)))
     rep = verify_commutation_suite(M, random_pd_metric(5, rng))
     assert rep.all_passed
-    assert calls == []
+    assert sorted(calls) == [(("Lam", "wdbar"), 1, 0), (("star", "del", "star"), 1, 1),
+                             (("wdbar", "Lam"), 1, 0)]
 
 
-def test_adjoint_and_bracket_tables_stay_small():
-    """The adjoint tables and the four bracket tables, over every slot of
-    dimension 5, hold less than 2.5 MiB."""
-    held = sum(arr.nbytes
-               for p in range(6) for q in range(6)
-               for lef, op in (("", "delstar"), ("", "dbarstar"), ("Lam", "del"),
-                               ("Lam", "dbar"), ("L", "delstar"), ("L", "dbarstar"))
-               for arr in _operator_scatter(5, lef, op, p, q))
-    assert held < 5 << 19, held
+def test_both_suites_keep_only_del_and_dbar_slot_tables(monkeypatch, rng):
+    """The per-slot adjoints and torsion are chains, so after both suites
+    every ``_operator_scatter`` table is one of del or dbar."""
+    _operator_scatter.cache_clear()
+    built = []
+    build = metric._operator_table
+    monkeypatch.setattr(metric, "_operator_table",
+                        lambda *args: built.append(args[1:3]) or build(*args))
+    M = catalog.get("iwasawa5")[0]
+    g = random_pd_metric(5, rng)
+    verify_commutation_suite(M, g)
+    verify_operator_identities(M, g, random_pd_metric(5, rng))
+    assert _operator_scatter.cache_info().currsize == len(built)
+    assert set(built) == {("", "del"), ("", "dbar")}
 
 
 # ----------------------------------------------------------------------
