@@ -13,31 +13,21 @@ anchors hold simultaneously: ``star 1 = omega_n``, ``star omega =
 omega_{n-1}``, ``[Lambda, L] = (n-k) Id`` on k-forms, and the primitive-form
 star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
-frame where they do not depend on the metric, and built from the monomial
-bitmasks alone: the wedge with any form of one slot as a scatter of its
-coefficients (``_wedge_scatter``, signed by ``_merge_table``), and from it
-``omega_r ^ .`` (``_wedge_power_mat``, whose (0,0) column is the standard
-``omega_r`` that ``omega_power`` moves to phi) and the ``del omega ^ .``
-of ``OperatorTable``; the top pairing and the star (both signed
-permutations).  More tables give ``OperatorTable`` del and dbar as one
-complex gather (``take``) and a bincount of its real and of its imaginary
-parts per slot (``_scatter``): the Leibniz rule as a derivation, which
-builds del or dbar of any slot from the differentials of the generators
-in any coframe (``_derivation_scatter``).  The adjoints and the torsion
-of one slot are the chains that define them (``OperatorTable._terms``).
-The commutators of L or Lambda with del, dbar or ``del omega ^ .``, the
-torsion among them (``_operator_scatter``), are read on all slots at once
-as one table of the operator's nonzero entries (``_whole_scatter``), the
-adjoints as these relabelled by the star (``_star_conjugate``): they
-serve a05 to a08, a14 and a15 of ``operators``.  All are stored as int32
-positions and int8 signs; the int32 tables are never fancy-indexed,
-which would cast them to intp on every call.  From these come L,
-Lambda, star and the divisions T and S of ``operators`` (``_slot_mat``,
-each built once per dimension and read-only), the pseudo-inverse behind
-``divide_by_power`` and the sl(2) closed form behind
-``lefschetz_decompose``.  ``OperatorTable.chain`` applies the star as the
-signed permutation ``(perm, phase)`` it is (``_star_perm``), a gather and a
-factor of +-1 or +-i per entry.
+frame where they do not depend on the metric and read off the monomial
+bitmasks (``_monomials``): the wedge with the monomials of one slot
+(``_wedge_masks``, per slot ``_wedge_scatter``), hence ``omega_r ^ .``
+(``_wedge_power_mat``) and the top pairing; the star, a signed
+permutation (``_star_all``, per slot ``_star_perm``); del and dbar, the
+Leibniz rule over the differentials of the generators in any coframe
+(``_operator_entries``), per slot a table of ``_scatter`` (gathers and a
+bincount of the real and of the imaginary parts) and on all
+slots at once, with their commutators with Lambda, one table of the
+nonzero entries (``_whole_table``) for a05 to a08, a14 and a15 of
+``operators``, the adjoints relabelled by the star (``_star_conjugate``).
+Tables hold int32 positions and int8 signs, never fancy-indexed (which
+casts to intp on every call).  L, Lambda, star and the divisions T and S
+of ``operators`` are ``_slot_mat``, with the pseudo-inverse behind
+``divide_by_power`` and the sl(2) closed form behind ``lefschetz_decompose``.
 ``HermitianMetric.apply`` is the one routine that applies frame slot
 matrices to a ``Form``; ``hodge_star``,
 ``lefschetz_L``, ``lefschetz_lambda``, ``operators.T``/``S`` and
@@ -63,7 +53,7 @@ import math
 import sys
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -108,45 +98,11 @@ def _volume_coeff(n: int) -> complex:
     return 1j ** n * (-1) ** (n * (n - 1) // 2)
 
 
-@lru_cache(maxsize=None)
-def _merge_table(n: int, a: int, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every a-subset mask A (rows) against every p-subset mask B (columns),
-    both in basis order: whether they are disjoint, ``forms._merge_sign(A,
-    B)`` (-1 to the number of pairs of a bit of A above a bit of B), and
-    the position of ``A | B`` among the (a+p)-subsets in basis order."""
-    A, B = (np.array([m for m, _ in _basis(n, r, 0)], dtype=np.intp).reshape(shape)
-            for r, shape in ((a, (-1, 1)), (p, (1, -1))))
-    masks = np.arange(1 << n)
-    count = sum((masks >> k) & 1 for k in range(n))
-    pairs = sum(((B >> k) & 1) * count[A >> (k + 1)] for k in range(n))
-    rank = np.zeros(1 << n, dtype=np.intp)
-    rank[[m for m, _ in _basis(n, a + p, 0)]] = np.arange(space_dim(n, a + p, 0))
-    out = ((A & B) == 0, 1 - 2 * (pairs & 1), rank[A | B])
-    for arr in out:
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, made read-only."""
+    for arr in arrays:
         arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``theta ^ .`` for a form theta of the (a,b)-slot, from the (p,q)-slot
-    to the (p+a,q+b)-slot, as ``(rows, cols, terms, signs)``: its matrix has
-    ``signs[k] * theta[terms[k]]`` at ``(rows[k], cols[k])`` and zeros
-    elsewhere, no position repeating.  The signs are ``Form.wedge``'s: the
-    merges of the holomorphic and of the antiholomorphic masks
-    (``_merge_table``), and (-1)^(pb) for moving ``ebar_J`` of theta past
-    ``e_I`` of the argument."""
-    free_i, sign_i, rank_i = _merge_table(n, a, p)   # holomorphic masks
-    free_j, sign_j, rank_j = _merge_table(n, b, q)   # antiholomorphic masks
-    ia, ip, jb, jq = np.nonzero(free_i[:, :, None, None] & free_j[None, None, :, :])
-    terms = ia * free_j.shape[0] + jb
-    cols = ip * free_j.shape[1] + jq
-    signs = sign_i[ia, ip] * sign_j[jb, jq] * (1 - 2 * (p * b & 1))
-    rows = rank_i[ia, ip] * space_dim(n, 0, q + b) + rank_j[jb, jq]
-    for arr in (rows, cols, terms, signs):
-        arr.setflags(write=False)
-    return rows, cols, terms, signs
+    return arrays
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -160,38 +116,20 @@ def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return i, order[np.repeat(start, count) + offset]
 
 
-def _scatter_table(pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(pos, terms, signs)`` of a matrix whose entry at flat position
-    ``pos[k]`` collects ``signs[k] * values[terms[k]]``, from pieces of the
-    same form with integer signs: repeated (position, term) pairs merged,
-    zero sums dropped, ordered by position and then term, stored as int32
-    and int8."""
-    pos, terms, signs = (np.concatenate([piece[m] for piece in pieces] or [np.zeros(0, int)])
-                         for m in range(3))
-    width = int(terms.max(initial=0)) + 1
-    keys, inverse = np.unique(pos.astype(np.int64) * width + terms, return_inverse=True)
-    summed = np.bincount(inverse.reshape(-1), signs, len(keys)).astype(np.int64)
-    keep = summed != 0
-    out = ((keys[keep] // width).astype(np.int32), (keys[keep] % width).astype(np.int32),
-           summed[keep].astype(np.int8))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
-             values: np.ndarray) -> np.ndarray:
-    """The array of a ``_scatter_table`` for these values: one complex
-    gather (``take``) and a bincount of its real and of its imaginary parts.
-    The int32 ``terms`` are never fancy-indexed: numpy casts such an index
-    array to intp on every call, which costs more than the gather."""
+             values: np.ndarray, out: np.ndarray = None, work: np.ndarray = None) -> np.ndarray:
+    """The array of a table ``(pos, terms, signs)`` for these values, its
+    entry at flat position ``pos[k]`` collecting ``signs[k] *
+    values[terms[k]]``: a bincount of the gathered (``take``) real and of
+    the imaginary parts, into the flat ``out`` and through the float
+    ``work`` (at least as long as ``terms``) where given."""
     pos, terms, signs = table
-    size = math.prod(shape)
-    gathered = values.take(terms)
-    flat = np.empty(size, dtype=complex)
-    flat.real = np.bincount(pos, signs * gathered.real, size)
-    flat.imag = np.bincount(pos, signs * gathered.imag, size)
+    flat = np.empty(math.prod(shape), dtype=complex) if out is None else out
+    work = np.empty(len(terms)) if work is None else work[:len(terms)]
+    for part, dest in ((values.real, flat.real), (values.imag, flat.imag)):
+        part.take(terms, out=work, mode="clip")
+        work *= signs
+        dest[...] = np.bincount(pos, work, len(flat))
     return flat.reshape(shape)
 
 
@@ -199,103 +137,10 @@ def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray, np.nda
 _GENERATOR_SLOTS = (((2, 0), (1, 1)), ((1, 1), (0, 2)))
 
 
-def _derivation_scatter(n: int, part: int, p: int, q: int
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """del (part 0) or dbar (part 1) from the (p,q)-slot as a
-    ``_scatter_table`` over the generator differentials: ``values`` is
-    ``concatenate([Dh.ravel(), Da.ravel()])``, where column k of ``Dh``
-    holds the coefficients of ``d e_k`` and column k of ``Da`` those of
-    ``d ebar_k`` (the part's component, on the slots of
-    ``_GENERATOR_SLOTS``), in any coframe.  It is the Leibniz rule as a
-    derivation: with ``e_I = (-1)^#(I below k) e_k ^ e_{I-k}``,
-
-        d(e_I ^ ebar_J) = sum_{k in I} (-1)^#(I below k) d e_k ^ e_{I-k} ^ ebar_J
-                        + sum_{k in J} (-1)^(p + #(J below k)) d ebar_k ^ e_I ^ ebar_{J-k},
-
-    each wedge read off ``_wedge_scatter``."""
-    tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
-    ncols = space_dim(n, p, q)
-    pieces, offset = [], 0
-    for side, (a, b) in enumerate(_GENERATOR_SLOTS[part]):
-        # (p,q) -> (rp,rq): remove one generator from the holomorphic (side
-        # 0) or the antiholomorphic (side 1) mask
-        rp, rq = (p - 1, q) if side == 0 else (p, q - 1)
-        if space_dim(n, rp, rq) and space_dim(n, tp, tq):
-            free, sign, rank = _merge_table(n, 1, (rp, rq)[side])
-            k, rest = np.nonzero(free)
-            other = np.arange(space_dim(n, (q, p)[side], 0))
-            k, rest, other = (np.repeat(k, len(other)), np.repeat(rest, len(other)),
-                              np.tile(other, len(k)))
-            ksign = sign[k, rest] * (1 - 2 * (p * side & 1))
-            if side == 0:
-                col = rank[k, rest] * space_dim(n, 0, q) + other
-                sub = rest * space_dim(n, 0, q) + other
-            else:
-                col = other * space_dim(n, 0, q) + rank[k, rest]
-                sub = other * space_dim(n, 0, rq) + rest
-            rows, cols, terms, signs = _wedge_scatter(n, a, b, rp, rq)
-            i, j = _join(sub, cols)
-            pieces.append((rows[j] * ncols + col[i], offset + terms[j] * n + k[i],
-                           ksign[i] * signs[j]))
-        offset += space_dim(n, a, b) * n
-    return _scatter_table(pieces)
-
-
-# slot shifts of L, Lambda and the operators X of ``_operator_scatter``
+# slot shifts of L, Lambda and the operators X of ``_whole_table``
 _SHIFTS = {"L": (1, 1), "Lam": (-1, -1), "del": (1, 0), "dbar": (0, 1), "wdel": (2, 1),
            "wdbar": (1, 2)}
 _ADJOINT_OF = {"delstar": "dbar", "dbarstar": "del"}   # D of each adjoint -star D star
-
-
-@lru_cache(maxsize=None)
-def _operator_scatter(n: int, lef: str, op: str, p: int, q: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_operator_table`` of one slot, kept, as are the tables it reads."""
-    return _operator_table(n, lef, op, p, q, _operator_scatter)
-
-
-def _operator_table(n: int, lef: str, op: str, p: int, q: int, lookup: Callable
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X = ``op`` (del, dbar, "wdel" or "wdbar") from the (p,q)-slot, or
-    with ``lef`` (F = L or Lambda) ``-i [F, X] = -i (F X - X F)``, as a
-    ``_scatter_table`` over the values of X.  del and dbar are
-    ``_derivation_scatter``.  A commutator joins X's entries with the
-    nonzeros of F, all +-i, to integer signs: the torsion ``tau = [Lam, del
-    omega ^ .]`` is the one with "wdel".  The tables of X come from
-    ``lookup``, called with this function's first five arguments."""
-    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
-    ncols, tp, tq = space_dim(n, p, q), p + fp + xp, q + fq + xq
-    if not (ncols and space_dim(n, tp, tq)):
-        return _scatter_table([])
-    if op in ("del", "dbar") and not lef:
-        return _derivation_scatter(n, op == "dbar", p, q)
-
-    def entries(p, q):   # X from the (p,q)-slot as (rows, cols, terms, signs)
-        if op in ("wdel", "wdbar"):
-            return _wedge_scatter(n, xp, xq, p, q)
-        pos, terms, signs = lookup(n, "", op, p, q)
-        return (*np.divmod(pos, space_dim(n, p, q)), terms, signs)
-
-    pieces = []
-    if space_dim(n, p + xp, q + xq):
-        # F after X: F on the target slot of X
-        rows, cols, terms, signs = entries(p, q)
-        fr, fc, fv = _lefschetz_nonzeros(n, lef, p + xp, q + xq)
-        i, j = _join(rows, fc)
-        pieces.append((fr[j] * ncols + cols[i], terms[i], signs[i] * fv[j]))
-    if space_dim(n, p + fp, q + fq):
-        # X after F: X on the target slot of F
-        rows, cols, terms, signs = entries(p + fp, q + fq)
-        fr, fc, fv = _lefschetz_nonzeros(n, lef, p, q)
-        i, j = _join(cols, fr)
-        pieces.append((rows[i] * ncols + fc[j], terms[i], -signs[i] * fv[j]))
-    return _scatter_table(pieces)
-
-
-def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
-    """What an adjoint ``-star D star``, or ``-i [F, X]`` of one, is
-    relabelled from: D, or ``-i [F', D]`` (``star L = Lam star``)."""
-    return {"L": "Lam", "Lam": "L"}.get(lef, ""), _ADJOINT_OF[op]
 
 
 @lru_cache(maxsize=None)
@@ -304,28 +149,171 @@ def _slot_starts(n: int) -> Tuple[np.ndarray, np.ndarray]:
     start)``, each slot's size and the number of its first monomial."""
     dims = np.array([[space_dim(n, p, q) for q in range(n + 1)] for p in range(n + 1)],
                     dtype=np.int32)
-    start = (np.cumsum(dims, dtype=np.int32) - dims.ravel()).reshape(dims.shape)
-    for arr in (dims, start):
-        arr.setflags(write=False)
-    return dims, start
+    return _frozen(dims, (np.cumsum(dims, dtype=np.int32) - dims.ravel()).reshape(dims.shape))
+
+
+@lru_cache(maxsize=None)
+def _monomials(n: int) -> Tuple[np.ndarray, ...]:
+    """The monomials ``e_I ^ ebar_J`` of all slots as ``_slot_starts``
+    numbers them: ``(hol, anti, number, count, merge)``, the masks of each,
+    ``number[I << n | J]``, each mask's popcount, and ``merge[A << n | B]``
+    with ``e_A ^ e_B = merge e_{A|B}`` (-1 per bit of A above one of B)."""
+    dims, start = _slot_starts(n)
+    masks = np.arange(1 << n)
+    count = sum((masks >> k) & 1 for k in range(n))
+    rank = np.zeros(1 << n, dtype=np.intp)
+    for r in range(n + 1):
+        rank[[m for m, _ in _basis(n, r, 0)]] = np.arange(math.comb(n, r))
+    I, J = masks[:, None], masks[None, :]
+    number = start[count[I], count[J]] + rank[I] * dims[0, count[J]] + rank[J]
+    hol, anti = np.empty((2, 4 ** n), dtype=np.intp)
+    hol[number], anti[number] = I, J
+    pairs = sum(((J >> k) & 1) * count[I >> (k + 1)] for k in range(n))
+    return _frozen(hol, anti, number.ravel(), count, (1 - 2 * (pairs & 1)).astype(np.int8).ravel())
+
+
+def _set_bits(masks: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(item, k)`` for every bit k set in ``masks[item]``."""
+    items = [np.flatnonzero(masks & (1 << k)) for k in range(n)]
+    return np.concatenate(items), np.repeat(np.arange(n), [len(item) for item in items])
+
+
+def _wedge_masks(n: int, a: int, b: int, I: np.ndarray, J: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``e_A ^ ebar_B ^ e_I ^ ebar_J`` for every monomial (A, B) of the
+    (a,b)-slot, at ``terms`` in basis order, and every mask pair ``(I,
+    J)``: ``(item, number, terms, signs, theta)`` of each nonzero product,
+    with ``theta = A | B`` and the signs of ``Form.wedge``."""
+    _, _, number, count, merge = _monomials(n)
+    A, B = (np.array([m for m, _ in _basis(n, r, 0)], dtype=np.intp) for r in (a, b))
+    masks = np.arange(1 << n)[:, None]
+    free = ((masks & A) == 0)[I][:, :, None] & ((masks & B) == 0)[J][:, None, :]
+    item, terms = np.divmod(np.flatnonzero(free), len(A) * len(B))
+    I, J, A, B = I[item], J[item], np.repeat(A, len(B))[terms], np.tile(B, len(A))[terms]
+    signs = merge[A << n | I] * merge[B << n | J] * (1 - 2 * (count[I] * b & 1))
+    return item, number[(A | I) << n | B | J], terms, signs, A | B
+
+
+def _operator_entries(n: int, op: str, I: np.ndarray, J: np.ndarray
+                      ) -> List[Tuple[np.ndarray, ...]]:
+    """X = ``op`` (del, dbar, "wdel" or "wdbar") on the mask pairs ``(I,
+    J)`` over the values of ``_derivation_scatter`` or ``_wedge_scatter``,
+    in pieces ``(rows, cols, terms, signs, theta)``: the wedge with the
+    monomial of masks ``theta`` after a contraction.  del and dbar are the
+    Leibniz rule, with ``e_I = (-1)^#(I below k) e_k ^ e_{I-k}``,
+
+        d(e_I ^ ebar_J) = sum_{k in I} (-1)^#(I below k) d e_k ^ e_{I-k} ^ ebar_J
+                        + sum_{k in J} (-1)^(p + #(J below k)) d ebar_k ^ e_I ^ ebar_{J-k}.
+    """
+    count, merge = _monomials(n)[3:]
+    if op in ("wdel", "wdbar"):
+        cols, rows, *rest = _wedge_masks(n, *_SHIFTS[op], I, J)
+        return [(rows, cols, *rest)]
+    pieces, offset = [], 0
+    for side, (a, b) in enumerate(_GENERATOR_SLOTS[op == "dbar"]):
+        cols, k = _set_bits((I, J)[side], n)
+        bit, hol, anti = 1 << k, I[cols], J[cols]
+        rest = (hol, anti)[side] ^ bit
+        ksign = merge[bit << n | rest] * (1 - 2 * (count[hol] * side & 1))
+        at, rows, terms, signs, theta = _wedge_masks(
+            n, a, b, *((rest, anti) if side == 0 else (hol, rest)))
+        pieces.append((rows, cols[at], offset + terms * n + k[at], ksign[at] * signs, theta))
+        offset += space_dim(n, a, b) * n
+    return pieces
+
+
+def _sort_entries(pieces: Iterable[Tuple[np.ndarray, ...]], bits: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms ``(rows, cols, terms, signs)`` of the pieces by row, column
+    (below ``2^bits = 4^n``) and term (below ``8 n^3``), none repeating."""
+    tb = (bits ** 3).bit_length()
+    keys = np.concatenate([(((rows << bits | cols) << tb | terms) << 1) | (signs > 0)
+                           for rows, cols, terms, signs, *_ in pieces])
+    keys.sort()
+    return (keys >> (tb + 1 + bits), (keys >> (tb + 1)) & ((1 << bits) - 1),
+            (keys >> 1) & ((1 << tb) - 1), (2 * (keys & 1) - 1).astype(np.int8))
+
+
+def _slot_monomials(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The masks ``(I, J)`` of the (p,q)-slot's monomials in basis order."""
+    dims, start = _slot_starts(n)
+    return tuple(masks[start[p, q]:start[p, q] + dims[p, q]] for masks in _monomials(n)[:2])
+
+
+@lru_cache(maxsize=None)
+def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``theta ^ .`` for a form theta of the (a,b)-slot, from the (p,q)-slot
+    to the (p+a,q+b)-slot (``_wedge_masks``), as ``(rows, cols, terms,
+    signs)``: ``signs[k] * theta[terms[k]]`` at ``(rows[k], cols[k])``."""
+    cols, rows, terms, signs, _ = _wedge_masks(n, a, b, *_slot_monomials(n, p, q))
+    return _frozen(rows - _slot_starts(n)[1][min(p + a, n), min(q + b, n)], cols, terms, signs)
+
+
+def _derivation_scatter(n: int, part: int, p: int, q: int
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """del (part 0) or dbar (part 1) from the (p,q)-slot as a table of
+    ``_scatter`` over the generator differentials in any coframe:
+    ``concatenate([Dh.ravel(), Da.ravel()])``, column k of ``Dh`` (``Da``)
+    the part's ``d e_k`` (``d ebar_k``) on the slots of ``_GENERATOR_SLOTS``."""
+    rows, cols, terms, signs = _sort_entries(
+        _operator_entries(n, ("del", "dbar")[part], *_slot_monomials(n, p, q)), 2 * n)
+    pos = (rows - _slot_starts(n)[1][min(p + 1 - part, n), min(q + part, n)]) * space_dim(n, p, q)
+    return _frozen((pos + cols).astype(np.int32), terms.astype(np.int32), signs)
+
+
+_operator_scatter = lru_cache(maxsize=None)(_derivation_scatter)   # the slot tables kept
+
+
+def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
+    """What an adjoint ``-star D star``, or ``-i [F, X]`` of one, is
+    relabelled from: D, or ``-i [F', D]`` (``star L = Lam star``)."""
+    return {"L": "Lam", "Lam": "L"}.get(lef, ""), _ADJOINT_OF[op]
+
+
+def _whole_table(n: int, bracket: bool, entries: List[Tuple[np.ndarray, ...]]
+                 ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """X (``entries`` on every monomial) or, if ``bracket``, ``-i [Lam, X]``
+    on all slots at once: a table of ``_scatter`` numbering the nonzero
+    entries by row and column (the slot tables, concatenated), with their
+    rows and columns.  Lambda commutes with X's contractions, and ``Lam
+    (theta ^ u) - theta ^ Lam u`` is the terms that contract theta."""
+    hol, anti, number, count, merge = _monomials(n)
+    # Lambda's entry -i * sign from (I | k, J | k) to (I, J)
+    contract = lambda I, J, k: -merge[k << n | I] * merge[k << n | J] * (1 - 2 * (count[I] & 1))
+
+    def brackets():
+        for rows, cols, terms, signs, theta in entries:
+            # Lam X: Lam removes an index k of theta from both masks of the row
+            I, J = hol[rows], anti[rows]
+            at, k = _set_bits(I & J & theta, n)
+            I, J, k = I[at] ^ (1 << k), J[at] ^ (1 << k), 1 << k
+            yield number[I << n | J], cols[at], terms[at], signs[at] * contract(I, J, k)
+            # X Lam: Lam removed an index k of theta from both masks of the column
+            I, J = hol[cols], anti[cols]
+            at, k = _set_bits(theta & ~(I | J), n)
+            I, J, k = I[at], J[at], 1 << k
+            yield rows[at], number[(I | k) << n | J | k], terms[at], -signs[at] * contract(I, J, k)
+
+    rows, cols, terms, signs = _sort_entries(brackets() if bracket else entries, 2 * n)
+    new = np.diff(rows << 2 * n | cols, prepend=-1) != 0
+    return (_frozen((np.cumsum(new) - 1).astype(np.int32), terms.astype(np.int32), signs),
+            rows[new].astype(np.int32), cols[new].astype(np.int32))
 
 
 @lru_cache(maxsize=None)
 def _star_all(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_star_perm`` on all slots (``_slot_starts``) at once, with the
-    inverse permutation: ``(perm, inverse, phase)``."""
-    dims, start = _slot_starts(n)
-    perm = np.empty(4 ** n, dtype=np.intp)
-    phase = np.empty(4 ** n, dtype=complex)
-    for p in range(n + 1):
-        for q in range(n + 1):
-            rows = start[n - q, n - p] + np.arange(dims[p, q])
-            slot_perm, slot_phase = _star_perm(n, p, q)
-            perm[rows], phase[rows] = start[p, q] + slot_perm, slot_phase
-    out = (perm, np.argsort(perm), phase)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    """The Hodge star on all slots (``_slot_starts``) at once, by masks:
+    ``star(e_I ^ ebar_J) = phase e_{J^c} ^ ebar_{I^c}``, the phase that of
+    ``_star_mat``, ``(-1)^(pq) _volume_coeff(n)`` times the top coefficient
+    of ``e_J ^ ebar_I ^ e_{J^c} ^ ebar_{I^c}``; as ``(perm, inverse,
+    phase)``, ``star @ x == phase * x[perm]``."""
+    hol, anti, number, count, merge = _monomials(n)
+    full, P, Q = (1 << n) - 1, count[hol], count[anti]
+    inverse = number[(full ^ anti) << n | full ^ hol]
+    perm = np.argsort(inverse)
+    top = merge[hol << n | full ^ hol] * merge[anti << n | full ^ anti] * (-1) ** ((n - Q) * P)
+    return _frozen(perm, inverse, ((1 - 2 * (P * Q & 1)) * _volume_coeff(n) * (top + 0j))[perm])
 
 
 def _star_conjugate(n: int, rows: np.ndarray, cols: np.ndarray
@@ -336,46 +324,6 @@ def _star_conjugate(n: int, rows: np.ndarray, cols: np.ndarray
     perm, inverse, phase = _star_all(n)
     rows = inverse[rows]
     return rows, perm[cols], -(phase[rows] * phase[cols]).real.astype(np.int8)
-
-
-def _whole_scatter(n: int, lef: str, op: str, lookup: Callable
-                   ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """``_operator_table`` on all slots (``_slot_starts``) at once: a
-    ``_scatter_table`` whose positions number X's nonzero entries, with
-    their rows and columns.  It is the slot tables read through ``lookup``,
-    concatenated with positions renumbered: each entry sums its terms in its
-    slot table's order, as the scatter of the slot's matrix does."""
-    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
-    dims, start = _slot_starts(n)
-    tables, rows, cols, count = [], [], [], 0
-    for p in range(n + 1):
-        for q in range(n + 1):
-            pos, terms, signs = lookup(n, lef, op, p, q)
-            if not len(pos):
-                continue
-            # a slot table is ordered by position: an entry starts where it changes
-            first = np.ones(len(pos), dtype=bool)
-            first[1:] = pos[1:] != pos[:-1]
-            tables.append((count - 1 + np.cumsum(first), terms, signs))
-            row, col = np.divmod(pos[first], dims[p, q])
-            rows.append(start[p + fp + xp, q + fq + xq] + row)
-            cols.append(start[p, q] + col)
-            count += len(row)
-    out = tuple(np.concatenate([t[m] for t in tables] or [np.zeros(0, dtype)]).astype(dtype)
-                for m, dtype in enumerate((np.int32, np.int32, np.int8)))
-    for arr in out:
-        arr.setflags(write=False)
-    empty = [np.zeros(0, np.int32)]
-    return out, np.concatenate(rows or empty), np.concatenate(cols or empty)
-
-
-@lru_cache(maxsize=None)
-def _lefschetz_nonzeros(n: int, name: str, p: int, q: int
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, signs)``: the nonzeros ``i * signs`` of L or Lambda."""
-    mat = _slot_mat(n, name, p, q)[0]
-    rows, cols = np.nonzero(mat)
-    return rows, cols, mat[rows, cols].imag.astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -463,15 +411,12 @@ def _star_mat(n: int, p: int, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _star_perm(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_star_mat(n, p, q)`` as the signed permutation it is: ``(perm,
-    phase)`` with ``_star_mat @ x == phase * x[perm]``, each phase one of
-    1, -1, i, -i."""
-    mat = _star_mat(n, p, q)
-    perm = np.abs(mat).argmax(axis=1)
-    phase = mat[np.arange(len(perm)), perm]
-    perm.setflags(write=False)
-    phase.setflags(write=False)
-    return perm, phase
+    """``_star_mat(n, p, q)`` as the signed permutation it is, read off
+    ``_star_all``: ``(perm, phase)``, ``_star_mat @ x == phase * x[perm]``."""
+    dims, start = _slot_starts(n)
+    rows = slice(start[n - q, n - p], start[n - q, n - p] + dims[p, q])
+    perm, _, phase = _star_all(n)
+    return _frozen(perm[rows] - start[p, q], phase[rows])
 
 
 @lru_cache(maxsize=None)

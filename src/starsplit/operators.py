@@ -25,8 +25,7 @@ per-dimension table, and ``del omega ^ .`` as the wedge with the 3-form
 a chain or a sum of chains of these: the adjoints ``del* = -star dbar
 star`` and ``dbar* = -star del star``, the torsion ``tau = Lam (del omega
 ^ .) - (del omega ^ .) Lam``, the dbar-Laplacian and P, R and Q on the
-(1,1)-slot; chains also serve the identities of n alone and the operator
-suite.
+(1,1)-slot; chains also serve the operator suite.
 ``OperatorTable.apply`` is the ``Form`` entry point to every operator of
 the table; T, S, P, R and Q, the paper's constructions, have their own
 functions below.
@@ -35,32 +34,26 @@ Each suite builds one table per run and evaluates both sides of every
 identity that is linear in its input on every monomial of its slot at
 once, as matrices over the frame (where the L2 adjoint of an operator
 between invariant forms is its conjugate transpose, the total volume
-cancelling on both sides of the pairing); the primitive-form star formula
-(a11) runs on the image of each slot's primitive projector, and the
-identities on the metric form (a09, a10, b13, b14 and the omega-columns of
-b22 and b23) on omega's frame column, and b26 (the integral of
-``theta ^ omega_{n-1}`` is ``Lam theta`` times the volume) on every
-(1,1)-monomial.  An identity whose matrices depend on
-n alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) is evaluated
-once per dimension, over the table of the n-torus with the identity
-metric, and every later call of that dimension reads its cached largest
-residual (``_dimension_entries``).  a05 to a08, a14 and a15 compare their
-operators' nonzero entries on all slots at once: per dimension a table of
-each operator's entries and an alignment of each identity's
-(``_torsion_layout``), per call one scatter per operator and a few gathers
-per identity (``_torsion_residuals``).  Every other identity is evaluated
-afresh in every call, slot by slot.  The wedge pairings a12 and a13 are
-the top pairing ``metric._top_pairing`` against the star on either side.  The
-operator suite takes f, rho and ``i del delbar omega_{n-2}`` from one call
-of the star-split core ``analysis._star_split``.  No identity needs
-particular inputs, so neither suite draws random forms: the ``seed`` of
-both is unused.
+cancelling on both sides of the pairing); the identities on the metric
+form (a09, a10, b13, b14 and the omega-columns of b22 and b23) on omega's
+frame column, and b26 (the integral of ``theta ^ omega_{n-1}`` is ``Lam
+theta`` times the volume) on every (1,1)-monomial.  The identities of n
+alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) are evaluated
+once per dimension and cached (``_dimension_entries``).  a05 to a08, a14
+and a15 compare their operators' nonzero entries on all slots at once:
+per dimension a table of each operator's entries and an alignment of each
+identity's (``_torsion_layout``), per call one scatter per operator and a
+few gathers per identity (``_torsion_residuals``).  Every other identity
+is evaluated afresh, slot by slot.  The operator suite takes f, rho and
+``i del delbar omega_{n-2}`` from one call of the star-split core
+``analysis._star_split``.  No identity needs particular inputs, so
+neither suite draws random forms: the ``seed`` of both is unused.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
 identity is its id, its anchor, a callable yielding residual arrays (the
 ``lhs - rhs`` matrix of each slot, the vector of a05 to a08, a14 or a15
 over all slots, or a scalar residual as a 0-d array) and its ``(holds,
-reason)`` hypotheses (balanced-only, n >= 4 only, Stokes-dependent).  The
+reason)`` hypotheses (balanced-only, n >= 4 only, Stokes or d^2 = 0).  The
 report records the largest absolute residual entry, or, when a hypothesis
 fails, a skip with the first failed reason; every identity is listed,
 none is dropped.  ``IdentityReport.reuse`` passes the cached entries of
@@ -81,11 +74,11 @@ from .analysis import _star_split
 from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import InputError
 from .forms import Form, space_dim
-from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _adjoint_base,
-                     _omega_power_vec, _operator_scatter, _operator_table, _primitive_part,
-                     _scatter, _slot_mat, _slot_starts, _star_conjugate, _star_perm,
-                     _top_pairing, _volume_coeff, _wedge_power_mat, _wedge_scatter,
-                     _whole_scatter)
+from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _adjoint_base, _frozen,
+                     _join, _monomials, _omega_power_vec, _operator_entries, _operator_scatter,
+                     _scatter, _slot_mat, _slot_starts, _star_all, _star_conjugate, _star_perm,
+                     _top_pairing, _volume_coeff, _wedge_masks, _wedge_power_mat, _wedge_scatter,
+                     _whole_table)
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +96,8 @@ class OperatorTable:
     Every other name is a sum of scaled chains of these (``_terms``): the
     adjoints "delstar"/"dbarstar" and the torsion "tau"/"taubar" are the
     chains that define them; "P", "R" and "Q" act on the (1,1)-slot only.
-    The commutation suite reads del, dbar, their adjoints, the torsion
-    and their brackets with L and Lambda on all slots at once from tables
-    of their own (``_torsion_residuals``) for a05 to a08, a14 and a15."""
+    a05 to a08, a14 and a15 read del, dbar, their adjoints, the torsion and
+    their brackets on all slots at once instead (``_torsion_residuals``)."""
 
     _SHIFTS = {**_SHIFTS, "delstar": (-1, 0), "dbarstar": (0, -1), "tau": (1, 0),
                "taubar": (0, 1), "T": (0, 0), "S": (0, 0), "P": (0, 0), "R": (0, 0),
@@ -179,7 +171,7 @@ class OperatorTable:
         if not all(shape):
             return np.zeros(shape, dtype=complex)
         if name in ("del", "dbar"):
-            mat = _scatter(shape, _operator_scatter(n, "", name, p, q), self._values(name))
+            mat = _scatter(shape, _operator_scatter(n, name == "dbar", p, q), self._values(name))
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
         elif name in ("wdel", "wdbar"):
@@ -350,73 +342,125 @@ class IdentityReport:
 
 
 _STOKES_REASON = "invariant Stokes residual exceeds tolerance; identity not asserted"
+_D_SQUARED_REASON = "d^2 residual exceeds tolerance; identity not asserted"
+
+
+class _Sparse:
+    """A matrix over the monomials of all slots (``metric._slot_starts``)
+    as its entries ``(rows, cols, vals)``, repeated positions summing.
+    Sums and products of L, Lambda and star (entries +-1 and +-i) are exact."""
+
+    __array_ufunc__ = None   # an array times a _Sparse scales its columns (__rmul__)
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        self.rows, self.cols, self.vals = rows, cols, vals
+
+    def __matmul__(self, other: "_Sparse") -> "_Sparse":
+        i, j = _join(other.rows, self.cols)
+        return _Sparse(self.rows[j], other.cols[i], self.vals[j] * other.vals[i]).summed()
+
+    def __add__(self, other: "_Sparse") -> "_Sparse":
+        pairs = zip((self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))
+        return _Sparse(*(np.concatenate(pair) for pair in pairs))
+
+    def __sub__(self, other: "_Sparse") -> "_Sparse":
+        return self + -1 * other
+
+    def __rmul__(self, factor) -> "_Sparse":   # a scalar, or one factor per column
+        return _Sparse(self.rows, self.cols, self.vals * (
+            factor[self.cols] if isinstance(factor, np.ndarray) else factor))
+
+    def where(self, keep: np.ndarray) -> "_Sparse":   # the columns where keep holds
+        return _Sparse(*(arr[keep[self.cols]] for arr in (self.rows, self.cols, self.vals)))
+
+    def summed(self) -> "_Sparse":
+        """One entry per position, ordered by row, then column."""
+        key = (self.rows.astype(np.int64) << 32) + self.cols
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        key = key[order[first]]
+        return _Sparse(key >> 32, key & 0xFFFFFFFF, np.add.reduceat(self.vals[order], first))
 
 
 @lru_cache(maxsize=None)
 def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
-    """``_pointwise_entries`` once per dimension, over the table of the
-    n-torus with the identity metric."""
-    return _pointwise_entries(
-        OperatorTable(InvariantComplexManifold("torus", n, {}), HermitianMetric.identity(n)))
-
-
-def _pointwise_entries(table: OperatorTable) -> Tuple[IdentityResult, ...]:
-    """The suite entries whose matrices depend on n alone (L, Lam, star, T,
-    S, ``omega_r ^ .`` and the top pairing): a01 to a04 and a11 to a13, and
-    from n = 3 on b01 to b04 and b08 to b12, with their largest residuals.
-    Any table of dimension n gives the same entries; each suite judges
-    them by its own tolerance (``IdentityReport.reuse``)."""
-    n = table.n
-    m, ch, slots = table.mat, table.chain, table.bidegrees
+    """The entries whose matrices depend on n alone, with their largest
+    residuals: a01 to a04 and a11 to a13 as sums of products of L, Lambda,
+    star and the top pairing on all slots at once (``_Sparse``; ``omega_r ^
+    .`` is ``L^r / r!``), from n = 3 on b01 to b04 and b08 to b12 on their
+    dense slot matrices, the division by ``omega_{n-2}`` the one inverse.
+    Each suite judges them by its own tolerance (``IdentityReport.reuse``)."""
+    hol, anti, number, count, merge = _monomials(n)
+    dims, start = _slot_starts(n)
+    every, full, deg_p, deg_q = np.arange(4 ** n), (1 << n) - 1, count[hol], count[anti]
+    deg = deg_p + deg_q
+    eye = lambda factor: _Sparse(every, every, factor * np.ones(4 ** n, dtype=complex))
+    cols, rows, _, signs, theta = _wedge_masks(n, 1, 1, hol, anti)
+    omega = count[theta] == 1   # L = omega ^ . = i sum_k e_k ^ ebar_k ^ .
+    L = _Sparse(rows[omega], cols[omega], 1j * signs[omega])
+    transpose = lambda x: _Sparse(x.cols, x.rows, x.vals)
+    Lam, star = -1 * transpose(L), _Sparse(every, _star_all(n)[0], _star_all(n)[2])
+    # e_I ^ ebar_J against its complement, signed as by _wedge_masks
+    top = _Sparse(every, number[(full ^ hol) << n | full ^ anti], 0j + merge[hol << n | full ^ hol]
+                  * merge[anti << n | full ^ anti] * (1 - 2 * ((n - deg_p) * deg_q & 1)))
+    W = [eye(1.0)]   # omega_r ^ .
+    for r in range(1, max(n, 3) + 1):
+        x = L @ W[-1]
+        W.append(_Sparse(x.rows, x.cols, x.vals / r))
+    residual = lambda *mats: [m.summed().vals for m in mats]
     rep = IdentityReport("", "", math.inf)
-    eye = lambda p, q: np.eye(space_dim(n, p, q))
-    bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
 
-    rep.check("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms", lambda: (
-        bracket("Lam", "L", p, q) - (n - p - q) * eye(p, q) for p, q in slots()))
+    rep.check("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms",
+              lambda: residual(Lam @ L - L @ Lam - eye(n - deg)))
     for r in (2, 3):
         rep.check(f"a02_l_power_lambda_commutator_r{r}",
-                  f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: (
-                      ch(["L"] * r + ["Lam"], p, q) - ch(["Lam"] + ["L"] * r, p, q)
-                      - r * (p + q - n + r - 1) * ch(["L"] * (r - 1), p, q) for p, q in slots()))
-    rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", lambda: (
-        ch(["star", a], p, q) - ch([b, "star"], p, q)
-        for p, q in slots() for a, b in (("L", "Lam"), ("Lam", "L"))))
-    rep.check("a04_star_involution", "star star = (-1)^deg Id", lambda: (
-        ch(["star", "star"], p, q) - (-1.0 if (p + q) % 2 else 1.0) * eye(p, q)
-        for p, q in slots()))
+                  f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: residual(
+                      math.factorial(r) * (W[r] @ Lam - Lam @ W[r])
+                      - math.factorial(r - 1) * (r * (deg - n + r - 1) + 0j) * W[r - 1]))
+    rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star",
+              lambda: residual(star @ L - Lam @ star, star @ Lam - L @ star))
+    rep.check("a04_star_involution", "star star = (-1)^deg Id",
+              lambda: residual(star @ star - eye(1.0 - 2 * (deg & 1))))
 
-    def primitive_star(p, q):
-        """Both sides of a11 on the image of the slot's primitive projector."""
-        k, prim = p + q, _primitive_part(n, p, q, 0)
-        sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
-        perm, phase = _star_perm(n, p, q)
-        return phase[:, None] * prim[perm] - sign * _wedge_power_mat(n, n - k, p, q) @ prim
+    def primitive_star():
+        """a11 on the image of the primitive projector of each slot of degree
+        k <= n, ``sum_i (-1)^i (n-k+1)! / (i! (n-k+i+1)!) L^i Lam^i``."""
+        f = np.array([math.factorial(k) for k in range(2 * n + 2)], dtype=float)
+        lam_i, proj = eye(1.0).where(deg <= n), eye(0.0).where(deg < 0)
+        for i in range(n // 2 + 1):
+            proj = proj + (-1) ** i * f[n - deg + 1] / f[n - deg + i + 1] * (W[i] @ lam_i)
+            lam_i = Lam @ lam_i
+        sign = np.array([1, 1j, -1, -1j])[(deg_p - deg_q) % 4] * (-1) ** (deg * (deg + 1) // 2)
+        wedge = sum((W[r].where(deg == n - r) for r in range(1, n + 1)), W[0].where(deg == n))
+        return residual(star @ proj - sign * (wedge @ proj))
 
     rep.check("a11_primitive_star_formula",
-              "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
-              lambda: (primitive_star(p, q) for p, q in slots() if p + q <= n))
-    # top coefficients of wedges: u ^ v is u @ _top_pairing @ v on frame vectors
+              "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v", primitive_star)
     rep.check("a12_complementary_star_pairing",
-              "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n", lambda: (
-                  _top_pairing(n, p, q)
-                  - m("star", p, q).T @ _top_pairing(n, n - q, n - p) @ m("star", n - p, n - q)
-                  for p, q in slots()))
-    w, w_top = m("L", 0, 0)[:, 0], _wedge_power_mat(n, n - 1, 0, 0)[:, 0]
-    rep.check("a13_trace_pairing_top",
-              "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma", lambda: [
-                  w @ _top_pairing(n, 1, 1)
-                  - w_top @ _top_pairing(n, 1, 1).T @ m("star", n - 1, n - 1)])
+              "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n",
+              lambda: residual(top - transpose(star) @ top @ star))
+    rep.check("a13_trace_pairing_top",   # on the columns of the (0,0)-monomial
+              "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma",
+              lambda: residual(transpose(top) @ L.where(deg == 0)
+                               - transpose(star) @ (top @ W[n - 1].where(deg == 0))))
     if n < 3:
         return tuple(rep.entries)
 
+    def m(x, p, q):   # the dense matrix of x on the (p,q)-slot, into one slot
+        x = x.where((deg_p == p) & (deg_q == q)).summed()
+        to = np.searchsorted(start.ravel(), x.rows[0], side="right") - 1
+        out = np.zeros((dims.ravel()[to], dims[p, q]), dtype=complex)
+        out[x.rows - start.ravel()[to], x.cols - start[p, q]] = x.vals
+        return out
+
     # frame matrices: Lam on the (k,k)-slot, omega_r ^ . from it, and the
     # division by omega_{n-2}
-    lam = lambda k: m("Lam", k, k)
-    wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
+    lam = lambda k: m(Lam, k, k)
+    wedge = lambda r, k: m(W[r], k, k)
     div = np.linalg.inv(wedge(n - 2, 1))
-    Lw, star1, star_top = m("L", 0, 0), m("star", 1, 1), m("star", n - 1, n - 1)
-    Tm, Sm = m("T", 1, 1), m("S", n - 1, n - 1)
+    Lw, star1, star_top = m(L, 0, 0), m(star, 1, 1), m(star, n - 1, n - 1)
+    Tm = Lw @ lam(1) / (n - 1) - np.eye(n * n)
+    Sm = star1 @ Tm @ star_top
     trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
     dim4 = (n >= 4, "needs n >= 4")
 
@@ -480,7 +524,7 @@ _TORSION_IDENTITIES = {
 
 
 def _torsion_operator(spec) -> Tuple[str, str, Optional[complex]]:
-    """``(F, X, scale)`` for ``metric._operator_table``: a name is X itself
+    """``(F, X, scale)`` for ``metric._whole_table``: a name is X itself
     (F "", scale None: X's values as they are); ``(a, b, factor)``, that
     is ``factor [a, b]``, is ``-i [F, X]`` over X's values times scale, F
     the one of a and b that is "L" or "Lam"."""
@@ -506,28 +550,28 @@ def _align(n: int, entries: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np
     union = np.flatnonzero(held)
     rank = np.empty(len(held), dtype=np.int32)
     rank[union] = np.arange(len(union), dtype=np.int32)
-    out = []
-    for key in keys:
-        at = np.full(len(union), len(key), dtype=np.int32)
+    ats = [np.full(len(union), len(key), dtype=np.int32) for key in keys]
+    for at, key in zip(ats, keys):
         at[rank[key]] = np.arange(len(key), dtype=np.int32)
-        at.setflags(write=False)
-        out.append(at)
-    return tuple(out)
+    return _frozen(*ats)
 
 
 @lru_cache(maxsize=None)
 def _torsion_layout(n: int) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
     """Per dimension: ``tables``, each operator but the adjoints as its
-    ``metric._whole_scatter`` table and entry count, and ``aligned``, per
-    identity and operator ``(name, at, negate)``: the ``_align`` index into
-    the entries of ``tables[name]`` (summands of an adjoint identity
+    ``metric._whole_table`` and entry count, and ``aligned``, per identity
+    and operator ``(name, at, negate)``: the ``_align`` index into the
+    entries of ``tables[name]`` (summands of an adjoint identity
     transposed).  An adjoint reads its base's entries, relabelled by
-    ``metric._star_conjugate`` and negated where ``negate`` holds.  Slot
-    tables are built once each and dropped, not kept in
-    ``_operator_scatter``."""
-    lookup = lru_cache(maxsize=None)(lambda *key: _operator_table(*key, lookup))
+    ``metric._star_conjugate`` and negated where ``negate`` holds."""
     ops = {name: _torsion_operator(spec) for name, spec in _TORSION_OPERATORS.items()}
     named = {(lef, op): name for name, (lef, op, _) in ops.items()}
+    whole = {}   # the tables of each X and of its brackets, from X's entries
+    for op in dict.fromkeys(op for _, op, _ in ops.values() if op not in _ADJOINT_OF):
+        pieces = _operator_entries(n, op, *_monomials(n)[:2])
+        whole.update({(lef, op): _whole_table(n, lef == "Lam", pieces)
+                      for lef, x, _ in ops.values() if x == op})
+        del pieces
     tables, entries, flips = {}, {}, {}
     for name, (lef, op, scale) in ops.items():
         if op in _ADJOINT_OF:
@@ -537,10 +581,9 @@ def _torsion_layout(n: int) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
             ratio = ((scale or 1) / (ops[base][2] or 1)).real
             flips[name] = base, np.append(sign * ratio < 0, False)
         else:
-            table, rows, cols = _whole_scatter(n, lef, op, lookup)
+            table, rows, cols = whole.pop((lef, op))
             tables[name] = table, len(rows)
         entries[name] = rows, cols
-    lookup.cache_clear()   # it refers to itself
     aligned = {}
     for identity, (_, summands, adjoint, rhs) in _TORSION_IDENTITIES.items():
         names = summands + (rhs,)
@@ -552,36 +595,45 @@ def _torsion_layout(n: int) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
     return tables, aligned
 
 
+@lru_cache(maxsize=None)
+def _torsion_buffers(n: int) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Per dimension, what every ``_torsion_residuals`` call rewrites rather
+    than makes afresh: each table's vector of entries and a 0, two rows for
+    the gathers of a residual, and float work for the scatters."""
+    tables, aligned = _torsion_layout(n)
+    width = max(len(at) for operands in aligned.values() for _, at, _ in operands)
+    return ({name: np.empty(size + 1, dtype=complex) for name, (_, size) in tables.items()},
+            np.empty((2, width), dtype=complex),
+            np.empty(max(len(table[0]) for table, _ in tables.values())))
+
+
 def _torsion_residuals(table: OperatorTable) -> Dict[str, Callable[[], np.ndarray]]:
     """Per identity, a callable giving its residual at each position of its
-    ``_torsion_layout`` alignment.  Each table is scattered once into its
-    vector of entries and a 0, largest first (its temporaries then meet the
-    fewest vectors held), and each identity gathers from these.  A scatter
-    sums an entry as the slot's scatter does, negation is exact and a
-    missing entry reads 0: these are, bit for bit up to the sign of a zero,
-    the entries of the slot residual matrices not zero by construction."""
+    ``_torsion_layout`` alignment, valid until the next call: the tables
+    scattered into, and gathered from, ``_torsion_buffers``.  A scatter sums
+    an entry as the slot's scatter does, negation is exact and a missing
+    entry reads 0: bit for bit up to the sign of a zero, the slot residuals."""
     tables, aligned = _torsion_layout(table.n)
-    vectors = {}
-    for name in sorted(tables, key=lambda name: -tables[name][1]):
+    vectors, rows, work = _torsion_buffers(table.n)
+    for name, (whole, _) in tables.items():
         _, op, scale = _torsion_operator(_TORSION_OPERATORS[name])
-        whole, size = tables[name]
-        values = table._values(op)
-        vectors[name] = _scatter((size + 1,), whole, values if scale is None else scale * values)
+        values = table._values(op) if scale is None else scale * table._values(op)
+        _scatter(vectors[name].shape, whole, values, vectors[name], work)
 
-    def entries(name: str, at: np.ndarray, negate: Optional[np.ndarray]) -> np.ndarray:
-        out = vectors[name].take(at)
+    def entries(name: str, at: np.ndarray, negate: Optional[np.ndarray], row) -> np.ndarray:
+        out = vectors[name].take(at, out=row[:len(at)], mode="clip")
         if negate is not None:
             np.negative(out, out=out, where=negate)
         return out
 
     def residual(identity: str) -> np.ndarray:
         *summands, rhs = aligned[identity]
-        out = entries(*summands[0])
+        out = entries(*summands[0], rows[0])
         for operand in summands[1:]:
-            out += entries(*operand)
+            out += entries(*operand, rows[1])
         if _TORSION_IDENTITIES[identity][2]:
             np.conjugate(out, out=out)
-        out -= entries(*rhs)
+        out -= entries(*rhs, rows[1])
         return out
 
     return {identity: partial(residual, identity) for identity in _TORSION_IDENTITIES}
@@ -631,16 +683,17 @@ def verify_operator_identities(M: InvariantComplexManifold,
     """Identities tying T, S, P, R, Q to the division and trace routes, the
     integral links between pairs and P/Q, and the vanishing statements.
     Entries whose hypotheses do not apply are reported as skipped; those
-    that integrate by parts need Stokes.  f, rho and the source of b15 and
-    b16 come from one call of the star-split core; b13 and b14 compare f
-    and rho with the two-trace and P routes relative to their size, b15
-    and b16 the pair integrals relative to theirs, b22 Q(omega) and its
-    decomposition relative to the larger of the two, and b25 Q and P on
-    the harmonic forms relative to the larger matrix.  b26 is the identity
-    behind the vanishing of semi-definite forms with zero integral, on every
-    (1,1)-monomial.  Every identity is evaluated on every monomial of its
-    slot or on omega.  ``seed`` is unused, kept for callers that pass it: no
-    identity here needs particular inputs."""
+    that integrate by parts need Stokes, b15 and b16 d^2 = 0 too.  f, rho
+    and the source of b15 and b16 come from one call of the star-split
+    core; b13 and b14 compare f and rho with the two-trace and P routes
+    relative to their size, b15 and b16 the pair integrals relative to
+    theirs, b22 Q(omega) and its decomposition relative to the larger of
+    the two, and b25 Q and P on the harmonic forms relative to the larger
+    matrix.  b26 is the identity behind the vanishing of semi-definite
+    forms with zero integral, on every (1,1)-monomial.  Every identity is
+    evaluated on every monomial of its slot or on omega.  ``seed`` is
+    unused, kept for callers that pass it: no identity here needs
+    particular inputs."""
     n = M.dim
     if n < 3:
         raise InputError(f"the operator suite needs dimension >= 3, got {n}")
@@ -660,6 +713,7 @@ def verify_operator_identities(M: InvariantComplexManifold,
         return dv <= tol * (1.0 + np.linalg.norm(v)), why
 
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
+    d_squared = (M.check_integrability() <= tol, _D_SQUARED_REASON)
     balanced = closed(w_top, n - 1, "omega is not balanced")
     kahler = closed(w_e, 1, "omega is not kahler")
 
@@ -711,11 +765,12 @@ def verify_operator_identities(M: InvariantComplexManifold,
                        / (1.0 + np.abs(int_star_rho).max()))
     rep.check("b15_pair_division_integral_link",
               "int eta ^ star_gamma rho(omega,gamma) = ((n-1)/(n-2)) int P(T_gamma eta) ^ omega_(n-1)",
-              lambda: [link(Pm)], stokes, skip_anchor="int eta ^ star_gamma rho = ... P ...")
+              lambda: [link(Pm)], stokes, d_squared,
+              skip_anchor="int eta ^ star_gamma rho = ... P ...")
     rep.check("b16_q_integral_link",
               "balanced: int eta ^ star_gamma rho = ((n-1)/(n-2)) int Q(T_gamma eta) ^ omega_(n-1)",
-              lambda: [link(Qm)],
-              stokes, balanced, skip_anchor="balanced: int eta ^ star_gamma rho = ... Q ...")
+              lambda: [link(Qm)], stokes, d_squared, balanced,
+              skip_anchor="balanced: int eta ^ star_gamma rho = ... Q ...")
     # potential inputs: i del delbar of an invariant function is zero
     pot = 1j * M.d_matrices(0, 1)[0] @ M.d_matrices(0, 0)[1]
     rep.check("b17_pair_potential_integral",

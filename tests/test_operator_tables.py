@@ -11,9 +11,15 @@ and the torsion as the chains that define them, against the dense
 products; the kernel that reads those tables against ``np.add.at``; and
 a05 to a08, a14 and a15 on all slots at once against their evaluation
 slot by slot, with the brackets of that evaluation scattered from
-per-slot tables (the adjoint ones renumbered through the star)."""
+per-slot tables (the adjoint ones renumbered through the star).
 
-from functools import partial
+The tables read off the monomial masks are checked against the routes
+they replace, kept here: the per-slot wedge, derivation and bracket tables
+and their concatenation into whole-slot tables (byte for byte), and the
+identities of n alone evaluated slot by slot over dense chains."""
+
+import math
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -22,12 +28,13 @@ from conftest import random_form, random_pd_metric
 from starsplit import catalog, metric, operators
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.forms import space_dim
-from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base,
-                              _derivation_scatter, _operator_scatter, _scatter, _scatter_table,
-                              _slot_mat, _slot_starts, _star_conjugate, _star_mat, _star_perm,
-                              omega_power)
-from starsplit.operators import (OperatorTable, _torsion_operator, verify_commutation_suite,
-                                 verify_operator_identities)
+from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _basis,
+                              _derivation_scatter, _join, _operator_scatter, _primitive_part,
+                              _scatter, _slot_mat, _slot_starts, _star_conjugate, _star_mat,
+                              _star_perm, _top_pairing, _volume_coeff, _wedge_power_mat,
+                              _wedge_scatter, omega_power)
+from starsplit.operators import (IdentityReport, OperatorTable, _torsion_operator,
+                                 verify_commutation_suite, verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
 from test_operators import stokes_violating
@@ -46,23 +53,276 @@ class DenseTable(OperatorTable):
         return mat
 
 
+# ----------------------------------------------------------------------
+# the per-slot routes that the mask-built tables replace
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def ref_merge_table(n, a, p):
+    """Every a-subset mask A (rows) against every p-subset mask B (columns),
+    both in basis order: whether they are disjoint, the sign of merging A
+    before B, and the position of ``A | B`` among the (a+p)-subsets."""
+    A, B = (np.array([m for m, _ in _basis(n, r, 0)], dtype=np.intp).reshape(shape)
+            for r, shape in ((a, (-1, 1)), (p, (1, -1))))
+    masks = np.arange(1 << n)
+    count = sum((masks >> k) & 1 for k in range(n))
+    pairs = sum(((B >> k) & 1) * count[A >> (k + 1)] for k in range(n))
+    rank = np.zeros(1 << n, dtype=np.intp)
+    rank[[m for m, _ in _basis(n, a + p, 0)]] = np.arange(space_dim(n, a + p, 0))
+    return (A & B) == 0, 1 - 2 * (pairs & 1), rank[A | B]
+
+
+def ref_wedge_scatter(n, a, b, p, q):
+    """``theta ^ .`` from the (p,q)-slot as ``(rows, cols, terms, signs)``,
+    from the merge tables of the holomorphic and antiholomorphic masks."""
+    free_i, sign_i, rank_i = ref_merge_table(n, a, p)
+    free_j, sign_j, rank_j = ref_merge_table(n, b, q)
+    ia, ip, jb, jq = np.nonzero(free_i[:, :, None, None] & free_j[None, None, :, :])
+    signs = sign_i[ia, ip] * sign_j[jb, jq] * (1 - 2 * (p * b & 1))
+    rows = rank_i[ia, ip] * space_dim(n, 0, q + b) + rank_j[jb, jq]
+    return rows, ip * free_j.shape[1] + jq, ia * free_j.shape[0] + jb, signs
+
+
+def ref_scatter_table(pieces):
+    """``(pos, terms, signs)`` from pieces of the same form: repeated
+    (position, term) pairs merged, zero sums dropped, ordered by position
+    and then term, as int32 and int8."""
+    pos, terms, signs = (np.concatenate([piece[m] for piece in pieces] or [np.zeros(0, int)])
+                         for m in range(3))
+    width = int(terms.max(initial=0)) + 1
+    keys, inverse = np.unique(pos.astype(np.int64) * width + terms, return_inverse=True)
+    summed = np.bincount(inverse.reshape(-1), signs, len(keys)).astype(np.int64)
+    keep = summed != 0
+    return ((keys[keep] // width).astype(np.int32), (keys[keep] % width).astype(np.int32),
+            summed[keep].astype(np.int8))
+
+
+def ref_derivation_scatter(n, part, p, q):
+    """del or dbar from the (p,q)-slot by the Leibniz rule, each generator
+    removed through a merge table and each wedge read off
+    ``ref_wedge_scatter``."""
+    tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
+    ncols = space_dim(n, p, q)
+    pieces, offset = [], 0
+    for side, (a, b) in enumerate(metric._GENERATOR_SLOTS[part]):
+        rp, rq = (p - 1, q) if side == 0 else (p, q - 1)
+        if space_dim(n, rp, rq) and space_dim(n, tp, tq):
+            free, sign, rank = ref_merge_table(n, 1, (rp, rq)[side])
+            k, rest = np.nonzero(free)
+            other = np.arange(space_dim(n, (q, p)[side], 0))
+            k, rest, other = (np.repeat(k, len(other)), np.repeat(rest, len(other)),
+                              np.tile(other, len(k)))
+            ksign = sign[k, rest] * (1 - 2 * (p * side & 1))
+            if side == 0:
+                col = rank[k, rest] * space_dim(n, 0, q) + other
+                sub = rest * space_dim(n, 0, q) + other
+            else:
+                col = other * space_dim(n, 0, q) + rank[k, rest]
+                sub = other * space_dim(n, 0, rq) + rest
+            rows, cols, terms, signs = ref_wedge_scatter(n, a, b, rp, rq)
+            i, j = _join(sub, cols)
+            pieces.append((rows[j] * ncols + col[i], offset + terms[j] * n + k[i],
+                           ksign[i] * signs[j]))
+        offset += space_dim(n, a, b) * n
+    return ref_scatter_table(pieces)
+
+
+def ref_lefschetz_nonzeros(n, name, p, q):
+    """``(rows, cols, signs)``: the nonzeros ``i * signs`` of L or Lambda,
+    read off the dense slot matrix."""
+    mat = _slot_mat(n, name, p, q)[0]
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols].imag.astype(np.int8)
+
+
+def ref_operator_table(n, lef, op, p, q, lookup):
+    """X = ``op`` from the (p,q)-slot, or ``-i [F, X]`` with F = ``lef``,
+    as a table over the values of X: a commutator joins X's entries (from
+    ``lookup``) with the nonzeros of F on either side."""
+    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
+    ncols, tp, tq = space_dim(n, p, q), p + fp + xp, q + fq + xq
+    if not (ncols and space_dim(n, tp, tq)):
+        return ref_scatter_table([])
+    if op in ("del", "dbar") and not lef:
+        return ref_derivation_scatter(n, op == "dbar", p, q)
+
+    def entries(p, q):
+        if op in ("wdel", "wdbar"):
+            return ref_wedge_scatter(n, xp, xq, p, q)
+        pos, terms, signs = lookup(n, "", op, p, q)
+        return (*np.divmod(pos, space_dim(n, p, q)), terms, signs)
+
+    pieces = []
+    if space_dim(n, p + xp, q + xq):
+        rows, cols, terms, signs = entries(p, q)
+        fr, fc, fv = ref_lefschetz_nonzeros(n, lef, p + xp, q + xq)
+        i, j = _join(rows, fc)
+        pieces.append((fr[j] * ncols + cols[i], terms[i], signs[i] * fv[j]))
+    if space_dim(n, p + fp, q + fq):
+        rows, cols, terms, signs = entries(p + fp, q + fq)
+        fr, fc, fv = ref_lefschetz_nonzeros(n, lef, p, q)
+        i, j = _join(cols, fr)
+        pieces.append((rows[i] * ncols + fc[j], terms[i], -signs[i] * fv[j]))
+    return ref_scatter_table(pieces)
+
+
+ref_operator_scatter = lru_cache(maxsize=None)(
+    lambda *key: ref_operator_table(*key, ref_operator_scatter))
+
+
+def ref_whole_scatter(n, lef, op, lookup):
+    """The slot tables of ``ref_operator_table`` concatenated slot after
+    slot, positions renumbered to number the entries, with the entries'
+    rows and columns over all slots."""
+    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
+    dims, start = _slot_starts(n)
+    tables, rows, cols, count = [], [], [], 0
+    for p in range(n + 1):
+        for q in range(n + 1):
+            pos, terms, signs = lookup(n, lef, op, p, q)
+            if not len(pos):
+                continue
+            first = np.ones(len(pos), dtype=bool)
+            first[1:] = pos[1:] != pos[:-1]
+            tables.append((count - 1 + np.cumsum(first), terms, signs))
+            row, col = np.divmod(pos[first], dims[p, q])
+            rows.append(start[p + fp + xp, q + fq + xq] + row)
+            cols.append(start[p, q] + col)
+            count += len(row)
+    out = tuple(np.concatenate([t[m] for t in tables] or [np.zeros(0, dtype)]).astype(dtype)
+                for m, dtype in enumerate((np.int32, np.int32, np.int8)))
+    empty = [np.zeros(0, np.int32)]
+    return out, np.concatenate(rows or empty), np.concatenate(cols or empty)
+
+
+def ref_torsion_layout(n):
+    """``operators._torsion_layout`` with every whole-slot table the
+    concatenation of per-slot tables (``ref_whole_scatter``)."""
+    lookup = lru_cache(maxsize=None)(lambda *key: ref_operator_table(*key, lookup))
+    ops = {name: _torsion_operator(spec) for name, spec in operators._TORSION_OPERATORS.items()}
+    named = {(lef, op): name for name, (lef, op, _) in ops.items()}
+    tables, entries, flips = {}, {}, {}
+    for name, (lef, op, scale) in ops.items():
+        if op in _ADJOINT_OF:
+            base = named[_adjoint_base(lef, op)]
+            rows, cols, sign = _star_conjugate(n, *entries[base])
+            ratio = ((scale or 1) / (ops[base][2] or 1)).real
+            flips[name] = base, np.append(sign * ratio < 0, False)
+        else:
+            table, rows, cols = ref_whole_scatter(n, lef, op, lookup)
+            tables[name] = table, len(rows)
+        entries[name] = rows, cols
+    lookup.cache_clear()
+    aligned = {}
+    for identity, (_, summands, adjoint, rhs) in operators._TORSION_IDENTITIES.items():
+        names = summands + (rhs,)
+        ats = operators._align(n, [entries[name][::-1] if adjoint and name != rhs
+                                   else entries[name] for name in names])
+        aligned[identity] = tuple((name, at, None) if name not in flips
+                                  else (flips[name][0], at, flips[name][1][at])
+                                  for name, at in zip(names, ats))
+    return tables, aligned
+
+
+def dense_pointwise_entries(table):
+    """The identities of n alone evaluated slot by slot over the chains of
+    ``table`` (a01 to a04 and a11 to a13, from n = 3 on b01 to b04 and b08
+    to b12), with their largest residuals."""
+    n = table.n
+    m, ch, slots = table.mat, table.chain, table.bidegrees
+    rep = IdentityReport("", "", math.inf)
+    eye = lambda p, q: np.eye(space_dim(n, p, q))
+    bracket = lambda a, b, p, q: ch([a, b], p, q) - ch([b, a], p, q)
+
+    rep.check("a01_lambda_l_commutator", "[Lam,L] = (n-k) Id on k-forms", lambda: (
+        bracket("Lam", "L", p, q) - (n - p - q) * eye(p, q) for p, q in slots()))
+    for r in (2, 3):
+        rep.check(f"a02_l_power_lambda_commutator_r{r}",
+                  f"[L^{r},Lam] = {r}(k-n+{r - 1}) L^{r - 1} on k-forms", lambda: (
+                      ch(["L"] * r + ["Lam"], p, q) - ch(["Lam"] + ["L"] * r, p, q)
+                      - r * (p + q - n + r - 1) * ch(["L"] * (r - 1), p, q) for p, q in slots()))
+    rep.check("a03_star_intertwines_l_lambda", "star L = Lam star, star Lam = L star", lambda: (
+        ch(["star", a], p, q) - ch([b, "star"], p, q)
+        for p, q in slots() for a, b in (("L", "Lam"), ("Lam", "L"))))
+    rep.check("a04_star_involution", "star star = (-1)^deg Id", lambda: (
+        ch(["star", "star"], p, q) - (-1.0 if (p + q) % 2 else 1.0) * eye(p, q)
+        for p, q in slots()))
+
+    def primitive_star(p, q):
+        k, prim = p + q, _primitive_part(n, p, q, 0)
+        sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
+        perm, phase = _star_perm(n, p, q)
+        return phase[:, None] * prim[perm] - sign * _wedge_power_mat(n, n - k, p, q) @ prim
+
+    rep.check("a11_primitive_star_formula",
+              "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
+              lambda: (primitive_star(p, q) for p, q in slots() if p + q <= n))
+    rep.check("a12_complementary_star_pairing",
+              "alpha ^ beta = star alpha ^ star beta when degrees sum to 2n", lambda: (
+                  _top_pairing(n, p, q)
+                  - m("star", p, q).T @ _top_pairing(n, n - q, n - p) @ m("star", n - p, n - q)
+                  for p, q in slots()))
+    w, w_top = m("L", 0, 0)[:, 0], _wedge_power_mat(n, n - 1, 0, 0)[:, 0]
+    rep.check("a13_trace_pairing_top",
+              "omega ^ Gamma = star(Gamma) ^ omega_(n-1) for real (n-1,n-1) Gamma", lambda: [
+                  w @ _top_pairing(n, 1, 1)
+                  - w_top @ _top_pairing(n, 1, 1).T @ m("star", n - 1, n - 1)])
+    if n < 3:
+        return tuple(rep.entries)
+
+    lam = lambda k: m("Lam", k, k)
+    wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
+    div = np.linalg.inv(wedge(n - 2, 1))
+    Lw, star1, star_top = m("L", 0, 0), m("star", 1, 1), m("star", n - 1, n - 1)
+    Tm, Sm = m("T", 1, 1), m("S", n - 1, n - 1)
+    trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
+    dim4 = (n >= 4, "needs n >= 4")
+
+    rep.check("b01_t_operator_routes", "T = (omega_(n-2)^.)^-1 star = -Id + Lam(.) omega/(n-1)",
+              lambda: [Tm - div @ star1])
+    rep.check("b02_s_operator_routes",
+              "S = star (omega_(n-2)^.)^-1 = -Id + Lam(star .) omega_(n-1)/(n-1)",
+              lambda: [Sm - star1 @ div])
+    rep.check("b03_s_star_t_intertwine", "S star = star T on (1,1)-forms",
+              lambda: [Sm @ star1 - star1 @ Tm])
+    rep.check("b04_star_s_division", "star S = T star = (omega_(n-2)^.)^-1",
+              lambda: [star_top @ Sm - div, Tm @ star_top - div])
+    rep.check("b08_division_trace_22",
+              "(omega_(n-2)^.)^-1(G ^ omega_(n-3)) = Lam G - Lam^2(G) omega/(2(n-1)) on (2,2)",
+              lambda: [div @ wedge(n - 3, 2) - trace22])
+    rep.check("b09_trace_square_ratio", "Lam^2(G)/2 = (G ^ omega_(n-2))/omega_n on (2,2)",
+              lambda: [wedge(n - 2, 2) / _volume_coeff(n) - 0.5 * lam(1) @ lam(2)])
+    rep.check("b10_star_wedge_22", "star(G ^ omega_(n-3)) = -Lam G + Lam^2(G) omega/2 on (2,2)",
+              lambda: [star_top @ wedge(n - 3, 2) + lam(2) - 0.5 * Lw @ lam(1) @ lam(2)])
+    lam3 = lambda: lam(1) @ lam(2) @ lam(3)
+    rep.check("b11_star_wedge_33",
+              "star(O ^ omega_(n-4)) = -Lam^2 O/2 + Lam^3(O) omega/6 on (3,3)",
+              lambda: [star_top @ wedge(n - 4, 3) + 0.5 * lam(2) @ lam(3) - Lw @ lam3() / 6.0],
+              dim4, skip_anchor="star(O ^ omega_(n-4)) = ... on (3,3)")
+    rep.check("b12_division_trace_33",
+              "(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = Lam^2(O)/2 - Lam^3(O) omega/(3(n-1))",
+              lambda: [div @ wedge(n - 4, 3) - 0.5 * lam(2) @ lam(3)
+                       + Lw @ lam3() / (3 * (n - 1))],
+              dim4, skip_anchor="(omega_(n-2)^.)^-1(O ^ omega_(n-4)) = ...")
+    return tuple(rep.entries)
+
+
 def _bracket_table(n, lef, op, p, q):
     """The per-slot table of ``-i [F, X]`` from the (p,q)-slot over the
     values of X, or, for an adjoint X = ``-star D star``, over those of D:
     the table of ``-i [F', D]`` (``star L = Lam star``) on the star of the
     slot, renumbered through ``metric._star_conjugate``."""
     if op not in _ADJOINT_OF:
-        return _operator_scatter(n, lef, op, p, q)
+        return ref_operator_scatter(n, lef, op, p, q)
     (fp, fq), (xp, xq) = _SHIFTS[lef], OperatorTable._SHIFTS[op]
     tp, tq, ncols = p + fp + xp, q + fq + xq, space_dim(n, p, q)
     if not (ncols and space_dim(n, tp, tq)):
-        return _scatter_table([])
-    pos, terms, signs = _operator_scatter(n, *_adjoint_base(lef, op), n - q, n - p)
+        return ref_scatter_table([])
+    pos, terms, signs = ref_operator_scatter(n, *_adjoint_base(lef, op), n - q, n - p)
     start = _slot_starts(n)[1]
     row, col = np.divmod(pos, ncols)
     row, col, sign = _star_conjugate(n, start[n - tq, n - tp] + row, start[n - q, n - p] + col)
-    return _scatter_table([((row - start[tp, tq]) * ncols + col - start[p, q], terms,
-                            signs * sign)])
+    return ref_scatter_table([((row - start[tp, tq]) * ncols + col - start[p, q], terms,
+                               signs * sign)])
 
 
 def _scaled_bracket(table, a, b, p, q, factor):
@@ -129,9 +389,8 @@ def test_star_perm_reproduces_star_matrix(n):
 
 def _requested_chains(monkeypatch, M, g, gamma):
     """Every (names, p, q) that either suite passes to ``chain``, directly
-    or while building a composite matrix, the identities of n alone
-    included: their per-dimension cache is emptied first."""
-    operators._dimension_entries.cache_clear()
+    or while building a composite matrix, and that the slot-by-slot
+    evaluation of the identities of n alone does."""
     requests = set()
     chain = OperatorTable.chain
 
@@ -142,6 +401,7 @@ def _requested_chains(monkeypatch, M, g, gamma):
     monkeypatch.setattr(OperatorTable, "chain", recording_chain)
     verify_commutation_suite(M, g)
     verify_operator_identities(M, g, gamma)
+    dense_pointwise_entries(OperatorTable(M, g))
     monkeypatch.undo()
     return requests
 
@@ -197,16 +457,23 @@ def _models_of_dimension(n):
     return InvariantComplexManifold(f"torus_{n}", n, {})
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_dimension_entries_equal_a_fresh_dense_evaluation(rng, n):
-    """The cached entries of the identities of n alone read, bit for bit,
-    what a per-slot evaluation over dense chains on another manifold and
-    metric reads."""
+    """The cached entries of the identities of n alone, sums of products on
+    all slots at once, report what a per-slot evaluation over dense chains
+    on another manifold and metric reports: the same ids, anchors, pass
+    states and skip reasons, and no residual above the dense one by more
+    than 1e-14 (those of L, Lambda and star alone are exact)."""
     operators._dimension_entries.cache_clear()
     cached = operators._dimension_entries(n)
-    fresh = operators._pointwise_entries(DenseTable(_models_of_dimension(n),
-                                                    random_pd_metric(n, rng)))
-    assert cached == fresh
+    fresh = dense_pointwise_entries(DenseTable(_models_of_dimension(n), random_pd_metric(n, rng)))
+    assert ([(e.identity, e.anchor, e.passed, e.skipped_reason) for e in cached]
+            == [(e.identity, e.anchor, e.passed, e.skipped_reason) for e in fresh])
+    for got, ref in zip(cached, fresh):
+        assert (got.residual is None) == (ref.residual is None), got.identity
+        assert got.residual is None or got.residual <= ref.residual + 1e-14, (got, ref)
+    exact = {"a01", "a02", "a03", "a04", "a12", "a13", "b03", "b09", "b10"}
+    assert all(e.residual == 0.0 for e in cached if e.identity[:3] in exact)
     expected = {"a01", "a02", "a03", "a04", "a11", "a12", "a13"}
     if n >= 3:
         expected |= {"b01", "b02", "b03", "b04", "b08", "b09", "b10", "b11", "b12"}
@@ -307,30 +574,34 @@ def test_derivation_table_reproduces_the_phi_basis_d_matrices():
 
 
 def test_first_order_tables_stay_small():
-    """Both per-dimension tables, over every slot of dimension 5, hold
-    less than 2 MiB."""
+    """The per-slot tables that a table's del, dbar and theta wedges read,
+    over every slot of dimension 5, hold less than 2 MiB."""
     held = sum(arr.nbytes
                for p in range(6) for q in range(6) for part in (0, 1)
                for table in (_derivation_scatter(5, part, p, q),
-                             _operator_scatter(5, "Lam", ("wdel", "wdbar")[part], p, q))
+                             _wedge_scatter(5, *_SHIFTS[("wdel", "wdbar")[part]], p, q))
                for arr in table)
     assert held < 2 << 20, held
 
 
 def _scatter_tables(n):
-    """``(shape, table)`` of every ``_derivation_scatter`` and
-    ``_operator_scatter`` table of dimension n."""
+    """``(shape, table)`` of every ``_derivation_scatter`` table of
+    dimension n, of every per-slot bracket table of the reference route,
+    and of every whole-slot table of ``_torsion_layout`` (a column of its
+    entries and the 0 after them)."""
     for p in range(n + 1):
         for q in range(n + 1):
             ncols = space_dim(n, p, q)
             for part in (0, 1):
                 tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
                 yield (space_dim(n, tp, tq), ncols), _derivation_scatter(n, part, p, q)
-            for lef in ("", "L", "Lam"):
-                for op in ("del", "dbar") + (("wdel", "wdbar") if lef else ()):
-                    fp, fq = _SHIFTS.get(lef, (0, 0))
+            for lef in ("L", "Lam"):
+                for op in ("del", "dbar", "wdel", "wdbar"):
+                    fp, fq = _SHIFTS[lef]
                     tp, tq = p + fp + _SHIFTS[op][0], q + fq + _SHIFTS[op][1]
-                    yield (space_dim(n, tp, tq), ncols), _operator_scatter(n, lef, op, p, q)
+                    yield (space_dim(n, tp, tq), ncols), ref_operator_scatter(n, lef, op, p, q)
+    for table, size in operators._torsion_layout(n)[0].values():
+        yield (size + 1, 1), table
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -427,18 +698,59 @@ def test_a_warm_commutation_suite_chains_only_for_a09_and_a10(monkeypatch, rng):
 
 def test_both_suites_keep_only_del_and_dbar_slot_tables(monkeypatch, rng):
     """The per-slot adjoints and torsion are chains, so after both suites
-    every ``_operator_scatter`` table is one of del or dbar."""
+    every ``_operator_scatter`` table is one of del or dbar (the operator
+    whose entries each build reads)."""
     _operator_scatter.cache_clear()
     built = []
-    build = metric._operator_table
-    monkeypatch.setattr(metric, "_operator_table",
-                        lambda *args: built.append(args[1:3]) or build(*args))
+    build = metric._operator_entries
+    monkeypatch.setattr(metric, "_operator_entries",
+                        lambda *args: built.append(("", args[1])) or build(*args))
     M = catalog.get("iwasawa5")[0]
     g = random_pd_metric(5, rng)
     verify_commutation_suite(M, g)
     verify_operator_identities(M, g, random_pd_metric(5, rng))
     assert _operator_scatter.cache_info().currsize == len(built)
     assert set(built) == {("", "del"), ("", "dbar")}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slot_tables_equal_the_merge_table_route(n):
+    """Per slot, the derivation tables read off the monomial masks equal
+    those of the merge-table route byte for byte, and the wedge tables hold
+    the same entries."""
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for part in (0, 1):
+                for a, b in zip(_derivation_scatter(n, part, p, q),
+                                ref_derivation_scatter(n, part, p, q)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (part, p, q)
+            for a, b in ((2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (n - p, n - q)):
+                got, ref = (sorted(zip(*(arr.tolist() for arr in table)))
+                            for table in (_wedge_scatter(n, a, b, p, q),
+                                          ref_wedge_scatter(n, a, b, p, q)))
+                assert got == ref, (a, b, p, q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_torsion_layout_equals_the_per_slot_route(n):
+    """The whole-slot tables, each built by one pass over the masks of
+    every monomial, and the alignments equal, byte for byte, those of the
+    per-slot tables concatenated slot after slot."""
+    operators._torsion_layout.cache_clear()
+    (tables, aligned), (ref_tables, ref_aligned) = operators._torsion_layout(n), \
+        ref_torsion_layout(n)
+    assert list(tables) == list(ref_tables)
+    for name, (table, size) in tables.items():
+        assert size == ref_tables[name][1], name
+        for a, b in zip(table, ref_tables[name][0]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert list(aligned) == list(ref_aligned)
+    for identity, operands in aligned.items():
+        for (name, at, negate), (ref_name, ref_at, ref_negate) in zip(operands,
+                                                                       ref_aligned[identity]):
+            assert name == ref_name and at.tobytes() == ref_at.tobytes(), identity
+            assert (negate is None) == (ref_negate is None), identity
+            assert negate is None or negate.tobytes() == ref_negate.tobytes(), identity
 
 
 # ----------------------------------------------------------------------

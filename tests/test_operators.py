@@ -9,8 +9,8 @@ from starsplit.errors import InputError
 from starsplit.forms import Form, basis_masks, space_dim
 from starsplit.metric import (_SHIFTS, HermitianMetric, _wedge_scatter, divide_by_power,
                               hodge_star, lefschetz_lambda, omega_power)
-from starsplit.operators import (_STOKES_REASON, IdentityReport, OperatorTable, P, Q, R, S, T,
-                                 verify_commutation_suite,
+from starsplit.operators import (_D_SQUARED_REASON, _STOKES_REASON, IdentityReport,
+                                 OperatorTable, P, Q, R, S, T, verify_commutation_suite,
                                  verify_operator_identities)
 
 
@@ -264,6 +264,28 @@ def test_suite_refuses_integral_links_without_stokes():
     assert ids["b05_p_operator_routes"].passed is True
     assert ids["b08_division_trace_22"].passed is True
     assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
+
+
+# d phi1 = phi2 ^ phi3 and d phi2 = phi1 ^ phibar1 (or phi1 ^ phibar2): Stokes
+# holds, but d d phi1 = d phi2 ^ phi3 is not zero
+NON_JACOBI = [{1: {"(2,0)": [(2, 3, "1")]}, 2: {"(1,1)": [(1, 1, "1")]}},
+              {1: {"(2,0)": [(2, 3, "1")]}, 2: {"(1,1)": [(1, 2, "1")]}}]
+
+
+@pytest.mark.parametrize("structure", NON_JACOBI)
+def test_pair_integral_links_are_skipped_where_d_squared_fails(rng, structure):
+    """b15 and b16 need d^2 = 0 as well as Stokes: asserted on these models,
+    b15 reads 0.5 at the identity metric (b16 too on the second).  Both are
+    skipped with its reason, and every other entry holds."""
+    M = InvariantComplexManifold("non_jacobi", 3, structure)
+    assert M.check_stokes() <= 1e-15 and M.check_integrability() >= 1.0
+    for g in (HermitianMetric.identity(3), random_pd_metric(3, rng)):
+        rep = verify_operator_identities(M, g, random_pd_metric(3, rng))
+        ids = {e.identity[:3]: e for e in rep.entries}
+        for key in ("b15", "b16"):
+            assert ids[key].passed is None
+            assert ids[key].skipped_reason == _D_SQUARED_REASON
+        assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
