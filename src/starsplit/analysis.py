@@ -53,7 +53,7 @@ from .complex_structure import (InvariantComplexManifold, PullbackMap, pullback,
 from .errors import AlgebraError, InputError
 from .forms import Form
 from .metric import (DEFAULT_TOL, HermitianMetric, _divide_e, _frame_norm,
-                     _omega_power_vec, _omega_vec, _star_mat, _top_pairing,
+                     _omega_power_vec, _omega_vec, _slot_mat, _top_pairing,
                      _volume_coeff, _wedge_power_mat, hodge_star, omega_power,
                      vec_to_form)
 
@@ -183,7 +183,7 @@ def _star_split(M: InvariantComplexManifold, omega_m: HermitianMetric,
     f_lambda = (n - 1) * (_wedge_power_mat(n, 1, 0, 0)[:, 0].conj() @ rho_e)
     to_phi = gamma_m.from_e_matrix(n - 1, n - 1)
     closed = to_phi @ (f / (n - 1) * _wedge_power_mat(n, n - 1, 0, 0)[:, 0]) - src
-    resid = float(np.abs(closed - to_phi @ (_star_mat(n, 1, 1) @ rho_e)).max())
+    resid = float(np.abs(closed - to_phi @ (_slot_mat(n, "star", 1, 1)[0] @ rho_e)).max())
     return _StarSplit(src, f, rho_e, abs(f - f_lambda), closed, resid)
 
 

@@ -16,8 +16,8 @@ star formula.  The per-bidegree operators are small dense matrices (at most
 frame where they do not depend on the metric and read off the monomial
 bitmasks (``_monomials``): the wedge with the monomials of one slot
 (``_wedge_masks``, per slot ``_wedge_scatter``), hence ``omega_r ^ .``
-(``_wedge_power_mat``) and the top pairing; the star, a signed
-permutation (``_star_all``, per slot ``_star_perm``); del and dbar, the
+(``_wedge_power_entries``); the top pairing and from it the star, a
+signed permutation (``_top_all``, ``_star_all``); del and dbar, the
 Leibniz rule over the differentials of the generators in any coframe
 (``_operator_entries``), per slot a table of ``_scatter`` (gathers and a
 bincount of the real and of the imaginary parts) and on all
@@ -194,10 +194,21 @@ def _wedge_masks(n: int, a: int, b: int, I: np.ndarray, J: np.ndarray
     return item, number[(A | I) << n | B | J], terms, signs, A | B
 
 
+def _wedge_power_entries(n: int, r: int, I: np.ndarray, J: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``omega_r ^ .`` on the mask pairs ``(I, J)``, standard frame, as
+    ``(item, number, vals)``: the products of ``_wedge_masks`` with the
+    terms ``e_K ^ ebar_K`` of ``omega_r = i^r (-1)^(r(r-1)/2) sum_K e_K ^
+    ebar_K`` over r-subsets K, which are its only nonzero coefficients."""
+    item, number, _, signs, theta = _wedge_masks(n, r, r, I, J)
+    diagonal = _monomials(n)[3][theta] == r
+    return item[diagonal], number[diagonal], 1j ** r * (-1) ** (r * (r - 1) // 2) * signs[diagonal]
+
+
 def _operator_entries(n: int, op: str, I: np.ndarray, J: np.ndarray
                       ) -> List[Tuple[np.ndarray, ...]]:
     """X = ``op`` (del, dbar, "wdel" or "wdbar") on the mask pairs ``(I,
-    J)`` over the values of ``_derivation_scatter`` or ``_wedge_scatter``,
+    J)`` over the values of ``_operator_scatter`` or ``_wedge_scatter``,
     in pieces ``(rows, cols, terms, signs, theta)``: the wedge with the
     monomial of masks ``theta`` after a contraction.  del and dbar are the
     Leibniz rule, with ``e_I = (-1)^#(I below k) e_k ^ e_{I-k}``,
@@ -250,8 +261,9 @@ def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
     return _frozen(rows - _slot_starts(n)[1][min(p + a, n), min(q + b, n)], cols, terms, signs)
 
 
-def _derivation_scatter(n: int, part: int, p: int, q: int
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _operator_scatter(n: int, part: int, p: int, q: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """del (part 0) or dbar (part 1) from the (p,q)-slot as a table of
     ``_scatter`` over the generator differentials in any coframe:
     ``concatenate([Dh.ravel(), Da.ravel()])``, column k of ``Dh`` (``Da``)
@@ -260,9 +272,6 @@ def _derivation_scatter(n: int, part: int, p: int, q: int
         _operator_entries(n, ("del", "dbar")[part], *_slot_monomials(n, p, q)), 2 * n)
     pos = (rows - _slot_starts(n)[1][min(p + 1 - part, n), min(q + part, n)]) * space_dim(n, p, q)
     return _frozen((pos + cols).astype(np.int32), terms.astype(np.int32), signs)
-
-
-_operator_scatter = lru_cache(maxsize=None)(_derivation_scatter)   # the slot tables kept
 
 
 def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
@@ -302,18 +311,30 @@ def _whole_table(n: int, bracket: bool, entries: List[Tuple[np.ndarray, ...]]
 
 
 @lru_cache(maxsize=None)
-def _star_all(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Hodge star on all slots (``_slot_starts``) at once, by masks:
-    ``star(e_I ^ ebar_J) = phase e_{J^c} ^ ebar_{I^c}``, the phase that of
-    ``_star_mat``, ``(-1)^(pq) _volume_coeff(n)`` times the top coefficient
-    of ``e_J ^ ebar_I ^ e_{J^c} ^ ebar_{I^c}``; as ``(perm, inverse,
-    phase)``, ``star @ x == phase * x[perm]``."""
+def _top_all(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The top pairing on all slots (``_slot_starts``) at once: ``e_I ^
+    ebar_J ^ e_{I^c} ^ ebar_{J^c} = sign e_full ^ ebar_full``, and no other
+    monomial pairs with it; per monomial ``(partner, sign)``."""
     hol, anti, number, count, merge = _monomials(n)
-    full, P, Q = (1 << n) - 1, count[hol], count[anti]
-    inverse = number[(full ^ anti) << n | full ^ hol]
+    full = (1 << n) - 1
+    return _frozen(number[(full ^ hol) << n | full ^ anti], merge[hol << n | full ^ hol]
+                   * merge[anti << n | full ^ anti] * (1 - 2 * ((n - count[hol]) * count[anti] & 1)))
+
+
+@lru_cache(maxsize=None)
+def _star_all(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hodge star on all slots (``_slot_starts``) at once.  The defining
+    pairing ``u ^ star(w) = <u, conj(w)> dV`` over monomials gives
+    ``star(e_I ^ ebar_J) = (-1)^(pq) _volume_coeff(n) t e_{J^c} ^
+    ebar_{I^c}``, t the ``_top_all`` sign of the conjugate monomial ``e_J ^
+    ebar_I``; as ``(perm, inverse, phase)``, ``star @ x == phase * x[perm]``."""
+    hol, anti, number, count, _ = _monomials(n)
+    partner, sign = _top_all(n)
+    conj = number[anti << n | hol]
+    inverse = partner[conj]
     perm = np.argsort(inverse)
-    top = merge[hol << n | full ^ hol] * merge[anti << n | full ^ anti] * (-1) ** ((n - Q) * P)
-    return _frozen(perm, inverse, ((1 - 2 * (P * Q & 1)) * _volume_coeff(n) * (top + 0j))[perm])
+    return _frozen(perm, inverse, ((1 - 2 * (count[hol] * count[anti] & 1)) * _volume_coeff(n)
+                                   * (sign[conj] + 0j))[perm])
 
 
 def _star_conjugate(n: int, rows: np.ndarray, cols: np.ndarray
@@ -329,14 +350,10 @@ def _star_conjugate(n: int, rows: np.ndarray, cols: np.ndarray
 @lru_cache(maxsize=None)
 def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
     """Matrix of ``omega_r ^ .`` from the (p,q)-slot to the (p+r,q+r)-slot,
-    standard frame: the entries of ``_wedge_scatter`` at the terms
-    ``e_K ^ ebar_K`` of ``omega_r = i^r (-1)^(r(r-1)/2) sum_K e_K ^ ebar_K``
-    over r-subsets K, which are its only nonzero coefficients.  The table
-    is not kept: the matrix is."""
-    rows, cols, terms, signs = _wedge_scatter.__wrapped__(n, r, r, p, q)
-    diagonal = np.isin(terms, [_index(n, r, r)[(k, k)] for k, _ in _basis(n, r, 0)])
+    standard frame: ``_wedge_power_entries`` on the slot's monomials."""
+    cols, rows, vals = _wedge_power_entries(n, r, *_slot_monomials(n, p, q))
     mat = np.zeros((space_dim(n, p + r, q + r), space_dim(n, p, q)), dtype=complex)
-    mat[rows[diagonal], cols[diagonal]] = 1j ** r * (-1) ** (r * (r - 1) // 2) * signs[diagonal]
+    mat[rows - _slot_starts(n)[1][min(p + r, n), min(q + r, n)], cols] = vals
     mat.setflags(write=False)
     return mat
 
@@ -345,17 +362,20 @@ def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
 def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
     """Orthonormal-frame matrix of a pointwise operator on the (p,q)-slot
     and its target slot: "L" is ``omega ^ .``, "Lam" its adjoint, "star"
-    the Hodge star, "T" and "S" the divisions of ``_division_mat``.
-    Built once per dimension and read-only."""
-    if name == "star":
-        return _star_mat(n, p, q), n - q, n - p
+    the Hodge star (the signed permutation ``_star_perm``), "T" and "S"
+    the divisions of ``_division_mat``.  Built once per dimension and
+    read-only."""
     if name in ("T", "S"):
         k = 1 if name == "T" else n - 1
         if (p, q) != (k, k):
             raise InputError(f"{name} expects a ({k},{k})-form, got bidegree ({p},{q})")
         return _division_mat(n, name), p, q
-    tp, tq = (p + 1, q + 1) if name == "L" else (p - 1, q - 1)
-    if not (space_dim(n, p, q) and space_dim(n, tp, tq)):
+    tp, tq = {"star": (n - q, n - p), "L": (p + 1, q + 1)}.get(name, (p - 1, q - 1))
+    if name == "star":
+        perm, phase = _star_perm(n, p, q)
+        mat = np.zeros((len(perm),) * 2, dtype=complex)
+        mat[np.arange(len(perm)), perm] = phase
+    elif not (space_dim(n, p, q) and space_dim(n, tp, tq)):
         mat = np.zeros((space_dim(n, tp, tq), space_dim(n, p, q)), dtype=complex)
     elif name == "L":
         mat = _wedge_power_mat(n, 1, p, q)
@@ -375,7 +395,7 @@ def _division_mat(n: int, name: str) -> np.ndarray:
     L = _wedge_power_mat(n, 1, 0, 0)
     mat = -np.eye(n * n) + L @ L.conj().T / (n - 1)
     if name == "S":
-        mat = _star_mat(n, 1, 1) @ mat @ _star_mat(n, n - 1, n - 1)
+        mat = _slot_mat(n, "star", 1, 1)[0] @ mat @ _slot_mat(n, "star", n - 1, n - 1)[0]
     mat.setflags(write=False)
     return mat
 
@@ -385,34 +405,19 @@ def _top_pairing(n: int, p: int, q: int) -> np.ndarray:
     """Top coefficient of ``a ^ b`` for the monomials a of the (p,q)-slot
     (rows) and b of the (n-p,n-q)-slot (columns); the same in every
     coframe, so ``integral(u ^ v) = u @ _top_pairing @ v / _volume_coeff(n)``
-    on phi-basis coefficient vectors.  It is ``_wedge_scatter``'s table of
-    ``a ^ .`` into the one-dimensional top slot: ``e_I ^ ebar_J`` pairs
-    only with its complement."""
-    _, cols, terms, signs = _wedge_scatter.__wrapped__(n, p, q, n - p, n - q)
-    mat = np.zeros((space_dim(n, p, q), space_dim(n, n - p, n - q)), dtype=complex)
-    mat[terms, cols] = signs
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=None)
-def _star_mat(n: int, p: int, q: int) -> np.ndarray:
-    """Matrix of the Hodge star from the (p,q)-slot to the (n-q,n-p)-slot
-    in the orthonormal frame.  The defining pairing ``u ^ star(w) = <u,
-    conj(w)> dV`` over monomials makes it the transposed (signed
-    permutation) pairing of the (q,p)-slot, read at the conjugate monomial
-    ``e_J ^ ebar_I`` of each ``e_I ^ ebar_J`` and scaled by
-    ``(-1)^(pq) _volume_coeff(n)``."""
-    conj = [_index(n, q, p)[(j, i)] for i, j in _basis(n, p, q)]
-    mat = (-1) ** (p * q) * _volume_coeff(n) * _top_pairing(n, q, p).T[:, conj]
+    on phi-basis coefficient vectors: the slot's rows of ``_top_all``."""
+    dims, start = _slot_starts(n)
+    partner, sign = (arr[start[p, q]:start[p, q] + dims[p, q]] for arr in _top_all(n))
+    mat = np.zeros((dims[p, q], dims[n - p, n - q]), dtype=complex)
+    mat[np.arange(dims[p, q]), partner - start[n - p, n - q]] = sign
     mat.setflags(write=False)
     return mat
 
 
 @lru_cache(maxsize=None)
 def _star_perm(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_star_mat(n, p, q)`` as the signed permutation it is, read off
-    ``_star_all``: ``(perm, phase)``, ``_star_mat @ x == phase * x[perm]``."""
+    """The Hodge star from the (p,q)-slot to the (n-q,n-p)-slot, the slot's
+    rows of ``_star_all``: ``(perm, phase)``, ``star @ x == phase * x[perm]``."""
     dims, start = _slot_starts(n)
     rows = slice(start[n - q, n - p], start[n - q, n - p] + dims[p, q])
     perm, _, phase = _star_all(n)

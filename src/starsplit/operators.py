@@ -77,8 +77,8 @@ from .forms import Form, space_dim
 from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _adjoint_base, _frozen,
                      _join, _monomials, _omega_power_vec, _operator_entries, _operator_scatter,
                      _scatter, _slot_mat, _slot_starts, _star_all, _star_conjugate, _star_perm,
-                     _top_pairing, _volume_coeff, _wedge_masks, _wedge_power_mat, _wedge_scatter,
-                     _whole_table)
+                     _top_all, _top_pairing, _volume_coeff, _wedge_power_entries,
+                     _wedge_power_mat, _wedge_scatter, _whole_table)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +171,8 @@ class OperatorTable:
         if not all(shape):
             return np.zeros(shape, dtype=complex)
         if name in ("del", "dbar"):
-            mat = _scatter(shape, _operator_scatter(n, name == "dbar", p, q), self._values(name))
+            mat = _scatter(shape, _operator_scatter(n, int(name == "dbar"), p, q),
+                           self._values(name))
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
         elif name in ("wdel", "wdbar"):
@@ -387,22 +388,17 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
     """The entries whose matrices depend on n alone, with their largest
     residuals: a01 to a04 and a11 to a13 as sums of products of L, Lambda,
     star and the top pairing on all slots at once (``_Sparse``; ``omega_r ^
-    .`` is ``L^r / r!``), from n = 3 on b01 to b04 and b08 to b12 on their
-    dense slot matrices, the division by ``omega_{n-2}`` the one inverse.
-    Each suite judges them by its own tolerance (``IdentityReport.reuse``)."""
-    hol, anti, number, count, merge = _monomials(n)
-    dims, start = _slot_starts(n)
-    every, full, deg_p, deg_q = np.arange(4 ** n), (1 << n) - 1, count[hol], count[anti]
+    .`` is ``L^r / r!``), from n = 3 on b01 to b04 and b08 to b12 on the
+    slot matrices the operators apply, the division by ``omega_{n-2}`` the
+    one inverse.  Each suite judges them by its own tolerance."""
+    hol, anti, _, count, _ = _monomials(n)
+    every, deg_p, deg_q = np.arange(4 ** n), count[hol], count[anti]
     deg = deg_p + deg_q
     eye = lambda factor: _Sparse(every, every, factor * np.ones(4 ** n, dtype=complex))
-    cols, rows, _, signs, theta = _wedge_masks(n, 1, 1, hol, anti)
-    omega = count[theta] == 1   # L = omega ^ . = i sum_k e_k ^ ebar_k ^ .
-    L = _Sparse(rows[omega], cols[omega], 1j * signs[omega])
-    transpose = lambda x: _Sparse(x.cols, x.rows, x.vals)
+    cols, rows, vals = _wedge_power_entries(n, 1, hol, anti)
+    L, transpose = _Sparse(rows, cols, vals), lambda x: _Sparse(x.cols, x.rows, x.vals)
     Lam, star = -1 * transpose(L), _Sparse(every, _star_all(n)[0], _star_all(n)[2])
-    # e_I ^ ebar_J against its complement, signed as by _wedge_masks
-    top = _Sparse(every, number[(full ^ hol) << n | full ^ anti], 0j + merge[hol << n | full ^ hol]
-                  * merge[anti << n | full ^ anti] * (1 - 2 * ((n - deg_p) * deg_q & 1)))
+    top = _Sparse(every, _top_all(n)[0], _top_all(n)[1] + 0j)
     W = [eye(1.0)]   # omega_r ^ .
     for r in range(1, max(n, 3) + 1):
         x = L @ W[-1]
@@ -446,21 +442,13 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
     if n < 3:
         return tuple(rep.entries)
 
-    def m(x, p, q):   # the dense matrix of x on the (p,q)-slot, into one slot
-        x = x.where((deg_p == p) & (deg_q == q)).summed()
-        to = np.searchsorted(start.ravel(), x.rows[0], side="right") - 1
-        out = np.zeros((dims.ravel()[to], dims[p, q]), dtype=complex)
-        out[x.rows - start.ravel()[to], x.cols - start[p, q]] = x.vals
-        return out
-
-    # frame matrices: Lam on the (k,k)-slot, omega_r ^ . from it, and the
-    # division by omega_{n-2}
-    lam = lambda k: m(Lam, k, k)
-    wedge = lambda r, k: m(W[r], k, k)
+    # the frame matrices the operators apply, and the division by omega_{n-2}
+    m = lambda name, k: _slot_mat(n, name, k, k)[0]
+    lam = partial(m, "Lam")
+    wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
     div = np.linalg.inv(wedge(n - 2, 1))
-    Lw, star1, star_top = m(L, 0, 0), m(star, 1, 1), m(star, n - 1, n - 1)
-    Tm = Lw @ lam(1) / (n - 1) - np.eye(n * n)
-    Sm = star1 @ Tm @ star_top
+    Lw, star1, star_top = m("L", 0), m("star", 1), m("star", n - 1)
+    Tm, Sm = m("T", 1), m("S", n - 1)
     trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
     dim4 = (n >= 4, "needs n >= 4")
 
@@ -609,8 +597,9 @@ def _torsion_buffers(n: int) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndar
 
 def _torsion_residuals(table: OperatorTable) -> Dict[str, Callable[[], np.ndarray]]:
     """Per identity, a callable giving its residual at each position of its
-    ``_torsion_layout`` alignment, valid until the next call: the tables
-    scattered into, and gathered from, ``_torsion_buffers``.  A scatter sums
+    ``_torsion_layout`` alignment, a view of the per-dimension
+    ``_torsion_buffers`` (scattered into and gathered from, the gathers
+    clipping) that the next residual or call for this n overwrites.  A scatter sums
     an entry as the slot's scatter does, negation is exact and a missing
     entry reads 0: bit for bit up to the sign of a zero, the slot residuals."""
     tables, aligned = _torsion_layout(table.n)

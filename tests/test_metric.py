@@ -8,7 +8,7 @@ from conftest import approx_equal, random_form, random_pd_metric
 from starsplit import metric
 from starsplit.errors import AlgebraError, InputError
 from starsplit.forms import Form, basis_masks, space_dim
-from starsplit.metric import (HermitianMetric, _slot_mat, _star_mat, _top_pairing,
+from starsplit.metric import (HermitianMetric, _slot_mat, _top_pairing,
                               _volume_coeff, _wedge_power_mat, compound,
                               divide_by_power, form_norm, form_to_vec, hodge_star,
                               inner_product, lefschetz_L, lefschetz_decompose,
@@ -457,7 +457,7 @@ def test_frame_tables_match_form_references(n):
     for p in range(n + 1):
         for q in range(n + 1):
             assert np.array_equal(_top_pairing(n, p, q), ref_top_pairing(n, p, q))
-            assert np.array_equal(_star_mat(n, p, q), ref_star_mat(n, p, q))
+            assert np.array_equal(_slot_mat(n, "star", p, q)[0], ref_star_mat(n, p, q))
             for r in range(n + 1 - max(p, q)):
                 assert np.array_equal(_wedge_power_mat(n, r, p, q),
                                       ref_wedge_power_mat(n, r, p, q))
@@ -494,7 +494,7 @@ def test_solve_matrices_match_least_squares_references(n, rng):
 
 def test_frame_tables_build_no_form(monkeypatch):
     caches = (metric._basis, metric._index, metric._wedge_power_mat, metric._top_pairing,
-              metric._star_mat, metric._division_mat, metric._division_solve,
+              metric._slot_mat, metric._division_mat, metric._division_solve,
               metric._primitive_part)
     for cache in caches:
         cache.cache_clear()

@@ -29,10 +29,9 @@ from starsplit import catalog, metric, operators
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.forms import space_dim
 from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _basis,
-                              _derivation_scatter, _join, _operator_scatter, _primitive_part,
-                              _scatter, _slot_mat, _slot_starts, _star_conjugate, _star_mat,
-                              _star_perm, _top_pairing, _volume_coeff, _wedge_power_mat,
-                              _wedge_scatter, omega_power)
+                              _index, _join, _operator_scatter, _primitive_part, _scatter,
+                              _slot_mat, _slot_starts, _star_conjugate, _star_perm, _top_pairing,
+                              _volume_coeff, _wedge_power_mat, _wedge_scatter, omega_power)
 from starsplit.operators import (IdentityReport, OperatorTable, _torsion_operator,
                                  verify_commutation_suite, verify_operator_identities)
 from test_cli import _N6_MODELS
@@ -124,6 +123,23 @@ def ref_derivation_scatter(n, part, p, q):
                            ksign[i] * signs[j]))
         offset += space_dim(n, a, b) * n
     return ref_scatter_table(pieces)
+
+
+def ref_top_pairing(n, p, q):
+    """The top pairing of the (p,q)-slot as the table of ``a ^ .`` into the
+    top slot, a running over the slot's monomials."""
+    _, cols, terms, signs = ref_wedge_scatter(n, p, q, n - p, n - q)
+    mat = np.zeros((space_dim(n, p, q), space_dim(n, n - p, n - q)), dtype=complex)
+    mat[terms, cols] = signs
+    return mat
+
+
+def ref_star_mat(n, p, q):
+    """The star as the transposed pairing of the (q,p)-slot, read at the
+    conjugate monomial ``e_J ^ ebar_I`` of each ``e_I ^ ebar_J`` and scaled
+    by ``(-1)^(pq) _volume_coeff(n)``."""
+    conj = [_index(n, q, p)[(j, i)] for i, j in _basis(n, p, q)]
+    return (-1) ** (p * q) * _volume_coeff(n) * ref_top_pairing(n, q, p).T[:, conj]
 
 
 def ref_lefschetz_nonzeros(n, name, p, q):
@@ -377,14 +393,19 @@ def assert_torsion_residuals_equal_the_per_slot_ones(table, fresh):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_star_perm_reproduces_star_matrix(n):
+    """The top pairing and the star, both read off the one sign formula of
+    ``metric._top_all``, equal the pairing route of the merge-table wedge
+    tables, and the star's slot matrix is its signed permutation."""
     for p in range(n + 1):
         for q in range(n + 1):
+            assert np.array_equal(_top_pairing(n, p, q), ref_top_pairing(n, p, q)), (p, q)
             perm, phase = _star_perm(n, p, q)
             assert sorted(perm) == list(range(len(perm)))
             assert set(phase.tolist()) <= {1, -1, 1j, -1j}
             dense = np.zeros((len(perm),) * 2, dtype=complex)
             dense[np.arange(len(perm)), perm] = phase
-            assert np.array_equal(dense, _star_mat(n, p, q)), (p, q)
+            assert np.array_equal(dense, ref_star_mat(n, p, q)), (p, q)
+            assert np.array_equal(dense, _slot_mat(n, "star", p, q)[0]), (p, q)
 
 
 def _requested_chains(monkeypatch, M, g, gamma):
@@ -568,7 +589,7 @@ def test_derivation_table_reproduces_the_phi_basis_d_matrices():
             for p in range(n + 1):
                 for q in range(n + 1):
                     ref = M.d_matrices(p, q)[part]
-                    got = _scatter(ref.shape, _derivation_scatter(n, part, p, q), gens)
+                    got = _scatter(ref.shape, _operator_scatter(n, part, p, q), gens)
                     bound = 1e-13 * max(1.0, np.abs(ref).max(initial=0.0))
                     assert np.abs(got - ref).max(initial=0.0) <= bound, (M.name, part, p, q)
 
@@ -578,14 +599,14 @@ def test_first_order_tables_stay_small():
     over every slot of dimension 5, hold less than 2 MiB."""
     held = sum(arr.nbytes
                for p in range(6) for q in range(6) for part in (0, 1)
-               for table in (_derivation_scatter(5, part, p, q),
+               for table in (_operator_scatter(5, part, p, q),
                              _wedge_scatter(5, *_SHIFTS[("wdel", "wdbar")[part]], p, q))
                for arr in table)
     assert held < 2 << 20, held
 
 
 def _scatter_tables(n):
-    """``(shape, table)`` of every ``_derivation_scatter`` table of
+    """``(shape, table)`` of every ``_operator_scatter`` table of
     dimension n, of every per-slot bracket table of the reference route,
     and of every whole-slot table of ``_torsion_layout`` (a column of its
     entries and the 0 after them)."""
@@ -594,7 +615,7 @@ def _scatter_tables(n):
             ncols = space_dim(n, p, q)
             for part in (0, 1):
                 tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
-                yield (space_dim(n, tp, tq), ncols), _derivation_scatter(n, part, p, q)
+                yield (space_dim(n, tp, tq), ncols), _operator_scatter(n, part, p, q)
             for lef in ("L", "Lam"):
                 for op in ("del", "dbar", "wdel", "wdbar"):
                     fp, fq = _SHIFTS[lef]
@@ -698,19 +719,28 @@ def test_a_warm_commutation_suite_chains_only_for_a09_and_a10(monkeypatch, rng):
 
 def test_both_suites_keep_only_del_and_dbar_slot_tables(monkeypatch, rng):
     """The per-slot adjoints and torsion are chains, so after both suites
-    every ``_operator_scatter`` table is one of del or dbar (the operator
-    whose entries each build reads)."""
+    ``_operator_scatter`` holds exactly the del (part 0) and dbar (part 1)
+    tables of the slots whose matrices the suites read, and nothing else."""
     _operator_scatter.cache_clear()
-    built = []
-    build = metric._operator_entries
-    monkeypatch.setattr(metric, "_operator_entries",
-                        lambda *args: built.append(("", args[1])) or build(*args))
+    read = set()
+    mat = OperatorTable.mat
+
+    def recording(self, name, p, q):
+        out = mat(self, name, p, q)
+        if name in ("del", "dbar") and out.size:
+            read.add((self.n, ("del", "dbar").index(name), p, q))
+        return out
+
+    monkeypatch.setattr(OperatorTable, "mat", recording)
     M = catalog.get("iwasawa5")[0]
     g = random_pd_metric(5, rng)
     verify_commutation_suite(M, g)
     verify_operator_identities(M, g, random_pd_metric(5, rng))
-    assert _operator_scatter.cache_info().currsize == len(built)
-    assert set(built) == {("", "del"), ("", "dbar")}
+    info = _operator_scatter.cache_info()
+    assert read and info.currsize == len(read)
+    for key in read:   # every one a hit: these are the keys the cache holds
+        _operator_scatter(*key)
+    assert _operator_scatter.cache_info().hits == info.hits + len(read)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -721,7 +751,7 @@ def test_slot_tables_equal_the_merge_table_route(n):
     for p in range(n + 1):
         for q in range(n + 1):
             for part in (0, 1):
-                for a, b in zip(_derivation_scatter(n, part, p, q),
+                for a, b in zip(_operator_scatter(n, part, p, q),
                                 ref_derivation_scatter(n, part, p, q)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (part, p, q)
             for a, b in ((2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (n - p, n - q)):
@@ -751,6 +781,24 @@ def test_torsion_layout_equals_the_per_slot_route(n):
             assert name == ref_name and at.tobytes() == ref_at.tobytes(), identity
             assert (negate is None) == (ref_negate is None), identity
             assert negate is None or negate.tobytes() == ref_negate.tobytes(), identity
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_torsion_layout_indices_stay_in_bounds(rng, n):
+    """``_scatter`` and ``_torsion_residuals`` gather with ``mode="clip"``,
+    which would turn an index out of range into a wrong value: every
+    position of a whole-slot table lies in its vector of entries, every
+    term in the values it scatters, and every alignment index in its
+    operand's vector or on the 0 after it."""
+    table, _ = _random_generator_tables(n, rng)
+    tables, aligned = operators._torsion_layout(n)
+    for name, ((pos, terms, _), size) in tables.items():
+        _, op, _ = _torsion_operator(operators._TORSION_OPERATORS[name])
+        assert 0 <= pos.min(initial=0) and pos.max(initial=-1) < size, name
+        assert 0 <= terms.min(initial=0) and terms.max(initial=-1) < len(table._values(op)), name
+    for identity, operands in aligned.items():
+        for name, at, _ in operands:
+            assert 0 <= at.min(initial=0) and at.max(initial=0) <= tables[name][1], identity
 
 
 # ----------------------------------------------------------------------
