@@ -13,23 +13,56 @@ Each name below is reached by the CLI or a report, is one of the paper's
 constructions, or is a ``Form`` entry point to a table route
 (``OperatorTable.apply`` for every operator of the table); the list is
 ruled in ``tests/test_imports.py``.
+
+Only the errors are imported with the package.  Every other name is
+imported from its module on first access (``__getattr__``) and then bound
+here, so ``import starsplit`` costs no numpy and a command line that
+needs only the catalog loads only the catalog.
 """
+
+import sys
 
 from .errors import (AlgebraError, DimensionMismatchError, ExpressionError,
                      InputError, StarsplitError, UnboundParameterError)
-from .forms import Form
-from .metric import (HermitianMetric, divide_by_power, form_norm, hodge_star,
-                     inner_product, lefschetz_L, lefschetz_decompose,
-                     lefschetz_lambda, omega_power)
-from .complex_structure import (InvariantComplexManifold, PullbackMap, pullback,
-                                pullback_metric, structure_compatibility, total_volume)
-from .analysis import (MetricReport, PairReport, TripleReport, classify,
-                       conformal_f, f_scalar, gauduchon_adjoint_on_constant,
-                       pair_analysis, rescale_f, rho, star_rho, triple_analysis)
-from .operators import (IdentityReport, OperatorTable, P, Q, R, S, T,
-                        verify_commutation_suite, verify_operator_identities)
-from .search import (MetricFamily, SearchResult, diagonal_family,
-                     hermitian_family, pss_defect, scan, search_pss)
-from . import catalog
+
+# exported name -> the module that defines it (a module exports itself)
+_EXPORTS = {
+    "Form": "forms",
+    "HermitianMetric": "metric", "divide_by_power": "metric", "form_norm": "metric",
+    "hodge_star": "metric", "inner_product": "metric", "lefschetz_L": "metric",
+    "lefschetz_decompose": "metric", "lefschetz_lambda": "metric", "omega_power": "metric",
+    "InvariantComplexManifold": "complex_structure", "PullbackMap": "complex_structure",
+    "pullback": "complex_structure", "pullback_metric": "complex_structure",
+    "structure_compatibility": "complex_structure", "total_volume": "complex_structure",
+    "MetricReport": "analysis", "PairReport": "analysis", "TripleReport": "analysis",
+    "classify": "analysis", "conformal_f": "analysis", "f_scalar": "analysis",
+    "gauduchon_adjoint_on_constant": "analysis", "pair_analysis": "analysis",
+    "rescale_f": "analysis", "rho": "analysis", "star_rho": "analysis",
+    "triple_analysis": "analysis",
+    "IdentityReport": "operators", "OperatorTable": "operators", "P": "operators",
+    "Q": "operators", "R": "operators", "S": "operators", "T": "operators",
+    "verify_commutation_suite": "operators", "verify_operator_identities": "operators",
+    "MetricFamily": "search", "SearchResult": "search", "diagonal_family": "search",
+    "hermitian_family": "search", "pss_defect": "search", "scan": "search",
+    "search_pss": "search",
+    "catalog": "catalog",
+}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import an exported name's module on first access and bind the name
+    in the package, so that later lookups are plain attribute reads."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__name__}.{_EXPORTS[name]}"
+    __import__(path)    # as an import statement does, so -X importtime lists it
+    module = sys.modules[path]
+    value = module if name == _EXPORTS[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

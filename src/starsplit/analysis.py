@@ -50,12 +50,11 @@ import numpy as np
 from .complex_structure import (InvariantComplexManifold, PullbackMap, pullback,
                                 pullback_metric, structure_compatibility,
                                 total_volume)
-from .errors import AlgebraError, InputError
+from .errors import DEFAULT_TOL, AlgebraError, InputError
 from .forms import Form
-from .metric import (DEFAULT_TOL, HermitianMetric, _divide_e, _frame_norm,
-                     _omega_power_vec, _omega_vec, _slot_mat, _top_pairing,
-                     _volume_coeff, _wedge_power_mat, hodge_star, omega_power,
-                     vec_to_form)
+from .metric import (HermitianMetric, _divide_e, _frame_norm, _omega_power_vec,
+                     _omega_vec, _slot_mat, _top_pairing, _volume_coeff,
+                     _wedge_power_mat, hodge_star, omega_power, vec_to_form)
 
 FLAG_ORDER = ("kahler", "balanced", "gauduchon", "SKT", "astheno_kahler",
               "n2_gauduchon", "pluriclosed_star_split", "closed_star_split")

@@ -10,19 +10,21 @@ the one-parameter family of complex structures on S^3 x S^3
 Each entry carries the constants its default metric is expected to produce
 (the trace scalar ``f``, classification flags, spectrum of the star
 partner), which the test-suites compare against computed reports.
+
+Listing and describing the entries needs no numpy: ``get`` and the
+iwasawa3 isometry import the manifold and metric modules when called.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-import numpy as np
+from .errors import DEFAULT_TOL, InputError
 
-from .complex_structure import InvariantComplexManifold, PullbackMap, StructureTable
-from .errors import InputError
-from .metric import DEFAULT_TOL, HermitianMetric
+if TYPE_CHECKING:
+    from .complex_structure import InvariantComplexManifold, PullbackMap, StructureTable
+    from .metric import HermitianMetric
 
 # Sorted spectrum {A/2, A/2, -A/2} is reported for the deformation family and
 # the base iwasawa3 entry.  A spectrum {1, 1, -1} at A = 1 is in circulation
@@ -43,19 +45,19 @@ _BALANCED = {**_ALL_FLAGS, "kahler": False, "SKT": False, "astheno_kahler": Fals
              "n2_gauduchon": False}
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One catalog model: its structure table over the parameters
-    ``param_defaults``, its default metric ``metric_scale`` times the
-    identity, the range ``check`` its parameters must pass, and the
-    expected constants of a bound instance under that metric."""
+    ``param_defaults`` (read, never written), its default metric
+    ``metric_scale`` times the identity, the range ``check`` its parameters
+    must pass, and the expected constants of a bound instance under that
+    metric."""
 
     name: str
     description: str
     dim: int
     structure: StructureTable
     expectations: Callable[[InvariantComplexManifold], dict]
-    param_defaults: Dict[str, complex] = field(default_factory=dict)
+    param_defaults: Mapping[str, complex] = {}
     metric_scale: float = 1.0
     check: Optional[Callable[[Dict[str, complex]], None]] = None
     isometry: Optional[Callable[..., PullbackMap]] = None
@@ -97,6 +99,13 @@ def _iwasawa_def_expectations(M: InvariantComplexManifold) -> dict:
     }
 
 
+def _iwasawa3_isometry(u: complex, v: complex) -> PullbackMap:
+    """The coframe rotation diag(u, v, u*v): an isometry of the standard
+    metric for |u| = |v| = 1 and structure-compatible for all u, v."""
+    from .complex_structure import PullbackMap
+    return PullbackMap.diagonal([u, v, u * v])
+
+
 def _calabi_eckmann_check(params: Dict[str, complex]) -> None:
     t = params["t"]
     if abs(t) >= 1.0:
@@ -123,9 +132,7 @@ _ENTRIES: Dict[str, CatalogEntry] = {entry.name: entry for entry in (
         "iwasawa3", "3-dimensional nilmanifold, d phi3 = -phi1^phi2", 3,
         {3: {"(2,0)": [(1, 2, "-1")]}},
         _fixed(1.0, [-0.5, 0.5, 0.5], _BALANCED, (_EIGENVALUE_NOTE,)),
-        # coframe rotation diag(u, v, u*v): an isometry of the standard
-        # metric for |u| = |v| = 1 and structure-compatible for all u, v
-        isometry=lambda u, v: PullbackMap.diagonal([u, v, u * v])),
+        isometry=_iwasawa3_isometry),
     CatalogEntry(
         "nakamura", "3-dimensional solvmanifold, d phi2 = phi1^phi2, d phi3 = -phi1^phi3", 3,
         {2: {"(2,0)": [(1, 2, "1")]}, 3: {"(2,0)": [(1, 3, "-1")]}},
@@ -190,6 +197,10 @@ def get(name: str, params: Optional[Dict[str, complex]] = None, *,
     Returns the validated manifold, its default metric and the expected
     constants at those parameter values.
     """
+    import numpy as np
+
+    from .complex_structure import InvariantComplexManifold
+    from .metric import HermitianMetric
     params = dict(params or {})
     entry = _entry(name)
     bound = dict(entry.param_defaults)

@@ -7,6 +7,10 @@ are written ``a+bi`` with no spaces.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (or an
 output pipe closed by its reader).
+
+Each command imports the modules it uses when it runs: ``catalog list``
+loads no numpy, ``classify`` and ``invariants`` neither the operator layer
+nor the search, and ``search`` not the operator layer.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ import argparse
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from . import analysis, catalog, jsonio, operators, search
-from .complex_structure import InvariantComplexManifold, PullbackMap
-from .errors import InputError, StarsplitError
+from . import catalog, jsonio
+from .errors import DEFAULT_TOL, InputError, StarsplitError
 from .exprs import parse_complex
-from .metric import DEFAULT_TOL, HermitianMetric
+
+if TYPE_CHECKING:
+    from .analysis import MetricReport
+    from .complex_structure import InvariantComplexManifold
+    from .metric import HermitianMetric
 
 # The dimension bound.  The largest array a command allocates is one dense
 # complex matrix on the monomials of a single slot: for ``verify`` an
@@ -57,6 +64,7 @@ def _check_dimension(dim, command: str) -> None:
 def _read_manifold(path: str, command: str) -> InvariantComplexManifold:
     """The manifold of a JSON file, refused before it is built when its
     dimension is above the bound of ``command``."""
+    from .complex_structure import InvariantComplexManifold
     data = jsonio.read_file(path, "manifold file")
     _check_dimension(data.get("dim") if isinstance(data, dict) else None, command)
     return InvariantComplexManifold.from_json_dict(data)
@@ -92,6 +100,7 @@ def _resolve_manifold(args, scan_bindings: Optional[Dict[str, complex]] = None
     -> validated manifold, default metric, expectations (empty for file
     manifolds).  ``scan`` passes its bindings, and a file manifold is then
     left to ``search.scan`` to validate at each scanned value."""
+    from .metric import HermitianMetric
     source, tol = args.manifold, args.tol
     params = _bindings(args) if scan_bindings is None else scan_bindings
     if source.endswith(".json") or os.path.exists(source):
@@ -108,6 +117,7 @@ def _resolve_manifold(args, scan_bindings: Optional[Dict[str, complex]] = None
 def _resolve_metric(path: Optional[str], default: HermitianMetric, n: int) -> HermitianMetric:
     if path is None:
         return default
+    from .metric import HermitianMetric
     g = HermitianMetric.from_json_dict(jsonio.read_file(path, "metric file"))
     if g.dim != n:
         raise InputError(f"metric dimension {g.dim} does not match manifold dimension {n}")
@@ -119,11 +129,12 @@ def _flag_line(name: str, flag) -> str:
     return f"  {name:24s} {mark}  (defect {flag.defect:.3e})"
 
 
-def _print_report(rep: analysis.MetricReport) -> None:
+def _print_report(rep: MetricReport) -> None:
+    from .analysis import FLAG_ORDER
     print(f"manifold: {rep.manifold} (n={rep.dim}), metric: {rep.metric}")
     print(f"f = {rep.f:.12g}")
     print("eigenvalues:", ", ".join(f"{v:.12g}" for v in rep.eigenvalues))
-    for name in analysis.FLAG_ORDER:
+    for name in FLAG_ORDER:
         print(_flag_line(name, rep.flags[name]))
     print(f"  |del omega|^2 = {rep.del_omega_norm_sq:.12g}, int f = {rep.integral_f:.12g}")
     for note in rep.notes:
@@ -131,6 +142,8 @@ def _print_report(rep: analysis.MetricReport) -> None:
 
 
 def cmd_classify(args) -> int:
+    from . import analysis
+    from .complex_structure import PullbackMap
     M, default_metric, expectations = _resolve_manifold(args)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     notes = list(expectations.get("notes", []))
@@ -170,6 +183,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from . import analysis
     M, default_metric, expectations = _resolve_manifold(args)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     rep = analysis.classify(M, g, tol=args.tol, notes=list(expectations.get("notes", [])))
@@ -188,6 +202,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import operators
     M, default_metric, _ = _resolve_manifold(args)
     g = _resolve_metric(args.metric, default_metric, M.dim)
     gamma = _resolve_metric(args.gamma, g, M.dim)
@@ -217,6 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
     M, _, _ = _resolve_manifold(args)
     family = search.family_by_name(args.family, M.dim)
     result = search.search_pss(M, family, budget=args.budget, seed=args.seed, tol=args.tol)
@@ -235,6 +251,8 @@ def cmd_search(args) -> int:
 def cmd_scan(args) -> int:
     if args.json and args.format not in (None, "json"):
         raise InputError(f"--json prints JSON and cannot be combined with --format {args.format}")
+    from . import search
+    from .analysis import FLAG_ORDER
     bindings, bare = _split_params(args.param)
     if len(bare) != 1:
         raise InputError("scan needs exactly one bare --param NAME as the scan target")
@@ -251,7 +269,7 @@ def cmd_scan(args) -> int:
         print(jsonio.dumps({"param": target, "rows": search.scan_rows_to_json(rows)}))
     else:
         for row in rows:
-            flags = " ".join(name for name in analysis.FLAG_ORDER if row.flags.get(name))
+            flags = " ".join(name for name in FLAG_ORDER if row.flags.get(name))
             print(f"{target} = {row.value.real:g}{row.value.imag:+g}i: "
                   f"f = {row.f:.12g}; eigenvalues "
                   + ", ".join(f"{v:.6g}" for v in row.eigenvalues)

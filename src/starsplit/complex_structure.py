@@ -47,11 +47,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exprs
-from .errors import DimensionMismatchError, InputError, UnboundParameterError
+from .errors import DEFAULT_TOL, DimensionMismatchError, InputError, UnboundParameterError
 from .forms import Form, basis_masks, mask_to_indices, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object, read_file
-from .metric import (DEFAULT_TOL, HermitianMetric, _volume_coeff, compound, form_to_vec,
-                     substitution_matrix, vec_to_form)
+from .metric import (HermitianMetric, _volume_coeff, compound, form_to_vec, substitution_matrix,
+                     vec_to_form)
 
 
 class IntegrationWarning(UserWarning):
@@ -62,6 +62,10 @@ class IntegrationWarning(UserWarning):
 StructureTable = Dict[int, Dict[str, List[Tuple[int, int, str]]]]
 # the slots of d(phi_k) and the JSON name of each entry's second index
 _SLOT_COLUMNS = {"(2,0)": "j", "(1,1)": "jbar"}
+# the largest structure constant a model may have: f, rho, the flags'
+# defects and the suites' operators are quadratic in the constants, and
+# the square of this limit summed over a few hundred terms is a finite double
+_CONSTANT_LIMIT = 1e150
 
 
 class InvariantComplexManifold:
@@ -124,17 +128,25 @@ class InvariantComplexManifold:
         return InvariantComplexManifold(self.name, self.dim, self.structure, merged, self.check)
 
     def _generators(self) -> Tuple[List[Form], List[Form]]:
+        """d phi_k for each k, and the conjugates; a coefficient above
+        ``_CONSTANT_LIMIT`` is refused."""
+        def coefficient(expr: str) -> complex:
+            c = exprs.evaluate(expr, self.params)
+            if abs(c) > _CONSTANT_LIMIT:
+                raise InputError(
+                    f"invalid structure constants: a coefficient of size {abs(c):.3g} is above "
+                    f"{_CONSTANT_LIMIT:g}: what is quadratic in them could overflow a double")
+            return c
+
         if self._d_gen is None:
             n = self.dim
             gens = [Form.zero(n)]  # 1-based padding
             for k in range(1, n + 1):
                 total = Form.zero(n)
                 for (i, j, expr) in self.structure[k]["(2,0)"]:
-                    c = exprs.evaluate(expr, self.params)
-                    total = total + Form.monomial(n, (i, j), (), c)
+                    total = total + Form.monomial(n, (i, j), (), coefficient(expr))
                 for (i, j, expr) in self.structure[k]["(1,1)"]:
-                    c = exprs.evaluate(expr, self.params)
-                    total = total + Form.monomial(n, (i,), (j,), c)
+                    total = total + Form.monomial(n, (i,), (j,), coefficient(expr))
                 gens.append(total)
             self._d_gen = gens
             self._d_gen_bar = [f.conjugate() for f in gens]

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the default tolerance shared across the package.
+
+Imports nothing, so that every module, and a CLI call that needs no
+numerics, can load it.
+"""
+
+# the default tolerance of every residual check and flag
+DEFAULT_TOL = 1e-10
 
 
 class StarsplitError(Exception):

@@ -57,12 +57,10 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AlgebraError, DimensionMismatchError, InputError
+from .errors import DEFAULT_TOL, AlgebraError, DimensionMismatchError, InputError
 from .forms import Form, MaskKey, basis_masks, space_dim
 from .jsonio import json_array, json_complex, json_number, json_object
 
-# the default tolerance of every residual check and flag, shared by the package
-DEFAULT_TOL = 1e-10
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 
@@ -472,8 +470,7 @@ class HermitianMetric:
         eigs = np.linalg.eigvalsh(H)
         lo, hi = eigs.min(), eigs.max()
         if lo <= 0:
-            raise InputError(
-                f"metric matrix is not positive definite (eigenvalues {eigs})")
+            raise InputError(f"metric matrix is not positive definite (smallest eigenvalue {lo:.3g})")
         if lo <= 1e-14 * hi:
             raise InputError(f"metric matrix is too ill-conditioned (condition number "
                              f"{hi / lo:.3g} is not below 1e14)")

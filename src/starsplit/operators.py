@@ -72,10 +72,10 @@ import numpy as np
 
 from .analysis import _star_split
 from .complex_structure import InvariantComplexManifold, total_volume
-from .errors import InputError
+from .errors import DEFAULT_TOL, InputError
 from .forms import Form, space_dim
-from .metric import (_ADJOINT_OF, _SHIFTS, DEFAULT_TOL, HermitianMetric, _adjoint_base, _frozen,
-                     _join, _monomials, _omega_power_vec, _operator_entries, _operator_scatter,
+from .metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _frozen, _join,
+                     _monomials, _omega_power_vec, _operator_entries, _operator_scatter,
                      _scatter, _slot_mat, _slot_starts, _star_all, _star_conjugate, _star_perm,
                      _top_all, _top_pairing, _volume_coeff, _wedge_power_entries,
                      _wedge_power_mat, _wedge_scatter, _whole_table)
@@ -676,13 +676,14 @@ def verify_operator_identities(M: InvariantComplexManifold,
     and the source of b15 and b16 come from one call of the star-split
     core; b13 and b14 compare f and rho with the two-trace and P routes
     relative to their size, b15 and b16 the pair integrals relative to
-    theirs, b22 Q(omega) and its decomposition relative to the larger of
-    the two, and b25 Q and P on the harmonic forms relative to the larger
-    matrix.  b26 is the identity behind the vanishing of semi-definite
-    forms with zero integral, on every (1,1)-monomial.  Every identity is
-    evaluated on every monomial of its slot or on omega.  ``seed`` is
-    unused, kept for callers that pass it: no identity here needs
-    particular inputs."""
+    theirs, b17 to b21 each vanishing integral relative to the size of an
+    integral of a second-order operator, b22 and b23 Q(omega) and the other
+    side relative to the larger of the two, and b24 and b25 Q and the other
+    operator relative to the larger matrix.  b26 is the identity behind the
+    vanishing of semi-definite forms with zero integral, on every
+    (1,1)-monomial.  Every identity is evaluated on every monomial of its
+    slot or on omega.  ``seed`` is unused, kept for callers that pass it: no
+    identity here needs particular inputs."""
     n = M.dim
     if n < 3:
         raise InputError(f"the operator suite needs dimension >= 3, got {n}")
@@ -760,28 +761,34 @@ def verify_operator_identities(M: InvariantComplexManifold,
               "balanced: int eta ^ star_gamma rho = ((n-1)/(n-2)) int Q(T_gamma eta) ^ omega_(n-1)",
               lambda: [link(Qm)], stokes, d_squared, balanced,
               skip_anchor="balanced: int eta ^ star_gamma rho = ... Q ...")
+    # b17 to b21: vanishing integrals of second-order operators on (1,1),
+    # each relative to the size of such an integral: |int_w| times the
+    # square of the largest structure constant in the frame
+    c = max(np.abs(table._values(name)).max(initial=0.0) for name in ("del", "dbar"))
+    vanishing = lambda x: int_w @ x / (1.0 + np.abs(int_w).max() * c * c)
     # potential inputs: i del delbar of an invariant function is zero
     pot = 1j * M.d_matrices(0, 1)[0] @ M.d_matrices(0, 0)[1]
     rep.check("b17_pair_potential_integral",
               "int P(T_gamma(i del delbar c)) ^ omega_(n-1) = 0 for invariant c",
-              lambda: [int_w @ Pm @ t_gamma @ pot])
-
-    # vanishing integrals
+              lambda: [vanishing(Pm @ t_gamma @ pot)])
     rep.check("b18_r_integral_vanishing", "int R(a) ^ omega_(n-1) = 0",
-              lambda: [int_w @ Rm], stokes)
+              lambda: [vanishing(Rm)], stokes)
     rep.check("b19_scalar_trace_integral_vanishing",
               "int (dbar* Lam(dbar a)) omega ^ omega_(n-1) = 0",
-              lambda: [int_w @ ch(["L", "dbarstar", "Lam", "dbar"], 1, 1)], stokes)
+              lambda: [vanishing(ch(["L", "dbarstar", "Lam", "dbar"], 1, 1))], stokes)
     rep.check("b20_balanced_first_order_integrals",
               "balanced: int i del Lam(dbar a) ^ omega_(n-1) = 0 = int i del*(omega ^ dbar* a) ^ omega_(n-1)",
-              lambda: [int_w @ ch(["del", "Lam", "dbar"], 1, 1),
-                       int_w @ ch(["delstar", "L", "dbarstar"], 1, 1)],
+              lambda: [vanishing(ch(["del", "Lam", "dbar"], 1, 1)),
+                       vanishing(ch(["delstar", "L", "dbarstar"], 1, 1))],
               stokes, balanced, skip_anchor="balanced: first-order integrals vanish")
     rep.check("b21_q_p_integral_bridge", "balanced: int (Q - P)(a) ^ omega_(n-1) = 0",
-              lambda: [int_w @ (Qm - Pm)],
+              lambda: [vanishing(Qm - Pm)],
               stokes, balanced, skip_anchor="balanced: int (Q-P)(a) ^ omega_(n-1) = 0")
 
-    # Q on the metric form, on kahler metrics and on harmonic forms
+    # Q on the metric form, on kahler metrics and on harmonic forms, each
+    # relative to the larger side
+    relative = lambda a, b: (a - b) / (1.0 + max(np.abs(a).max(), np.abs(b).max()))
+
     def b22():
         """Q(omega) minus the other side, relative to the larger of the two."""
         q_w = Qm @ w_e
@@ -793,10 +800,10 @@ def verify_operator_identities(M: InvariantComplexManifold,
               "Q(omega) = P(omega) + (n/(n-1)) R(omega) + del del* omega - i del*(omega ^ dbar* omega)",
               b22)
     rep.check("b23_q_equals_p_on_metric_balanced", "balanced: Q(omega) = P(omega)",
-              lambda: [(Qm - Pm) @ w_e], balanced)
+              lambda: [relative(Qm @ w_e, Pm @ w_e)], balanced)
     lap = m("dbarlap", 1, 1)
     rep.check("b24_q_is_minus_laplacian_kahler", "kahler: Q = -(dbar-laplacian)",
-              lambda: [Qm + lap], kahler)
+              lambda: [relative(Qm, -lap)], kahler)
     _, svals, vh = np.linalg.svd(lap)
     harmonic = vh[svals < 1e-8 * max(1.0, svals.max())].conj().T
     rep.check("b25_q_equals_p_on_harmonic", "Q = P on ker(dbar-laplacian)",

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import analysis
 from .complex_structure import InvariantComplexManifold
-from .errors import InputError
-from .metric import DEFAULT_TOL, HermitianMetric
+from .errors import DEFAULT_TOL, InputError
+from .metric import HermitianMetric
 
 _RESTARTS = 4   # simplex descents per search: from the start and 3 perturbations
 

@@ -254,12 +254,18 @@ def test_non_pd_metric_file_blames_the_matrix(capsys, tmp_path):
 
 
 _INDEFINITE = [[1, 0], [0, 0], [0, 0], [0, 0], [-1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]
+# 8 x 8 diagonal: an array of all eight eigenvalues prints on two lines
+_INDEFINITE_8 = [[[-0.123456789, 1.1, 2.2, 3.3, 4.4, 5.5, 6.6, 7.7][i // 9], 0]
+                 if i % 9 == 0 else [0, 0] for i in range(64)]
 
 
 @pytest.mark.parametrize("metric,words", [
     ({"type": "diagonal", "coeffs": [1e200, 1, 1]}, ("ill-conditioned", "1e+200")),
     ({"type": "diagonal", "coeffs": [1e15, 1, 1]}, ("ill-conditioned", "1e+15")),
-    ({"type": "hermitian", "matrix": _INDEFINITE}, ("not positive definite",)),
+    ({"type": "hermitian", "matrix": _INDEFINITE},
+     ("not positive definite", "smallest eigenvalue -1)")),
+    ({"type": "hermitian", "matrix": _INDEFINITE_8},
+     ("not positive definite", "smallest eigenvalue -0.123)")),
 ])
 def test_metric_refusal_names_conditioning_or_definiteness(capsys, tmp_path, metric, words):
     path = tmp_path / "metric.json"
@@ -632,6 +638,40 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _cold_cli(*args, prefix=()):
+    """A CLI call in a fresh interpreter on the checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, *prefix, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_catalog_list_imports_no_numpy():
+    proc = _cold_cli("-m", "starsplit.cli", "catalog", "list", prefix=("-X", "importtime"))
+    assert proc.returncode == 0 and "iwasawa3" in proc.stdout
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "starsplit.catalog" in imported
+    assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
+
+
+# each command with the starsplit modules it must not import
+_MAIN_THEN_MODULES = ("import sys\nfrom starsplit.cli import main\ncode = main(sys.argv[1:])\n"
+                      "print(*sorted(sys.modules), file=sys.stderr)\nsys.exit(code)")
+
+
+@pytest.mark.parametrize("args,unused", [
+    (["classify", "--manifold", "iwasawa3", "--json"], {"operators", "search"}),
+    (["invariants", "--manifold", "nakamura", "--json"], {"operators", "search"}),
+    (["search", "--manifold", "iwasawa3", "--budget", "30", "--json"], {"operators"}),
+])
+def test_commands_import_only_the_layers_they_use(args, unused):
+    proc = _cold_cli("-c", _MAIN_THEN_MODULES, *args)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "starsplit.analysis" in loaded
+    assert {f"starsplit.{name}" for name in unused} & loaded == set()
 
 
 # ----------------------------------------------------------------------

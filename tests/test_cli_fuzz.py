@@ -255,6 +255,21 @@ def test_scan_on_inputs_that_once_misbehaved(files, flags, message):
     assert err.startswith(f"error: {message}"), err
 
 
+# structure constants whose products overflow: a traceback from the
+# catalog's expected f, a report with an infinite |del omega|^2 refused as
+# an internal error, and an overflow warning from the d matrices
+@pytest.mark.parametrize("files,flags", [
+    ({}, ["--manifold", "iwasawa_def", "--param=sigma12=-1e300i"]),
+    ({}, ["--manifold", "iwasawa_def", "--param=sigma11b=-1e300i"]),
+    ({"manifold": parametric_file(3, ["s", "s"])}, ["--param=s=-1e300i"]),
+    ({"manifold": parametric_file(3, ["s", "1"])}, ["--param=s=1e200"])])
+def test_invariants_on_inputs_that_once_misbehaved(files, flags):
+    code, out, err = check_cli("invariants", files, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid structure constants: a coefficient of size 1e+"), err
+    assert "above 1e+150" in err, err
+
+
 @seed(20261020)
 @settings(database=None, max_examples=60, deadline=None)
 @given(st.data())
@@ -262,8 +277,8 @@ def test_parameter_commands_end_in_a_report_or_a_message(data):
     """``scan``, ``invariants`` or ``search`` on a catalog model or a
     parametric file (n <= 3), with drawn ``--param`` bindings, scan targets,
     ``--values`` lists (as ``--values=LIST`` or ``--values LIST``) and
-    ``scan --format``: in range, out of range, overflowing, ill-formed, long,
-    deep or naming no parameter."""
+    ``scan --format``, and ``search --tol``: in range, out of range,
+    overflowing, ill-formed, long, deep or naming no parameter."""
     if data.draw(st.booleans()):
         name = data.draw(st.sampled_from(sorted(CATALOG_PARAMS)))
         files, flags, names = {}, ["--manifold", name], CATALOG_PARAMS[name]
@@ -290,4 +305,6 @@ def test_parameter_commands_end_in_a_report_or_a_message(data):
         flags += ["--budget", str(data.draw(st.sampled_from([1, 5, 20]))),
                   "--family", data.draw(st.sampled_from(["diagonal", "hermitian"])),
                   "--seed", str(data.draw(st.integers(0, 3)))]
+        if data.draw(st.booleans()):
+            flags.append("--tol=" + data.draw(TOLERANCES))
     check_cli(command, files, *flags)

@@ -1,10 +1,14 @@
 """Import hygiene and the public surface of the package, checked with the
 standard library alone: every name a module imports is used in it
 (``__init__`` re-exports names and is exempt), ``__init__`` exports exactly
-the ruled list below, and every module-level function or class under
-``src/`` is called from ``src/`` or ``bench/`` or is on that list."""
+the ruled list below (its eager imports and the keys of its lazy
+``_EXPORTS`` map), and every module-level function or class under ``src/``
+is called from ``src/`` or ``bench/``, is on that list or is one of the
+package's module hooks.  Last, each exported name of the imported package
+is the object its defining module binds."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -40,6 +44,9 @@ PUBLIC = {
     "catalog",
 }
 
+# PEP 562 module hooks of ``__init__``: called by the import system
+PACKAGE_HOOKS = {"__getattr__", "__dir__"}
+
 
 def read(path):
     with open(path, encoding="utf-8") as fh:
@@ -60,9 +67,18 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def lazy_exports(source: str):
+    """The literal ``_EXPORTS`` map (name -> defining module) of ``source``."""
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"])
+
+
 def exported_names(source: str):
-    return {alias.asname or alias.name for node in ast.parse(source).body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    """Names ``source`` binds by ``from ... import`` plus its lazy exports."""
+    eager = {alias.asname or alias.name for node in ast.parse(source).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return eager | set(lazy_exports(source))
 
 
 def uncalled_definitions(sources):
@@ -97,6 +113,11 @@ def test_every_import_is_used(module):
     assert unused_imports(read(os.path.join(PACKAGE, module))) == []
 
 
+def test_checker_reads_eager_and_lazy_exports():
+    source = "from .errors import A, B as C\n_EXPORTS = {'f': 'm', 'm': 'm'}\n"
+    assert exported_names(source) == {"A", "C", "f", "m"}
+
+
 def test_init_exports_the_ruled_list():
     assert exported_names(read(os.path.join(PACKAGE, "__init__.py"))) == PUBLIC
 
@@ -109,4 +130,35 @@ def test_every_definition_is_called_or_public():
                 sources[os.path.relpath(os.path.join(folder, name), ROOT)] = read(
                     os.path.join(folder, name))
     assert [(module, name) for module, name in uncalled_definitions(sources)
-            if module.startswith("src") and name not in PUBLIC] == []
+            if module.startswith("src") and name not in PUBLIC | PACKAGE_HOOKS] == []
+
+
+def _defining_module(name: str) -> str:
+    """The one module under ``src/starsplit`` whose top level defines
+    ``name`` (``catalog`` defines itself)."""
+    if name + ".py" in MODULES:
+        return name
+    owners = [module[:-3] for module in MODULES
+              for stmt in ast.parse(read(os.path.join(PACKAGE, module))).body
+              if getattr(stmt, "name", None) == name
+              or name in [getattr(t, "id", None) for t in getattr(stmt, "targets", ())]]
+    assert len(owners) == 1, (name, owners)
+    return owners[0]
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_export_is_its_defining_module_object(name):
+    import starsplit
+    assert name in dir(starsplit)
+    module = importlib.import_module("starsplit." + _defining_module(name))
+    expected = module if module.__name__.endswith("." + name) else getattr(module, name)
+    assert getattr(starsplit, name) is expected
+    assert vars(starsplit)[name] is expected
+
+
+def test_unexported_names_are_attribute_errors():
+    import starsplit
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        starsplit.nothing
+    from starsplit import jsonio      # a submodule off the list still imports
+    assert jsonio.__name__ == "starsplit.jsonio"

@@ -398,6 +398,19 @@ def test_suites_pass_where_f_and_the_metric_scale_are_far_from_one(structure, co
         assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
 
 
+@pytest.mark.parametrize("name,scale", [
+    ("nakamura", 1000.0), ("calabi_eckmann", 1000.0), ("nakamura", 1e-6)])
+def test_operator_suite_passes_at_metric_scales_far_from_one(name, scale):
+    """diagonal(1, 2, 3) scaled by 1000: the vanishing integrals b18, b19
+    and b21 grow with the metric's scale and read up to 1.6e-8 absolute;
+    scaled by 1e-6, Q(omega) and P(omega) of b23 are of size 1e6 and differ
+    by 1.8e-9.  Each is relative to the size of what it compares."""
+    M, _, _ = catalog.get(name)
+    g = HermitianMetric.diagonal([1.0, 2.0, 3.0]).scaled(scale)
+    rep = verify_operator_identities(M, g, g)
+    assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
+
+
 def test_report_json_shape():
     M, g, _ = catalog.get("iwasawa3")
     rep = verify_commutation_suite(M, g)
