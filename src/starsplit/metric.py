@@ -20,10 +20,10 @@ bitmasks (``_monomials``): the wedge with the monomials of one slot
 signed permutation (``_top_all``, ``_star_all``); del and dbar, the
 Leibniz rule over the differentials of the generators in any coframe
 (``_operator_entries``), per slot a table of ``_scatter`` (gathers and a
-bincount of the real and of the imaginary parts) and on all
-slots at once, with their commutators with Lambda, one table of the
-nonzero entries (``_whole_table``) for a05 to a08, a14 and a15 of
-``operators``, the adjoints relabelled by the star (``_star_conjugate``).
+bincount of the real and of the imaginary parts) and on all slots at
+once, with their commutators with Lambda, a table of the nonzero entries
+(``_whole_table``), from which ``operators`` composes each of a05 to a08,
+a14 and a15, the adjoints relabelled by the star (``_star_conjugate``).
 Tables hold int32 positions and int8 signs, never fancy-indexed (which
 casts to intp on every call).  L, Lambda, star and the divisions T and S
 of ``operators`` are ``_slot_mat``, with the pseudo-inverse behind

@@ -39,20 +39,19 @@ form (a09, a10, b13, b14 and the omega-columns of b22 and b23) on omega's
 frame column, and b26 (the integral of ``theta ^ omega_{n-1}`` is ``Lam
 theta`` times the volume) on every (1,1)-monomial.  The identities of n
 alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) are evaluated
-once per dimension and cached (``_dimension_entries``).  a05 to a08, a14
-and a15 compare their operators' nonzero entries on all slots at once:
-per dimension a table of each operator's entries and an alignment of each
-identity's (``_torsion_layout``), per call one scatter per operator and a
-few gathers per identity (``_torsion_residuals``).  Every other identity
-is evaluated afresh, slot by slot.  The operator suite takes f, rho and
+once per dimension and cached (``_dimension_entries``).  An entry of a05
+to a08, a14 or a15 is a fixed linear form in the values of del, dbar and
+theta: a table per identity and dimension holds each distinct one once,
+up to a unit, and a call scatters it (``_torsion_tables``).  The others
+are evaluated afresh, slot by slot.  The operator suite takes f, rho and
 ``i del delbar omega_{n-2}`` from one call of the star-split core
 ``analysis._star_split``.  No identity needs particular inputs, so
 neither suite draws random forms: the ``seed`` of both is unused.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
 identity is its id, its anchor, a callable yielding residual arrays (the
-``lhs - rhs`` matrix of each slot, the vector of a05 to a08, a14 or a15
-over all slots, or a scalar residual as a 0-d array) and its ``(holds,
+``lhs - rhs`` matrix of each slot, the distinct residual entries of a05
+to a08, a14 or a15, or a scalar residual as a 0-d array) and its ``(holds,
 reason)`` hypotheses (balanced-only, n >= 4 only, Stokes or d^2 = 0).  The
 report records the largest absolute residual entry, or, when a hypothesis
 fails, a skip with the first failed reason; every identity is listed,
@@ -64,6 +63,7 @@ judges them by its own tolerance.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -96,8 +96,8 @@ class OperatorTable:
     Every other name is a sum of scaled chains of these (``_terms``): the
     adjoints "delstar"/"dbarstar" and the torsion "tau"/"taubar" are the
     chains that define them; "P", "R" and "Q" act on the (1,1)-slot only.
-    a05 to a08, a14 and a15 read del, dbar, their adjoints, the torsion and
-    their brackets on all slots at once instead (``_torsion_residuals``)."""
+    a05 to a08, a14 and a15 read the values of del, dbar and theta through
+    per-dimension tables instead (``_torsion_tables``)."""
 
     _SHIFTS = {**_SHIFTS, "delstar": (-1, 0), "dbarstar": (0, -1), "tau": (1, 0),
                "taubar": (0, 1), "T": (0, 0), "S": (0, 0), "P": (0, 0), "R": (0, 0),
@@ -346,6 +346,12 @@ _STOKES_REASON = "invariant Stokes residual exceeds tolerance; identity not asse
 _D_SQUARED_REASON = "d^2 residual exceeds tolerance; identity not asserted"
 
 
+def _relative(residual: np.ndarray, *terms) -> np.ndarray:
+    """``residual`` over the largest entry of the ``terms`` entering it (as is if all are 0)."""
+    size = max(float(np.abs(t).max(initial=0.0)) for t in terms)
+    return residual / size if size else residual
+
+
 class _Sparse:
     """A matrix over the monomials of all slots (``metric._slot_starts``)
     as its entries ``(rows, cols, vals)``, repeated positions summing.
@@ -484,17 +490,18 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
 # ----------------------------------------------------------------------
 # commutation / frame identity suite
 # ----------------------------------------------------------------------
-# the operators of a05 to a08, a14 and a15: a name of ``OperatorTable.mat``
-# or ``(a, b, factor)`` for ``factor [a, b]``, each adjoint after its base
+# the operators of a05 to a08, a14 and a15 as ``(F, X, scale)``: scale
+# times X (F "") or times ``-i [F, X]``, X a name of ``OperatorTable.mat``
 _TORSION_OPERATORS = {
-    "del": "del", "dbar": "dbar", "delstar": "delstar", "dbarstar": "dbarstar",
-    "tau": ("Lam", "wdel", 1), "taubar": ("Lam", "wdbar", 1),
-    "i[Lam,dbar]": ("Lam", "dbar", 1j), "-i[Lam,del]": ("Lam", "del", -1j),
-    "-i[dbar*,L]": ("dbarstar", "L", -1j), "i[del*,L]": ("delstar", "L", 1j)}
+    "del": ("", "del", 1), "dbar": ("", "dbar", 1), "delstar": ("", "delstar", 1),
+    "dbarstar": ("", "dbarstar", 1), "tau": ("Lam", "wdel", 1j), "taubar": ("Lam", "wdbar", 1j),
+    "i[Lam,dbar]": ("Lam", "dbar", -1), "-i[Lam,del]": ("Lam", "del", 1),
+    "-i[dbar*,L]": ("L", "dbarstar", -1), "i[del*,L]": ("L", "delstar", 1)}
 
 # id: (anchor, summands, adjoint, rhs): the residual is the summands' sum,
 # conjugate-transposed for an adjoint identity, minus rhs.  The frame
-# conjugate transpose is the L2 adjoint only where Stokes holds.
+# conjugate transpose is the L2 adjoint only where Stokes holds.  Each
+# identity is followed by its complex conjugate (``_torsion_tables``).
 _TORSION_IDENTITIES = {
     "a05_adjoint_of_del_plus_torsion": (
         "(del+tau)* = i [Lam, dbar]", ("del", "tau"), True, "i[Lam,dbar]"),
@@ -511,121 +518,111 @@ _TORSION_IDENTITIES = {
 }
 
 
-def _torsion_operator(spec) -> Tuple[str, str, Optional[complex]]:
-    """``(F, X, scale)`` for ``metric._whole_table``: a name is X itself
-    (F "", scale None: X's values as they are); ``(a, b, factor)``, that
-    is ``factor [a, b]``, is ``-i [F, X]`` over X's values times scale, F
-    the one of a and b that is "L" or "Lam"."""
-    if isinstance(spec, str):
-        return "", spec, None
-    a, b, factor = spec
-    return (a, b, factor * 1j) if a in ("L", "Lam") else (b, a, factor * -1j)
+def _torsion_values(table: OperatorTable) -> np.ndarray:
+    """What the tables of ``_torsion_tables`` scatter: ``[x, 1j x]``, x the
+    values of "del", "dbar", "wdel" and "wdbar" (``OperatorTable._values``)
+    followed by their conjugates."""
+    x = np.concatenate([table._values(name) for name in ("del", "dbar", "wdel", "wdbar")])
+    x = np.concatenate([x, x.conj()])
+    return np.concatenate([x, 1j * x])
 
 
-def _align(n: int, entries: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, ...]:
-    """For the entries ``(rows, cols)`` of some matrices over all slots
-    (``metric._slot_starts``), with the columns of a row in one slot, the
-    same for all: one int32 index per matrix, its entry at each position of
-    their union in row-major order, or its entry count (the 0 its vector of
-    entries ends in) where it has none."""
+@lru_cache(maxsize=None)
+def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
+    """Per identity of a05 to a08, a14 and a15, its residual on all slots
+    as a row count and one table of ``_scatter`` over ``_torsion_values``,
+    a row per distinct entry up to a factor of +-1 or +-i.  The entries
+    are the ``metric._whole_table`` entries of the operators (an adjoint's
+    relabelled by ``metric._star_conjugate``), terms ``sign i^k x[j]``,
+    conjugated and transposed in the summands of an adjoint identity,
+    numbered block by block (a block per column slot) and told apart by a
+    hash exact in doubles: each value a seeded pseudo-random Gaussian
+    integer below 2^44, an entry's hash the sum of its terms'.  Units turn
+    hashes by quarter turns; the turn into re > 0, im >= 0 is one for
+    entries that differ by a unit.  An entry of hash 0 is zero."""
     dims, start = _slot_starts(n)
-    local = np.arange(4 ** n, dtype=np.int32) - np.repeat(start.ravel(), dims.ravel())
-    width = int(dims.max())
-    keys = [rows * width + local[cols] for rows, cols in entries]
-    held = np.zeros(len(local) * width, dtype=bool)
-    for key in keys:
-        held[key] = True
-    union = np.flatnonzero(held)
-    rank = np.empty(len(held), dtype=np.int32)
-    rank[union] = np.arange(len(union), dtype=np.int32)
-    ats = [np.full(len(union), len(key), dtype=np.int32) for key in keys]
-    for at, key in zip(ats, keys):
-        at[rank[key]] = np.arange(len(key), dtype=np.int32)
-    return _frozen(*ats)
-
-
-@lru_cache(maxsize=None)
-def _torsion_layout(n: int) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
-    """Per dimension: ``tables``, each operator but the adjoints as its
-    ``metric._whole_table`` and entry count, and ``aligned``, per identity
-    and operator ``(name, at, negate)``: the ``_align`` index into the
-    entries of ``tables[name]`` (summands of an adjoint identity
-    transposed).  An adjoint reads its base's entries, relabelled by
-    ``metric._star_conjugate`` and negated where ``negate`` holds."""
-    ops = {name: _torsion_operator(spec) for name, spec in _TORSION_OPERATORS.items()}
-    named = {(lef, op): name for name, (lef, op, _) in ops.items()}
-    whole = {}   # the tables of each X and of its brackets, from X's entries
-    for op in dict.fromkeys(op for _, op, _ in ops.values() if op not in _ADJOINT_OF):
+    slot = np.repeat(np.arange(dims.size, dtype=np.int32), dims.ravel())
+    local = np.arange(4 ** n, dtype=np.int32) - start.ravel()[slot]
+    pure, mixed = math.comb(n, 2) * n, n ** 3   # del: (2,0), (1,1); dbar: (1,1), (0,2)
+    theta = 2 * (pure + mixed)
+    offset = {"del": 0, "dbar": pure + mixed, "wdel": theta, "wdbar": theta + pure}
+    half = theta + 2 * pure
+    z = np.frombuffer(random.Random(0).randbytes(32 * half), dtype=np.int64) >> 19
+    weights = np.append(z[:2 * half], -z[2 * half:]), np.roll(z, 2 * half)   # [z, 1j z]
+    # complex conjugation, e_I ^ ebar_J -> (-1)^(|I||J|) e_J ^ ebar_I: for value j of a05, a07
+    # or a14, a06, a08 or a15 read mirror_signs[j] times value mirror[j]: del and dbar swapped
+    # (negated on the (1,1)-slot), the columns theta swapped, and i turned to -i
+    swap = np.arange(mixed).reshape(n, n, n).transpose(1, 0, 2).ravel()   # on (1,1)
+    turn = np.arange(pure).reshape(n, -1).T.ravel()   # from (2,1) to (1,2)
+    mirror = np.concatenate([theta - pure + np.arange(pure), pure + mixed + swap, pure + swap,
+                             np.arange(pure), theta + pure + turn, theta + np.argsort(turn)])
+    mirror = np.tile(mirror, 4) + np.repeat(np.arange(4) * half, half)
+    mirror_signs = np.tile(np.repeat([1, -1, 1], [pure, 2 * mixed, 3 * pure]), 4) \
+        * np.repeat([1, 1, -1, -1], half)
+    base = {name: _adjoint_base(lef, op) if op in _ADJOINT_OF else (lef, op)
+            for name, (lef, op, _) in _TORSION_OPERATORS.items()}
+    identities = list(_TORSION_IDENTITIES.items())[::2]   # each followed by its conjugate
+    needed = {base[name] for _, (_, summands, _, rhs) in identities for name in summands + (rhs,)}
+    whole = {}
+    for op in offset:
         pieces = _operator_entries(n, op, *_monomials(n)[:2])
-        whole.update({(lef, op): _whole_table(n, lef == "Lam", pieces)
-                      for lef, x, _ in ops.values() if x == op})
+        whole.update({(lef, x): _whole_table(n, lef == "Lam", pieces)
+                      for lef, x in sorted(needed) if x == op})
         del pieces
-    tables, entries, flips = {}, {}, {}
-    for name, (lef, op, scale) in ops.items():
-        if op in _ADJOINT_OF:
-            base = named[_adjoint_base(lef, op)]
-            rows, cols, sign = _star_conjugate(n, *entries[base])
-            # the values of the two differ by a factor of +-1 too
-            ratio = ((scale or 1) / (ops[base][2] or 1)).real
-            flips[name] = base, np.append(sign * ratio < 0, False)
-        else:
-            table, rows, cols = whole.pop((lef, op))
-            tables[name] = table, len(rows)
-        entries[name] = rows, cols
-    aligned = {}
-    for identity, (_, summands, adjoint, rhs) in _TORSION_IDENTITIES.items():
-        names = summands + (rhs,)
-        ats = _align(n, [entries[name][::-1] if adjoint and name != rhs else entries[name]
-                         for name in names])
-        aligned[identity] = tuple((name, at, None) if name not in flips
-                                  else (flips[name][0], at, flips[name][1][at])
-                                  for name, at in zip(names, ats))
-    return tables, aligned
 
+    def table(summands: Tuple[str, ...], adjoint: bool, rhs: str):
+        """The residual's row count and table ``(rows, terms, signs)``."""
+        lef, op, _ = _TORSION_OPERATORS[rhs]
+        dp, dq = np.add(OperatorTable._SHIFTS[op], _SHIFTS.get(lef, (0, 0)))
+        area = np.pad(dims, 1)[1 + dp:n + 2 + dp, 1 + dq:n + 2 + dq].ravel() * dims.ravel()
+        size = int(area.sum())
+        first = ((np.cumsum(area) - area)[slot] + local).astype(np.int32)
+        parts, h = [], np.zeros((2, size))
+        for name in summands + (rhs,):
+            flip, (_, op, scale) = adjoint and name != rhs, _TORSION_OPERATORS[name]
+            (pos, terms, signs), rows, cols = whole[base[name]]
+            if op in _ADJOINT_OF:
+                rows, cols, star = _star_conjugate(n, rows, cols)
+                signs = signs * star[pos]
+            turns = {1: 0, 1j: 1, -1: 2, -1j: 3}[scale] * (1 - 2 * flip) + 2 * (name == rhs)
+            terms = terms + offset[base[name][1]] + (flip + 2 * (turns & 1)) * half
+            signs = signs * (1 - (turns & 2))
+            rows, cols = (cols, rows) if flip else (rows, cols)
+            at = first[cols] + local[rows] * dims.ravel()[slot][cols]
+            for k, w in enumerate(weights):
+                np.add.at(h[k], at, np.bincount(pos, signs * w[terms], len(at)))
+            parts.append((at, pos, terms, signs))
+        held = np.flatnonzero(np.logical_or(h[0], h[1]))
+        re, im = h[:, held]
+        del h
+        # the quarter turn into re > 0, im >= 0: (|re|, |im|), swapped off quadrants 1 and 3
+        swap = (re * im < 0) | (re == 0)
+        re, im = np.where(swap, abs(im), abs(re)), np.where(swap, abs(re), abs(im))
+        order = np.lexsort((im, re))
+        new = (np.diff(re[order], prepend=-1) != 0) | (np.diff(im[order], prepend=-1) != 0)
+        keep = np.zeros(size, dtype=bool)
+        keep[held[order[new]]] = True
+        number = np.cumsum(keep, dtype=np.int32) - 1
+        rows, terms, signs = [], [], []
+        for at, pos, part_terms, part_signs in parts:
+            kept = keep[at][pos]
+            rows.append(number[at][pos[kept]])
+            terms.append(part_terms[kept])
+            signs.append(part_signs[kept])
+        del parts
+        key, inverse = np.unique(np.concatenate(rows).astype(np.int64) * (4 * half)
+                                 + np.concatenate(terms), return_inverse=True)
+        summed = np.bincount(inverse, np.concatenate(signs), len(key)).astype(np.int8)
+        rows, terms = np.divmod(key[summed != 0], 4 * half)
+        return int(new.sum()), (rows.astype(np.int32), terms.astype(np.int32), summed[summed != 0])
 
-@lru_cache(maxsize=None)
-def _torsion_buffers(n: int) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Per dimension, what every ``_torsion_residuals`` call rewrites rather
-    than makes afresh: each table's vector of entries and a 0, two rows for
-    the gathers of a residual, and float work for the scatters."""
-    tables, aligned = _torsion_layout(n)
-    width = max(len(at) for operands in aligned.values() for _, at, _ in operands)
-    return ({name: np.empty(size + 1, dtype=complex) for name, (_, size) in tables.items()},
-            np.empty((2, width), dtype=complex),
-            np.empty(max(len(table[0]) for table, _ in tables.values())))
-
-
-def _torsion_residuals(table: OperatorTable) -> Dict[str, Callable[[], np.ndarray]]:
-    """Per identity, a callable giving its residual at each position of its
-    ``_torsion_layout`` alignment, a view of the per-dimension
-    ``_torsion_buffers`` (scattered into and gathered from, the gathers
-    clipping) that the next residual or call for this n overwrites.  A scatter sums
-    an entry as the slot's scatter does, negation is exact and a missing
-    entry reads 0: bit for bit up to the sign of a zero, the slot residuals."""
-    tables, aligned = _torsion_layout(table.n)
-    vectors, rows, work = _torsion_buffers(table.n)
-    for name, (whole, _) in tables.items():
-        _, op, scale = _torsion_operator(_TORSION_OPERATORS[name])
-        values = table._values(op) if scale is None else scale * table._values(op)
-        _scatter(vectors[name].shape, whole, values, vectors[name], work)
-
-    def entries(name: str, at: np.ndarray, negate: Optional[np.ndarray], row) -> np.ndarray:
-        out = vectors[name].take(at, out=row[:len(at)], mode="clip")
-        if negate is not None:
-            np.negative(out, out=out, where=negate)
-        return out
-
-    def residual(identity: str) -> np.ndarray:
-        *summands, rhs = aligned[identity]
-        out = entries(*summands[0], rows[0])
-        for operand in summands[1:]:
-            out += entries(*operand, rows[1])
-        if _TORSION_IDENTITIES[identity][2]:
-            np.conjugate(out, out=out)
-        out -= entries(*rhs, rows[1])
-        return out
-
-    return {identity: partial(residual, identity) for identity in _TORSION_IDENTITIES}
+    tables = {}
+    for (identity, spec), partner in zip(identities, list(_TORSION_IDENTITIES)[1::2]):
+        count, (rows, terms, signs) = table(*spec[1:])
+        tables[identity] = count, _frozen(rows, terms, signs)
+        tables[partner] = count, _frozen(rows, mirror[terms].astype(np.int32),
+                                         (signs * mirror_signs[terms]).astype(np.int8))
+    return tables
 
 
 def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
@@ -635,7 +632,7 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     identities on the metric form, the primitive-form star formula, the two
     wedge/star pairing identities, and the global adjointness of the
     formula-based adjoints, each on every monomial of its slots (a05 to
-    a08, a14 and a15 on all slots at once, ``_torsion_residuals``).  a05,
+    a08, a14 and a15 on their distinct entries, ``_torsion_tables``).  a05,
     a06, a14 and a15 are skipped where the invariant Stokes residual
     exceeds ``tol``.  ``seed`` is unused, kept for callers that pass it: no
     identity here needs particular inputs."""
@@ -646,9 +643,10 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
 
     rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "a")
-    residuals = _torsion_residuals(table)
+    values = _torsion_values(table)
     for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
-        rep.check(identity, anchor, lambda r=residuals[identity]: [r()],
+        size, residual = _torsion_tables(n)[identity]
+        rep.check(identity, anchor, lambda t=residual, s=size: [_scatter((s,), t, values)],
                   *([stokes] if adjoint else []))
 
     # torsion trace identities on the metric form, on its frame column
@@ -720,7 +718,7 @@ def verify_operator_identities(M: InvariantComplexManifold,
 
     rep.check("b05_p_operator_routes",
               "P = (omega_(n-2)^.)^-1(i dd^c-source ^ omega_(n-3)) = Lam(..) - Lam^2(..) omega/(2(n-1))",
-              lambda: [Pm - trace22 @ gam])
+              lambda: [_relative(Pm - trace22 @ gam, Pm, gam)])
     rep.check("b06_p_wedge_top_form",
               "P(a) ^ omega_(n-1) = ((n-2)/(n-1)) i del delbar a ^ omega_(n-2)",
               lambda: [wedge(n - 1, 1) @ Pm - (n - 2) / (n - 1) * wedge(n - 2, 2) @ gam])
@@ -728,17 +726,17 @@ def verify_operator_identities(M: InvariantComplexManifold,
               lambda: [lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam])
 
     # two-trace formula for f and the P-route for rho, on omega itself, each
-    # relative to the size of what it compares
+    # relative to the size of what enters it
     dw_dbw = 1j * m("wdel", 1, 2) @ m("dbar", 1, 1) @ w_e
     lam3_t = (lam(1) @ lam(2) @ lam(3) @ dw_dbw)[0]
     f_two_trace = (n - 2) / 2.0 * (lam(1) @ lam(2) @ gam @ w_e)[0] + (n - 3) / 6.0 * lam3_t
     rep.check("b13_f_two_trace_formula",
               "f = ((n-2)/2) Lam^2(i del delbar omega) + ((n-3)/6) Lam^3(i del omega ^ delbar omega)",
-              lambda: [(core.f - f_two_trace) / (1.0 + abs(core.f))])
+              lambda: [_relative(core.f - f_two_trace, core.f, gam, dw_dbw)])
     rho_route = Pm @ w_e + 0.5 * lam(2) @ lam(3) @ dw_dbw - lam3_t / (3 * (n - 1)) * w_e
     rep.check("b14_rho_via_p",
               "rho = P(omega) + Lam^2(i del omega ^ delbar omega)/2 - Lam^3(...) omega/(3(n-1))",
-              lambda: [(core.rho_e - rho_route) / (1.0 + np.abs(core.rho_e).max())])
+              lambda: [_relative(core.rho_e - rho_route, core.rho_e, Pm, dw_dbw)])
 
     # integral links between the pair construction and P/Q, as row vectors
     # over every phi-basis eta (int u ^ v = u @ pairing @ v / volume
@@ -749,10 +747,12 @@ def verify_operator_identities(M: InvariantComplexManifold,
     int_w = integral(_omega_power_vec(g, n - 1)) @ g.from_e_matrix(1, 1)
     gamma_phi = lambda x, k: gamma_m.from_e_matrix(k, k) @ x @ gamma_m.to_e_matrix(k, k)
     t_gamma = g.to_e_matrix(1, 1) @ gamma_phi(Tm, 1)
-    # b15 and b16 are relative to the size of the integrals
+    # b15 and b16 are relative to the size of the integrals and of the
+    # factors of the other side
     int_star_rho = integral(gamma_phi(Sm, n - 1) @ core.src)
-    link = lambda op: ((int_star_rho - (n - 1) / (n - 2) * int_w @ op @ t_gamma)
-                       / (1.0 + np.abs(int_star_rho).max()))
+    link = lambda op: _relative(
+        int_star_rho - (n - 1) / (n - 2) * int_w @ op @ t_gamma, int_star_rho,
+        np.abs(int_w).max() * np.abs(op).max() * np.abs(t_gamma).max())
     rep.check("b15_pair_division_integral_link",
               "int eta ^ star_gamma rho(omega,gamma) = ((n-1)/(n-2)) int P(T_gamma eta) ^ omega_(n-1)",
               lambda: [link(Pm)], stokes, d_squared,
@@ -805,9 +805,9 @@ def verify_operator_identities(M: InvariantComplexManifold,
     rep.check("b24_q_is_minus_laplacian_kahler", "kahler: Q = -(dbar-laplacian)",
               lambda: [relative(Qm, -lap)], kahler)
     _, svals, vh = np.linalg.svd(lap)
-    harmonic = vh[svals < 1e-8 * max(1.0, svals.max())].conj().T
+    harmonic = vh[svals <= 1e-8 * svals.max()].conj().T
     rep.check("b25_q_equals_p_on_harmonic", "Q = P on ker(dbar-laplacian)",
-              lambda: [(Qm - Pm) @ harmonic / (1.0 + max(np.abs(Qm).max(), np.abs(Pm).max()))],
+              lambda: [_relative((Qm - Pm) @ harmonic, Qm, Pm)],
               stokes, (harmonic.size > 0, "no invariant harmonic (1,1)-forms sampled"))
 
     # theta ^ omega_(n-1) = (Lam theta) omega_n, and Lam on the (1,1)-slot

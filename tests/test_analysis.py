@@ -554,3 +554,56 @@ def test_gauduchon_adjoint_nonzero_on_non_unimodular():
     assert out.max_abs() > 0.5
     rep = classify(M, g)
     assert not rep.flags["gauduchon"].holds
+
+
+# ----------------------------------------------------------------------
+# laws that geometry imposes on the eight flags
+# ----------------------------------------------------------------------
+def flag_laws(report, model):
+    """The laws of the flags of one metric that ``report`` breaks, on the
+    catalog model named ``model``:
+
+    - Kahler implies the other seven flags;
+    - balanced implies Gauduchon;
+    - at n = 3, SKT holds exactly when astheno-Kahler does;
+    - SKT and balanced together imply Kahler (Alexandrov and Ivanov,
+      "Vanishing theorems on Hermitian manifolds", 2001);
+    - Gauduchon and pluriclosed star split hold on every model the CLI
+      accepts (Stokes);
+    - no catalog model but the torus is Kahler (Benson and Gordon 1988,
+      Hasegawa 1989, Wang 1954; Calabi-Eckmann manifolds have b_2 = 0);
+    - no invariant metric on the complex-parallelisable iwasawa3, iwasawa5
+      or nakamura is SKT (there i del dbar omega has coefficient matrix
+      A^T H conj(A), zero only with A)."""
+    holds = {key: flag.holds for key, flag in report.flags.items()}
+    broken = []
+    if holds["kahler"]:
+        broken += [f"kahler without {key}" for key, ok in holds.items() if not ok]
+    if holds["balanced"] and not holds["gauduchon"]:
+        broken.append("balanced without gauduchon")
+    if report.dim == 3 and holds["SKT"] != holds["astheno_kahler"]:
+        broken.append("SKT differs from astheno_kahler at n = 3")
+    if holds["SKT"] and holds["balanced"] and not holds["kahler"]:
+        broken.append("SKT and balanced without kahler")
+    broken += [f"{key} fails" for key in ("gauduchon", "pluriclosed_star_split") if not holds[key]]
+    if holds["kahler"] and not model.startswith("torus"):
+        broken.append("kahler on a non-torus model")
+    if holds["SKT"] and model in ("iwasawa3", "iwasawa5", "nakamura"):
+        broken.append("SKT on a complex-parallelisable model")
+    return broken
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_flag_laws_hold_at_metric_scales_from_1e_minus_8_to_1e8(name):
+    """The laws of ``flag_laws`` on each catalog model, at its default
+    metric and at two seeded dense ones, each scaled by 1e-8 to 1e8.  Left
+    out: scales of 1e10 and more, where absolute flag thresholds meet
+    defects that shrink with the metric, so that SKT holds with balanced
+    but not Kahler on iwasawa3, iwasawa5, iwasawa_def and nakamura, and
+    from 1e20 on Kahler holds on non-torus models."""
+    M, g, _ = catalog.get(name)
+    rng = np.random.default_rng(14)
+    for metric in (g, random_pd_metric(M.dim, rng), random_pd_metric(M.dim, rng, spread=1.0)):
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            report = classify(M, metric.scaled(scale))
+            assert not flag_laws(report, name), (scale, metric, flag_laws(report, name))

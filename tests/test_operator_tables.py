@@ -9,14 +9,16 @@ scattered from the wedge table, and del and dbar scattered from their
 own tables, checked against the congruence they replace; the adjoints
 and the torsion as the chains that define them, against the dense
 products; the kernel that reads those tables against ``np.add.at``; and
-a05 to a08, a14 and a15 on all slots at once against their evaluation
-slot by slot, with the brackets of that evaluation scattered from
-per-slot tables (the adjoint ones renumbered through the star).
+the deduplicated tables of a05 to a08, a14 and a15: exactly the distinct
+rows, up to a unit, of their residuals composed slot by slot from
+per-slot tables (the adjoint ones renumbered through the star), with the
+same residuals as the evaluation slot by slot, and a07 and a08 the zero
+map once theta is written through the generators.
 
 The tables read off the monomial masks are checked against the routes
-they replace, kept here: the per-slot wedge, derivation and bracket tables
-and their concatenation into whole-slot tables (byte for byte), and the
-identities of n alone evaluated slot by slot over dense chains."""
+they replace, kept here: the per-slot wedge, derivation and bracket
+tables, and the identities of n alone evaluated slot by slot over dense
+chains."""
 
 import math
 from functools import lru_cache, partial
@@ -32,7 +34,7 @@ from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_ba
                               _index, _join, _operator_scatter, _primitive_part, _scatter,
                               _slot_mat, _slot_starts, _star_conjugate, _star_perm, _top_pairing,
                               _volume_coeff, _wedge_power_mat, _wedge_scatter, omega_power)
-from starsplit.operators import (IdentityReport, OperatorTable, _torsion_operator,
+from starsplit.operators import (IdentityReport, OperatorTable,
                                  verify_commutation_suite, verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
@@ -185,60 +187,6 @@ ref_operator_scatter = lru_cache(maxsize=None)(
     lambda *key: ref_operator_table(*key, ref_operator_scatter))
 
 
-def ref_whole_scatter(n, lef, op, lookup):
-    """The slot tables of ``ref_operator_table`` concatenated slot after
-    slot, positions renumbered to number the entries, with the entries'
-    rows and columns over all slots."""
-    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), _SHIFTS[op]
-    dims, start = _slot_starts(n)
-    tables, rows, cols, count = [], [], [], 0
-    for p in range(n + 1):
-        for q in range(n + 1):
-            pos, terms, signs = lookup(n, lef, op, p, q)
-            if not len(pos):
-                continue
-            first = np.ones(len(pos), dtype=bool)
-            first[1:] = pos[1:] != pos[:-1]
-            tables.append((count - 1 + np.cumsum(first), terms, signs))
-            row, col = np.divmod(pos[first], dims[p, q])
-            rows.append(start[p + fp + xp, q + fq + xq] + row)
-            cols.append(start[p, q] + col)
-            count += len(row)
-    out = tuple(np.concatenate([t[m] for t in tables] or [np.zeros(0, dtype)]).astype(dtype)
-                for m, dtype in enumerate((np.int32, np.int32, np.int8)))
-    empty = [np.zeros(0, np.int32)]
-    return out, np.concatenate(rows or empty), np.concatenate(cols or empty)
-
-
-def ref_torsion_layout(n):
-    """``operators._torsion_layout`` with every whole-slot table the
-    concatenation of per-slot tables (``ref_whole_scatter``)."""
-    lookup = lru_cache(maxsize=None)(lambda *key: ref_operator_table(*key, lookup))
-    ops = {name: _torsion_operator(spec) for name, spec in operators._TORSION_OPERATORS.items()}
-    named = {(lef, op): name for name, (lef, op, _) in ops.items()}
-    tables, entries, flips = {}, {}, {}
-    for name, (lef, op, scale) in ops.items():
-        if op in _ADJOINT_OF:
-            base = named[_adjoint_base(lef, op)]
-            rows, cols, sign = _star_conjugate(n, *entries[base])
-            ratio = ((scale or 1) / (ops[base][2] or 1)).real
-            flips[name] = base, np.append(sign * ratio < 0, False)
-        else:
-            table, rows, cols = ref_whole_scatter(n, lef, op, lookup)
-            tables[name] = table, len(rows)
-        entries[name] = rows, cols
-    lookup.cache_clear()
-    aligned = {}
-    for identity, (_, summands, adjoint, rhs) in operators._TORSION_IDENTITIES.items():
-        names = summands + (rhs,)
-        ats = operators._align(n, [entries[name][::-1] if adjoint and name != rhs
-                                   else entries[name] for name in names])
-        aligned[identity] = tuple((name, at, None) if name not in flips
-                                  else (flips[name][0], at, flips[name][1][at])
-                                  for name, at in zip(names, ats))
-    return tables, aligned
-
-
 def dense_pointwise_entries(table):
     """The identities of n alone evaluated slot by slot over the chains of
     ``table`` (a01 to a04 and a11 to a13, from n = 3 on b01 to b04 and b08
@@ -323,13 +271,14 @@ def dense_pointwise_entries(table):
 
 
 def _bracket_table(n, lef, op, p, q):
-    """The per-slot table of ``-i [F, X]`` from the (p,q)-slot over the
-    values of X, or, for an adjoint X = ``-star D star``, over those of D:
-    the table of ``-i [F', D]`` (``star L = Lam star``) on the star of the
-    slot, renumbered through ``metric._star_conjugate``."""
+    """The per-slot table of X, or of ``-i [F, X]`` for F = ``lef``, from
+    the (p,q)-slot over the values of X, or, for an adjoint X = ``-star D
+    star``, over those of D: the table of D or of ``-i [F', D]`` (``star L
+    = Lam star``) on the star of the slot, renumbered through
+    ``metric._star_conjugate``."""
     if op not in _ADJOINT_OF:
         return ref_operator_scatter(n, lef, op, p, q)
-    (fp, fq), (xp, xq) = _SHIFTS[lef], OperatorTable._SHIFTS[op]
+    (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), OperatorTable._SHIFTS[op]
     tp, tq, ncols = p + fp + xp, q + fq + xq, space_dim(n, p, q)
     if not (ncols and space_dim(n, tp, tq)):
         return ref_scatter_table([])
@@ -344,7 +293,8 @@ def _bracket_table(n, lef, op, p, q):
 def _scaled_bracket(table, a, b, p, q, factor):
     """``factor [a, b]`` from the (p,q)-slot, one scatter whose values the
     factor scales."""
-    lef, op, scale = _torsion_operator((a, b, factor))
+    # factor [a, b] is scale (-i [F, X]) with F the one of a and b that is L or Lam
+    lef, op, scale = (a, b, factor * 1j) if a in ("L", "Lam") else (b, a, factor * -1j)
     shape = (space_dim(table.n, *table.target(op, *table.target(lef, p, q))),
              space_dim(table.n, p, q))
     return _scatter(shape, _bracket_table(table.n, lef, op, p, q),
@@ -375,20 +325,103 @@ def per_slot_torsion_residuals(table):
     }
 
 
+def torsion_residuals(table):
+    """Per identity, the residual of each row of its ``_torsion_tables``
+    table on the values of ``table``."""
+    values = operators._torsion_values(table)
+    return {identity: _scatter((count, ), residual, values)
+            for identity, (count, residual) in operators._torsion_tables(table.n).items()}
+
+
 def assert_torsion_residuals_equal_the_per_slot_ones(table, fresh):
-    """``_torsion_residuals`` of ``fresh`` against the per-slot evaluation
-    on ``table``, both over the same manifold, metric and generators: the
-    reported residual (the largest absolute entry) equal, and the nonzero
-    entries equal as multisets, bit for bit."""
-    ref = per_slot_torsion_residuals(table)
-    got = operators._torsion_residuals(fresh)
+    """The residuals of the tables on ``fresh`` against the per-slot
+    evaluation on ``table``, both over the same manifold, metric and
+    generators, to 1e-14 times the larger of 1 and the largest modulus:
+    the reported residual (the largest modulus), and the distinct moduli
+    above that bound, each of the per-slot entries near one of the table
+    rows and the other way round.  Each row sums its terms in one pass where the per-slot
+    route sums per operator, so they agree to rounding, not bit for bit."""
+    ref, got = per_slot_torsion_residuals(table), torsion_residuals(fresh)
     assert set(got) == set(ref)
     for identity, mats in ref.items():
-        dense = np.concatenate([r.ravel() for r in mats])
-        vec = got[identity]()
-        assert (float(np.abs(vec).max(initial=0.0))
-                == max((float(np.abs(r).max(initial=0.0)) for r in mats), default=0.0)), identity
-        assert np.array_equal(np.sort(vec[vec != 0]), np.sort(dense[dense != 0])), identity
+        dense = np.abs(np.concatenate([r.ravel() for r in mats]))
+        rows = np.abs(got[identity])
+        bound = 1e-14 * max(1.0, dense.max(initial=0.0))
+        assert abs(rows.max(initial=0.0) - dense.max(initial=0.0)) <= bound, identity
+        dense, rows = dense[dense > bound], rows[rows > bound]
+        for a, b in ((dense, rows), (rows, dense)):
+            if len(a):
+                b = np.sort(b)
+                at = np.searchsorted(b, a)
+                gap = np.minimum(np.abs(a - b[np.maximum(at - 1, 0)]),
+                                 np.abs(a - b[np.minimum(at, len(b) - 1)]))
+                assert gap.max() <= bound, identity
+
+
+def torsion_half(n):
+    """The length of x in ``_torsion_values``: the values of del and dbar
+    and the two columns theta."""
+    return 2 * (math.comb(n, 2) + n * n) * n + 2 * math.comb(n, 2) * n
+
+
+def per_slot_torsion_rows(n, identity):
+    """The residual of an identity composed slot by slot from the per-slot
+    tables of its operators (``_bracket_table``), as ``(pos, terms,
+    signs)`` over the values of ``_torsion_values``: positions numbered slot
+    after slot, a term of an operator's entry ``sign i^k x[j]``, conjugated
+    and transposed for the summands of an adjoint identity, negated for
+    the right-hand side."""
+    _, summands, adjoint, rhs = operators._TORSION_IDENTITIES[identity]
+    half = torsion_half(n)
+    sizes = [(math.comb(n, 2) + n * n) * n] * 2 + [math.comb(n, 2) * n] * 2
+    offset = dict(zip(("del", "dbar", "wdel", "wdbar"), np.cumsum([0] + sizes)))
+    out, base = [], 0
+    for p in range(n + 1):
+        for q in range(n + 1):
+            lef, op, _ = operators._TORSION_OPERATORS[rhs]
+            (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), OperatorTable._SHIFTS[op]
+            tp, tq = p + fp + xp, q + fq + xq
+            ncols = space_dim(n, p, q)
+            if not (0 <= tp <= n and 0 <= tq <= n and ncols and space_dim(n, tp, tq)):
+                continue
+            for name in summands + (rhs,):
+                flip = adjoint and name != rhs
+                lef, op, scale = operators._TORSION_OPERATORS[name]
+                pos, terms, signs = _bracket_table(n, lef, op, *((tp, tq) if flip else (p, q)))
+                row, col = np.divmod(pos, space_dim(n, tp, tq) if flip else ncols)
+                turns = {1: 0, 1j: 1, -1: 2, -1j: 3}[scale]
+                turns = (-turns if flip else turns) + 2 * (name == rhs)
+                out.append((base + (col * ncols + row if flip else row * ncols + col),
+                            terms + offset[_ADJOINT_OF.get(op, op)] + half * flip
+                            + 2 * half * (turns & 1), signs * (1 - (turns & 2))))
+            base += space_dim(n, tp, tq) * ncols
+    return tuple(np.concatenate([part[k] for part in out] or [np.zeros(0, int)]) for k in range(3))
+
+
+def canonical_rows(pos, terms, signs, half):
+    """Each row of a table over the values ``[x, 1j x]`` (x of length 2
+    ``half``) as its Gaussian-integer coefficients of x, repeated terms
+    summed, turned by the unit that brings its first coefficient to re >
+    0, im >= 0: one line of packed ``(j, re, im)`` per nonzero row, in the
+    order of the positions, padded with -1."""
+    part, j = np.divmod(terms.astype(np.int64), 2 * half)
+    keys, inverse = np.unique(pos.astype(np.int64) * 2 * half + j, return_inverse=True)
+    coeff = (np.bincount(inverse, signs * (part == 0), len(keys))
+             + 1j * np.bincount(inverse, signs * (part == 1), len(keys)))
+    keys, coeff = keys[coeff != 0], coeff[coeff != 0]
+    row, j = np.divmod(keys, 2 * half)
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    counts = np.diff(np.append(first, len(row)))
+    lead = coeff[first]
+    turn = np.select([(lead.real > 0) & (lead.imag >= 0), (lead.real <= 0) & (lead.imag > 0),
+                      (lead.real < 0) & (lead.imag <= 0)], [1, -1j, -1], 1j)
+    coeff = coeff * np.repeat(turn, counts)
+    re, im = coeff.real.astype(np.int64), coeff.imag.astype(np.int64)
+    assert np.abs(re).max(initial=0) <= 2 and np.abs(im).max(initial=0) <= 2
+    out = np.full((len(first), counts.max(initial=0)), -1, dtype=np.int64)
+    out[np.repeat(np.arange(len(first)), counts), np.arange(len(row)) - np.repeat(first, counts)] \
+        = (j * 5 + re + 2) * 5 + im + 2
+    return out
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -608,8 +641,7 @@ def test_first_order_tables_stay_small():
 def _scatter_tables(n):
     """``(shape, table)`` of every ``_operator_scatter`` table of
     dimension n, of every per-slot bracket table of the reference route,
-    and of every whole-slot table of ``_torsion_layout`` (a column of its
-    entries and the 0 after them)."""
+    and of every table of ``_torsion_tables`` (a column of its rows)."""
     for p in range(n + 1):
         for q in range(n + 1):
             ncols = space_dim(n, p, q)
@@ -621,8 +653,8 @@ def _scatter_tables(n):
                     fp, fq = _SHIFTS[lef]
                     tp, tq = p + fp + _SHIFTS[op][0], q + fq + _SHIFTS[op][1]
                     yield (space_dim(n, tp, tq), ncols), ref_operator_scatter(n, lef, op, p, q)
-    for table, size in operators._torsion_layout(n)[0].values():
-        yield (size + 1, 1), table
+    for count, table in operators._torsion_tables(n).values():
+        yield (count, 1), table
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -657,14 +689,21 @@ def _dense_first_order(dense, name, p, q):
 
 def _random_generator_tables(n, rng):
     """An ``OperatorTable`` of dimension n and its ``DenseTable``, both
-    reading the same random complex generator differentials, so that every
-    entry of every table is exercised (the tables do not need d^2 = 0)."""
+    reading the same random complex generator differentials and theta
+    columns, so that every entry of every table is exercised (the tables
+    do not need d^2 = 0, nor theta = del omega, with which a07 and a08
+    vanish)."""
     M, g = InvariantComplexManifold(f"torus_{n}", n, {}), HermitianMetric.identity(n)
     table, dense = OperatorTable(M, g), DenseTable(M, g)
     for name in ("del", "dbar"):
         size = table._values(name).size
         gens = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         table._gens[name] = dense._gens[name] = gens
+    for name in ("wdel", "wdbar"):
+        size = space_dim(n, *table.target(name, 0, 0))
+        theta = rng.standard_normal((size, 1)) + 1j * rng.standard_normal((size, 1))
+        theta.setflags(write=False)
+        table._mats[name, 0, 0] = dense._mats[name, 0, 0] = theta
     return table, dense
 
 
@@ -763,42 +802,64 @@ def test_slot_tables_equal_the_merge_table_route(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_torsion_layout_equals_the_per_slot_route(n):
-    """The whole-slot tables, each built by one pass over the masks of
-    every monomial, and the alignments equal, byte for byte, those of the
-    per-slot tables concatenated slot after slot."""
-    operators._torsion_layout.cache_clear()
-    (tables, aligned), (ref_tables, ref_aligned) = operators._torsion_layout(n), \
-        ref_torsion_layout(n)
-    assert list(tables) == list(ref_tables)
-    for name, (table, size) in tables.items():
-        assert size == ref_tables[name][1], name
-        for a, b in zip(table, ref_tables[name][0]):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert list(aligned) == list(ref_aligned)
-    for identity, operands in aligned.items():
-        for (name, at, negate), (ref_name, ref_at, ref_negate) in zip(operands,
-                                                                       ref_aligned[identity]):
-            assert name == ref_name and at.tobytes() == ref_at.tobytes(), identity
-            assert (negate is None) == (ref_negate is None), identity
-            assert negate is None or negate.tobytes() == ref_negate.tobytes(), identity
+    """The tables hold one row per distinct entry, up to a unit, of each
+    identity's residual composed slot by slot from the per-slot tables:
+    their rows, turned to a canonical unit, are exactly the distinct rows of
+    that composition, each once.  This certifies the hash of the build for
+    every n the suites run."""
+    operators._torsion_tables.cache_clear()
+    half = torsion_half(n)
+    for identity, (count, table) in operators._torsion_tables(n).items():
+        got = canonical_rows(*table, half)
+        ref = np.unique(canonical_rows(*per_slot_torsion_rows(n, identity), half), axis=0)
+        assert len(got) == count == len(ref), identity
+        width = max(got.shape[1], ref.shape[1])
+        got, ref = (np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=-1)
+                    for a in (got, ref))
+        assert np.array_equal(np.unique(got, axis=0), ref), identity
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_torsion_layout_indices_stay_in_bounds(rng, n):
-    """``_scatter`` and ``_torsion_residuals`` gather with ``mode="clip"``,
-    which would turn an index out of range into a wrong value: every
-    position of a whole-slot table lies in its vector of entries, every
-    term in the values it scatters, and every alignment index in its
-    operand's vector or on the 0 after it."""
-    table, _ = _random_generator_tables(n, rng)
-    tables, aligned = operators._torsion_layout(n)
-    for name, ((pos, terms, _), size) in tables.items():
-        _, op, _ = _torsion_operator(operators._TORSION_OPERATORS[name])
-        assert 0 <= pos.min(initial=0) and pos.max(initial=-1) < size, name
-        assert 0 <= terms.min(initial=0) and terms.max(initial=-1) < len(table._values(op)), name
-    for identity, operands in aligned.items():
-        for name, at, _ in operands:
-            assert 0 <= at.min(initial=0) and at.max(initial=0) <= tables[name][1], identity
+def test_torsion_layout_indices_stay_in_bounds(n):
+    """``_scatter`` gathers with ``mode="clip"``, which would turn an index
+    out of range into a wrong value: every position of a table lies in its
+    rows, each row holds a term, and every term lies in the values."""
+    size = 4 * torsion_half(n)
+    for identity, (count, (pos, terms, signs)) in operators._torsion_tables(n).items():
+        assert np.array_equal(np.unique(pos), np.arange(count)), identity
+        assert 0 <= terms.min(initial=0) and terms.max(initial=-1) < size, identity
+        assert (pos.dtype, terms.dtype, signs.dtype) == (np.int32, np.int32, np.int8)
+        assert not (pos.flags.writeable or terms.flags.writeable or signs.flags.writeable)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a07_and_a08_are_identities_of_the_tables(n):
+    """a07 and a08 hold for every generator differentials.  With theta =
+    del omega and dbar omega written through the generator values (theta
+    = Theta v, Theta the (1,1)-slot table of del or dbar on omega's frame
+    column), each table composed with that substitution is the zero map.
+    Every entry is a Gaussian integer, so the sparse products are exact."""
+    sparse = pytest.importorskip("scipy.sparse")
+    half, gens = torsion_half(n), (math.comb(n, 2) + n * n) * n
+    w = _slot_mat(n, "L", 0, 0)[0][:, 0]
+    blocks = [[None] * 4 for _ in range(8)]   # x and its conjugate from v, dbar v and theirs
+    for part in (0, 1):
+        pos, terms, signs = _operator_scatter(n, part, 1, 1)
+        rows, cols = np.divmod(pos, n * n)
+        theta = sparse.coo_matrix((signs * w[cols], (rows, terms)),
+                                  shape=(n * math.comb(n, 2), gens))
+        for conj in (0, 1):
+            blocks[4 * conj + part][2 * conj + part] = sparse.identity(gens, format="coo")
+            blocks[4 * conj + 2 + part][2 * conj + part] = theta.conj() if conj else theta
+    substitution = sparse.bmat(blocks, format="csr")
+    assert substitution.shape == (2 * half, 4 * gens)
+    for identity in ("a07_del_plus_torsion_bracket", "a08_delbar_plus_torsion_bracket"):
+        count, (pos, terms, signs) = operators._torsion_tables(n)[identity]
+        part, j = np.divmod(terms, 2 * half)
+        table = sparse.coo_matrix((signs * 1j ** part, (pos, j)), shape=(count, 2 * half))
+        composed = (table.tocsr() @ substitution).tocoo()
+        composed.eliminate_zeros()
+        assert count and composed.nnz == 0, identity
 
 
 # ----------------------------------------------------------------------
@@ -817,30 +878,34 @@ def test_torsion_residuals_equal_the_per_slot_evaluation(rng, name):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_torsion_residuals_equal_the_per_slot_evaluation_on_random_generators(rng, n):
-    """Random complex generator differentials reach every entry of every
-    table; the identities need not hold for them."""
+    """Random complex generator differentials and theta columns reach every
+    entry of every table, and make every residual of size one; the
+    identities need not hold for them."""
     table, _ = _random_generator_tables(n, rng)
     fresh = OperatorTable(table.M, table.g)
     fresh._gens.update(table._gens)
+    fresh._mats.update({key: mat for key, mat in table._mats.items() if key[0][0] == "w"})
+    residuals = torsion_residuals(fresh)
+    assert all(np.abs(r).max(initial=1.0) > 0.1 for r in residuals.values())
     assert_torsion_residuals_equal_the_per_slot_ones(table, fresh)
 
 
 def test_torsion_layout_stays_small_and_makes_no_slot_table(rng):
-    """At n = 5 the whole-slot tables and the alignments, with the sign
-    flips of the adjoints, hold at most 4.5 MiB.  Building them leaves no
+    """At n = 5 the tables of a05 to a08, a14 and a15 hold at most 1.5 MiB,
+    one row per distinct residual entry.  Building them leaves no
     ``_operator_scatter`` entry, and a warm commutation suite adds none."""
-    operators._torsion_layout.cache_clear()
+    operators._torsion_tables.cache_clear()
     _operator_scatter.cache_clear()
-    tables, aligned = operators._torsion_layout(5)
+    tables = operators._torsion_tables(5)
     assert _operator_scatter.cache_info().currsize == 0
-    held = (sum(arr.nbytes for table, _ in tables.values() for arr in table)
-            + sum(arr.nbytes for operands in aligned.values() for _, *arrs in operands
-                  for arr in arrs if arr is not None))
-    assert held <= 4.5 * 2 ** 20, held
+    held = sum(arr.nbytes for _, table in tables.values() for arr in table)
+    assert held <= 1.5 * 2 ** 20, held
+    assert {identity[:3]: count for identity, (count, _) in tables.items()} == {
+        "a05": 2690, "a06": 2690, "a07": 230, "a08": 230, "a14": 2690, "a15": 2690}
     M = catalog.get("iwasawa5")[0]
     verify_commutation_suite(M, random_pd_metric(5, rng))
     warm = _operator_scatter.cache_info().currsize
     assert warm <= 6   # the slots of a09 and a10
     verify_commutation_suite(M, random_pd_metric(5, rng))
     assert _operator_scatter.cache_info().currsize == warm
-    assert operators._torsion_layout(5)[0] is tables
+    assert operators._torsion_tables(5) is tables
