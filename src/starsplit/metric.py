@@ -15,21 +15,23 @@ star formula.  The per-bidegree operators are small dense matrices (at most
 ``C(n,p) * C(n,q)`` with n <= 6), cached per dimension in the orthonormal
 frame where they do not depend on the metric and read off the monomial
 bitmasks (``_monomials``): the wedge with the monomials of one slot
-(``_wedge_masks``, per slot ``_wedge_scatter``), hence ``omega_r ^ .``
-(``_wedge_power_entries``); the top pairing and from it the star, a
-signed permutation (``_top_all``, ``_star_all``); del and dbar, the
-Leibniz rule over the differentials of the generators in any coframe
-(``_operator_entries``), per slot a table of ``_scatter`` (gathers and a
-bincount of the real and of the imaginary parts) and on all slots at
-once, with their commutators with Lambda, a table of the nonzero entries
+(``_wedge_masks``), hence ``omega_r ^ .`` (``_wedge_power_entries``);
+the top pairing and from it the star, one unit entry per row and column
+(``_top_all``, ``_star_all``); del and dbar, the Leibniz rule over the
+differentials of the generators in any coframe (``_operator_entries``).
+The first-order operators of one slot, del, dbar and the wedge with a
+fixed form, are each a table of ``_scatter`` over their values (a gather
+and a bincount of the real and of the imaginary parts;
+``_operator_scatter``, ``_wedge_scatter``); del and dbar on all slots at
+once, with their commutators with Lambda, are a table of the nonzero entries
 (``_whole_table``), from which ``operators`` composes each of a05 to a08,
 a14 and a15, the adjoints relabelled by the star (``_star_conjugate``).
 Tables hold int32 positions and int8 signs, never fancy-indexed (which
 casts to intp on every call).  L, Lambda, star and the divisions T and S
-of ``operators`` are ``_slot_mat``, with the pseudo-inverse behind
-``divide_by_power`` and the sl(2) closed form behind ``lefschetz_decompose``.
-``HermitianMetric.apply`` is the one routine that applies frame slot
-matrices to a ``Form``; ``hodge_star``,
+of ``operators`` are dense slot matrices (``_slot_mat``), with the
+pseudo-inverse behind ``divide_by_power`` and the sl(2) closed form
+behind ``lefschetz_decompose``.  ``HermitianMetric.apply`` is the one
+routine that applies frame slot matrices to a ``Form``; ``hodge_star``,
 ``lefschetz_L``, ``lefschetz_lambda``, ``operators.T``/``S`` and
 ``OperatorTable.apply`` use it.
 
@@ -115,15 +117,14 @@ def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
-             values: np.ndarray, out: np.ndarray = None, work: np.ndarray = None) -> np.ndarray:
+             values: np.ndarray) -> np.ndarray:
     """The array of a table ``(pos, terms, signs)`` for these values, its
     entry at flat position ``pos[k]`` collecting ``signs[k] *
     values[terms[k]]``: a bincount of the gathered (``take``) real and of
-    the imaginary parts, into the flat ``out`` and through the float
-    ``work`` (at least as long as ``terms``) where given."""
+    the imaginary parts."""
     pos, terms, signs = table
-    flat = np.empty(math.prod(shape), dtype=complex) if out is None else out
-    work = np.empty(len(terms)) if work is None else work[:len(terms)]
+    flat = np.empty(math.prod(shape), dtype=complex)
+    work = np.empty(len(terms))
     for part, dest in ((values.real, flat.real), (values.imag, flat.imag)):
         part.take(terms, out=work, mode="clip")
         work *= signs
@@ -251,12 +252,13 @@ def _slot_monomials(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``theta ^ .`` for a form theta of the (a,b)-slot, from the (p,q)-slot
-    to the (p+a,q+b)-slot (``_wedge_masks``), as ``(rows, cols, terms,
-    signs)``: ``signs[k] * theta[terms[k]]`` at ``(rows[k], cols[k])``."""
+    to the (p+a,q+b)-slot (``_wedge_masks``), as a table of ``_scatter``
+    over theta's coefficients."""
     cols, rows, terms, signs, _ = _wedge_masks(n, a, b, *_slot_monomials(n, p, q))
-    return _frozen(rows - _slot_starts(n)[1][min(p + a, n), min(q + b, n)], cols, terms, signs)
+    pos = (rows - _slot_starts(n)[1][min(p + a, n), min(q + b, n)]) * space_dim(n, p, q) + cols
+    return _frozen(pos.astype(np.int32), terms.astype(np.int32), signs.astype(np.int8))
 
 
 @lru_cache(maxsize=None)
@@ -360,21 +362,22 @@ def _wedge_power_mat(n: int, r: int, p: int, q: int) -> np.ndarray:
 def _slot_mat(n: int, name: str, p: int, q: int) -> Tuple[np.ndarray, int, int]:
     """Orthonormal-frame matrix of a pointwise operator on the (p,q)-slot
     and its target slot: "L" is ``omega ^ .``, "Lam" its adjoint, "star"
-    the Hodge star (the signed permutation ``_star_perm``), "T" and "S"
-    the divisions of ``_division_mat``.  Built once per dimension and
-    read-only."""
+    the Hodge star (the target slot's rows of ``_star_all``, one unit
+    entry per row and column), "T" and "S" the divisions of
+    ``_division_mat``.  Built once per dimension and read-only."""
     if name in ("T", "S"):
         k = 1 if name == "T" else n - 1
         if (p, q) != (k, k):
             raise InputError(f"{name} expects a ({k},{k})-form, got bidegree ({p},{q})")
         return _division_mat(n, name), p, q
     tp, tq = {"star": (n - q, n - p), "L": (p + 1, q + 1)}.get(name, (p - 1, q - 1))
-    if name == "star":
-        perm, phase = _star_perm(n, p, q)
-        mat = np.zeros((len(perm),) * 2, dtype=complex)
-        mat[np.arange(len(perm)), perm] = phase
-    elif not (space_dim(n, p, q) and space_dim(n, tp, tq)):
+    if not (space_dim(n, p, q) and space_dim(n, tp, tq)):
         mat = np.zeros((space_dim(n, tp, tq), space_dim(n, p, q)), dtype=complex)
+    elif name == "star":
+        dims, start = _slot_starts(n)
+        perm, _, phase = (arr[start[tp, tq]:start[tp, tq] + dims[tp, tq]] for arr in _star_all(n))
+        mat = np.zeros((dims[tp, tq], dims[p, q]), dtype=complex)
+        mat[np.arange(dims[tp, tq]), perm - start[p, q]] = phase
     elif name == "L":
         mat = _wedge_power_mat(n, 1, p, q)
     else:
@@ -410,16 +413,6 @@ def _top_pairing(n: int, p: int, q: int) -> np.ndarray:
     mat[np.arange(dims[p, q]), partner - start[n - p, n - q]] = sign
     mat.setflags(write=False)
     return mat
-
-
-@lru_cache(maxsize=None)
-def _star_perm(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The Hodge star from the (p,q)-slot to the (n-q,n-p)-slot, the slot's
-    rows of ``_star_all``: ``(perm, phase)``, ``star @ x == phase * x[perm]``."""
-    dims, start = _slot_starts(n)
-    rows = slice(start[n - q, n - p], start[n - q, n - p] + dims[p, q])
-    perm, _, phase = _star_all(n)
-    return _frozen(perm[rows] - start[p, q], phase[rows])
 
 
 @lru_cache(maxsize=None)

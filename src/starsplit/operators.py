@@ -15,17 +15,17 @@ Operators (omega a fixed metric, alpha a (1,1)-form, Omega an
 
 All of them are slot matrices of one ``OperatorTable`` over the
 orthonormal frame.  Per dimension, independent of manifold and metric, are
-L, Lam, star, T (``-Id + L Lam / (n-1)``) and S (``star T star``).  The
-star is a signed permutation, and a chain applies it as one: a gather of
-rows or columns and a factor of +-1 or +-i each.  Per table, built on
-first use and kept, are the first-order operators: del and dbar, each
-slot one scatter of the frame differentials of the generators from a
-per-dimension table, and ``del omega ^ .`` as the wedge with the 3-form
-``theta = del omega`` (one mat-vec per table).  Every other operator is
-a chain or a sum of chains of these: the adjoints ``del* = -star dbar
-star`` and ``dbar* = -star del star``, the torsion ``tau = Lam (del omega
-^ .) - (del omega ^ .) Lam``, the dbar-Laplacian and P, R and Q on the
-(1,1)-slot; chains also serve the operator suite.
+L, Lam, star (a dense slot matrix with one unit entry per row and column),
+T (``-Id + L Lam / (n-1)``) and S (``star T star``).  Per table, built on
+first use and kept, are the first-order operators, each slot one scatter
+of values computed once per table through a per-dimension table: del and
+dbar of the frame differentials of the generators, ``del omega ^ .`` and
+``dbar omega ^ .`` of the 3-form ``theta = del omega`` (``dbar omega``).
+Every other operator is a sum of chains, the dense products of these: the
+adjoints ``del* = -star dbar star`` and ``dbar* = -star del star``, the
+torsion ``tau = Lam (del omega ^ .) - (del omega ^ .) Lam``, the
+dbar-Laplacian and P, R and Q on the (1,1)-slot; chains also serve the
+operator suite.
 ``OperatorTable.apply`` is the ``Form`` entry point to every operator of
 the table; T, S, P, R and Q, the paper's constructions, have their own
 functions below.
@@ -74,11 +74,11 @@ from .analysis import _star_split
 from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import DEFAULT_TOL, InputError
 from .forms import Form, space_dim
-from .metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _frozen, _join,
-                     _monomials, _omega_power_vec, _operator_entries, _operator_scatter,
-                     _scatter, _slot_mat, _slot_starts, _star_all, _star_conjugate, _star_perm,
-                     _top_all, _top_pairing, _volume_coeff, _wedge_power_entries,
-                     _wedge_power_mat, _wedge_scatter, _whole_table)
+from .metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _division_solve,
+                     _frozen, _join, _monomials, _omega_power_vec, _operator_entries,
+                     _operator_scatter, _scatter, _slot_mat, _slot_starts, _star_all,
+                     _star_conjugate, _top_all, _top_pairing, _volume_coeff,
+                     _wedge_power_entries, _wedge_power_mat, _wedge_scatter, _whole_table)
 
 
 # ----------------------------------------------------------------------
@@ -89,15 +89,16 @@ class OperatorTable:
     orthonormal monomial bases, built per slot on first use and kept,
     read-only, for the life of the table.
 
-    "del"/"dbar" scatter the frame differentials of the generators
-    (``_values``) through ``metric._operator_scatter``; "L", "Lam",
-    "star", "T" and "S" are ``metric._slot_mat``; "wdel"/"wdbar" scatter
-    the (0,0)-slot column ``theta`` through ``metric._wedge_scatter``.
-    Every other name is a sum of scaled chains of these (``_terms``): the
-    adjoints "delstar"/"dbarstar" and the torsion "tau"/"taubar" are the
-    chains that define them; "P", "R" and "Q" act on the (1,1)-slot only.
-    a05 to a08, a14 and a15 read the values of del, dbar and theta through
-    per-dimension tables instead (``_torsion_tables``)."""
+    "del", "dbar", "wdel" and "wdbar" are each one ``metric._scatter`` of
+    their values (``_values``: the frame differentials of the generators,
+    or theta) through ``metric._operator_scatter`` or
+    ``metric._wedge_scatter``; "L", "Lam", "star", "T" and "S" are
+    ``metric._slot_mat``.  Every other name is a sum of scaled chains,
+    dense products of these (``_terms``): the adjoints
+    "delstar"/"dbarstar" and the torsion "tau"/"taubar" are the chains
+    that define them; "P", "R" and "Q" act on the (1,1)-slot only.  a05 to
+    a08, a14 and a15 read the values through per-dimension tables instead
+    (``_torsion_tables``)."""
 
     _SHIFTS = {**_SHIFTS, "delstar": (-1, 0), "dbarstar": (0, -1), "tau": (1, 0),
                "taubar": (0, 1), "T": (0, 0), "S": (0, 0), "P": (0, 0), "R": (0, 0),
@@ -145,12 +146,12 @@ class OperatorTable:
         raise InputError(f"unknown operator {name!r}")
 
     def _values(self, name: str) -> np.ndarray:
-        """What the table of ``name`` scatters: theta, the (0,0)-slot column
-        of "wdel"/"wdbar", or the generator differentials under del or dbar:
-        the manifold's (1,0)- and (0,1)-slot matrices moved into the frame,
-        flattened."""
-        if name in ("wdel", "wdbar"):
-            return self.mat(name, 0, 0)[:, 0]
+        """What the table of ``name`` scatters, computed once: for "del"/"dbar"
+        the generator differentials, the manifold's (1,0)- and (0,1)-slot
+        matrices moved into the frame, flattened; for "wdel"/"wdbar" theta
+        = del omega (dbar omega) as a frame column."""
+        if name in ("wdel", "wdbar") and name not in self._gens:
+            self._gens[name] = (self.mat(name[1:], 1, 1) @ self.mat("L", 0, 0))[:, 0]
         if name not in self._gens:
             part, g = name == "dbar", self.g
             self._gens[name] = np.concatenate([
@@ -170,19 +171,12 @@ class OperatorTable:
         shape = (space_dim(n, tp, tq), space_dim(n, p, q))
         if not all(shape):
             return np.zeros(shape, dtype=complex)
-        if name in ("del", "dbar"):
-            mat = _scatter(shape, _operator_scatter(n, int(name == "dbar"), p, q),
-                           self._values(name))
+        if name in ("del", "dbar", "wdel", "wdbar"):
+            table = (_operator_scatter(n, int(name == "dbar"), p, q) if name[0] == "d"
+                     else _wedge_scatter(n, *self._SHIFTS[name], p, q))
+            mat = _scatter(shape, table, self._values(name))
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
-        elif name in ("wdel", "wdbar"):
-            # theta ^ . for theta = del omega (dbar omega): one mat-vec, kept
-            # as the (0,0)-slot column, scattered into every other slot
-            theta = (self.mat(name[1:], 1, 1) @ self.mat("L", 0, 0) if (p, q) == (0, 0)
-                     else self.mat(name, 0, 0))[:, 0]
-            rows, cols, terms, signs = _wedge_scatter(n, *self._SHIFTS[name], p, q)
-            mat = np.zeros(shape, dtype=complex)
-            mat[rows, cols] = signs * theta[terms]
         else:
             mat = sum(c * self.chain(names, p, q) for c, names in self._terms(name))
         mat.setflags(write=False)
@@ -190,38 +184,14 @@ class OperatorTable:
         return mat
 
     def chain(self, names: Sequence[str], p: int, q: int) -> np.ndarray:
-        """Composition, rightmost name applied first: exactly the dense
-        product of the ``mat`` entries, composed in that order, but a
-        "star" step is a signed-permutation gather.  A chain of one name
-        other than "star" is the table's read-only matrix; any other chain
-        is a fresh array."""
-        n = self.n
-        # mat: a dense matrix, or (perm, phase) while only stars have acted
+        """Composition, rightmost name applied first: the dense product of
+        the ``mat`` entries.  A chain of one name is the table's read-only
+        matrix; any other chain is a fresh array."""
         mat, cur = None, (p, q)
         for name in reversed(names):
-            if name == "star" and space_dim(n, *cur):
-                perm, phase = _star_perm(n, *cur)
-                if mat is None:
-                    mat = (perm, phase)
-                elif isinstance(mat, tuple):
-                    mat = (mat[0][perm], phase * mat[1][perm])
-                else:
-                    mat = phase[:, None] * mat[perm]
-            else:
-                step = self.mat(name, *cur)
-                if isinstance(mat, tuple):
-                    # step @ star: column k of the product is a scaled
-                    # column of step
-                    perm, phase = mat
-                    mat = np.empty_like(step)
-                    mat[:, perm] = step * phase
-                else:
-                    mat = step if mat is None else step @ mat
+            step = self.mat(name, *cur)
+            mat = step if mat is None else step @ mat
             cur = self.target(name, *cur)
-        if isinstance(mat, tuple):
-            perm, phase = mat
-            mat = np.zeros((len(perm),) * 2, dtype=complex)
-            mat[np.arange(len(perm)), perm] = phase
         return mat
 
     def apply(self, name: str, u: Form) -> Form:
@@ -396,7 +366,8 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
     star and the top pairing on all slots at once (``_Sparse``; ``omega_r ^
     .`` is ``L^r / r!``), from n = 3 on b01 to b04 and b08 to b12 on the
     slot matrices the operators apply, the division by ``omega_{n-2}`` the
-    one inverse.  Each suite judges them by its own tolerance."""
+    one ``rho`` applies (``metric._division_solve``).  Each suite judges
+    them by its own tolerance."""
     hol, anti, _, count, _ = _monomials(n)
     every, deg_p, deg_q = np.arange(4 ** n), count[hol], count[anti]
     deg = deg_p + deg_q
@@ -449,10 +420,11 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
         return tuple(rep.entries)
 
     # the frame matrices the operators apply, and the division by omega_{n-2}
+    # that rho applies (``metric._divide_e``)
     m = lambda name, k: _slot_mat(n, name, k, k)[0]
     lam = partial(m, "Lam")
     wedge = lambda r, k: _wedge_power_mat(n, r, k, k)
-    div = np.linalg.inv(wedge(n - 2, 1))
+    div = _division_solve(n, n - 2)
     Lw, star1, star_top = m("L", 0), m("star", 1), m("star", n - 1)
     Tm, Sm = m("T", 1), m("S", n - 1)
     trace22 = lam(2) - Lw @ lam(1) @ lam(2) / (2 * (n - 1))
@@ -672,16 +644,17 @@ def verify_operator_identities(M: InvariantComplexManifold,
     Entries whose hypotheses do not apply are reported as skipped; those
     that integrate by parts need Stokes, b15 and b16 d^2 = 0 too.  f, rho
     and the source of b15 and b16 come from one call of the star-split
-    core; b13 and b14 compare f and rho with the two-trace and P routes
-    relative to their size, b15 and b16 the pair integrals relative to
-    theirs, b17 to b21 each vanishing integral relative to the size of an
-    integral of a second-order operator, b22 and b23 Q(omega) and the other
-    side relative to the larger of the two, and b24 and b25 Q and the other
-    operator relative to the larger matrix.  b26 is the identity behind the
-    vanishing of semi-definite forms with zero integral, on every
-    (1,1)-monomial.  Every identity is evaluated on every monomial of its
-    slot or on omega.  ``seed`` is unused, kept for callers that pass it: no
-    identity here needs particular inputs."""
+    core; b05 to b07 compare the routes of P relative to the largest entry
+    of P and of i del delbar, b13 and b14 f and rho with the two-trace and
+    P routes relative to their size, b15 and b16 the pair integrals
+    relative to theirs, b17 to b21 each vanishing integral relative to the
+    size of an integral of a second-order operator, b22 and b23 Q(omega)
+    and the other side relative to the larger of the two, and b24 and b25
+    Q and the other operator relative to the larger matrix.  b26 is the
+    identity behind the vanishing of semi-definite forms with zero
+    integral, on every (1,1)-monomial.  Every identity is evaluated on
+    every monomial of its slot or on omega.  ``seed`` is unused, kept for
+    callers that pass it: no identity here needs particular inputs."""
     n = M.dim
     if n < 3:
         raise InputError(f"the operator suite needs dimension >= 3, got {n}")
@@ -721,9 +694,11 @@ def verify_operator_identities(M: InvariantComplexManifold,
               lambda: [_relative(Pm - trace22 @ gam, Pm, gam)])
     rep.check("b06_p_wedge_top_form",
               "P(a) ^ omega_(n-1) = ((n-2)/(n-1)) i del delbar a ^ omega_(n-2)",
-              lambda: [wedge(n - 1, 1) @ Pm - (n - 2) / (n - 1) * wedge(n - 2, 2) @ gam])
+              lambda: [_relative(wedge(n - 1, 1) @ Pm - (n - 2) / (n - 1) * wedge(n - 2, 2) @ gam,
+                                 Pm, gam)])
     rep.check("b07_trace_of_p", "Lam(P(a)) = ((n-2)/(2(n-1))) Lam^2(i del delbar a)",
-              lambda: [lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam])
+              lambda: [_relative(lam(1) @ Pm - (n - 2) / (2 * (n - 1)) * lam(1) @ lam(2) @ gam,
+                                 Pm, gam)])
 
     # two-trace formula for f and the P-route for rho, on omega itself, each
     # relative to the size of what enters it

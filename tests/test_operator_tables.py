@@ -1,19 +1,20 @@
-"""The per-dimension pointwise tables behind ``OperatorTable.chain``: the
-Hodge star as a signed permutation, and chains of L and Lambda stored
-sparse once per dimension.  Each must reproduce the dense product it
-replaces exactly, stay small, and hand out either a fresh array or a
-read-only one, so that no caller can change what a later call gets.
+"""The per-dimension tables behind ``OperatorTable``: the Hodge star, a
+dense slot matrix with one unit entry per row and column; chains, the
+dense products of the table's matrices, which hand out either a fresh
+array or, for one name, the table's read-only matrix, so that no caller
+can change what a later call gets; and each first-order slot (del, dbar,
+``del omega ^ .`` and ``dbar omega ^ .``) one scatter of its values,
+checked against the congruence and the Leibniz commutator they replace.
 Also the per-dimension shortcuts of the suites: the cached entries of
-the identities of n alone, ``del omega ^ .`` / ``dbar omega ^ .``
-scattered from the wedge table, and del and dbar scattered from their
-own tables, checked against the congruence they replace; the adjoints
-and the torsion as the chains that define them, against the dense
-products; the kernel that reads those tables against ``np.add.at``; and
-the deduplicated tables of a05 to a08, a14 and a15: exactly the distinct
-rows, up to a unit, of their residuals composed slot by slot from
-per-slot tables (the adjoint ones renumbered through the star), with the
-same residuals as the evaluation slot by slot, and a07 and a08 the zero
-map once theta is written through the generators.
+the identities of n alone, which check the division that rho applies;
+the adjoints and the torsion as the chains that define them; the kernel
+that reads the tables against ``np.add.at``; and the deduplicated tables
+of a05 to a08, a14 and a15: exactly the distinct rows, up to a unit, of
+their residuals composed slot by slot from per-slot tables (the adjoint
+ones renumbered through the star), with the same residuals as the
+evaluation slot by slot, a07 and a08 the zero map once theta is written
+through the generators, and a05, a06, a14 and a15 exact multiples of the
+Stokes map.
 
 The tables read off the monomial masks are checked against the routes
 they replace, kept here: the per-slot wedge, derivation and bracket
@@ -29,29 +30,17 @@ import pytest
 from conftest import random_form, random_pd_metric
 from starsplit import catalog, metric, operators
 from starsplit.complex_structure import InvariantComplexManifold
+from starsplit.errors import DEFAULT_TOL
 from starsplit.forms import space_dim
 from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _basis,
                               _index, _join, _operator_scatter, _primitive_part, _scatter,
-                              _slot_mat, _slot_starts, _star_conjugate, _star_perm, _top_pairing,
+                              _slot_mat, _slot_starts, _star_conjugate, _top_pairing,
                               _volume_coeff, _wedge_power_mat, _wedge_scatter, omega_power)
 from starsplit.operators import (IdentityReport, OperatorTable,
                                  verify_commutation_suite, verify_operator_identities)
 from test_cli import _N6_MODELS
 from test_complex_structure import slot_models, stokes_violating_manifold
 from test_operators import stokes_violating
-
-
-class DenseTable(OperatorTable):
-    """Every chain as the plain dense product of its ``mat`` entries,
-    rightmost first."""
-
-    def chain(self, names, p, q):
-        mat, cur = None, (p, q)
-        for name in reversed(names):
-            step = self.mat(name, *cur)
-            mat = step if mat is None else step @ mat
-            cur = self.target(name, *cur)
-        return mat
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +203,7 @@ def dense_pointwise_entries(table):
     def primitive_star(p, q):
         k, prim = p + q, _primitive_part(n, p, q, 0)
         sign = (-1) ** ((k * (k + 1)) // 2) * (1j ** (p - q))
-        perm, phase = _star_perm(n, p, q)
-        return phase[:, None] * prim[perm] - sign * _wedge_power_mat(n, n - k, p, q) @ prim
+        return m("star", p, q) @ prim - sign * _wedge_power_mat(n, n - k, p, q) @ prim
 
     rep.check("a11_primitive_star_formula",
               "star v = (-1)^(k(k+1)/2) i^(p-q) omega_(n-p-q) ^ v for primitive v",
@@ -428,61 +416,28 @@ def canonical_rows(pos, terms, signs, half):
 def test_star_perm_reproduces_star_matrix(n):
     """The top pairing and the star, both read off the one sign formula of
     ``metric._top_all``, equal the pairing route of the merge-table wedge
-    tables, and the star's slot matrix is its signed permutation."""
+    tables, and the star's slot matrix is a signed permutation: one entry
+    +-1 or +-i in each row and column."""
     for p in range(n + 1):
         for q in range(n + 1):
             assert np.array_equal(_top_pairing(n, p, q), ref_top_pairing(n, p, q)), (p, q)
-            perm, phase = _star_perm(n, p, q)
-            assert sorted(perm) == list(range(len(perm)))
-            assert set(phase.tolist()) <= {1, -1, 1j, -1j}
-            dense = np.zeros((len(perm),) * 2, dtype=complex)
-            dense[np.arange(len(perm)), perm] = phase
-            assert np.array_equal(dense, ref_star_mat(n, p, q)), (p, q)
-            assert np.array_equal(dense, _slot_mat(n, "star", p, q)[0]), (p, q)
-
-
-def _requested_chains(monkeypatch, M, g, gamma):
-    """Every (names, p, q) that either suite passes to ``chain``, directly
-    or while building a composite matrix, and that the slot-by-slot
-    evaluation of the identities of n alone does."""
-    requests = set()
-    chain = OperatorTable.chain
-
-    def recording_chain(self, names, p, q):
-        requests.add((tuple(names), p, q))
-        return chain(self, names, p, q)
-
-    monkeypatch.setattr(OperatorTable, "chain", recording_chain)
-    verify_commutation_suite(M, g)
-    verify_operator_identities(M, g, gamma)
-    dense_pointwise_entries(OperatorTable(M, g))
-    monkeypatch.undo()
-    return requests
-
-
-def test_every_suite_chain_equals_the_dense_product(monkeypatch, rng):
-    M = catalog.get("iwasawa5")[0]
-    g, gamma = random_pd_metric(5, rng), random_pd_metric(5, rng)
-    requests = _requested_chains(monkeypatch, M, g, gamma)
-    assert {names for names, _, _ in requests} >= {
-        ("Lam", "L"), ("L", "L", "L", "Lam"), ("star", "star"), ("L", "star"), ("star", "Lam")}
-    table, dense = OperatorTable(M, g), DenseTable(M, g)
-    for names, p, q in sorted(requests):
-        assert np.array_equal(table.chain(names, p, q), dense.chain(names, p, q)), (names, p, q)
+            star = _slot_mat(n, "star", p, q)[0]
+            rows, cols = np.nonzero(star)
+            assert sorted(rows) == sorted(cols) == list(range(len(star)))
+            assert set(star[rows, cols].tolist()) <= {1, -1, 1j, -1j}
+            assert np.array_equal(star, ref_star_mat(n, p, q)), (p, q)
 
 
 @pytest.mark.parametrize("names,p,q", [
     (["Lam", "L"], 2, 1), (["L", "L", "Lam"], 1, 1), (["star", "star"], 2, 3),
-    (["star"], 1, 2), (["star", "del", "star"], 2, 2)])
+    (["star", "del", "star"], 2, 2)])
 def test_chain_returns_an_array_the_caller_owns(rng, names, p, q):
     M = catalog.get("iwasawa5")[0]
     g = random_pd_metric(5, rng)
     first = OperatorTable(M, g).chain(names, p, q)
     expected = first.copy()
     first += 1.0
-    again = OperatorTable(M, g).chain(names, p, q)
-    assert np.array_equal(again, expected)
-    assert np.array_equal(again, DenseTable(M, g).chain(names, p, q))
+    assert np.array_equal(OperatorTable(M, g).chain(names, p, q), expected)
 
 
 def test_per_dimension_slot_matrices_are_shared_and_read_only():
@@ -492,9 +447,10 @@ def test_per_dimension_slot_matrices_are_shared_and_read_only():
         assert not mat.flags.writeable
 
 
-@pytest.mark.parametrize("name", ["del", "delstar", "tau", "L"])
+@pytest.mark.parametrize("name", ["del", "delstar", "tau", "L", "star"])
 def test_table_matrices_are_read_only(rng, name):
-    """A caller cannot change what the table hands out to later callers."""
+    """A caller cannot change what the table hands out to later callers: a
+    chain of one name is the table's read-only matrix."""
     M = catalog.get("iwasawa3")[0]
     table = OperatorTable(M, random_pd_metric(3, rng))
     mat = table.chain([name], 1, 1)
@@ -520,7 +476,8 @@ def test_dimension_entries_equal_a_fresh_dense_evaluation(rng, n):
     than 1e-14 (those of L, Lambda and star alone are exact)."""
     operators._dimension_entries.cache_clear()
     cached = operators._dimension_entries(n)
-    fresh = dense_pointwise_entries(DenseTable(_models_of_dimension(n), random_pd_metric(n, rng)))
+    fresh = dense_pointwise_entries(OperatorTable(_models_of_dimension(n),
+                                                  random_pd_metric(n, rng)))
     assert ([(e.identity, e.anchor, e.passed, e.skipped_reason) for e in cached]
             == [(e.identity, e.anchor, e.passed, e.skipped_reason) for e in fresh])
     for got, ref in zip(cached, fresh):
@@ -538,6 +495,31 @@ def test_dimension_entries_equal_a_fresh_dense_evaluation(rng, n):
     assert operators._dimension_entries(n) is cached
 
 
+def test_dimension_entries_check_the_division_that_rho_applies():
+    """b01, b02, b04, b08 and b12 read the division by omega_{n-2} that
+    rho applies (``metric._division_solve``, through ``metric._divide_e``):
+    perturbed, it moves the division of rho and fails each of them."""
+    n, caches = 4, (metric._division_solve, operators._dimension_entries)
+    ye = np.arange(space_dim(n, n - 1, n - 1)) + 1j
+    exact = metric._divide_e(n, n - 2, ye, DEFAULT_TOL)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        div = metric._division_solve(n, n - 2)
+        div.setflags(write=True)
+        div += 1e-6
+        moved = metric._divide_e(n, n - 2, ye, math.inf) - exact
+        rep = IdentityReport("", "", DEFAULT_TOL)
+        rep.reuse(operators._dimension_entries(n))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert np.abs(moved).max() > 1e-6
+    assert {e.identity[:3] for e in rep.failures()} == {"b01", "b02", "b04", "b08", "b12"}
+    assert not {e.identity[:3] for e in operators._dimension_entries(n)
+                if e.residual is not None and e.residual >= DEFAULT_TOL}
+
+
 @pytest.mark.parametrize("dense_metric", [False, True])
 def test_theta_wedge_equals_the_commutator_with_l(rng, dense_metric):
     """del omega ^ . and dbar omega ^ . as scattered wedges agree with the
@@ -545,10 +527,10 @@ def test_theta_wedge_equals_the_commutator_with_l(rng, dense_metric):
     for M in slot_models() + [stokes_violating_manifold()]:
         n = M.dim
         g = random_pd_metric(n, rng) if dense_metric else HermitianMetric.identity(n)
-        table, dense = OperatorTable(M, g), DenseTable(M, g)
+        table = OperatorTable(M, g)
         for d in ("del", "dbar"):
             for p, q in table.bidegrees():
-                ref = dense.chain([d, "L"], p, q) - dense.chain(["L", d], p, q)
+                ref = table.chain([d, "L"], p, q) - table.chain(["L", d], p, q)
                 got = table.mat("w" + d, p, q)
                 assert got.shape == ref.shape
                 assert np.abs(got - ref).max(initial=0.0) < 1e-13, (M.name, d, p, q)
@@ -592,8 +574,7 @@ def _old_construction(table, name, p, q):
             return phi_mat
         return g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
     wd = "wdel" if name == "tau" else "wdbar"
-    dense = DenseTable(M, g)
-    return dense.chain(["Lam", wd], p, q) - dense.chain([wd, "Lam"], p, q)
+    return table.chain(["Lam", wd], p, q) - table.chain([wd, "Lam"], p, q)
 
 
 def test_first_order_slot_matrices_equal_the_old_construction(rng):
@@ -641,7 +622,8 @@ def test_first_order_tables_stay_small():
 def _scatter_tables(n):
     """``(shape, table)`` of every ``_operator_scatter`` table of
     dimension n, of every per-slot bracket table of the reference route,
-    and of every table of ``_torsion_tables`` (a column of its rows)."""
+    of the theta wedge tables and of every table of ``_torsion_tables`` (a
+    column of its rows)."""
     for p in range(n + 1):
         for q in range(n + 1):
             ncols = space_dim(n, p, q)
@@ -653,6 +635,8 @@ def _scatter_tables(n):
                     fp, fq = _SHIFTS[lef]
                     tp, tq = p + fp + _SHIFTS[op][0], q + fq + _SHIFTS[op][1]
                     yield (space_dim(n, tp, tq), ncols), ref_operator_scatter(n, lef, op, p, q)
+            for a, b in (_SHIFTS["wdel"], _SHIFTS["wdbar"]):
+                yield (space_dim(n, p + a, q + b), ncols), _wedge_scatter(n, a, b, p, q)
     for count, table in operators._torsion_tables(n).values():
         yield (count, 1), table
 
@@ -679,32 +663,26 @@ def test_scatter_equals_add_at_bit_for_bit(rng, n):
 # ----------------------------------------------------------------------
 # the adjoints and the torsion as chains, the brackets as scatters
 # ----------------------------------------------------------------------
-def _dense_first_order(dense, name, p, q):
+def _dense_first_order(table, name, p, q):
     """A first-order operator as a dense matrix: an adjoint as the dense
     product ``-star D star``, any other name as the table's matrix."""
     if name in ("delstar", "dbarstar"):
-        return -dense.chain(["star", _ADJOINT_OF[name], "star"], p, q)
-    return dense.mat(name, p, q)
+        return -table.chain(["star", _ADJOINT_OF[name], "star"], p, q)
+    return table.mat(name, p, q)
 
 
 def _random_generator_tables(n, rng):
-    """An ``OperatorTable`` of dimension n and its ``DenseTable``, both
-    reading the same random complex generator differentials and theta
-    columns, so that every entry of every table is exercised (the tables
-    do not need d^2 = 0, nor theta = del omega, with which a07 and a08
-    vanish)."""
+    """An ``OperatorTable`` of dimension n reading random complex generator
+    differentials and theta columns, so that every entry of every table is
+    exercised (the tables do not need d^2 = 0, nor theta = del omega, with
+    which a07 and a08 vanish)."""
     M, g = InvariantComplexManifold(f"torus_{n}", n, {}), HermitianMetric.identity(n)
-    table, dense = OperatorTable(M, g), DenseTable(M, g)
-    for name in ("del", "dbar"):
-        size = table._values(name).size
-        gens = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        table._gens[name] = dense._gens[name] = gens
-    for name in ("wdel", "wdbar"):
-        size = space_dim(n, *table.target(name, 0, 0))
-        theta = rng.standard_normal((size, 1)) + 1j * rng.standard_normal((size, 1))
-        theta.setflags(write=False)
-        table._mats[name, 0, 0] = dense._mats[name, 0, 0] = theta
-    return table, dense
+    table = OperatorTable(M, g)
+    for name in ("del", "dbar", "wdel", "wdbar"):
+        size = (table._values(name).size if name[0] == "d"
+                else space_dim(n, *table.target(name, 0, 0)))
+        table._gens[name] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return table
 
 
 def _relative_gap(got, ref):
@@ -719,22 +697,22 @@ def test_scattered_adjoints_and_brackets_equal_the_dense_products(rng, n):
     .]``, and the scattered [Lam, del], [Lam, dbar], [dbar*, L], [del*, L],
     [Lam, wdel] and [Lam, wdbar] that the per-slot evaluation of a05 to
     a08 reads equal the dense products of their operators."""
-    table, dense = _random_generator_tables(n, rng)
+    table = _random_generator_tables(n, rng)
     for p, q in table.bidegrees():
         for name in ("delstar", "dbarstar"):
-            ref = _dense_first_order(dense, name, p, q)
+            ref = _dense_first_order(table, name, p, q)
             assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
         for name, wedge in (("tau", "wdel"), ("taubar", "wdbar")):
             fp, fq = table.target("Lam", p, q)
-            ref = (dense.mat("Lam", *table.target(wedge, p, q)) @ dense.mat(wedge, p, q)
-                   - dense.mat(wedge, fp, fq) @ dense.mat("Lam", p, q))
+            ref = (table.mat("Lam", *table.target(wedge, p, q)) @ table.mat(wedge, p, q)
+                   - table.mat(wedge, fp, fq) @ table.mat("Lam", p, q))
             assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
         for lef, op in (("Lam", "del"), ("Lam", "dbar"), ("L", "dbarstar"), ("L", "delstar"),
                         ("Lam", "wdel"), ("Lam", "wdbar")):
             tp, tq = table.target(op, p, q)
             fp, fq = table.target(lef, p, q)
-            ref = (dense.mat(lef, tp, tq) @ _dense_first_order(dense, op, p, q)
-                   - _dense_first_order(dense, op, fp, fq) @ dense.mat(lef, p, q))
+            ref = (table.mat(lef, tp, tq) @ _dense_first_order(table, op, p, q)
+                   - _dense_first_order(table, op, fp, fq) @ table.mat(lef, p, q))
             got = _scaled_bracket(table, lef, op, p, q, 1)
             assert _relative_gap(got, ref) <= 1e-15, (lef, op, p, q)
             assert np.array_equal(_scaled_bracket(table, op, lef, p, q, 1), -got)
@@ -794,10 +772,12 @@ def test_slot_tables_equal_the_merge_table_route(n):
                                 ref_derivation_scatter(n, part, p, q)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (part, p, q)
             for a, b in ((2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (n - p, n - q)):
-                got, ref = (sorted(zip(*(arr.tolist() for arr in table)))
-                            for table in (_wedge_scatter(n, a, b, p, q),
-                                          ref_wedge_scatter(n, a, b, p, q)))
-                assert got == ref, (a, b, p, q)
+                rows, cols, terms, signs = ref_wedge_scatter(n, a, b, p, q)
+                ref = sorted(zip((rows * space_dim(n, p, q) + cols).tolist(), terms.tolist(),
+                                 signs.tolist()))
+                table = _wedge_scatter(n, a, b, p, q)
+                assert [arr.dtype for arr in table] == [np.int32, np.int32, np.int8]
+                assert sorted(zip(*(arr.tolist() for arr in table))) == ref, (a, b, p, q)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -832,14 +812,13 @@ def test_torsion_layout_indices_stay_in_bounds(n):
         assert not (pos.flags.writeable or terms.flags.writeable or signs.flags.writeable)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_a07_and_a08_are_identities_of_the_tables(n):
-    """a07 and a08 hold for every generator differentials.  With theta =
-    del omega and dbar omega written through the generator values (theta
-    = Theta v, Theta the (1,1)-slot table of del or dbar on omega's frame
-    column), each table composed with that substitution is the zero map.
-    Every entry is a Gaussian integer, so the sparse products are exact."""
-    sparse = pytest.importorskip("scipy.sparse")
+def composed_with_theta(sparse, n, identity):
+    """The table of an identity as a map of the generator values, exact:
+    theta = del omega and dbar omega written through them (theta = Theta
+    v, Theta the (1,1)-slot table of del or dbar on omega's frame column),
+    as a ``scipy.sparse`` matrix over ``(v_del, v_dbar)`` and their
+    conjugates.  Every entry is a Gaussian integer, so the products are
+    exact."""
     half, gens = torsion_half(n), (math.comb(n, 2) + n * n) * n
     w = _slot_mat(n, "L", 0, 0)[0][:, 0]
     blocks = [[None] * 4 for _ in range(8)]   # x and its conjugate from v, dbar v and theirs
@@ -853,13 +832,86 @@ def test_a07_and_a08_are_identities_of_the_tables(n):
             blocks[4 * conj + 2 + part][2 * conj + part] = theta.conj() if conj else theta
     substitution = sparse.bmat(blocks, format="csr")
     assert substitution.shape == (2 * half, 4 * gens)
+    count, (pos, terms, signs) = operators._torsion_tables(n)[identity]
+    part, j = np.divmod(terms, 2 * half)
+    table = sparse.coo_matrix((signs * 1j ** part, (pos, j)), shape=(count, 2 * half))
+    composed = (table.tocsr() @ substitution).tocsr()
+    composed.eliminate_zeros()
+    return composed
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a07_and_a08_are_identities_of_the_tables(n):
+    """a07 and a08 hold for every generator differentials: each table,
+    composed with theta written through the generators, is the zero map."""
+    sparse = pytest.importorskip("scipy.sparse")
     for identity in ("a07_del_plus_torsion_bracket", "a08_delbar_plus_torsion_bracket"):
-        count, (pos, terms, signs) = operators._torsion_tables(n)[identity]
-        part, j = np.divmod(terms, 2 * half)
-        table = sparse.coo_matrix((signs * 1j ** part, (pos, j)), shape=(count, 2 * half))
-        composed = (table.tocsr() @ substitution).tocoo()
-        composed.eliminate_zeros()
-        assert count and composed.nnz == 0, identity
+        composed = composed_with_theta(sparse, n, identity)
+        assert composed.shape[0] and composed.nnz == 0, identity
+
+
+def gaussian_integer_model(n, rng):
+    """A model of dimension n with every structure constant a seeded
+    Gaussian integer, d^2 = 0 or not."""
+    c = lambda: "%d+%di" % tuple(rng.integers(-3, 4, 2))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return InvariantComplexManifold(f"gaussian_{n}", n, {k: {
+        "(2,0)": [(i, j, c()) for i, j in pairs if i < j], "(1,1)": [(i, j, c()) for i, j in pairs]}
+        for k in range(1, n + 1)})
+
+
+def reality(sparse, n):
+    """Pi with dbar's generator values ``Pi conj(v)`` for del's v, as on
+    every real Lie algebra (d ebar_k = conj(d e_k)): the (1,1) terms of
+    d e_k are those of d ebar_k conjugated, negated and transposed, the
+    (0,2) terms of d ebar_k those (2,0) of d e_k conjugated."""
+    pure, mixed = math.comb(n, 2) * n, n ** 3
+    swap = np.arange(mixed).reshape(n, n, n).transpose(1, 0, 2).ravel()
+    return sparse.coo_matrix((np.repeat([-1.0, 1.0], [mixed, pure]), (
+        np.arange(mixed + pure), np.concatenate([pure + swap, np.arange(pure)]))))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a05_a06_a14_and_a15_are_multiples_of_the_stokes_map(rng, n):
+    """a05, a06, a14 and a15 hold wherever Stokes does: over del's
+    generator values v and their conjugates, dbar's being ``Pi conj(v)``,
+    each table composed with theta written through the generators is K s,
+    s the Stokes map (the top rows of del from the (n-1,n)-slot and of dbar
+    from the (n,n-1)-slot, and their conjugates).  The Stokes map has 2n
+    distinct rows up to sign, each with a pivot (a column no other row
+    uses) of entry +-1; K is read off the pivots, and the table equals K s
+    exactly.  K is not 0: the identities need Stokes.  Over independent
+    del and dbar values the rows leave the Stokes row space; the reality
+    of the Lie algebra is what puts them in it."""
+    sparse = pytest.importorskip("scipy.sparse")
+    gens = (math.comb(n, 2) + n * n) * n
+    pi, eye = reality(sparse, n), sparse.identity(gens)
+    table = OperatorTable(gaussian_integer_model(n, rng), HermitianMetric.identity(n))
+    assert np.array_equal(pi @ table._values("del").conj(), table._values("dbar"))
+    real = sparse.bmat([[eye, None], [None, pi], [None, eye], [pi, None]], format="csr")
+    stokes = []
+    for conj in (0, 1):
+        for part in (0, 1):
+            pos, terms, signs = _operator_scatter(n, part, n - 1 + part, n - part)
+            stokes.append(sparse.coo_matrix((signs.astype(float), (pos, terms)), shape=(n, gens)))
+    stokes = (sparse.block_diag(stokes, format="csr") @ real).tocsr()
+    distinct = {}
+    for k, row in enumerate(stokes):
+        row.sort_indices()
+        distinct.setdefault(row.indices.tobytes() + (row.data / row.data[0]).tobytes(), k)
+    stokes = stokes[sorted(distinct.values())]
+    assert stokes.shape == (2 * n, 2 * gens)
+    column_rows = np.asarray((stokes != 0).sum(axis=0)).ravel()
+    pivots = [row.indices[column_rows[row.indices] == 1][0] for row in stokes]
+    pivot_values = np.asarray(stokes[np.arange(2 * n), pivots]).ravel()
+    assert set(pivot_values.tolist()) <= {1, -1}
+    for identity in ("a05_adjoint_of_del_plus_torsion", "a06_adjoint_of_delbar_plus_torsion",
+                     "a14_global_adjointness_del", "a15_global_adjointness_delbar"):
+        composed = (composed_with_theta(sparse, n, identity) @ real).tocsr()
+        K = composed[:, pivots] @ sparse.diags(pivot_values)
+        gap = (composed - K @ stokes).tocsr()
+        gap.eliminate_zeros()
+        assert K.nnz and gap.nnz == 0, identity
 
 
 # ----------------------------------------------------------------------
@@ -881,10 +933,9 @@ def test_torsion_residuals_equal_the_per_slot_evaluation_on_random_generators(rn
     """Random complex generator differentials and theta columns reach every
     entry of every table, and make every residual of size one; the
     identities need not hold for them."""
-    table, _ = _random_generator_tables(n, rng)
+    table = _random_generator_tables(n, rng)
     fresh = OperatorTable(table.M, table.g)
     fresh._gens.update(table._gens)
-    fresh._mats.update({key: mat for key, mat in table._mats.items() if key[0][0] == "w"})
     residuals = torsion_residuals(fresh)
     assert all(np.abs(r).max(initial=1.0) > 0.1 for r in residuals.values())
     assert_torsion_residuals_equal_the_per_slot_ones(table, fresh)

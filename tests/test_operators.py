@@ -7,8 +7,8 @@ from starsplit.analysis import rho
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import InputError
 from starsplit.forms import Form, basis_masks, space_dim
-from starsplit.metric import (_SHIFTS, HermitianMetric, _wedge_scatter, divide_by_power,
-                              hodge_star, lefschetz_lambda, omega_power)
+from starsplit.metric import (_SHIFTS, HermitianMetric, _scatter, _wedge_scatter,
+                              divide_by_power, hodge_star, lefschetz_lambda, omega_power)
 from starsplit.operators import (_D_SQUARED_REASON, _STOKES_REASON, IdentityReport,
                                  OperatorTable, P, Q, R, S, T, verify_commutation_suite,
                                  verify_operator_identities)
@@ -423,6 +423,21 @@ def test_operator_suite_passes_at_metric_scales_far_from_one(name, coeffs, scale
     assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-8])
+def test_operator_suite_passes_on_small_dense_metrics(scale):
+    """iwasawa5 with eight seeded dense metrics scaled by 1e-6 (1e-8): P and
+    i del delbar are of size 1e6 (1e8), and the top-form and trace routes
+    of P, b06 and b07, round at up to 2.3e-10 (3.0e-8) in absolute terms.
+    Each is relative to the largest entry of P and of i del delbar, as
+    b05 is."""
+    M = catalog.get("iwasawa5")[0]
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        g = random_pd_metric(5, rng).scaled(scale)
+        rep = verify_operator_identities(M, g, g)
+        assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
+
+
 def test_report_json_shape():
     M, g, _ = catalog.get("iwasawa3")
     rep = verify_commutation_suite(M, g)
@@ -492,11 +507,8 @@ class SymbolTable(OperatorTable):
         if name not in ("del", "dbar"):
             return super().mat(name, p, q)
         a, b = _SHIFTS[name]
-        out = np.zeros((space_dim(self.n, p + a, q + b), space_dim(self.n, p, q)), dtype=complex)
-        if out.size:
-            rows, cols, terms, signs = _wedge_scatter(self.n, a, b, p, q)
-            out[rows, cols] = 1j * signs * self.xi[a, b][terms]
-        return out
+        shape = (space_dim(self.n, p + a, q + b), space_dim(self.n, p, q))
+        return _scatter(shape, _wedge_scatter(self.n, a, b, p, q), 1j * self.xi[a, b])
 
 
 def polarisation_covectors(n):
