@@ -20,17 +20,17 @@ the top pairing and from it the star, one unit entry per row and column
 (``_top_all``, ``_star_all``); del and dbar, the Leibniz rule over the
 differentials of the generators in any coframe (``_operator_entries``).
 The first-order operators of one slot, del, dbar and the wedge with a
-fixed form, are each a table of ``_scatter`` over their values (a gather
-and a bincount of the real and of the imaginary parts;
-``_operator_scatter``, ``_wedge_scatter``); del and dbar on all slots at
+fixed form, are each a table of ``_scatter`` over their values
+(``_operator_scatter``, ``_wedge_scatter``); del and dbar on all slots at
 once, with their commutators with Lambda, are a table of the nonzero entries
 (``_whole_table``), from which ``operators`` composes each of a05 to a08,
 a14 and a15, the adjoints relabelled by the star (``_star_conjugate``).
-Tables hold int32 positions and int8 signs, never fancy-indexed (which
-casts to intp on every call).  L, Lambda, star and the divisions T and S
-of ``operators`` are dense slot matrices (``_slot_mat``), with the
-pseudo-inverse behind ``divide_by_power`` and the sl(2) closed form
-behind ``lefschetz_decompose``.  ``HermitianMetric.apply`` is the one
+A table is two read-only int32 arrays ``(pos, terms)``, the unit folded
+into the term: over values v of length V, term k is ``(1, i, -1, -i)[k //
+V] * v[k % V]``, gathered from ``_units(v)``.  L, Lambda, star and the
+divisions T and S of ``operators`` are dense slot matrices (``_slot_mat``),
+with the pseudo-inverse behind ``divide_by_power`` and the sl(2) closed
+form behind ``lefschetz_decompose``.  ``HermitianMetric.apply`` is the one
 routine that applies frame slot matrices to a ``Form``; ``hodge_star``,
 ``lefschetz_L``, ``lefschetz_lambda``, ``operators.T``/``S`` and
 ``OperatorTable.apply`` use it.
@@ -116,19 +116,24 @@ def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return i, order[np.repeat(start, count) + offset]
 
 
-def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray, np.ndarray],
-             values: np.ndarray) -> np.ndarray:
-    """The array of a table ``(pos, terms, signs)`` for these values, its
-    entry at flat position ``pos[k]`` collecting ``signs[k] *
-    values[terms[k]]``: a bincount of the gathered (``take``) real and of
-    the imaginary parts."""
-    pos, terms, signs = table
-    flat = np.empty(math.prod(shape), dtype=complex)
-    work = np.empty(len(terms))
-    for part, dest in ((values.real, flat.real), (values.imag, flat.imag)):
-        part.take(terms, out=work, mode="clip")
-        work *= signs
-        dest[...] = np.bincount(pos, work, len(flat))
+def _units(values: np.ndarray) -> np.ndarray:
+    """``[v, 1j v, -v, -(1j v)]``: what a table over the values v gathers."""
+    return np.concatenate([values, 1j * values, -values, -(1j * values)])
+
+
+def _fold(terms: np.ndarray, signs: np.ndarray, size: int) -> np.ndarray:
+    """The terms ``signs[k] * v[terms[k]]``, v of length ``size``, as terms of ``_units(v)``."""
+    return (terms + 2 * size * (signs < 0)).astype(np.int32)
+
+
+def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray],
+             units: np.ndarray) -> np.ndarray:
+    """The array of a table ``(pos, terms)`` over ``units = _units(v)``, its
+    entry at flat position ``pos[k]`` collecting ``units[terms[k]]`` in
+    table order: one gather and one ``np.add.at``."""
+    pos, terms = table
+    flat = np.zeros(math.prod(shape), dtype=complex)
+    np.add.at(flat, pos, units.take(terms, mode="clip"))
     return flat.reshape(shape)
 
 
@@ -232,16 +237,17 @@ def _operator_entries(n: int, op: str, I: np.ndarray, J: np.ndarray
     return pieces
 
 
-def _sort_entries(pieces: Iterable[Tuple[np.ndarray, ...]], bits: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sort_entries(pieces: Iterable[Tuple[np.ndarray, ...]], bits: int, size: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms ``(rows, cols, terms, signs)`` of the pieces by row, column
-    (below ``2^bits = 4^n``) and term (below ``8 n^3``), none repeating."""
+    (below ``2^bits = 4^n``), term (below ``8 n^3``) and sign, none repeating,
+    as ``(rows, cols, terms)``, the terms folded over ``size`` values."""
     tb = (bits ** 3).bit_length()
     keys = np.concatenate([(((rows << bits | cols) << tb | terms) << 1) | (signs > 0)
                            for rows, cols, terms, signs, *_ in pieces])
     keys.sort()
     return (keys >> (tb + 1 + bits), (keys >> (tb + 1)) & ((1 << bits) - 1),
-            (keys >> 1) & ((1 << tb) - 1), (2 * (keys & 1) - 1).astype(np.int8))
+            _fold((keys >> 1) & ((1 << tb) - 1), 2 * (keys & 1) - 1, size))
 
 
 def _slot_monomials(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -251,27 +257,25 @@ def _slot_monomials(n: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _wedge_scatter(n: int, a: int, b: int, p: int, q: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _wedge_scatter(n: int, a: int, b: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
     """``theta ^ .`` for a form theta of the (a,b)-slot, from the (p,q)-slot
-    to the (p+a,q+b)-slot (``_wedge_masks``), as a table of ``_scatter``
-    over theta's coefficients."""
+    to the (p+a,q+b)-slot (``_wedge_masks``), as a table ``(pos, terms)``
+    of ``_scatter`` over theta's coefficients, each term's sign its unit."""
     cols, rows, terms, signs, _ = _wedge_masks(n, a, b, *_slot_monomials(n, p, q))
     pos = (rows - _slot_starts(n)[1][min(p + a, n), min(q + b, n)]) * space_dim(n, p, q) + cols
-    return _frozen(pos.astype(np.int32), terms.astype(np.int32), signs.astype(np.int8))
+    return _frozen(pos.astype(np.int32), _fold(terms, signs, space_dim(n, a, b)))
 
 
 @lru_cache(maxsize=None)
-def _operator_scatter(n: int, part: int, p: int, q: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _operator_scatter(n: int, part: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
     """del (part 0) or dbar (part 1) from the (p,q)-slot as a table of
-    ``_scatter`` over the generator differentials in any coframe:
-    ``concatenate([Dh.ravel(), Da.ravel()])``, column k of ``Dh`` (``Da``)
-    the part's ``d e_k`` (``d ebar_k``) on the slots of ``_GENERATOR_SLOTS``."""
-    rows, cols, terms, signs = _sort_entries(
-        _operator_entries(n, ("del", "dbar")[part], *_slot_monomials(n, p, q)), 2 * n)
+    ``_scatter`` over the generator differentials in any coframe, units
+    +-1: ``concatenate([Dh.ravel(), Da.ravel()])``, column k of ``Dh``
+    (``Da``) the part's ``d e_k`` (``d ebar_k``) on ``_GENERATOR_SLOTS``."""
+    entries = _operator_entries(n, ("del", "dbar")[part], *_slot_monomials(n, p, q))
+    rows, cols, terms = _sort_entries(entries, 2 * n, (math.comb(n, 2) + n * n) * n)
     pos = (rows - _slot_starts(n)[1][min(p + 1 - part, n), min(q + part, n)]) * space_dim(n, p, q)
-    return _frozen((pos + cols).astype(np.int32), terms.astype(np.int32), signs)
+    return _frozen((pos + cols).astype(np.int32), terms)
 
 
 def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
@@ -280,13 +284,14 @@ def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
     return {"L": "Lam", "Lam": "L"}.get(lef, ""), _ADJOINT_OF[op]
 
 
-def _whole_table(n: int, bracket: bool, entries: List[Tuple[np.ndarray, ...]]
-                 ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+def _whole_table(n: int, size: int, bracket: bool, entries: List[Tuple[np.ndarray, ...]]
+                 ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """X (``entries`` on every monomial) or, if ``bracket``, ``-i [Lam, X]``
-    on all slots at once: a table of ``_scatter`` numbering the nonzero
-    entries by row and column (the slot tables, concatenated), with their
-    rows and columns.  Lambda commutes with X's contractions, and ``Lam
-    (theta ^ u) - theta ^ Lam u`` is the terms that contract theta."""
+    on all slots at once: a table ``(pos, terms)`` of ``_scatter`` over X's
+    ``size`` values, units +-1, numbering the nonzero entries by row and
+    column (the slot tables, concatenated), with their rows and columns.
+    Lambda commutes with X's contractions, and ``Lam (theta ^ u) - theta ^
+    Lam u`` is the terms that contract theta."""
     hol, anti, number, count, merge = _monomials(n)
     # Lambda's entry -i * sign from (I | k, J | k) to (I, J)
     contract = lambda I, J, k: -merge[k << n | I] * merge[k << n | J] * (1 - 2 * (count[I] & 1))
@@ -304,9 +309,9 @@ def _whole_table(n: int, bracket: bool, entries: List[Tuple[np.ndarray, ...]]
             I, J, k = I[at], J[at], 1 << k
             yield rows[at], number[(I | k) << n | J | k], terms[at], -signs[at] * contract(I, J, k)
 
-    rows, cols, terms, signs = _sort_entries(brackets() if bracket else entries, 2 * n)
+    rows, cols, terms = _sort_entries(brackets() if bracket else entries, 2 * n, size)
     new = np.diff(rows << 2 * n | cols, prepend=-1) != 0
-    return (_frozen((np.cumsum(new) - 1).astype(np.int32), terms.astype(np.int32), signs),
+    return (_frozen((np.cumsum(new) - 1).astype(np.int32), terms),
             rows[new].astype(np.int32), cols[new].astype(np.int32))
 
 

@@ -18,17 +18,18 @@ orthonormal frame.  Per dimension, independent of manifold and metric, are
 L, Lam, star (a dense slot matrix with one unit entry per row and column),
 T (``-Id + L Lam / (n-1)``) and S (``star T star``).  Per table, built on
 first use and kept, are the first-order operators, each slot one scatter
-of values computed once per table through a per-dimension table: del and
-dbar of the frame differentials of the generators, ``del omega ^ .`` and
-``dbar omega ^ .`` of the 3-form ``theta = del omega`` (``dbar omega``).
+of values computed once per table through a per-dimension table ``(pos,
+terms)``, term k reading ``(1, i, -1, -i)[k // V] * v[k % V]`` of the V
+values v (``metric._units``): del and dbar of the frame differentials of
+the generators, ``del omega ^ .`` and ``dbar omega ^ .`` of the 3-form
+``theta = del omega`` (``dbar omega``).
 Every other operator is a sum of chains, the dense products of these: the
 adjoints ``del* = -star dbar star`` and ``dbar* = -star del star``, the
 torsion ``tau = Lam (del omega ^ .) - (del omega ^ .) Lam``, the
 dbar-Laplacian and P, R and Q on the (1,1)-slot; chains also serve the
-operator suite.
-``OperatorTable.apply`` is the ``Form`` entry point to every operator of
-the table; T, S, P, R and Q, the paper's constructions, have their own
-functions below.
+operator suite.  ``OperatorTable.apply`` is the ``Form`` entry point to
+every operator of the table; T, S, P, R and Q, the paper's constructions,
+have their own functions below.
 
 Each suite builds one table per run and evaluates both sides of every
 identity that is linear in its input on every monomial of its slot at
@@ -40,9 +41,9 @@ frame column, and b26 (the integral of ``theta ^ omega_{n-1}`` is ``Lam
 theta`` times the volume) on every (1,1)-monomial.  The identities of n
 alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) are evaluated
 once per dimension and cached (``_dimension_entries``).  An entry of a05
-to a08, a14 or a15 is a fixed linear form in the values of del, dbar and
-theta: a table per identity and dimension holds each distinct one once,
-up to a unit, and a call scatters it (``_torsion_tables``).  The others
+to a08, a14 or a15 is a fixed linear form in x, the values of del, dbar
+and theta and their conjugates: a table per identity and dimension holds
+each distinct one once, up to a unit (``_torsion_tables``).  The others
 are evaluated afresh, slot by slot.  The operator suite takes f, rho and
 ``i del delbar omega_{n-2}`` from one call of the star-split core
 ``analysis._star_split``.  No identity needs particular inputs, so
@@ -75,9 +76,9 @@ from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import DEFAULT_TOL, InputError
 from .forms import Form, space_dim
 from .metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _division_solve,
-                     _frozen, _join, _monomials, _omega_power_vec, _operator_entries,
+                     _fold, _frozen, _join, _monomials, _omega_power_vec, _operator_entries,
                      _operator_scatter, _scatter, _slot_mat, _slot_starts, _star_all,
-                     _star_conjugate, _top_all, _top_pairing, _volume_coeff,
+                     _star_conjugate, _top_all, _top_pairing, _units, _volume_coeff,
                      _wedge_power_entries, _wedge_power_mat, _wedge_scatter, _whole_table)
 
 
@@ -174,7 +175,7 @@ class OperatorTable:
         if name in ("del", "dbar", "wdel", "wdbar"):
             table = (_operator_scatter(n, int(name == "dbar"), p, q) if name[0] == "d"
                      else _wedge_scatter(n, *self._SHIFTS[name], p, q))
-            mat = _scatter(shape, table, self._values(name))
+            mat = _scatter(shape, table, _units(self._values(name)))
         elif name in ("L", "Lam", "star", "T", "S"):
             mat = _slot_mat(n, name, p, q)[0]
         else:
@@ -491,46 +492,45 @@ _TORSION_IDENTITIES = {
 
 
 def _torsion_values(table: OperatorTable) -> np.ndarray:
-    """What the tables of ``_torsion_tables`` scatter: ``[x, 1j x]``, x the
-    values of "del", "dbar", "wdel" and "wdbar" (``OperatorTable._values``)
-    followed by their conjugates."""
+    """The values x that ``_torsion_tables`` read: those of "del", "dbar",
+    "wdel" and "wdbar" (``OperatorTable._values``), then their conjugates."""
     x = np.concatenate([table._values(name) for name in ("del", "dbar", "wdel", "wdbar")])
-    x = np.concatenate([x, x.conj()])
-    return np.concatenate([x, 1j * x])
+    return np.concatenate([x, x.conj()])
 
 
 @lru_cache(maxsize=None)
 def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
     """Per identity of a05 to a08, a14 and a15, its residual on all slots
-    as a row count and one table of ``_scatter`` over ``_torsion_values``,
-    a row per distinct entry up to a factor of +-1 or +-i.  The entries
-    are the ``metric._whole_table`` entries of the operators (an adjoint's
-    relabelled by ``metric._star_conjugate``), terms ``sign i^k x[j]``,
-    conjugated and transposed in the summands of an adjoint identity,
-    numbered block by block (a block per column slot) and told apart by a
-    hash exact in doubles: each value a seeded pseudo-random Gaussian
-    integer below 2^44, an entry's hash the sum of its terms'.  Units turn
-    hashes by quarter turns; the turn into re > 0, im >= 0 is one for
-    entries that differ by a unit.  An entry of hash 0 is zero."""
+    as a row count and one table ``(rows, terms)`` of ``_scatter`` over the
+    x of ``_torsion_values``, a row per distinct entry up to a factor of
+    +-1 or +-i.  The entries are the ``metric._whole_table`` entries of the
+    operators (an adjoint's relabelled by ``metric._star_conjugate``),
+    terms ``i^k x[j]`` (term ``k len(x) + j``), conjugated and transposed
+    in the summands of an adjoint identity, numbered block by block (a
+    block per column slot) and told apart by a hash exact in doubles: each
+    value a seeded pseudo-random Gaussian integer below 2^44, an entry's
+    hash the sum of its terms'.  Units turn hashes by quarter turns; the
+    turn into re > 0, im >= 0 is one for entries that differ by a unit.  An
+    entry of hash 0 is zero."""
     dims, start = _slot_starts(n)
     slot = np.repeat(np.arange(dims.size, dtype=np.int32), dims.ravel())
     local = np.arange(4 ** n, dtype=np.int32) - start.ravel()[slot]
     pure, mixed = math.comb(n, 2) * n, n ** 3   # del: (2,0), (1,1); dbar: (1,1), (0,2)
-    theta = 2 * (pure + mixed)
-    offset = {"del": 0, "dbar": pure + mixed, "wdel": theta, "wdbar": theta + pure}
-    half = theta + 2 * pure
+    sizes = {"del": pure + mixed, "dbar": pure + mixed, "wdel": pure, "wdbar": pure}
+    offset = dict(zip(sizes, np.cumsum([0, *sizes.values()])))
+    theta, half = offset["wdel"], sum(sizes.values())
     z = np.frombuffer(random.Random(0).randbytes(32 * half), dtype=np.int64) >> 19
-    weights = np.append(z[:2 * half], -z[2 * half:]), np.roll(z, 2 * half)   # [z, 1j z]
-    # complex conjugation, e_I ^ ebar_J -> (-1)^(|I||J|) e_J ^ ebar_I: for value j of a05, a07
-    # or a14, a06, a08 or a15 read mirror_signs[j] times value mirror[j]: del and dbar swapped
-    # (negated on the (1,1)-slot), the columns theta swapped, and i turned to -i
+    hashes = _units(z[:2 * half] + 1j * z[2 * half:])
+    # complex conjugation, e_I ^ ebar_J -> (-1)^(|I||J|) e_J ^ ebar_I: for term t of a05, a07
+    # or a14, a06, a08 or a15 read term mirror[t]: del and dbar swapped (negated on the
+    # (1,1)-slot), the columns theta swapped, and the unit i^u turned to i^-u
     swap = np.arange(mixed).reshape(n, n, n).transpose(1, 0, 2).ravel()   # on (1,1)
     turn = np.arange(pure).reshape(n, -1).T.ravel()   # from (2,1) to (1,2)
     mirror = np.concatenate([theta - pure + np.arange(pure), pure + mixed + swap, pure + swap,
                              np.arange(pure), theta + pure + turn, theta + np.argsort(turn)])
-    mirror = np.tile(mirror, 4) + np.repeat(np.arange(4) * half, half)
-    mirror_signs = np.tile(np.repeat([1, -1, 1], [pure, 2 * mixed, 3 * pure]), 4) \
-        * np.repeat([1, 1, -1, -1], half)
+    negated = np.repeat([0, 1, 0], [pure, 2 * mixed, 3 * pure])
+    unit, conj, j = np.unravel_index(np.arange(8 * half), (4, 2, half))   # term i^unit x[j]
+    mirror = (((2 * negated[j] - unit) % 4 * 2 + conj) * half + mirror[j]).astype(np.int32)
     base = {name: _adjoint_base(lef, op) if op in _ADJOINT_OF else (lef, op)
             for name, (lef, op, _) in _TORSION_OPERATORS.items()}
     identities = list(_TORSION_IDENTITIES.items())[::2]   # each followed by its conjugate
@@ -538,34 +538,33 @@ def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
     whole = {}
     for op in offset:
         pieces = _operator_entries(n, op, *_monomials(n)[:2])
-        whole.update({(lef, x): _whole_table(n, lef == "Lam", pieces)
+        whole.update({(lef, x): _whole_table(n, sizes[op], lef == "Lam", pieces)
                       for lef, x in sorted(needed) if x == op})
         del pieces
 
     def table(summands: Tuple[str, ...], adjoint: bool, rhs: str):
-        """The residual's row count and table ``(rows, terms, signs)``."""
+        """The residual's row count and table ``(rows, terms)``."""
         lef, op, _ = _TORSION_OPERATORS[rhs]
         dp, dq = np.add(OperatorTable._SHIFTS[op], _SHIFTS.get(lef, (0, 0)))
         area = np.pad(dims, 1)[1 + dp:n + 2 + dp, 1 + dq:n + 2 + dq].ravel() * dims.ravel()
         size = int(area.sum())
         first = ((np.cumsum(area) - area)[slot] + local).astype(np.int32)
-        parts, h = [], np.zeros((2, size))
+        parts, h = [], np.zeros(size, dtype=complex)
         for name in summands + (rhs,):
             flip, (_, op, scale) = adjoint and name != rhs, _TORSION_OPERATORS[name]
-            (pos, terms, signs), rows, cols = whole[base[name]]
+            (pos, terms), rows, cols = whole[base[name]]
+            unit, terms = np.divmod(terms, sizes[base[name][1]])   # unit 0 or 2
             if op in _ADJOINT_OF:
                 rows, cols, star = _star_conjugate(n, rows, cols)
-                signs = signs * star[pos]
-            turns = {1: 0, 1j: 1, -1: 2, -1j: 3}[scale] * (1 - 2 * flip) + 2 * (name == rhs)
-            terms = terms + offset[base[name][1]] + (flip + 2 * (turns & 1)) * half
-            signs = signs * (1 - (turns & 2))
+                unit = unit + 1 - star[pos]
+            unit = unit + {1: 0, 1j: 1, -1: 2, -1j: 3}[scale] * (1 - 2 * flip) + 2 * (name == rhs)
+            terms = (unit % 4 * 2 + flip) * half + offset[base[name][1]] + terms
             rows, cols = (cols, rows) if flip else (rows, cols)
-            at = first[cols] + local[rows] * dims.ravel()[slot][cols]
-            for k, w in enumerate(weights):
-                np.add.at(h[k], at, np.bincount(pos, signs * w[terms], len(at)))
-            parts.append((at, pos, terms, signs))
-        held = np.flatnonzero(np.logical_or(h[0], h[1]))
-        re, im = h[:, held]
+            at = (first[cols] + local[rows] * dims.ravel()[slot][cols])[pos]
+            np.add.at(h, at, hashes[terms])
+            parts.append((at, terms))
+        held = np.flatnonzero(h)
+        re, im = h.real[held], h.imag[held]
         del h
         # the quarter turn into re > 0, im >= 0: (|re|, |im|), swapped off quadrants 1 and 3
         swap = (re * im < 0) | (re == 0)
@@ -575,25 +574,21 @@ def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
         keep = np.zeros(size, dtype=bool)
         keep[held[order[new]]] = True
         number = np.cumsum(keep, dtype=np.int32) - 1
-        rows, terms, signs = [], [], []
-        for at, pos, part_terms, part_signs in parts:
-            kept = keep[at][pos]
-            rows.append(number[at][pos[kept]])
-            terms.append(part_terms[kept])
-            signs.append(part_signs[kept])
+        rows = np.concatenate([number[at[keep[at]]] for at, _ in parts]).astype(np.int64)
+        terms = np.concatenate([part[keep[at]] for at, part in parts])
         del parts
-        key, inverse = np.unique(np.concatenate(rows).astype(np.int64) * (4 * half)
-                                 + np.concatenate(terms), return_inverse=True)
-        summed = np.bincount(inverse, np.concatenate(signs), len(key)).astype(np.int8)
-        rows, terms = np.divmod(key[summed != 0], 4 * half)
-        return int(new.sum()), (rows.astype(np.int32), terms.astype(np.int32), summed[summed != 0])
+        # each row's terms over [x, 1j x] in order, a term and its negative cancelling
+        key, inverse = np.unique(rows * (4 * half) + terms % (4 * half), return_inverse=True)
+        summed = np.bincount(inverse, 1 - 2 * (terms >= 4 * half), len(key)).astype(np.int64)
+        rows, terms = np.divmod(np.repeat(key, abs(summed)), 4 * half)   # 2 x[j] is two terms
+        return int(new.sum()), (rows.astype(np.int32),
+                                _fold(terms, np.repeat(summed, abs(summed)), 2 * half))
 
     tables = {}
     for (identity, spec), partner in zip(identities, list(_TORSION_IDENTITIES)[1::2]):
-        count, (rows, terms, signs) = table(*spec[1:])
-        tables[identity] = count, _frozen(rows, terms, signs)
-        tables[partner] = count, _frozen(rows, mirror[terms].astype(np.int32),
-                                         (signs * mirror_signs[terms]).astype(np.int8))
+        count, (rows, terms) = table(*spec[1:])
+        tables[identity] = count, _frozen(rows, terms)
+        tables[partner] = count, _frozen(rows, mirror[terms])
     return tables
 
 
@@ -615,7 +610,7 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     stokes = (M.check_stokes() <= tol, _STOKES_REASON)
 
     rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "a")
-    values = _torsion_values(table)
+    values = _units(_torsion_values(table))
     for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
         size, residual = _torsion_tables(n)[identity]
         rep.check(identity, anchor, lambda t=residual, s=size: [_scatter((s,), t, values)],

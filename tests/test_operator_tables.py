@@ -7,9 +7,12 @@ can change what a later call gets; and each first-order slot (del, dbar,
 checked against the congruence and the Leibniz commutator they replace.
 Also the per-dimension shortcuts of the suites: the cached entries of
 the identities of n alone, which check the division that rho applies;
-the adjoints and the torsion as the chains that define them; the kernel
-that reads the tables against ``np.add.at``; and the deduplicated tables
-of a05 to a08, a14 and a15: exactly the distinct rows, up to a unit, of
+the adjoints and the torsion against the pairing-route star and the
+per-slot wedge and Lambda; the kernel that reads the tables against
+``np.add.at`` and, bit for bit, against the bincount kernel it replaced
+(``ref_scatter``, over the layout with separate signs); and the
+deduplicated tables of a05 to a08, a14 and a15: exactly the distinct
+rows, up to a unit, of
 their residuals composed slot by slot from per-slot tables (the adjoint
 ones renumbered through the star), with the same residuals as the
 evaluation slot by slot, a07 and a08 the zero map once theta is written
@@ -33,9 +36,10 @@ from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import DEFAULT_TOL
 from starsplit.forms import space_dim
 from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _basis,
-                              _index, _join, _operator_scatter, _primitive_part, _scatter,
-                              _slot_mat, _slot_starts, _star_conjugate, _top_pairing,
-                              _volume_coeff, _wedge_power_mat, _wedge_scatter, omega_power)
+                              _fold, _index, _join, _operator_scatter, _primitive_part,
+                              _scatter, _slot_mat, _slot_starts, _star_conjugate, _top_pairing,
+                              _units, _volume_coeff, _wedge_power_mat, _wedge_scatter,
+                              omega_power)
 from starsplit.operators import (IdentityReport, OperatorTable,
                                  verify_commutation_suite, verify_operator_identities)
 from test_cli import _N6_MODELS
@@ -84,6 +88,77 @@ def ref_scatter_table(pieces):
     keep = summed != 0
     return ((keys[keep] // width).astype(np.int32), (keys[keep] % width).astype(np.int32),
             summed[keep].astype(np.int8))
+
+
+def ref_scatter(shape, table, values):
+    """The kernel that ``metric._scatter`` replaced, over the unfolded
+    layout ``(pos, terms, signs)``: the entry at flat position ``pos[k]``
+    collects ``signs[k] * values[terms[k]]``, a bincount of the gathered
+    real and of the imaginary parts."""
+    pos, terms, signs = table
+    flat = np.empty(math.prod(shape), dtype=complex)
+    work = np.empty(len(terms))
+    for part, dest in ((values.real, flat.real), (values.imag, flat.imag)):
+        part.take(terms, out=work, mode="clip")
+        work *= signs
+        dest[...] = np.bincount(pos, work, len(flat))
+    return flat.reshape(shape)
+
+
+def unfold(table, size):
+    """A table ``(pos, terms)`` over ``size`` values v as ``(pos, terms,
+    signs)`` over ``[v, 1j v]``: the unit ``i^k`` of term ``k size + j`` is
+    term ``j`` or ``size + j`` (k odd), negated for k >= 2."""
+    pos, terms = table
+    unit, j = np.divmod(terms.astype(np.int64), size)
+    return pos, (unit & 1) * size + j, (1 - (unit & 2)).astype(np.int8)
+
+
+def fold(table, size):
+    """A table ``(pos, terms, signs)`` over ``size`` values, units +-1, in
+    the package's layout ``(pos, terms)``."""
+    pos, terms, signs = table
+    return pos.astype(np.int32), _fold(terms, signs, size)
+
+
+def value_count(n, op):
+    """The number of values of X = ``op``'s tables: the generator
+    differentials of del or dbar, or theta's coefficients."""
+    return space_dim(n, *_SHIFTS[op]) if op[0] == "w" else (math.comb(n, 2) + n * n) * n
+
+
+def ref_dense(shape, rows, cols, vals):
+    """The matrix of these entries, repeated positions summing."""
+    mat = np.zeros(shape, dtype=complex)
+    np.add.at(mat, (rows, cols), vals)
+    return mat
+
+
+def ref_lambda(n, p, q):
+    """Lambda from the (p,q)-slot, from ``ref_lefschetz_nonzeros``."""
+    rows, cols, signs = ref_lefschetz_nonzeros(n, "Lam", p, q)
+    return ref_dense((space_dim(n, p - 1, q - 1), space_dim(n, p, q)), rows, cols, 1j * signs)
+
+
+def ref_theta_wedge(n, a, b, p, q, theta):
+    """``theta ^ .`` from the (p,q)-slot for theta's coefficients on the
+    (a,b)-slot, from ``ref_wedge_scatter``."""
+    shape = (space_dim(n, p + a, q + b), space_dim(n, p, q))
+    if not all(shape):
+        return np.zeros(shape, dtype=complex)
+    rows, cols, terms, signs = ref_wedge_scatter(n, a, b, p, q)
+    return ref_dense(shape, rows, cols, signs * theta[terms])
+
+
+def ref_adjoint(table, name, p, q):
+    """del* or dbar* from the (p,q)-slot as ``-star D star``, the stars
+    those of the pairing route (``ref_star_mat``)."""
+    n, d = table.n, _ADJOINT_OF[name]
+    shape = (space_dim(n, *table.target(name, p, q)), space_dim(n, p, q))
+    if not all(shape):
+        return np.zeros(shape, dtype=complex)
+    tp, tq = table.target(d, n - q, n - p)
+    return -ref_star_mat(n, tp, tq) @ table.mat(d, n - q, n - p) @ ref_star_mat(n, p, q)
 
 
 def ref_derivation_scatter(n, part, p, q):
@@ -285,8 +360,8 @@ def _scaled_bracket(table, a, b, p, q, factor):
     lef, op, scale = (a, b, factor * 1j) if a in ("L", "Lam") else (b, a, factor * -1j)
     shape = (space_dim(table.n, *table.target(op, *table.target(lef, p, q))),
              space_dim(table.n, p, q))
-    return _scatter(shape, _bracket_table(table.n, lef, op, p, q),
-                    scale * table._values(_ADJOINT_OF.get(op, op)))
+    return ref_scatter(shape, _bracket_table(table.n, lef, op, p, q),
+                       scale * table._values(_ADJOINT_OF.get(op, op)))
 
 
 def per_slot_torsion_residuals(table):
@@ -316,7 +391,7 @@ def per_slot_torsion_residuals(table):
 def torsion_residuals(table):
     """Per identity, the residual of each row of its ``_torsion_tables``
     table on the values of ``table``."""
-    values = operators._torsion_values(table)
+    values = _units(operators._torsion_values(table))
     return {identity: _scatter((count, ), residual, values)
             for identity, (count, residual) in operators._torsion_tables(table.n).items()}
 
@@ -564,17 +639,22 @@ def _reference_models():
 
 def _old_construction(table, name, p, q):
     """del/dbar as the manifold's phi-basis matrix moved into the frame by
-    congruence, tau/taubar as the dense commutator of Lambda with the
-    theta wedge."""
-    M, g = table.M, table.g
+    congruence, tau/taubar as the commutator of Lambda with the wedge by
+    theta = ``del omega`` (``dbar omega``) of the ``Form`` route, both of
+    the per-slot routes (``ref_lambda``, ``ref_theta_wedge``)."""
+    M, g, n = table.M, table.g, table.n
     if name in ("del", "dbar"):
         tp, tq = table.target(name, p, q)
         phi_mat = M.d_matrices(p, q)[("del", "dbar").index(name)]
         if not phi_mat.size:
             return phi_mat
         return g.to_e_matrix(tp, tq) @ phi_mat @ g.from_e_matrix(p, q)
-    wd = "wdel" if name == "tau" else "wdbar"
-    return table.chain(["Lam", wd], p, q) - table.chain([wd, "Lam"], p, q)
+    a, b = _SHIFTS["wdel" if name == "tau" else "wdbar"]
+    theta = g.to_e_vec((M.del_ if name == "tau" else M.delbar)(omega_power(g, 1)), a, b)
+    mat = ref_lambda(n, p + a, q + b) @ ref_theta_wedge(n, a, b, p, q, theta)
+    if min(p, q) > 0:
+        mat = mat - ref_theta_wedge(n, a, b, p - 1, q - 1, theta) @ ref_lambda(n, p, q)
+    return mat
 
 
 def test_first_order_slot_matrices_equal_the_old_construction(rng):
@@ -603,61 +683,83 @@ def test_derivation_table_reproduces_the_phi_basis_d_matrices():
             for p in range(n + 1):
                 for q in range(n + 1):
                     ref = M.d_matrices(p, q)[part]
-                    got = _scatter(ref.shape, _operator_scatter(n, part, p, q), gens)
+                    got = _scatter(ref.shape, _operator_scatter(n, part, p, q), _units(gens))
                     bound = 1e-13 * max(1.0, np.abs(ref).max(initial=0.0))
                     assert np.abs(got - ref).max(initial=0.0) <= bound, (M.name, part, p, q)
 
 
 def test_first_order_tables_stay_small():
     """The per-slot tables that a table's del, dbar and theta wedges read,
-    over every slot of dimension 5, hold less than 2 MiB."""
+    over every slot of dimension 5, hold at most 0.58 MiB (0.53 MiB in
+    the two-array layout)."""
     held = sum(arr.nbytes
                for p in range(6) for q in range(6) for part in (0, 1)
                for table in (_operator_scatter(5, part, p, q),
                              _wedge_scatter(5, *_SHIFTS[("wdel", "wdbar")[part]], p, q))
                for arr in table)
-    assert held < 2 << 20, held
+    assert held <= 0.58 * 2 ** 20, held
 
 
-def _scatter_tables(n):
-    """``(shape, table)`` of every ``_operator_scatter`` table of
-    dimension n, of every per-slot bracket table of the reference route,
-    of the theta wedge tables and of every table of ``_torsion_tables`` (a
-    column of its rows)."""
+def _scatter_tables(n, brackets=True):
+    """``(shape, table, size)`` of every ``_operator_scatter`` table of
+    dimension n, of every per-slot bracket table of the reference route
+    (folded; unless not ``brackets``), of the theta wedge tables and of
+    every table of ``_torsion_tables`` (a column of its rows), with the
+    number of values each reads."""
     for p in range(n + 1):
         for q in range(n + 1):
             ncols = space_dim(n, p, q)
-            for part in (0, 1):
+            for part, op in enumerate(("del", "dbar")):
                 tp, tq = (p + 1, q) if part == 0 else (p, q + 1)
-                yield (space_dim(n, tp, tq), ncols), _operator_scatter(n, part, p, q)
-            for lef in ("L", "Lam"):
+                yield ((space_dim(n, tp, tq), ncols), _operator_scatter(n, part, p, q),
+                       value_count(n, op))
+            for lef in ("L", "Lam") if brackets else ():
                 for op in ("del", "dbar", "wdel", "wdbar"):
                     fp, fq = _SHIFTS[lef]
                     tp, tq = p + fp + _SHIFTS[op][0], q + fq + _SHIFTS[op][1]
-                    yield (space_dim(n, tp, tq), ncols), ref_operator_scatter(n, lef, op, p, q)
-            for a, b in (_SHIFTS["wdel"], _SHIFTS["wdbar"]):
-                yield (space_dim(n, p + a, q + b), ncols), _wedge_scatter(n, a, b, p, q)
+                    yield ((space_dim(n, tp, tq), ncols),
+                           fold(ref_operator_scatter(n, lef, op, p, q), value_count(n, op)),
+                           value_count(n, op))
+            for op in ("wdel", "wdbar"):
+                a, b = _SHIFTS[op]
+                yield ((space_dim(n, p + a, q + b), ncols), _wedge_scatter(n, a, b, p, q),
+                       value_count(n, op))
     for count, table in operators._torsion_tables(n).values():
-        yield (count, 1), table
+        yield (count, 1), table, 2 * torsion_half(n)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_scatter_equals_add_at_bit_for_bit(rng, n):
     """``_scatter`` on every table of dimension n equals the plain
-    ``np.add.at`` accumulation bit for bit, for values given as a
-    contiguous array and as a strided column view (as theta reaches the
-    torsion brackets)."""
+    ``np.add.at`` accumulation of ``(1, i, -1, -i)[k // V] * v[k % V]``
+    bit for bit, for values given as a contiguous array and as a strided
+    column view (as theta reaches the torsion brackets)."""
     tables = list(_scatter_tables(n))
-    assert sum(len(table[0]) for _, table in tables)
-    for shape, (pos, terms, signs) in tables:
-        size = int(terms.max(initial=0)) + 1
+    assert sum(len(table[0]) for _, table, _ in tables)
+    units = np.array([1, 1j, -1, -1j])
+    for shape, (pos, terms), size in tables:
+        assert terms.max(initial=-1) < 4 * size
         block = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
         for values in (np.ascontiguousarray(block[:, 0]), block[:, 1]):
             ref = np.zeros(shape[0] * shape[1], dtype=complex)
-            np.add.at(ref, pos, signs * values[terms])
-            got = _scatter(shape, (pos, terms, signs), values)
+            np.add.at(ref, pos, units[terms // size] * values[terms % size])
+            got = _scatter(shape, (pos, terms), _units(values))
             assert got.shape == shape
             assert np.array_equal(got.ravel(), ref), (n, shape)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scatter_equals_the_bincount_kernel_bit_for_bit(rng, n):
+    """Every slot del and dbar table, every theta wedge table and the six
+    torsion tables of dimension n give the same arrays, bit for bit,
+    through ``_scatter`` over ``_units(v)`` as through the real and
+    imaginary bincounts of ``ref_scatter`` over the unfolded layout and
+    ``[v, 1j v]``: folding the units into the terms changes no sum."""
+    for shape, table, size in _scatter_tables(n, brackets=False):
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        got = _scatter(shape, table, _units(values))
+        ref = ref_scatter(shape, unfold(table, size), np.concatenate([values, 1j * values]))
+        assert got.tobytes() == ref.tobytes(), (n, shape)
 
 
 # ----------------------------------------------------------------------
@@ -665,9 +767,10 @@ def test_scatter_equals_add_at_bit_for_bit(rng, n):
 # ----------------------------------------------------------------------
 def _dense_first_order(table, name, p, q):
     """A first-order operator as a dense matrix: an adjoint as the dense
-    product ``-star D star``, any other name as the table's matrix."""
+    product ``-star D star`` with the stars of the pairing route
+    (``ref_adjoint``), any other name as the table's matrix."""
     if name in ("delstar", "dbarstar"):
-        return -table.chain(["star", _ADJOINT_OF[name], "star"], p, q)
+        return ref_adjoint(table, name, p, q)
     return table.mat(name, p, q)
 
 
@@ -692,20 +795,20 @@ def _relative_gap(got, ref):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_scattered_adjoints_and_brackets_equal_the_dense_products(rng, n):
-    """On every slot, to 1e-15 relative: the table's del*, dbar*, tau and
-    taubar equal the dense products ``-star D star`` and ``[Lam, theta ^
-    .]``, and the scattered [Lam, del], [Lam, dbar], [dbar*, L], [del*, L],
-    [Lam, wdel] and [Lam, wdbar] that the per-slot evaluation of a05 to
-    a08 reads equal the dense products of their operators."""
+    """On every slot, to 1e-15 relative: the table's del* and dbar* equal
+    ``-star D star`` with the stars of the pairing route, tau and taubar
+    the commutator ``[Lam, theta ^ .]`` joined from the per-slot wedge
+    tables and the nonzeros of Lambda (``_scaled_bracket``), and the
+    scattered [Lam, del], [Lam, dbar], [dbar*, L], [del*, L], [Lam, wdel]
+    and [Lam, wdbar] that the per-slot evaluation of a05 to a08 reads
+    equal the dense products of their operators."""
     table = _random_generator_tables(n, rng)
     for p, q in table.bidegrees():
         for name in ("delstar", "dbarstar"):
             ref = _dense_first_order(table, name, p, q)
             assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
         for name, wedge in (("tau", "wdel"), ("taubar", "wdbar")):
-            fp, fq = table.target("Lam", p, q)
-            ref = (table.mat("Lam", *table.target(wedge, p, q)) @ table.mat(wedge, p, q)
-                   - table.mat(wedge, fp, fq) @ table.mat("Lam", p, q))
+            ref = _scaled_bracket(table, "Lam", wedge, p, q, 1)
             assert _relative_gap(table.mat(name, p, q), ref) <= 1e-15, (name, p, q)
         for lef, op in (("Lam", "del"), ("Lam", "dbar"), ("L", "dbarstar"), ("L", "delstar"),
                         ("Lam", "wdel"), ("Lam", "wdbar")):
@@ -767,16 +870,16 @@ def test_slot_tables_equal_the_merge_table_route(n):
     the same entries."""
     for p in range(n + 1):
         for q in range(n + 1):
-            for part in (0, 1):
-                for a, b in zip(_operator_scatter(n, part, p, q),
-                                ref_derivation_scatter(n, part, p, q)):
+            for part, op in enumerate(("del", "dbar")):
+                ref = fold(ref_derivation_scatter(n, part, p, q), value_count(n, op))
+                for a, b in zip(_operator_scatter(n, part, p, q), ref):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (part, p, q)
             for a, b in ((2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (n - p, n - q)):
                 rows, cols, terms, signs = ref_wedge_scatter(n, a, b, p, q)
-                ref = sorted(zip((rows * space_dim(n, p, q) + cols).tolist(), terms.tolist(),
-                                 signs.tolist()))
+                ref = sorted(zip((rows * space_dim(n, p, q) + cols).tolist(),
+                                 _fold(terms, signs, space_dim(n, a, b)).tolist()))
                 table = _wedge_scatter(n, a, b, p, q)
-                assert [arr.dtype for arr in table] == [np.int32, np.int32, np.int8]
+                assert [arr.dtype for arr in table] == [np.int32, np.int32]
                 assert sorted(zip(*(arr.tolist() for arr in table))) == ref, (a, b, p, q)
 
 
@@ -790,7 +893,7 @@ def test_torsion_layout_equals_the_per_slot_route(n):
     operators._torsion_tables.cache_clear()
     half = torsion_half(n)
     for identity, (count, table) in operators._torsion_tables(n).items():
-        got = canonical_rows(*table, half)
+        got = canonical_rows(*unfold(table, 2 * half), half)
         ref = np.unique(canonical_rows(*per_slot_torsion_rows(n, identity), half), axis=0)
         assert len(got) == count == len(ref), identity
         width = max(got.shape[1], ref.shape[1])
@@ -802,14 +905,17 @@ def test_torsion_layout_equals_the_per_slot_route(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_torsion_layout_indices_stay_in_bounds(n):
     """``_scatter`` gathers with ``mode="clip"``, which would turn an index
-    out of range into a wrong value: every position of a table lies in its
-    rows, each row holds a term, and every term lies in the values."""
-    size = 4 * torsion_half(n)
-    for identity, (count, (pos, terms, signs)) in operators._torsion_tables(n).items():
+    out of range into a wrong value: each table is two read-only int32
+    arrays ``(pos, terms)``, every position lies in its rows, each row
+    holds a term, and every term lies in the ``4 V`` units of the V values
+    x (``_units``)."""
+    size = 4 * 2 * torsion_half(n)
+    for identity, (count, table) in operators._torsion_tables(n).items():
+        pos, terms = table
         assert np.array_equal(np.unique(pos), np.arange(count)), identity
         assert 0 <= terms.min(initial=0) and terms.max(initial=-1) < size, identity
-        assert (pos.dtype, terms.dtype, signs.dtype) == (np.int32, np.int32, np.int8)
-        assert not (pos.flags.writeable or terms.flags.writeable or signs.flags.writeable)
+        assert [arr.dtype for arr in table] == [np.int32, np.int32]
+        assert not (pos.flags.writeable or terms.flags.writeable)
 
 
 def composed_with_theta(sparse, n, identity):
@@ -823,7 +929,7 @@ def composed_with_theta(sparse, n, identity):
     w = _slot_mat(n, "L", 0, 0)[0][:, 0]
     blocks = [[None] * 4 for _ in range(8)]   # x and its conjugate from v, dbar v and theirs
     for part in (0, 1):
-        pos, terms, signs = _operator_scatter(n, part, 1, 1)
+        pos, terms, signs = unfold(_operator_scatter(n, part, 1, 1), gens)
         rows, cols = np.divmod(pos, n * n)
         theta = sparse.coo_matrix((signs * w[cols], (rows, terms)),
                                   shape=(n * math.comb(n, 2), gens))
@@ -832,7 +938,8 @@ def composed_with_theta(sparse, n, identity):
             blocks[4 * conj + 2 + part][2 * conj + part] = theta.conj() if conj else theta
     substitution = sparse.bmat(blocks, format="csr")
     assert substitution.shape == (2 * half, 4 * gens)
-    count, (pos, terms, signs) = operators._torsion_tables(n)[identity]
+    count, table = operators._torsion_tables(n)[identity]
+    pos, terms, signs = unfold(table, 2 * half)
     part, j = np.divmod(terms, 2 * half)
     table = sparse.coo_matrix((signs * 1j ** part, (pos, j)), shape=(count, 2 * half))
     composed = (table.tocsr() @ substitution).tocsr()
@@ -892,7 +999,7 @@ def test_a05_a06_a14_and_a15_are_multiples_of_the_stokes_map(rng, n):
     stokes = []
     for conj in (0, 1):
         for part in (0, 1):
-            pos, terms, signs = _operator_scatter(n, part, n - 1 + part, n - part)
+            pos, terms, signs = unfold(_operator_scatter(n, part, n - 1 + part, n - part), gens)
             stokes.append(sparse.coo_matrix((signs.astype(float), (pos, terms)), shape=(n, gens)))
     stokes = (sparse.block_diag(stokes, format="csr") @ real).tocsr()
     distinct = {}
@@ -942,15 +1049,16 @@ def test_torsion_residuals_equal_the_per_slot_evaluation_on_random_generators(rn
 
 
 def test_torsion_layout_stays_small_and_makes_no_slot_table(rng):
-    """At n = 5 the tables of a05 to a08, a14 and a15 hold at most 1.5 MiB,
-    one row per distinct residual entry.  Building them leaves no
+    """At n = 5 the tables of a05 to a08, a14 and a15 hold at most 0.99
+    MiB (0.91 MiB in the two-array layout), one row per distinct residual
+    entry.  Building them leaves no
     ``_operator_scatter`` entry, and a warm commutation suite adds none."""
     operators._torsion_tables.cache_clear()
     _operator_scatter.cache_clear()
     tables = operators._torsion_tables(5)
     assert _operator_scatter.cache_info().currsize == 0
     held = sum(arr.nbytes for _, table in tables.values() for arr in table)
-    assert held <= 1.5 * 2 ** 20, held
+    assert held <= 0.99 * 2 ** 20, held
     assert {identity[:3]: count for identity, (count, _) in tables.items()} == {
         "a05": 2690, "a06": 2690, "a07": 230, "a08": 230, "a14": 2690, "a15": 2690}
     M = catalog.get("iwasawa5")[0]

@@ -7,7 +7,7 @@ from starsplit.analysis import rho
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import InputError
 from starsplit.forms import Form, basis_masks, space_dim
-from starsplit.metric import (_SHIFTS, HermitianMetric, _scatter, _wedge_scatter,
+from starsplit.metric import (_SHIFTS, HermitianMetric, _scatter, _units, _wedge_scatter,
                               divide_by_power, hodge_star, lefschetz_lambda, omega_power)
 from starsplit.operators import (_D_SQUARED_REASON, _STOKES_REASON, IdentityReport,
                                  OperatorTable, P, Q, R, S, T, verify_commutation_suite,
@@ -508,7 +508,7 @@ class SymbolTable(OperatorTable):
             return super().mat(name, p, q)
         a, b = _SHIFTS[name]
         shape = (space_dim(self.n, p + a, q + b), space_dim(self.n, p, q))
-        return _scatter(shape, _wedge_scatter(self.n, a, b, p, q), 1j * self.xi[a, b])
+        return _scatter(shape, _wedge_scatter(self.n, a, b, p, q), _units(1j * self.xi[a, b]))
 
 
 def polarisation_covectors(n):
