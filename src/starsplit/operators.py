@@ -43,8 +43,10 @@ alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) are evaluated
 once per dimension and cached (``_dimension_entries``).  An entry of a05
 to a08, a14 or a15 is a fixed linear form in x, the values of del, dbar
 and theta and their conjugates: a table per identity and dimension holds
-each distinct one once, up to a unit (``_torsion_tables``).  The others
-are evaluated afresh, slot by slot.  The operator suite takes f, rho and
+each distinct one once, up to a unit (``_torsion_tables``); a07 to a10
+hold for all structure constants, and are decided once per dimension at
+one Gaussian-integer point (``_generic_entries``).  The others are
+evaluated afresh, slot by slot.  The operator suite takes f, rho and
 ``i del delbar omega_{n-2}`` from one call of the star-split core
 ``analysis._star_split``.  No identity needs particular inputs, so
 neither suite draws random forms: the ``seed`` of both is unused.
@@ -592,38 +594,61 @@ def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
     return tables
 
 
-def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
-                             tol: float = DEFAULT_TOL, seed: int = 0) -> IdentityReport:
-    """Frame-level identities: sl(2) commutators, star intertwining and
-    involution, the four torsion commutation relations, the torsion trace
-    identities on the metric form, the primitive-form star formula, the two
-    wedge/star pairing identities, and the global adjointness of the
-    formula-based adjoints, each on every monomial of its slots (a05 to
-    a08, a14 and a15 on their distinct entries, ``_torsion_tables``).  a05,
-    a06, a14 and a15 are skipped where the invariant Stokes residual
-    exceeds ``tol``.  ``seed`` is unused, kept for callers that pass it: no
-    identity here needs particular inputs."""
-    n = M.dim
-    table = OperatorTable(M, g)
-    m = table.mat
-    rep = IdentityReport(M.name, g.describe(), tol)
-    stokes = (M.check_stokes() <= tol, _STOKES_REASON)
-
-    rep.reuse(e for e in _dimension_entries(n) if e.identity[0] == "a")
-    values = _units(_torsion_values(table))
+def _bracket_entries(M: InvariantComplexManifold) -> Tuple[IdentityResult, ...]:
+    """a07 to a10 on ``M`` at the identity metric, with their largest residuals."""
+    table = OperatorTable(M, HermitianMetric.identity(M.dim))
+    m, rep, values = table.mat, IdentityReport("", "", math.inf), _units(_torsion_values(table))
     for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
-        size, residual = _torsion_tables(n)[identity]
-        rep.check(identity, anchor, lambda t=residual, s=size: [_scatter((s,), t, values)],
-                  *([stokes] if adjoint else []))
-
-    # torsion trace identities on the metric form, on its frame column
+        if not adjoint:
+            rep.check(identity, anchor, lambda t=_torsion_tables(M.dim)[identity]: [
+                _scatter((t[0],), t[1], values)])
     w_e = m("L", 0, 0)[:, 0]
     dbarstar_w = m("dbarstar", 1, 1) @ w_e
     rep.check("a09_torsion_adjoint_on_metric", "taubar* omega = -2 dbar* omega", lambda: [
         m("taubar", 1, 0).conj().T @ w_e - -2.0 * dbarstar_w])
     rep.check("a10_delbar_adjoint_on_metric", "dbar* omega = i Lam(del omega)", lambda: [
         dbarstar_w - 1j * m("Lam", 2, 1) @ m("del", 1, 1) @ w_e])
+    return tuple(rep.entries)
 
+
+@lru_cache(maxsize=None)
+def _generic_entries(n: int) -> Tuple[IdentityResult, ...]:
+    """a07 to a10 at one point, seeded Gaussian-integer structure constants
+    (d^2, Stokes not needed): each residual is real-linear in them, exact
+    here and 0 on a basis of them (the tests), and a metric is a coframe
+    change, so it decides them for all models and metrics (Schwartz 1980)."""
+    rng, index = random.Random(n), range(1, n + 1)
+    c = lambda: f"{rng.randint(-99, 99)}{rng.randint(-99, 99):+d}i"
+    return _bracket_entries(InvariantComplexManifold(f"gaussian_{n}", n, {k: {
+        "(2,0)": [(i, j, c()) for i in index for j in index if i < j],
+        "(1,1)": [(i, j, c()) for i in index for j in index]} for k in index}))
+
+
+def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
+                             tol: float = DEFAULT_TOL, seed: int = 0) -> IdentityReport:
+    """Frame-level identities: sl(2) commutators, star intertwining and
+    involution, the four torsion commutation relations, the torsion trace
+    identities on the metric form, the primitive-form star formula, the two
+    wedge/star pairing identities, and the global adjointness of the
+    formula-based adjoints.  a01 to a04 and a11 to a13 depend on n alone and
+    a07 to a10 hold for all structure constants, so no model can fail them:
+    each is decided once per dimension (``_dimension_entries``,
+    ``_generic_entries``).  a05, a06, a14 and a15, per model on their
+    distinct entries (``_torsion_tables``), are relative to the largest
+    value they read and skipped where the invariant Stokes residual exceeds
+    ``tol``.  ``seed`` is unused, kept for callers that pass it: no identity
+    here needs particular inputs."""
+    n, table = M.dim, OperatorTable(M, g)
+    rep = IdentityReport(M.name, g.describe(), tol)
+    stokes = (M.check_stokes() <= tol, _STOKES_REASON)
+
+    rep.reuse(e for e in _dimension_entries(n) + _generic_entries(n) if e.identity[0] == "a")
+    x = _torsion_values(table)
+    values = _units(_relative(x, x))   # the residuals are linear in x: relative to its size
+    for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
+        if adjoint:
+            rep.check(identity, anchor, lambda t=_torsion_tables(n)[identity]: [
+                _scatter((t[0],), t[1], values)], stokes)
     return rep.finalize()
 
 

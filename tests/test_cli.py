@@ -187,6 +187,24 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_commutation_suite_passes_on_a_dense_metric_scaled_by_1e_12(capsys, tmp_path):
+    """nakamura with a dense metric scaled by 1e-12 (the leading 3 x 3 block
+    of the dense CI metric): the frame values are about 1e6, and a05, a06,
+    a14 and a15 round at 1.0e-9 in absolute terms.  Each is relative to the
+    largest value it reads, and a07 to a10, decided once per dimension at
+    an exact point, read 0.0."""
+    path = tmp_path / "small3.json"
+    path.write_text(json.dumps({"type": "hermitian", "scale": 1e-12, "matrix": [
+        [1, 0], [0.2, 0.1], [0.2, 0.2], [0.2, -0.1], [1, 0], [0.2, 0.1], [0.2, -0.2],
+        [0.2, -0.1], [1, 0]]}))
+    code, out, _ = run(capsys, "verify", "--manifold", "nakamura", "--metric", str(path),
+                       "--suite", "commutation", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["all_passed"] is True, out
+    residuals = {e["id"][:3]: e["residual"] for e in data["suites"][0]}
+    assert all(residuals[key] == 0.0 for key in ("a07", "a08", "a09", "a10")), residuals
+
+
 def test_verify_operator_suite_with_gamma(capsys, tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps({"type": "diagonal", "coeffs": [1.0, 2.0, 3.0]}))

@@ -16,8 +16,9 @@ rows, up to a unit, of
 their residuals composed slot by slot from per-slot tables (the adjoint
 ones renumbered through the star), with the same residuals as the
 evaluation slot by slot, a07 and a08 the zero map once theta is written
-through the generators, and a05, a06, a14 and a15 exact multiples of the
-Stokes map.
+through the generators, a09 and a10 exactly 0 on a basis of the structure
+constants (so that the suite decides a07 to a10 once per dimension), and
+a05, a06, a14 and a15 exact multiples of the Stokes map.
 
 The tables read off the monomial masks are checked against the routes
 they replace, kept here: the per-slot wedge, derivation and bracket
@@ -821,20 +822,55 @@ def test_scattered_adjoints_and_brackets_equal_the_dense_products(rng, n):
             assert np.array_equal(_scaled_bracket(table, op, lef, p, q, 1), -got)
 
 
-def test_a_warm_commutation_suite_chains_only_for_a09_and_a10(monkeypatch, rng):
-    """A warm suite reads a05 to a08, a14 and a15 from its all-slot tables;
-    its only chains are taubar on the (1,0)-slot (a09) and dbar* on the
-    (1,1)-slot (a09, a10)."""
+def test_a_warm_commutation_suite_makes_no_chain_and_four_torsion_scatters(monkeypatch, rng):
+    """A warm suite reuses a07 to a10 from the evaluation of its dimension
+    and builds no chain: its only scatters through the tables of
+    ``_torsion_tables`` are those of a05, a06, a14 and a15, one each."""
     M = catalog.get("iwasawa5")[0]
     verify_commutation_suite(M, random_pd_metric(5, rng))
-    calls = []
-    chain = OperatorTable.chain
-    monkeypatch.setattr(OperatorTable, "chain", lambda self, names, p, q: (
-        calls.append((tuple(names), p, q)) or chain(self, names, p, q)))
+    tables = {id(table): identity for identity, (_, table) in operators._torsion_tables(5).items()}
+    chains, scattered = [], []
+    chain, scatter = OperatorTable.chain, operators._scatter
+    monkeypatch.setattr(OperatorTable, "chain", lambda self, *args: (
+        chains.append(args) or chain(self, *args)))
+    monkeypatch.setattr(operators, "_scatter", lambda shape, table, values: (
+        scattered.append(tables.get(id(table))) or scatter(shape, table, values)))
     rep = verify_commutation_suite(M, random_pd_metric(5, rng))
     assert rep.all_passed
-    assert sorted(calls) == [(("Lam", "wdbar"), 1, 0), (("star", "del", "star"), 1, 1),
-                             (("wdbar", "Lam"), 1, 0)]
+    assert not chains
+    assert sorted(filter(None, scattered)) == [
+        "a05_adjoint_of_del_plus_torsion", "a06_adjoint_of_delbar_plus_torsion",
+        "a14_global_adjointness_del", "a15_global_adjointness_delbar"]
+
+
+def test_a07_to_a10_are_decided_once_per_dimension(rng):
+    """The entries of a07 to a10 are evaluated once per dimension, on the
+    Gaussian-integer model, each residual exactly 0: every commutation
+    suite of that dimension reports them as they are, whatever its model
+    (Stokes-violating included) and metric."""
+    operators._generic_entries.cache_clear()
+    generic = operators._generic_entries(3)
+    assert [e.identity[:3] for e in generic] == ["a07", "a08", "a09", "a10"]
+    assert all(e.residual == 0.0 and e.passed for e in generic)
+    models = [catalog.get(name)[:2] for name in ("torus_3", "iwasawa3", "nakamura")]
+    for M, g in models + [(stokes_violating(), HermitianMetric.identity(3))]:
+        for metric in (g, random_pd_metric(3, rng), random_pd_metric(3, rng).scaled(1e-12)):
+            rep = verify_commutation_suite(M, metric)
+            assert [e for e in rep.entries if e.identity[:3] in ("a07", "a08", "a09", "a10")] \
+                == list(generic), M.name
+    info = operators._generic_entries.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+
+
+def test_the_operator_suite_builds_no_torsion_table(rng):
+    """The tables of a05 to a08, a14 and a15 and the evaluation of a07 to
+    a10 serve the commutation suite alone."""
+    operators._torsion_tables.cache_clear()
+    operators._generic_entries.cache_clear()
+    M, g, _ = catalog.get("iwasawa3")
+    assert verify_operator_identities(M, g, random_pd_metric(3, rng)).all_passed
+    assert operators._torsion_tables.cache_info().currsize == 0
+    assert operators._generic_entries.cache_info().currsize == 0
 
 
 def test_both_suites_keep_only_del_and_dbar_slot_tables(monkeypatch, rng):
@@ -957,6 +993,27 @@ def test_a07_and_a08_are_identities_of_the_tables(n):
         assert composed.shape[0] and composed.nnz == 0, identity
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a09_and_a10_are_identities_of_the_structure_constants(n):
+    """a09 and a10 hold for every model and metric, which is what lets the
+    commutation suite decide them once per dimension.  Both residuals are
+    real-linear in the structure constants, and a metric is a coframe
+    change, so it is enough that they vanish at the identity metric on each
+    model with a single structure constant, 1 or i.  There every frame
+    value is 0, +-1 or +-i and every entry of L, Lambda and the star +-1 or
+    +-i, so the evaluation is exact: every residual entry of a07 to a10 on
+    these models is exactly 0."""
+    index = range(1, n + 1)
+    basis = [(k, "(2,0)", i, j) for k in index for i in index for j in index if i < j]
+    basis += [(k, "(1,1)", i, j) for k in index for i in index for j in index]
+    assert len(basis) == (math.comb(n, 2) + n * n) * n
+    for k, slot, i, j in basis:
+        for c in ("1", "i"):
+            M = InvariantComplexManifold("basis", n, {k: {slot: [(i, j, c)]}})
+            entries = operators._bracket_entries(M)
+            assert [e.residual for e in entries] == [0.0] * 4, (k, slot, i, j, c)
+
+
 def gaussian_integer_model(n, rng):
     """A model of dimension n with every structure constant a seeded
     Gaussian integer, d^2 = 0 or not."""
@@ -1064,7 +1121,7 @@ def test_torsion_layout_stays_small_and_makes_no_slot_table(rng):
     M = catalog.get("iwasawa5")[0]
     verify_commutation_suite(M, random_pd_metric(5, rng))
     warm = _operator_scatter.cache_info().currsize
-    assert warm <= 6   # the slots of a09 and a10
+    assert warm <= 6   # the (1,1)-slots theta is read off, and those of a09 and a10
     verify_commutation_suite(M, random_pd_metric(5, rng))
     assert _operator_scatter.cache_info().currsize == warm
     assert operators._torsion_tables(5) is tables

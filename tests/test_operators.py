@@ -438,6 +438,22 @@ def test_operator_suite_passes_on_small_dense_metrics(scale):
         assert rep.all_passed, [e.to_json_dict() for e in rep.failures()]
 
 
+@pytest.mark.parametrize("name", ["iwasawa5", "nakamura"])
+def test_commutation_suite_passes_at_dense_metric_scales_from_1e_12_to_1e12(name):
+    """Three seeded dense metrics, each scaled by 1e-12, 1e-9, ..., 1e12:
+    the frame values scale like the square root of 1/scale, and so does
+    the rounding of a05, a06, a14 and a15, which at 1e-12 read 1e-9 in
+    absolute terms.  Each is relative to the largest value it reads."""
+    M = catalog.get(name)[0]
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        g = random_pd_metric(M.dim, rng)
+        for scale in 10.0 ** np.arange(-12, 13, 3):
+            rep = verify_commutation_suite(M, g.scaled(scale))
+            assert rep.all_passed, (scale, [e.to_json_dict() for e in rep.failures()])
+            assert all(e.skipped_reason is None for e in rep.entries)
+
+
 def test_report_json_shape():
     M, g, _ = catalog.get("iwasawa3")
     rep = verify_commutation_suite(M, g)
