@@ -21,13 +21,11 @@ the top pairing and from it the star, one unit entry per row and column
 differentials of the generators in any coframe (``_operator_entries``).
 The first-order operators of one slot, del, dbar and the wedge with a
 fixed form, are each a table of ``_scatter`` over their values
-(``_operator_scatter``, ``_wedge_scatter``); del and dbar on all slots at
-once, with their commutators with Lambda, are a table of the nonzero entries
-(``_whole_table``), from which ``operators`` composes each of a05 to a08,
-a14 and a15, the adjoints relabelled by the star (``_star_conjugate``).
-A table is two read-only int32 arrays ``(pos, terms)``, the unit folded
-into the term: over values v of length V, term k is ``(1, i, -1, -i)[k //
-V] * v[k % V]``, gathered from ``_units(v)``.  L, Lambda, star and the
+(``_operator_scatter``, ``_wedge_scatter``); on all slots at once their
+entries are the leaves of ``operators``' expressions for a05 to a08, a14
+and a15.  A table is two read-only int32 arrays ``(pos, terms)``, the unit
+folded into the term: over values v of length V, term k is ``(1, i, -1,
+-i)[k // V] * v[k % V]``, gathered from ``_units(v)``.  L, Lambda, star and the
 divisions T and S of ``operators`` are dense slot matrices (``_slot_mat``),
 with the pseudo-inverse behind ``divide_by_power`` and the sl(2) closed
 form behind ``lefschetz_decompose``.  ``HermitianMetric.apply`` is the one
@@ -141,10 +139,9 @@ def _scatter(shape: Tuple[int, ...], table: Tuple[np.ndarray, np.ndarray],
 _GENERATOR_SLOTS = (((2, 0), (1, 1)), ((1, 1), (0, 2)))
 
 
-# slot shifts of L, Lambda and the operators X of ``_whole_table``
+# slot shifts of L, Lambda and the first-order operators of ``_operator_entries``
 _SHIFTS = {"L": (1, 1), "Lam": (-1, -1), "del": (1, 0), "dbar": (0, 1), "wdel": (2, 1),
            "wdbar": (1, 2)}
-_ADJOINT_OF = {"delstar": "dbar", "dbarstar": "del"}   # D of each adjoint -star D star
 
 
 @lru_cache(maxsize=None)
@@ -278,43 +275,6 @@ def _operator_scatter(n: int, part: int, p: int, q: int) -> Tuple[np.ndarray, np
     return _frozen((pos + cols).astype(np.int32), terms)
 
 
-def _adjoint_base(lef: str, op: str) -> Tuple[str, str]:
-    """What an adjoint ``-star D star``, or ``-i [F, X]`` of one, is
-    relabelled from: D, or ``-i [F', D]`` (``star L = Lam star``)."""
-    return {"L": "Lam", "Lam": "L"}.get(lef, ""), _ADJOINT_OF[op]
-
-
-def _whole_table(n: int, size: int, bracket: bool, entries: List[Tuple[np.ndarray, ...]]
-                 ) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """X (``entries`` on every monomial) or, if ``bracket``, ``-i [Lam, X]``
-    on all slots at once: a table ``(pos, terms)`` of ``_scatter`` over X's
-    ``size`` values, units +-1, numbering the nonzero entries by row and
-    column (the slot tables, concatenated), with their rows and columns.
-    Lambda commutes with X's contractions, and ``Lam (theta ^ u) - theta ^
-    Lam u`` is the terms that contract theta."""
-    hol, anti, number, count, merge = _monomials(n)
-    # Lambda's entry -i * sign from (I | k, J | k) to (I, J)
-    contract = lambda I, J, k: -merge[k << n | I] * merge[k << n | J] * (1 - 2 * (count[I] & 1))
-
-    def brackets():
-        for rows, cols, terms, signs, theta in entries:
-            # Lam X: Lam removes an index k of theta from both masks of the row
-            I, J = hol[rows], anti[rows]
-            at, k = _set_bits(I & J & theta, n)
-            I, J, k = I[at] ^ (1 << k), J[at] ^ (1 << k), 1 << k
-            yield number[I << n | J], cols[at], terms[at], signs[at] * contract(I, J, k)
-            # X Lam: Lam removed an index k of theta from both masks of the column
-            I, J = hol[cols], anti[cols]
-            at, k = _set_bits(theta & ~(I | J), n)
-            I, J, k = I[at], J[at], 1 << k
-            yield rows[at], number[(I | k) << n | J | k], terms[at], -signs[at] * contract(I, J, k)
-
-    rows, cols, terms = _sort_entries(brackets() if bracket else entries, 2 * n, size)
-    new = np.diff(rows << 2 * n | cols, prepend=-1) != 0
-    return (_frozen((np.cumsum(new) - 1).astype(np.int32), terms),
-            rows[new].astype(np.int32), cols[new].astype(np.int32))
-
-
 @lru_cache(maxsize=None)
 def _top_all(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The top pairing on all slots (``_slot_starts``) at once: ``e_I ^
@@ -340,16 +300,6 @@ def _star_all(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     perm = np.argsort(inverse)
     return _frozen(perm, inverse, ((1 - 2 * (count[hol] * count[anti] & 1)) * _volume_coeff(n)
                                    * (sign[conj] + 0j))[perm])
-
-
-def _star_conjugate(n: int, rows: np.ndarray, cols: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries at ``(rows, cols)`` of a matrix D over all slots
-    (``_slot_starts``) as entries of ``-star D star``: rows, columns and
-    the real sign (+-1) of each."""
-    perm, inverse, phase = _star_all(n)
-    rows = inverse[rows]
-    return rows, perm[cols], -(phase[rows] * phase[cols]).real.astype(np.int8)
 
 
 @lru_cache(maxsize=None)

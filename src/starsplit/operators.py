@@ -42,13 +42,15 @@ theta`` times the volume) on every (1,1)-monomial.  The identities of n
 alone (a01 to a04, a11 to a13, b01 to b04 and b08 to b12) are evaluated
 once per dimension and cached (``_dimension_entries``).  An entry of a05
 to a08, a14 or a15 is a fixed linear form in x, the values of del, dbar
-and theta and their conjugates: a table per identity and dimension holds
-each distinct one once, up to a unit (``_torsion_tables``); a07 to a10
-hold for all structure constants, and are decided once per dimension at
-one Gaussian-integer point (``_generic_entries``).  The others are
-evaluated afresh, slot by slot.  The operator suite takes f, rho and
-``i del delbar omega_{n-2}`` from one call of the star-split core
-``analysis._star_split``.  No identity needs particular inputs, so
+and theta and their conjugates: per identity and dimension, its residual
+is one expression in the sparse algebra of a01 to a04 (``_Sparse``, whose
+entries may read x) over del, dbar, ``theta ^ .``, ``-i [Lam, .]`` and the
+star, and a table holds each distinct entry once, up to a unit
+(``_torsion_tables``); a07 to a10 hold for all structure constants, and
+are decided once per dimension at one Gaussian-integer point
+(``_generic_entries``).  The others are evaluated afresh, slot by slot.
+The operator suite takes f, rho and ``i del delbar omega_{n-2}`` from one
+call of the star-split core ``analysis._star_split``.  No identity needs particular inputs, so
 neither suite draws random forms: the ``seed`` of both is unused.
 
 Both suites report through one harness, ``IdentityReport.check``.  An
@@ -77,11 +79,10 @@ from .analysis import _star_split
 from .complex_structure import InvariantComplexManifold, total_volume
 from .errors import DEFAULT_TOL, InputError
 from .forms import Form, space_dim
-from .metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _division_solve,
-                     _fold, _frozen, _join, _monomials, _omega_power_vec, _operator_entries,
-                     _operator_scatter, _scatter, _slot_mat, _slot_starts, _star_all,
-                     _star_conjugate, _top_all, _top_pairing, _units, _volume_coeff,
-                     _wedge_power_entries, _wedge_power_mat, _wedge_scatter, _whole_table)
+from .metric import (_SHIFTS, HermitianMetric, _division_solve, _fold, _frozen, _join,
+                     _monomials, _omega_power_vec, _operator_entries, _operator_scatter,
+                     _scatter, _set_bits, _slot_mat, _star_all, _top_all, _top_pairing, _units,
+                     _volume_coeff, _wedge_power_entries, _wedge_power_mat, _wedge_scatter)
 
 
 # ----------------------------------------------------------------------
@@ -327,31 +328,50 @@ def _relative(residual: np.ndarray, *terms) -> np.ndarray:
 
 class _Sparse:
     """A matrix over the monomials of all slots (``metric._slot_starts``)
-    as its entries ``(rows, cols, vals)``, repeated positions summing.
-    Sums and products of L, Lambda and star (entries +-1 and +-i) are exact."""
+    as its entries ``(rows, cols, vals)``, repeated positions summing; with
+    ``terms``, a matrix of linear forms in values v, entry k ``vals[k] *
+    v[terms[k]]``, a term ``~j`` reading ``conj(v[j])``.  Sums and products
+    of L, Lambda and star (entries +-1 and +-i) are exact.  A product takes
+    the terms of its factor with terms (at most one has them); only a
+    product without terms is summed by position."""
 
     __array_ufunc__ = None   # an array times a _Sparse scales its columns (__rmul__)
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        self.rows, self.cols, self.vals = rows, cols, vals
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 terms: Optional[np.ndarray] = None):
+        self.rows, self.cols, self.vals, self.terms = rows, cols, vals, terms
 
     def __matmul__(self, other: "_Sparse") -> "_Sparse":
         i, j = _join(other.rows, self.cols)
-        return _Sparse(self.rows[j], other.cols[i], self.vals[j] * other.vals[i]).summed()
+        rows, cols, vals = self.rows[j], other.cols[i], self.vals[j] * other.vals[i]
+        if other.terms is not None:
+            return _Sparse(rows, cols, vals, other.terms[i])
+        if self.terms is not None:
+            return _Sparse(rows, cols, vals, self.terms[j])
+        return _Sparse(rows, cols, vals).summed()
 
     def __add__(self, other: "_Sparse") -> "_Sparse":
-        pairs = zip((self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))
-        return _Sparse(*(np.concatenate(pair) for pair in pairs))
+        return _Sparse(*(None if a is None else np.concatenate((a, b))
+                         for a, b in zip(self._arrays(), other._arrays())))
 
     def __sub__(self, other: "_Sparse") -> "_Sparse":
         return self + -1 * other
 
     def __rmul__(self, factor) -> "_Sparse":   # a scalar, or one factor per column
         return _Sparse(self.rows, self.cols, self.vals * (
-            factor[self.cols] if isinstance(factor, np.ndarray) else factor))
+            factor[self.cols] if isinstance(factor, np.ndarray) else factor), self.terms)
+
+    @property
+    def H(self) -> "_Sparse":
+        """The conjugate transpose."""
+        return _Sparse(self.cols, self.rows, self.vals.conj(),
+                       None if self.terms is None else ~self.terms)
+
+    def _arrays(self) -> Tuple[Optional[np.ndarray], ...]:
+        return self.rows, self.cols, self.vals, self.terms
 
     def where(self, keep: np.ndarray) -> "_Sparse":   # the columns where keep holds
-        return _Sparse(*(arr[keep[self.cols]] for arr in (self.rows, self.cols, self.vals)))
+        return _Sparse(*(None if arr is None else arr[keep[self.cols]] for arr in self._arrays()))
 
     def summed(self) -> "_Sparse":
         """One entry per position, ordered by row, then column."""
@@ -465,31 +485,16 @@ def _dimension_entries(n: int) -> Tuple[IdentityResult, ...]:
 # ----------------------------------------------------------------------
 # commutation / frame identity suite
 # ----------------------------------------------------------------------
-# the operators of a05 to a08, a14 and a15 as ``(F, X, scale)``: scale
-# times X (F "") or times ``-i [F, X]``, X a name of ``OperatorTable.mat``
-_TORSION_OPERATORS = {
-    "del": ("", "del", 1), "dbar": ("", "dbar", 1), "delstar": ("", "delstar", 1),
-    "dbarstar": ("", "dbarstar", 1), "tau": ("Lam", "wdel", 1j), "taubar": ("Lam", "wdbar", 1j),
-    "i[Lam,dbar]": ("Lam", "dbar", -1), "-i[Lam,del]": ("Lam", "del", 1),
-    "-i[dbar*,L]": ("L", "dbarstar", -1), "i[del*,L]": ("L", "delstar", 1)}
-
-# id: (anchor, summands, adjoint, rhs): the residual is the summands' sum,
-# conjugate-transposed for an adjoint identity, minus rhs.  The frame
-# conjugate transpose is the L2 adjoint only where Stokes holds.  Each
-# identity is followed by its complex conjugate (``_torsion_tables``).
+# id: (anchor, adjoint); the frame conjugate transpose is the L2 adjoint
+# only where Stokes holds.  Each identity is followed by its complex
+# conjugate (``_torsion_tables``).
 _TORSION_IDENTITIES = {
-    "a05_adjoint_of_del_plus_torsion": (
-        "(del+tau)* = i [Lam, dbar]", ("del", "tau"), True, "i[Lam,dbar]"),
-    "a06_adjoint_of_delbar_plus_torsion": (
-        "(dbar+taubar)* = -i [Lam, del]", ("dbar", "taubar"), True, "-i[Lam,del]"),
-    "a07_del_plus_torsion_bracket": (
-        "del + tau = -i [dbar*, L]", ("del", "tau"), False, "-i[dbar*,L]"),
-    "a08_delbar_plus_torsion_bracket": (
-        "dbar + taubar = i [del*, L]", ("dbar", "taubar"), False, "i[del*,L]"),
-    "a14_global_adjointness_del": (
-        "<<del u, v>> = <<u, del* v>>", ("del",), True, "delstar"),
-    "a15_global_adjointness_delbar": (
-        "<<dbar u, v>> = <<u, dbar* v>>", ("dbar",), True, "dbarstar"),
+    "a05_adjoint_of_del_plus_torsion": ("(del+tau)* = i [Lam, dbar]", True),
+    "a06_adjoint_of_delbar_plus_torsion": ("(dbar+taubar)* = -i [Lam, del]", True),
+    "a07_del_plus_torsion_bracket": ("del + tau = -i [dbar*, L]", False),
+    "a08_delbar_plus_torsion_bracket": ("dbar + taubar = i [del*, L]", False),
+    "a14_global_adjointness_del": ("<<del u, v>> = <<u, del* v>>", True),
+    "a15_global_adjointness_delbar": ("<<dbar u, v>> = <<u, dbar* v>>", True),
 }
 
 
@@ -500,23 +505,49 @@ def _torsion_values(table: OperatorTable) -> np.ndarray:
     return np.concatenate([x, x.conj()])
 
 
+def _brackets(n: int, pieces: List[Tuple[np.ndarray, ...]]) -> Iterable[Tuple[np.ndarray, ...]]:
+    """``B(X) = -i [Lam, X]`` for X the pieces of ``metric._operator_entries``
+    on every monomial, as pieces ``(rows, cols, terms, signs)`` over X's
+    values, units +-1.  Lambda commutes with X's contractions, and ``Lam
+    (theta ^ u) - theta ^ Lam u`` is the terms that contract theta."""
+    hol, anti, number, count, merge = _monomials(n)
+    # Lambda's entry -i * sign from (I | k, J | k) to (I, J)
+    contract = lambda I, J, k: -merge[k << n | I] * merge[k << n | J] * (1 - 2 * (count[I] & 1))
+    for rows, cols, terms, signs, theta in pieces:
+        # Lam X: Lam removes an index k of theta from both masks of the row
+        I, J = hol[rows], anti[rows]
+        at, k = _set_bits(I & J & theta, n)
+        I, J, k = I[at] ^ (1 << k), J[at] ^ (1 << k), 1 << k
+        yield number[I << n | J], cols[at], terms[at], signs[at] * contract(I, J, k)
+        # X Lam: Lam removed an index k of theta from both masks of the column
+        I, J = hol[cols], anti[cols]
+        at, k = _set_bits(theta & ~(I | J), n)
+        I, J, k = I[at], J[at], 1 << k
+        yield rows[at], number[(I | k) << n | J | k], terms[at], -signs[at] * contract(I, J, k)
+
+
 @lru_cache(maxsize=None)
 def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
     """Per identity of a05 to a08, a14 and a15, its residual on all slots
     as a row count and one table ``(rows, terms)`` of ``_scatter`` over the
     x of ``_torsion_values``, a row per distinct entry up to a factor of
-    +-1 or +-i.  The entries are the ``metric._whole_table`` entries of the
-    operators (an adjoint's relabelled by ``metric._star_conjugate``),
-    terms ``i^k x[j]`` (term ``k len(x) + j``), conjugated and transposed
-    in the summands of an adjoint identity, numbered block by block (a
-    block per column slot) and told apart by a hash exact in doubles: each
+    +-1 or +-i.  Each residual is one ``_Sparse`` expression of linear
+    forms in x over D and Db (del and dbar), ``B(X) = -i [Lam, X]``
+    (``_brackets``) of them and of ``theta ^ .`` (the leaves read off
+    ``metric._operator_entries``), and the star:
+
+        a05 = D^H + tau^H + B(Db)            tau = [Lam, theta ^ .] = i B(theta ^ .)
+        a07 = D + tau - star B(D) star       -i [dbar*, L] = star B(D) star
+        a14 = D^H + star Db star             del* = -star Db star
+
+    reduced by position and term: term ``k len(x) + j`` is ``i^k x[j]``, the
+    rows in order of position, the terms of a row in order of their ``j``
+    over ``[x, i x]``.  Rows are told apart by a hash exact in doubles: each
     value a seeded pseudo-random Gaussian integer below 2^44, an entry's
     hash the sum of its terms'.  Units turn hashes by quarter turns; the
     turn into re > 0, im >= 0 is one for entries that differ by a unit.  An
     entry of hash 0 is zero."""
-    dims, start = _slot_starts(n)
-    slot = np.repeat(np.arange(dims.size, dtype=np.int32), dims.ravel())
-    local = np.arange(4 ** n, dtype=np.int32) - start.ravel()[slot]
+    hol, anti = _monomials(n)[:2]
     pure, mixed = math.comb(n, 2) * n, n ** 3   # del: (2,0), (1,1); dbar: (1,1), (0,2)
     sizes = {"del": pure + mixed, "dbar": pure + mixed, "wdel": pure, "wdbar": pure}
     offset = dict(zip(sizes, np.cumsum([0, *sizes.values()])))
@@ -533,62 +564,67 @@ def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
     negated = np.repeat([0, 1, 0], [pure, 2 * mixed, 3 * pure])
     unit, conj, j = np.unravel_index(np.arange(8 * half), (4, 2, half))   # term i^unit x[j]
     mirror = (((2 * negated[j] - unit) % 4 * 2 + conj) * half + mirror[j]).astype(np.int32)
-    base = {name: _adjoint_base(lef, op) if op in _ADJOINT_OF else (lef, op)
-            for name, (lef, op, _) in _TORSION_OPERATORS.items()}
-    identities = list(_TORSION_IDENTITIES.items())[::2]   # each followed by its conjugate
-    needed = {base[name] for _, (_, summands, _, rhs) in identities for name in summands + (rhs,)}
-    whole = {}
-    for op in offset:
-        pieces = _operator_entries(n, op, *_monomials(n)[:2])
-        whole.update({(lef, x): _whole_table(n, sizes[op], lef == "Lam", pieces)
-                      for lef, x in sorted(needed) if x == op})
-        del pieces
 
-    def table(summands: Tuple[str, ...], adjoint: bool, rhs: str):
-        """The residual's row count and table ``(rows, terms)``."""
-        lef, op, _ = _TORSION_OPERATORS[rhs]
-        dp, dq = np.add(OperatorTable._SHIFTS[op], _SHIFTS.get(lef, (0, 0)))
-        area = np.pad(dims, 1)[1 + dp:n + 2 + dp, 1 + dq:n + 2 + dq].ravel() * dims.ravel()
-        size = int(area.sum())
-        first = ((np.cumsum(area) - area)[slot] + local).astype(np.int32)
-        parts, h = [], np.zeros(size, dtype=complex)
-        for name in summands + (rhs,):
-            flip, (_, op, scale) = adjoint and name != rhs, _TORSION_OPERATORS[name]
-            (pos, terms), rows, cols = whole[base[name]]
-            unit, terms = np.divmod(terms, sizes[base[name][1]])   # unit 0 or 2
-            if op in _ADJOINT_OF:
-                rows, cols, star = _star_conjugate(n, rows, cols)
-                unit = unit + 1 - star[pos]
-            unit = unit + {1: 0, 1j: 1, -1: 2, -1j: 3}[scale] * (1 - 2 * flip) + 2 * (name == rhs)
-            terms = (unit % 4 * 2 + flip) * half + offset[base[name][1]] + terms
-            rows, cols = (cols, rows) if flip else (rows, cols)
-            at = (first[cols] + local[rows] * dims.ravel()[slot][cols])[pos]
-            np.add.at(h, at, hashes[terms])
-            parts.append((at, terms))
+    def leaf(op: str, bracket: bool = False) -> _Sparse:
+        """X = ``op`` on every monomial, or B(X), compacted piece by piece."""
+        pieces = _operator_entries(n, op, hol, anti)
+        pieces = [(rows.astype(np.int32), cols.astype(np.int32), signs.astype(np.complex64),
+                   (offset[op] + terms).astype(np.int32)) for rows, cols, terms, signs, *_
+                  in (_brackets(n, pieces) if bracket else pieces)]
+        return _Sparse(*(np.concatenate(arrs) for arrs in zip(*pieces)))
+
+    every = np.arange(4 ** n, dtype=np.int32)
+    star = _Sparse(every, _star_all(n)[0], _star_all(n)[2].astype(np.complex64))
+    D, tau = leaf("del"), 1j * leaf("wdel", bracket=True)
+    residuals = (lambda: D.H + tau.H + leaf("dbar", bracket=True),
+                 lambda: D + tau - star @ leaf("del", bracket=True) @ star,
+                 lambda: D.H + star @ leaf("dbar") @ star)
+
+    def table(residual: Callable[[], _Sparse]) -> Tuple[int, Tuple[np.ndarray, np.ndarray]]:
+        """The row count and table ``(rows, terms)`` of the distinct entries
+        of the residual."""
+        m = residual()
+        # key: position (row, column), the term over [x, i x] in ``bits`` bits, the sign
+        bits = (4 * half).bit_length()
+        terms = np.where(m.terms < 0, half + ~m.terms, m.terms)   # over x = [v, conj v]
+        terms[m.vals.imag != 0] += 2 * half
+        key = m.rows.astype(np.int64) << 2 * n
+        key |= m.cols
+        key <<= bits
+        key |= terms
+        key <<= 1
+        key |= m.vals.real + m.vals.imag < 0
+        del m, terms
+        key.sort()
+        # each (position, term) once, with its net count of +1 and -1
+        first = np.flatnonzero(np.diff(key >> 1, prepend=-1))
+        summed = np.add.reduceat(1 - 2 * (key & 1), first)
+        key = key[first[summed != 0]] >> 1
+        pos, terms = key >> bits, key & ((1 << bits) - 1)
+        del key, first
+        summed = summed[summed != 0]
+        first = np.flatnonzero(np.diff(pos, prepend=-1))
+        width = np.diff(first, append=len(pos))   # the terms of each position
+        h = np.add.reduceat(summed * hashes[terms], first)
         held = np.flatnonzero(h)
         re, im = h.real[held], h.imag[held]
-        del h
         # the quarter turn into re > 0, im >= 0: (|re|, |im|), swapped off quadrants 1 and 3
         swap = (re * im < 0) | (re == 0)
         re, im = np.where(swap, abs(im), abs(re)), np.where(swap, abs(re), abs(im))
         order = np.lexsort((im, re))
         new = (np.diff(re[order], prepend=-1) != 0) | (np.diff(im[order], prepend=-1) != 0)
-        keep = np.zeros(size, dtype=bool)
-        keep[held[order[new]]] = True
-        number = np.cumsum(keep, dtype=np.int32) - 1
-        rows = np.concatenate([number[at[keep[at]]] for at, _ in parts]).astype(np.int64)
-        terms = np.concatenate([part[keep[at]] for at, part in parts])
-        del parts
-        # each row's terms over [x, 1j x] in order, a term and its negative cancelling
-        key, inverse = np.unique(rows * (4 * half) + terms % (4 * half), return_inverse=True)
-        summed = np.bincount(inverse, 1 - 2 * (terms >= 4 * half), len(key)).astype(np.int64)
-        rows, terms = np.divmod(np.repeat(key, abs(summed)), 4 * half)   # 2 x[j] is two terms
-        return int(new.sum()), (rows.astype(np.int32),
-                                _fold(terms, np.repeat(summed, abs(summed)), 2 * half))
+        kept = np.zeros(len(first), dtype=bool)
+        kept[held[order[new]]] = True
+        keep = np.repeat(kept, width)
+        rows = np.repeat(np.cumsum(kept, dtype=np.int32) - 1, width)[keep]
+        counts = abs(summed[keep])   # 2 x[j] is two terms
+        return int(new.sum()), (np.repeat(rows, counts), _fold(
+            np.repeat(terms[keep], counts), np.repeat(summed[keep], counts), 2 * half))
 
-    tables = {}
-    for (identity, spec), partner in zip(identities, list(_TORSION_IDENTITIES)[1::2]):
-        count, (rows, terms) = table(*spec[1:])
+    # a05, a07 and a14, each followed by its conjugate
+    tables, ids = {}, list(_TORSION_IDENTITIES)
+    for identity, partner, residual in zip(ids[::2], ids[1::2], residuals):
+        count, (rows, terms) = table(residual)
         tables[identity] = count, _frozen(rows, terms)
         tables[partner] = count, _frozen(rows, mirror[terms])
     return tables
@@ -598,7 +634,7 @@ def _bracket_entries(M: InvariantComplexManifold) -> Tuple[IdentityResult, ...]:
     """a07 to a10 on ``M`` at the identity metric, with their largest residuals."""
     table = OperatorTable(M, HermitianMetric.identity(M.dim))
     m, rep, values = table.mat, IdentityReport("", "", math.inf), _units(_torsion_values(table))
-    for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
+    for identity, (anchor, adjoint) in _TORSION_IDENTITIES.items():
         if not adjoint:
             rep.check(identity, anchor, lambda t=_torsion_tables(M.dim)[identity]: [
                 _scatter((t[0],), t[1], values)])
@@ -645,7 +681,7 @@ def verify_commutation_suite(M: InvariantComplexManifold, g: HermitianMetric, *,
     rep.reuse(e for e in _dimension_entries(n) + _generic_entries(n) if e.identity[0] == "a")
     x = _torsion_values(table)
     values = _units(_relative(x, x))   # the residuals are linear in x: relative to its size
-    for identity, (anchor, _, adjoint, _) in _TORSION_IDENTITIES.items():
+    for identity, (anchor, adjoint) in _TORSION_IDENTITIES.items():
         if adjoint:
             rep.check(identity, anchor, lambda t=_torsion_tables(n)[identity]: [
                 _scatter((t[0],), t[1], values)], stokes)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import approx_equal, random_pd_metric
+from conftest import approx_equal, random_pd_metric, transformed
 from starsplit import catalog
 from starsplit.analysis import (_form_json, classify, conformal_f, eigenvalues_of_11,
                                 f_scalar, gauduchon_adjoint_on_constant, pair_analysis,
@@ -15,6 +15,7 @@ from starsplit.forms import Form
 from starsplit.metric import (HermitianMetric, divide_by_power, form_norm,
                               hodge_star, inner_product, lefschetz_lambda,
                               omega_power)
+from starsplit.operators import verify_commutation_suite, verify_operator_identities
 from starsplit.search import pss_defect
 
 
@@ -559,9 +560,9 @@ def test_gauduchon_adjoint_nonzero_on_non_unimodular():
 # ----------------------------------------------------------------------
 # laws that geometry imposes on the eight flags
 # ----------------------------------------------------------------------
-def flag_laws(report, model):
-    """The laws of the flags of one metric that ``report`` breaks, on the
-    catalog model named ``model``:
+def model_free_flag_laws(holds, dim):
+    """The laws of the flags ``holds`` (name -> whether it holds) of one
+    metric on a model of dimension ``dim`` that name no model:
 
     - Kahler implies the other seven flags;
     - balanced implies Gauduchon;
@@ -569,23 +570,31 @@ def flag_laws(report, model):
     - SKT and balanced together imply Kahler (Alexandrov and Ivanov,
       "Vanishing theorems on Hermitian manifolds", 2001);
     - Gauduchon and pluriclosed star split hold on every model the CLI
-      accepts (Stokes);
+      accepts (Stokes)."""
+    broken = []
+    if holds["kahler"]:
+        broken += [f"kahler without {key}" for key, ok in holds.items() if not ok]
+    if holds["balanced"] and not holds["gauduchon"]:
+        broken.append("balanced without gauduchon")
+    if dim == 3 and holds["SKT"] != holds["astheno_kahler"]:
+        broken.append("SKT differs from astheno_kahler at n = 3")
+    if holds["SKT"] and holds["balanced"] and not holds["kahler"]:
+        broken.append("SKT and balanced without kahler")
+    broken += [f"{key} fails" for key in ("gauduchon", "pluriclosed_star_split") if not holds[key]]
+    return broken
+
+
+def flag_laws(report, model):
+    """The laws of the flags of one metric that ``report`` breaks, on the
+    catalog model named ``model``: those of ``model_free_flag_laws``, and
+
     - no catalog model but the torus is Kahler (Benson and Gordon 1988,
       Hasegawa 1989, Wang 1954; Calabi-Eckmann manifolds have b_2 = 0);
     - no invariant metric on the complex-parallelisable iwasawa3, iwasawa5
       or nakamura is SKT (there i del dbar omega has coefficient matrix
       A^T H conj(A), zero only with A)."""
     holds = {key: flag.holds for key, flag in report.flags.items()}
-    broken = []
-    if holds["kahler"]:
-        broken += [f"kahler without {key}" for key, ok in holds.items() if not ok]
-    if holds["balanced"] and not holds["gauduchon"]:
-        broken.append("balanced without gauduchon")
-    if report.dim == 3 and holds["SKT"] != holds["astheno_kahler"]:
-        broken.append("SKT differs from astheno_kahler at n = 3")
-    if holds["SKT"] and holds["balanced"] and not holds["kahler"]:
-        broken.append("SKT and balanced without kahler")
-    broken += [f"{key} fails" for key in ("gauduchon", "pluriclosed_star_split") if not holds[key]]
+    broken = model_free_flag_laws(holds, report.dim)
     if holds["kahler"] and not model.startswith("torus"):
         broken.append("kahler on a non-torus model")
     if holds["SKT"] and model in ("iwasawa3", "iwasawa5", "nakamura"):
@@ -607,3 +616,38 @@ def test_flag_laws_hold_at_metric_scales_from_1e_minus_8_to_1e8(name):
         for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             report = classify(M, metric.scaled(scale))
             assert not flag_laws(report, name), (scale, metric, flag_laws(report, name))
+
+
+def coframe_changes(n, rng):
+    """A seeded unitary A, A = 2 I and a dense A = I + 0.4 G."""
+    G = lambda: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return {"unitary": np.linalg.qr(G())[0], "2I": 2.0 * np.eye(n), "dense": np.eye(n) + 0.4 * G()}
+
+
+def suite_outcomes(M, g):
+    """Each suite entry's id, pass state and skip reason."""
+    reports = [verify_commutation_suite(M, g), verify_operator_identities(M, g, g)]
+    return [(e.identity, e.passed, e.skipped_reason) for rep in reports for e in rep.entries]
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_reports_are_invariant_under_a_change_of_coframe(name):
+    """Every invariant is independent of the coframe: in psi = A phi
+    (``conftest.transformed``) the flags are identical, f, the spectrum and
+    every defect agree to 1e-12 relative to their size (or to 1), and both
+    suites give the same ids, pass states and skip reasons.  Left out: A =
+    s I with large 1/s, where the constants grow like 1/s and the absolute
+    thresholds of validity and flags are no longer in the model's units
+    (the ROADMAP's scale-free numerics, item 3)."""
+    M, g, _ = catalog.get(name)
+    ref, outcomes = classify(M, g), suite_outcomes(M, g)
+    close = lambda a, b: abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+    for kind, A in coframe_changes(M.dim, np.random.default_rng(11)).items():
+        M2, g2 = transformed(M, A, g)
+        rep = classify(M2, g2)
+        assert {k: f.holds for k, f in rep.flags.items()} == \
+            {k: f.holds for k, f in ref.flags.items()}, kind
+        assert all(close(rep.flags[k].defect, f.defect) for k, f in ref.flags.items()), kind
+        assert close(rep.f, ref.f), kind
+        assert all(map(close, sorted(rep.eigenvalues), sorted(ref.eigenvalues))), kind
+        assert suite_outcomes(M2, g2) == outcomes, kind

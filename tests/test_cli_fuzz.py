@@ -5,7 +5,9 @@ through ``scan``, ``invariants`` and ``search``: every input ends in a
 report (exit 0, nothing on stderr) or in exit 2 with exactly one
 ``error:`` line, never in a failed identity (exit 1), an exception, a
 warning or a traceback, and the report is canonical JSON: parsing it and
-writing it back with ``jsonio.dumps`` gives the same bytes.  Every model
+writing it back with ``jsonio.dumps`` gives the same bytes.  Every report
+of one metric from ``classify``, ``scan`` and ``search`` keeps the flag laws
+that name no model (``test_analysis.model_free_flag_laws``).  Every model
 these files describe satisfies the paper's identities at the default
 tolerance, so a failed identity here is a defect of the program; only
 ``verify --tol`` may fail one, with its report on stdout."""
@@ -22,12 +24,18 @@ from hypothesis import given, seed, settings, strategies as st
 
 from starsplit import jsonio
 from starsplit.cli import main
+from test_analysis import model_free_flag_laws
 
 COEFFS = st.sampled_from(["1", "-1", "2", "0.5", "i", "-i", "1+i", "1e-8", "3e5"])
 BAD_COEFFS = st.sampled_from(["0", "t", "1/0", "1e308*10", "(", ""])
 NUMBERS = st.sampled_from([1.0, 2.0, 0.5, 1e-3, 1e3])
 BAD_NUMBERS = st.sampled_from([0.0, -1.0, 1e-15, 1e-300, 1e200])
 OFF_DIAGONAL = st.sampled_from([0.0, 0.1, -0.25, 0.5])
+# metric scales for the flag laws: with entries of 1e-3 to 1e3 (NUMBERS)
+# they keep the metric within 1e-8..1e8, because beyond it the absolute flag
+# thresholds meet defects that scale with the metric and the laws break
+# (the ROADMAP's scale-free numerics, item 3)
+SCALES = st.sampled_from([1.0, 2.0, 0.5, 1e-5, 1e-2, 1e2, 1e5])
 
 
 @st.composite
@@ -57,9 +65,10 @@ def manifold_files(draw, bad, dims=(1, 2, 3, 3, 3, 3)):
 
 
 @st.composite
-def metric_files(draw, n, bad):
-    """A diagonal or a Hermitian metric file; if ``bad``, of the wrong size
-    or with an entry or a scale that is not allowed or extreme."""
+def metric_files(draw, n, bad, scales=NUMBERS):
+    """A diagonal or a Hermitian metric file, scaled by one of ``scales`` or
+    not; if ``bad``, of the wrong size or with an entry or a scale that is
+    not allowed or extreme."""
     size = n + 1 if bad and draw(st.booleans()) else n
     value = BAD_NUMBERS if bad else NUMBERS
     if draw(st.booleans()):
@@ -76,7 +85,7 @@ def metric_files(draw, n, bad):
             entries[size] = [z[0], -z[1]]
         data = {"type": "hermitian", "matrix": entries}
     if draw(st.booleans()):
-        data["scale"] = draw(value)
+        data["scale"] = draw(value if bad else scales)
     return data
 
 
@@ -123,6 +132,19 @@ def check_cli(command, files, *flags, exits=(0, 2)):
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), (
             err.getvalue(), files)
     return code, out.getvalue(), err.getvalue()
+
+
+def check_flag_laws(code, out, dim):
+    """``model_free_flag_laws`` on every report of one metric in the output
+    ``out`` of exit code ``code``: that of ``classify`` or ``search``, or
+    each row of ``scan``, on a model of dimension ``dim``."""
+    if code != 0:
+        return
+    data = json.loads(out)
+    for report in [data["report"]] if "report" in data else data.get("rows", []):
+        holds = {key: flag if isinstance(flag, bool) else flag["holds"]
+                 for key, flag in report["flags"].items()}
+        assert not model_free_flag_laws(holds, dim), (holds, out)
 
 
 def check_verify(manifold, metric):
@@ -202,14 +224,22 @@ def test_classify_on_pullbacks_that_once_misbehaved(entry, scale):
 @settings(database=None, max_examples=60, deadline=None)
 @given(st.data())
 def test_classify_ends_in_a_report_or_a_message(data):
-    """``classify --json`` with a second metric, a pullback or both."""
+    """``classify --json`` alone, with a second metric, a pullback or both;
+    a report of one metric keeps the flag laws."""
     bad = data.draw(st.sampled_from(["none"] * 6 + ["manifold", "metric"]))
     manifold = data.draw(manifold_files(bad == "manifold", dims=(3,)))
     n = manifold["dim"]
-    files = {"manifold": manifold, "metric": data.draw(metric_files(n, bad == "metric"))}
-    for option in data.draw(st.sampled_from([["gamma"], ["phi"], ["gamma", "phi"]])):
-        files[option] = data.draw(pullback_files(n) if option == "phi" else metric_files(n, False))
-    check_cli("classify", files)
+    files = {"manifold": manifold,
+             "metric": data.draw(metric_files(n, bad == "metric", scales=SCALES))}
+    for option in data.draw(st.sampled_from([[], ["gamma"], ["phi"], ["gamma", "phi"]])):
+        files[option] = data.draw(pullback_files(n) if option == "phi"
+                                  else metric_files(n, False, scales=SCALES))
+    code, out, _ = check_cli("classify", files)
+    # a structure constant of 1e-8 or 3e5 is, in the coframe that makes it
+    # 1, a metric scaled by 1e16 or 1e-11: outside the band of SCALES
+    if not {"1e-8", "3e5"} & {entry["coeff"] for parts in manifold["structure"].values()
+                              for entries in parts.values() for entry in entries}:
+        check_flag_laws(code, out, n)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +311,7 @@ def test_parameter_commands_end_in_a_report_or_a_message(data):
     overflowing, ill-formed, long, deep or naming no parameter."""
     if data.draw(st.booleans()):
         name = data.draw(st.sampled_from(sorted(CATALOG_PARAMS)))
-        files, flags, names = {}, ["--manifold", name], CATALOG_PARAMS[name]
+        files, flags, names, n = {}, ["--manifold", name], CATALOG_PARAMS[name], 3
     else:
         n = data.draw(st.sampled_from([2, 3, 3]))
         files = {"manifold": parametric_file(n, [data.draw(FILE_COEFFS) for _ in range(2)])}
@@ -307,4 +337,4 @@ def test_parameter_commands_end_in_a_report_or_a_message(data):
                   "--seed", str(data.draw(st.integers(0, 3)))]
         if data.draw(st.booleans()):
             flags.append("--tol=" + data.draw(TOLERANCES))
-    check_cli(command, files, *flags)
+    check_flag_laws(*check_cli(command, files, *flags)[:2], n)

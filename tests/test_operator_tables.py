@@ -36,11 +36,10 @@ from starsplit import catalog, metric, operators
 from starsplit.complex_structure import InvariantComplexManifold
 from starsplit.errors import DEFAULT_TOL
 from starsplit.forms import space_dim
-from starsplit.metric import (_ADJOINT_OF, _SHIFTS, HermitianMetric, _adjoint_base, _basis,
-                              _fold, _index, _join, _operator_scatter, _primitive_part,
-                              _scatter, _slot_mat, _slot_starts, _star_conjugate, _top_pairing,
-                              _units, _volume_coeff, _wedge_power_mat, _wedge_scatter,
-                              omega_power)
+from starsplit.metric import (_SHIFTS, HermitianMetric, _basis, _fold, _index, _join,
+                              _operator_scatter, _primitive_part, _scatter, _slot_mat,
+                              _slot_starts, _star_all, _top_pairing, _units, _volume_coeff,
+                              _wedge_power_mat, _wedge_scatter, omega_power)
 from starsplit.operators import (IdentityReport, OperatorTable,
                                  verify_commutation_suite, verify_operator_identities)
 from test_cli import _N6_MODELS
@@ -51,6 +50,43 @@ from test_operators import stokes_violating
 # ----------------------------------------------------------------------
 # the per-slot routes that the mask-built tables replace
 # ----------------------------------------------------------------------
+# the operators of a05 to a08, a14 and a15 as ``(F, X, scale)``: scale
+# times X (F "") or times ``-i [F, X]``, X a name of ``OperatorTable.mat``
+TORSION_OPERATORS = {
+    "del": ("", "del", 1), "dbar": ("", "dbar", 1), "delstar": ("", "delstar", 1),
+    "dbarstar": ("", "dbarstar", 1), "tau": ("Lam", "wdel", 1j), "taubar": ("Lam", "wdbar", 1j),
+    "i[Lam,dbar]": ("Lam", "dbar", -1), "-i[Lam,del]": ("Lam", "del", 1),
+    "-i[dbar*,L]": ("L", "dbarstar", -1), "i[del*,L]": ("L", "delstar", 1)}
+
+# id: (summands, adjoint, rhs): the residual is the summands' sum,
+# conjugate-transposed for an adjoint identity, minus rhs
+TORSION_SUMMANDS = {
+    "a05_adjoint_of_del_plus_torsion": (("del", "tau"), True, "i[Lam,dbar]"),
+    "a06_adjoint_of_delbar_plus_torsion": (("dbar", "taubar"), True, "-i[Lam,del]"),
+    "a07_del_plus_torsion_bracket": (("del", "tau"), False, "-i[dbar*,L]"),
+    "a08_delbar_plus_torsion_bracket": (("dbar", "taubar"), False, "i[del*,L]"),
+    "a14_global_adjointness_del": (("del",), True, "delstar"),
+    "a15_global_adjointness_delbar": (("dbar",), True, "dbarstar"),
+}
+
+ADJOINT_OF = {"delstar": "dbar", "dbarstar": "del"}   # D of each adjoint -star D star
+
+
+def adjoint_base(lef, op):
+    """What an adjoint ``-star D star``, or ``-i [F, X]`` of one, is
+    relabelled from: D, or ``-i [F', D]`` (``star L = Lam star``)."""
+    return {"L": "Lam", "Lam": "L"}.get(lef, ""), ADJOINT_OF[op]
+
+
+def star_conjugate(n, rows, cols):
+    """The entries at ``(rows, cols)`` of a matrix D over all slots
+    (``metric._slot_starts``) as entries of ``-star D star``: rows, columns
+    and the real sign (+-1) of each."""
+    perm, inverse, phase = _star_all(n)
+    rows = inverse[rows]
+    return rows, perm[cols], -(phase[rows] * phase[cols]).real.astype(np.int8)
+
+
 @lru_cache(maxsize=None)
 def ref_merge_table(n, a, p):
     """Every a-subset mask A (rows) against every p-subset mask B (columns),
@@ -154,7 +190,7 @@ def ref_theta_wedge(n, a, b, p, q, theta):
 def ref_adjoint(table, name, p, q):
     """del* or dbar* from the (p,q)-slot as ``-star D star``, the stars
     those of the pairing route (``ref_star_mat``)."""
-    n, d = table.n, _ADJOINT_OF[name]
+    n, d = table.n, ADJOINT_OF[name]
     shape = (space_dim(n, *table.target(name, p, q)), space_dim(n, p, q))
     if not all(shape):
         return np.zeros(shape, dtype=complex)
@@ -339,17 +375,17 @@ def _bracket_table(n, lef, op, p, q):
     the (p,q)-slot over the values of X, or, for an adjoint X = ``-star D
     star``, over those of D: the table of D or of ``-i [F', D]`` (``star L
     = Lam star``) on the star of the slot, renumbered through
-    ``metric._star_conjugate``."""
-    if op not in _ADJOINT_OF:
+    ``star_conjugate``."""
+    if op not in ADJOINT_OF:
         return ref_operator_scatter(n, lef, op, p, q)
     (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), OperatorTable._SHIFTS[op]
     tp, tq, ncols = p + fp + xp, q + fq + xq, space_dim(n, p, q)
     if not (ncols and space_dim(n, tp, tq)):
         return ref_scatter_table([])
-    pos, terms, signs = ref_operator_scatter(n, *_adjoint_base(lef, op), n - q, n - p)
+    pos, terms, signs = ref_operator_scatter(n, *adjoint_base(lef, op), n - q, n - p)
     start = _slot_starts(n)[1]
     row, col = np.divmod(pos, ncols)
-    row, col, sign = _star_conjugate(n, start[n - tq, n - tp] + row, start[n - q, n - p] + col)
+    row, col, sign = star_conjugate(n, start[n - tq, n - tp] + row, start[n - q, n - p] + col)
     return ref_scatter_table([((row - start[tp, tq]) * ncols + col - start[p, q], terms,
                                signs * sign)])
 
@@ -362,7 +398,7 @@ def _scaled_bracket(table, a, b, p, q, factor):
     shape = (space_dim(table.n, *table.target(op, *table.target(lef, p, q))),
              space_dim(table.n, p, q))
     return ref_scatter(shape, _bracket_table(table.n, lef, op, p, q),
-                       scale * table._values(_ADJOINT_OF.get(op, op)))
+                       scale * table._values(ADJOINT_OF.get(op, op)))
 
 
 def per_slot_torsion_residuals(table):
@@ -435,14 +471,14 @@ def per_slot_torsion_rows(n, identity):
     after slot, a term of an operator's entry ``sign i^k x[j]``, conjugated
     and transposed for the summands of an adjoint identity, negated for
     the right-hand side."""
-    _, summands, adjoint, rhs = operators._TORSION_IDENTITIES[identity]
+    summands, adjoint, rhs = TORSION_SUMMANDS[identity]
     half = torsion_half(n)
     sizes = [(math.comb(n, 2) + n * n) * n] * 2 + [math.comb(n, 2) * n] * 2
     offset = dict(zip(("del", "dbar", "wdel", "wdbar"), np.cumsum([0] + sizes)))
     out, base = [], 0
     for p in range(n + 1):
         for q in range(n + 1):
-            lef, op, _ = operators._TORSION_OPERATORS[rhs]
+            lef, op, _ = TORSION_OPERATORS[rhs]
             (fp, fq), (xp, xq) = _SHIFTS.get(lef, (0, 0)), OperatorTable._SHIFTS[op]
             tp, tq = p + fp + xp, q + fq + xq
             ncols = space_dim(n, p, q)
@@ -450,13 +486,13 @@ def per_slot_torsion_rows(n, identity):
                 continue
             for name in summands + (rhs,):
                 flip = adjoint and name != rhs
-                lef, op, scale = operators._TORSION_OPERATORS[name]
+                lef, op, scale = TORSION_OPERATORS[name]
                 pos, terms, signs = _bracket_table(n, lef, op, *((tp, tq) if flip else (p, q)))
                 row, col = np.divmod(pos, space_dim(n, tp, tq) if flip else ncols)
                 turns = {1: 0, 1j: 1, -1: 2, -1j: 3}[scale]
                 turns = (-turns if flip else turns) + 2 * (name == rhs)
                 out.append((base + (col * ncols + row if flip else row * ncols + col),
-                            terms + offset[_ADJOINT_OF.get(op, op)] + half * flip
+                            terms + offset[ADJOINT_OF.get(op, op)] + half * flip
                             + 2 * half * (turns & 1), signs * (1 - (turns & 2))))
             base += space_dim(n, tp, tq) * ncols
     return tuple(np.concatenate([part[k] for part in out] or [np.zeros(0, int)]) for k in range(3))
@@ -936,6 +972,28 @@ def test_torsion_layout_equals_the_per_slot_route(n):
         got, ref = (np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=-1)
                     for a in (got, ref))
         assert np.array_equal(np.unique(got, axis=0), ref), identity
+
+
+# (rows, terms) of the tables of a05 and a06, a07 and a08, a14 and a15
+TORSION_TABLE_SIZES = {
+    1: ((2, 2), (0, 0), (2, 2)),
+    2: ((20, 76), (2, 8), (20, 56)),
+    3: ((117, 744), (15, 84), (117, 522)),
+    4: ((572, 5336), (64, 480), (572, 3704)),
+    5: ((2690, 33760), (230, 2280), (2690, 23300)),
+    6: ((12528, 197508), (786, 9960), (12528, 135648)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_torsion_tables_keep_their_row_and_term_counts(n):
+    """A commutation suite's per-model work is one scatter of the tables of
+    a05, a06, a14 and a15: each table's row count and number of terms is
+    pinned, the same for an identity and its complex conjugate."""
+    sizes = TORSION_TABLE_SIZES[n]
+    for k, (identity, (count, (rows, terms))) in enumerate(operators._torsion_tables(n).items()):
+        assert (count, len(terms)) == sizes[k // 2], identity
+        assert len(rows) == len(terms) and rows.max(initial=-1) + 1 == count, identity
 
 
 @pytest.mark.parametrize("n", range(1, 7))
