@@ -599,10 +599,10 @@ def _torsion_tables(n: int) -> Dict[str, Tuple[int, Tuple[np.ndarray, ...]]]:
         # each (position, term) once, with its net count of +1 and -1
         first = np.flatnonzero(np.diff(key >> 1, prepend=-1))
         summed = np.add.reduceat(1 - 2 * (key & 1), first)
-        key = key[first[summed != 0]] >> 1
+        nonzero = summed != 0
+        key, summed = key[first[nonzero]] >> 1, summed[nonzero]
         pos, terms = key >> bits, key & ((1 << bits) - 1)
         del key, first
-        summed = summed[summed != 0]
         first = np.flatnonzero(np.diff(pos, prepend=-1))
         width = np.diff(first, append=len(pos))   # the terms of each position
         h = np.add.reduceat(summed * hashes[terms], first)
